@@ -29,14 +29,15 @@ so monkeypatched fault injection keeps working.
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .._deprecation import deprecated
 from ..core import serde
 from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
 from ..core.pipeline import CompileResult, compile_baseline, compile_proposed
-from ..engine.cells import COUNTERS
+from ..engine.cells import (COUNTERS, SCHEME_PLAN, BenchmarkMemo,
+                            kind_heuristics)
 from ..isa.program import Program
 from ..obs.pipeline_obs import maybe_observer
 from ..obs.trace import span as obs_span
@@ -201,6 +202,20 @@ def _run_cell(benchmark: str, scheme: str, fn: Callable[[], SchemeResult],
                             failure_detail=detail)
 
 
+def _compile(kind: str, prog: Program, heur: FeedbackHeuristics,
+             max_steps: int, backend: str = "reference",
+             profile=None) -> CompileResult:
+    """:func:`~repro.engine.cells.counted_compile` through this module's
+    ``compile_baseline``/``compile_proposed``, which fault-injection tests
+    monkeypatch."""
+    COUNTERS.compiles += 1
+    if kind == "base":
+        return compile_baseline(prog)
+    return compile_proposed(prog, heur=kind_heuristics(kind, heur),
+                            max_steps=max_steps, backend=backend,
+                            profile=profile)
+
+
 def run_benchmark_impl(name: str, prog: Program,
                        heur: FeedbackHeuristics = DEFAULT_HEURISTICS,
                        config_overrides: Optional[dict] = None,
@@ -213,44 +228,21 @@ def run_benchmark_impl(name: str, prog: Program,
     then recorded as failed; with ``strict=True`` the exception propagates.
     ``backend="fast"`` runs every cell on the :mod:`repro.fastsim`
     backend (byte-identical results, transparent reference fallback).
+    The cells share one profiling run, their compiles and identical
+    simulations through a :class:`~repro.engine.cells.BenchmarkMemo`; a
+    failed compile fails only the cells that need its output.
     """
     overrides = config_overrides or {}
     run = BenchmarkRun(name=name)
-
-    # Compiles are shared across cells; a failed compile fails only the
-    # cells that need its output.
-    compiles: dict[str, Optional[CompileResult]] = {}
-
-    def _compiled(kind: str) -> CompileResult:
-        if kind not in compiles:
-            COUNTERS.compiles += 1
-            if kind == "base":
-                compiles[kind] = compile_baseline(prog)
-            elif kind == "safe":
-                compiles[kind] = compile_proposed(
-                    prog, heur=replace(heur, spectre_safe=True),
-                    max_steps=max_steps, backend=backend)
-            elif kind == "meld":
-                compiles[kind] = compile_proposed(
-                    prog, heur=replace(heur, enable_meld=True),
-                    max_steps=max_steps, backend=backend)
-            else:
-                compiles[kind] = compile_proposed(prog, heur=heur,
-                                                  max_steps=max_steps,
-                                                  backend=backend)
-        return compiles[kind]
+    memo = BenchmarkMemo()
 
     def _cell(scheme: str, kind: str, predictor: str) -> SchemeResult:
-        cr = _compiled(kind)
-        st, ex = _run(cr.program, r10k_config(predictor, **overrides),
-                      max_steps, backend=backend)
+        cr, st, ex = memo.cell(kind, r10k_config(predictor, **overrides),
+                               prog, heur, max_steps, backend, _compile,
+                               _run)
         return SchemeResult(name, scheme, st, ex, cr)
 
-    for scheme, kind, predictor in (("2bitBP", "base", "twobit"),
-                                    ("Proposed", "prop", "twobit"),
-                                    ("PerfectBP", "base", "perfect"),
-                                    ("safe-speculative", "safe", "twobit"),
-                                    ("melded", "meld", "twobit")):
+    for scheme, kind, predictor in SCHEME_PLAN:
         run.results[scheme] = _run_cell(
             name, scheme,
             lambda s=scheme, k=kind, p=predictor: _cell(s, k, p),
@@ -286,8 +278,8 @@ def run_suite_impl(scale: float = 1.0,
     enables the content-addressed artifact store, *jobs* > 1 runs cache
     misses in parallel worker processes with an optional per-cell
     *timeout* (seconds), and *seed* re-seeds the synthetic workloads.
-    *backend* selects the execution backend (``"reference"``/``"fast"``;
-    None defers to ``REPRO_BACKEND``, then ``"reference"``).
+    *backend* selects the execution backend (``"fast"``/``"reference"``;
+    None defers to ``REPRO_BACKEND``, then ``"fast"``).
     """
     from ..engine.suite import run_suite as _engine_run_suite
 

@@ -27,9 +27,12 @@ from genuinely odd programs — those bail to the reference interpreter.
 
 Decoded tables are cached per program *identity* (``id`` + weakref, the
 Program dataclass is unhashable) and carry a staleness signature
-(instruction count + label layout) so a table decoded from a program
-that was later mutated in place is rejected instead of mis-executed —
-see ``fastsim-stale-block-index`` in :mod:`repro.fastsim.faults`.
+(program identity, instruction count and label layout) so a table
+decoded from another program object, or from a program that was later
+mutated in place, is rejected instead of mis-executed — see
+``fastsim-stale-decode`` in :mod:`repro.fastsim.faults`.  The tables
+refer to their program only weakly: the cache must never keep a
+program alive.
 """
 
 from __future__ import annotations
@@ -104,7 +107,12 @@ def reg_id(name: str) -> int:
 class DecodedProgram:
     """Dense per-PC operand tables + basic-block index for one program."""
 
-    prog: Program
+    #: weak reference to the decoded program (identity half of the
+    #: staleness signature; a strong one would pin every program the
+    #: decode cache has seen)
+    prog_ref: weakref.ref
+    name: str
+    instrs: list                          # the program's Instruction list
     n: int
     #: staleness signature: (len(instructions), sorted label layout)
     nlabels: int
@@ -129,8 +137,8 @@ class DecodedProgram:
     _timing_meta: dict = field(default_factory=dict, repr=False)
 
     def check_stale(self, prog: Program) -> None:
-        """Reject tables decoded from a since-mutated program."""
-        if (prog is not self.prog
+        """Reject tables decoded from another or a since-mutated program."""
+        if (prog is not self.prog_ref()
                 or len(prog.instructions) != self.n
                 or len(prog.labels) != self.nlabels
                 or tuple(sorted(prog.labels.items())) != self.labels_sig):
@@ -161,7 +169,7 @@ class DecodedProgram:
         return hit
 
 
-def _decode(prog: Program) -> DecodedProgram:
+def _decode(prog: Program, prog_ref: weakref.ref) -> DecodedProgram:
     instrs = prog.instructions
     n = len(instrs)
     if n == 0:
@@ -234,7 +242,8 @@ def _decode(prog: Program) -> DecodedProgram:
         blocks.append((start, bounds[bid + 1]))
         block_at[start] = bid
     return DecodedProgram(
-        prog=prog, n=n, nlabels=len(prog.labels),
+        prog_ref=prog_ref, name=prog.name, instrs=instrs,
+        n=n, nlabels=len(prog.labels),
         labels_sig=tuple(sorted(prog.labels.items())),
         ops=ops, flags=flags, targets=targets,
         queue_ids=queue_ids, unit_ids=unit_ids, lat_classes=lat_classes,
@@ -243,31 +252,28 @@ def _decode(prog: Program) -> DecodedProgram:
         targets_map=targets_map)
 
 
-#: id -> (weakref to program, decoded tables).  Keyed by identity because
-#: the Program dataclass defines __eq__ without __hash__; the weakref
-#: callback evicts the slot when the program is collected, so a recycled
-#: id can never alias a dead program's tables.
+#: id -> decoded tables.  Keyed by identity because the Program
+#: dataclass defines __eq__ without __hash__; the tables' weak reference
+#: to their program evicts the slot when the program is collected, so a
+#: recycled id can never alias a dead program's tables.
 _DECODE_CACHE: dict = {}
 
 
 def decode_program(prog: Program) -> DecodedProgram:
     """Decode *prog* (cached per identity; staleness-checked)."""
     key = id(prog)
-    hit = _DECODE_CACHE.get(key)
-    if hit is not None:
-        ref, dec = hit
-        if ref() is prog:
-            try:
-                dec.check_stale(prog)
-                return dec
-            except DecodeError:
-                pass  # program mutated in place: re-decode
-    dec = _decode(prog)
+    dec = _DECODE_CACHE.get(key)
+    if dec is not None:
+        try:
+            dec.check_stale(prog)
+            return dec
+        except DecodeError:
+            pass  # program mutated in place: re-decode
 
     # Bind the dict itself: at interpreter shutdown the module global may
     # already be None when the weakref callback fires.
     def _evict(_r, _key=key, _cache=_DECODE_CACHE):
         _cache.pop(_key, None)
 
-    _DECODE_CACHE[key] = (weakref.ref(prog, _evict), dec)
+    dec = _DECODE_CACHE[key] = _decode(prog, weakref.ref(prog, _evict))
     return dec

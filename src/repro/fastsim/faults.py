@@ -75,7 +75,7 @@ def inject_fastsim_fault(name: str) -> Iterator[None]:
 
         def stale_decode(prog):
             # Tables from an equal-content clone: the identity half of
-            # the staleness signature (prog is not dec.prog) trips.
+            # the staleness signature (prog is not dec.prog_ref()) trips.
             return real(Program.from_dict(prog.to_dict()))
 
         _backend.decode_program = stale_decode

@@ -97,7 +97,7 @@ class FastTimingSim:
         cfg = self.cfg
         lats, dmeta = dec.timing_meta(cfg)
         ops = dec.ops
-        instrs = dec.prog.instructions
+        instrs = dec.instrs
 
         CW = cfg.commit_width
         DW = cfg.dispatch_width

@@ -108,11 +108,11 @@ def test_protocol_decodes_legacy_payload_as_reference(prog):
 
 def test_resolve_backend_precedence(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    assert resolve_backend(None) == "reference"
-    assert resolve_backend("fast") == "fast"
-    monkeypatch.setenv("REPRO_BACKEND", "fast")
     assert resolve_backend(None) == "fast"
-    assert resolve_backend("reference") == "reference"  # arg beats env
+    assert resolve_backend("reference") == "reference"
+    monkeypatch.setenv("REPRO_BACKEND", "reference")
+    assert resolve_backend(None) == "reference"
+    assert resolve_backend("fast") == "fast"  # arg beats env
     with pytest.raises(ValueError, match="unknown backend"):
         resolve_backend("warp")
     monkeypatch.setenv("REPRO_BACKEND", "warp")

@@ -171,6 +171,7 @@ def test_tune_cells_shared_with_suite_cache(tmp_path):
     """The default candidate's cell is *the same artifact* the suite
     runner computes: a tables run pre-warms the search."""
     from repro.engine.suite import run_suite
+    from repro.fastsim.backend import resolve_backend
     from repro.workloads import benchmark_programs
 
     cache = ArtifactCache(tmp_path / "shared")
@@ -181,7 +182,7 @@ def test_tune_cells_shared_with_suite_cache(tmp_path):
     heur, overrides = apply_params({})  # the default vector
     cells = candidate_cells(heur, overrides, programs,
                             max_steps=50_000_000, timeout=None,
-                            backend="reference")
+                            backend=resolve_backend())
     COUNTERS.reset()
     _, hits, executed = evaluate_batch(cells, programs, cache, jobs=1)
     assert (hits, executed) == (len(cells), 0)
