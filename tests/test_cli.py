@@ -17,6 +17,32 @@ def test_run_proposed(capsys):
     assert "proposed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("backend", ["reference", "fast"])
+@pytest.mark.parametrize("scheme", ["proposed", "safe-speculative",
+                                    "melded"])
+def test_run_profiles_on_the_chosen_backend(monkeypatch, capsys, scheme,
+                                            backend):
+    """``run --scheme <proposed kind>`` profiles on the same backend it
+    simulates on; ``compile`` and ``verify`` profile on the default."""
+    import repro.__main__ as cli
+
+    seen = []
+    real = cli.compile_proposed
+
+    def spy(prog, **kw):
+        seen.append(kw.get("backend"))
+        return real(prog, **kw)
+
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    monkeypatch.setattr(cli, "compile_proposed", spy)
+    assert main(["run", "grep", "--scale", "0.02", "--scheme", scheme,
+                 "--backend", backend]) == 0
+    assert main(["compile", "grep", "--scale", "0.02"]) == 0
+    assert main(["verify", "grep", "--scale", "0.02", "--no-cache"]) == 0
+    assert seen == [backend, "fast", "fast"]
+    capsys.readouterr()
+
+
 def test_run_predictor_choice(capsys):
     assert main(["run", "grep", "--scale", "0.1",
                  "--predictor", "perfect"]) == 0
