@@ -503,18 +503,20 @@ def _verify_in_session(args: argparse.Namespace, session: Session) -> int:
     deliberately not consulted; the engine flags still matter for
     ``--trace`` and flag uniformity across subcommands.
     """
-    from .robust import check_equivalence, verify_program
+    from .robust import run_reference, verify_program
 
     names = sorted(BENCHMARKS) if args.program == "all" else [args.program]
     failed = 0
     for name in names:
         prog = _load_program(name, args.scale)
-        for tag, result in (("baseline", compile_baseline(prog)),
-                            ("proposed", compile_proposed(
-                                prog, backend=session.backend))):
+        results = (("baseline", compile_baseline(prog)),
+                   ("proposed", compile_proposed(
+                       prog, backend=session.backend)))
+        # Both pipelines are checked against one run of the original.
+        reference = run_reference(prog, args.max_steps)
+        for tag, result in results:
             violations = verify_program(result.program)
-            diff = check_equivalence(prog, result.program,
-                                     max_steps=args.max_steps)
+            diff = reference.check(result.program)
             ok = not violations and bool(diff)
             print(f"{name:<12} {tag:<9} "
                   f"{'OK' if ok else 'FAIL':<5} "

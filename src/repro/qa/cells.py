@@ -1,11 +1,11 @@
 """Fuzz cells: the cacheable, picklable unit of campaign work.
 
 One cell = one generated program, compiled under every scheme in
-:data:`FUZZ_SCHEMES` and cross-checked against the functional simulator
-with :func:`repro.robust.diffcheck.check_equivalence`.  The cell result
-is a plain JSON dict, so it rides the :mod:`repro.engine` machinery
-unchanged: :func:`fuzz_cell_key` derives a content-addressed cache key
-(strategy config + seed + scheme plan + schema version) and
+:data:`FUZZ_SCHEMES` and cross-checked against one functional-simulator
+run of the original (:func:`repro.robust.diffcheck.run_reference`).  The
+cell result is a plain JSON dict, so it rides the :mod:`repro.engine`
+machinery unchanged: :func:`fuzz_cell_key` derives a content-addressed
+cache key (strategy config + seed + scheme plan + schema version) and
 :func:`execute_fuzz_cell` is a module-level callable the process pool
 can pickle.
 
@@ -27,12 +27,13 @@ from ..engine.keys import SCHEMA_VERSION, digest
 from ..isa.program import Program
 from ..obs.trace import span as obs_span
 from ..profilefb.profiledb import ProfileDB
-from ..robust.diffcheck import check_equivalence
+from ..robust.diffcheck import run_reference
 from .strategies import BY_NAME, FuzzStrategy
 
-#: The campaign's scheme plan: (name, compile_variant toggles).  The paper's
-#: three transformation schemes plus the baseline schedule — a divergence in
-#: *any* of them invalidates the corresponding result tables.
+#: The campaign's scheme plan: (name, compile_variant toggles).  The
+#: baseline schedule, the paper's three transformation schemes, and two
+#: variants of them (spectre-fenced speculation and branch melding) — a
+#: divergence in *any* of them invalidates the corresponding results.
 FUZZ_SCHEMES: tuple[tuple[str, Optional[dict]], ...] = (
     ("baseline", None),                       # local schedule only
     ("speculative", {"ifconvert": False}),    # splitting + speculation
@@ -113,15 +114,17 @@ def check_program(prog: Program, max_steps: int = FUZZ_MAX_STEPS) -> dict:
     — the shared core of :func:`execute_fuzz_cell` and corpus replay.
     """
     # One profiling run feeds every transforming scheme (identical
-    # feedback, and profiling is the slowest part of a cell).
+    # feedback, and profiling is the slowest part of a cell), and one
+    # reference run of the original is what every scheme is checked
+    # against.
     profile = ProfileDB.from_run(prog, max_steps=max_steps)
+    reference = run_reference(prog, max_steps)
     schemes: dict[str, dict] = {}
     divergent: list[str] = []
     for scheme, _ in FUZZ_SCHEMES:
         result = compile_scheme(prog, scheme, profile=profile,
                                 max_steps=max_steps)
-        report = check_equivalence(prog, result.program,
-                                   max_steps=max_steps)
+        report = reference.check(result.program)
         schemes[scheme] = {
             "report": report.to_dict(),
             "fallback": result.fallback,

@@ -21,8 +21,8 @@ from .sandbox import (
     FAILURE_KINDS, PassFailure, PassSandbox, restore_cfg, snapshot_cfg,
 )
 from .diffcheck import (
-    DIVERGENCE_KINDS, DiffReport, EquivalenceError, certify,
-    check_equivalence,
+    DIVERGENCE_KINDS, DiffReport, EquivalenceError, Reference, certify,
+    check_equivalence, run_reference,
 )
 from .faults import (
     ALL_FAULTS, CLOBBER_VALUE, FaultClass, PASS_FAULTS, PROFILE_FAULTS,
@@ -39,8 +39,8 @@ __all__ = [
     "verify_program",
     "FAILURE_KINDS", "PassFailure", "PassSandbox", "restore_cfg",
     "snapshot_cfg",
-    "DIVERGENCE_KINDS", "DiffReport", "EquivalenceError", "certify",
-    "check_equivalence",
+    "DIVERGENCE_KINDS", "DiffReport", "EquivalenceError", "Reference",
+    "certify", "check_equivalence", "run_reference",
     "ALL_FAULTS", "CLOBBER_VALUE", "FaultClass", "PASS_FAULTS",
     "PROFILE_FAULTS", "PROGRAM_FAULTS", "buggy_pass", "corrupt_profile",
     "inject_program_fault",

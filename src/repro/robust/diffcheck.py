@@ -17,6 +17,12 @@ the transformed program and compares the architectural outcome:
 The watchdog budget for the transformed run is proportional to the
 original's dynamic length (``step_ratio``), so a transformed program stuck
 in an infinite loop produces a bounded, classified failure.
+
+A check is two steps: :func:`run_reference` runs the original once, and
+:meth:`Reference.check` compares one transformed program against that
+run.  A caller checking many programs against one original (every scheme
+of a fuzz program, both pipelines of ``repro verify``) runs it once;
+:func:`check_equivalence` is the one-shot form of the same two steps.
 """
 
 from __future__ import annotations
@@ -168,44 +174,81 @@ class _LoadError(Exception):
     """Program could not even be loaded into the simulator."""
 
 
+@dataclass(frozen=True)
+class Reference:
+    """The outcome of one run of an original program.
+
+    Built by :func:`run_reference` and read-only afterwards, so any number
+    of transformed programs can be checked against it.  ``failure`` is the
+    ``original...`` reason when the original could not be loaded or did
+    not halt cleanly (every check against it is then inconclusive);
+    ``sim`` is the finished simulator, or None when loading failed.
+    """
+
+    program: Program
+    max_steps: int
+    sim: Optional[FunctionalSim]
+    failure: Optional[str] = None
+
+    def check(self, transformed: Program, *, step_ratio: float = 8.0,
+              registers: Sequence[str] = ()) -> DiffReport:
+        """Run *transformed* and compare its outcome with this run's."""
+        ref = self.sim
+        if self.failure is not None:
+            return DiffReport(False, reason=self.failure,
+                              original_steps=0 if ref is None
+                              else ref.stats.steps)
+        budget = min(self.max_steps, max(MIN_BUDGET,
+                                         int(ref.stats.steps * step_ratio)))
+        try:
+            out, out_fail = _run(transformed, budget)
+        except _LoadError as exc:
+            return DiffReport(False,
+                              reason=f"transformed failed to load: {exc}",
+                              original_steps=ref.stats.steps)
+        if out_fail is not None:
+            return DiffReport(False, reason=f"transformed: {out_fail}",
+                              original_steps=ref.stats.steps,
+                              transformed_steps=out.stats.steps)
+
+        report = DiffReport(True, original_steps=ref.stats.steps,
+                            transformed_steps=out.stats.steps)
+        # Jump-table words (code_refs) hold *code addresses* that the
+        # loader re-resolves against each program's own label layout: they
+        # differ between layouts by design and are not architectural state.
+        skip = {a + k for a in (set(self.program.code_refs)
+                                | set(transformed.code_refs))
+                for k in range(4)}
+        _compare_outcomes(ref, out, registers, report, skip)
+        return report
+
+
+def run_reference(original: Program,
+                  max_steps: int = 20_000_000) -> Reference:
+    """Run *original* once, for :meth:`Reference.check` to compare against.
+
+    The original is trusted: if it fails to halt within *max_steps*, every
+    check against it is inconclusive and reported as non-equivalent with
+    an ``original:`` reason (callers treat that as "cannot certify").
+    """
+    try:
+        sim, fail = _run(original, max_steps)
+    except _LoadError as exc:
+        return Reference(original, max_steps, None,
+                         f"original failed to load: {exc}")
+    return Reference(original, max_steps, sim,
+                     None if fail is None else f"original: {fail}")
+
+
 def check_equivalence(original: Program, transformed: Program, *,
                       max_steps: int = 20_000_000, step_ratio: float = 8.0,
                       registers: Sequence[str] = ()) -> DiffReport:
     """Co-simulate *original* and *transformed*; compare final outcomes.
 
-    The original is trusted: if it fails to halt within *max_steps* the
-    check is inconclusive and reported as non-equivalent with an
-    ``original:`` reason (callers treat that as "cannot certify").
+    One-shot form of :func:`run_reference` then :meth:`Reference.check`.
     """
-    try:
-        ref, ref_fail = _run(original, max_steps)
-    except _LoadError as exc:
-        return DiffReport(False, reason=f"original failed to load: {exc}")
-    if ref_fail is not None:
-        return DiffReport(False, reason=f"original: {ref_fail}",
-                          original_steps=ref.stats.steps)
-
-    budget = min(max_steps, max(MIN_BUDGET,
-                                int(ref.stats.steps * step_ratio)))
-    try:
-        out, out_fail = _run(transformed, budget)
-    except _LoadError as exc:
-        return DiffReport(False, reason=f"transformed failed to load: {exc}",
-                          original_steps=ref.stats.steps)
-    if out_fail is not None:
-        return DiffReport(False, reason=f"transformed: {out_fail}",
-                          original_steps=ref.stats.steps,
-                          transformed_steps=out.stats.steps)
-
-    report = DiffReport(True, original_steps=ref.stats.steps,
-                        transformed_steps=out.stats.steps)
-    # Jump-table words (code_refs) hold *code addresses* that the loader
-    # re-resolves against each program's own label layout: they differ
-    # between layouts by design and are not architectural state.
-    skip = {a + k for a in (set(original.code_refs) | set(transformed.code_refs))
-            for k in range(4)}
-    _compare_outcomes(ref, out, registers, report, skip)
-    return report
+    return run_reference(original, max_steps).check(
+        transformed, step_ratio=step_ratio, registers=registers)
 
 
 def _compare_outcomes(ref: FunctionalSim, out: FunctionalSim,

@@ -32,13 +32,17 @@ to raise :class:`VerificationError` on any violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from ..cfg.graph import CFG, build_cfg
 from ..isa.instruction import Instruction
 from ..isa.opcodes import Fmt
 from ..isa.program import Program
-from ..isa.registers import is_cc_reg, is_fp_reg, is_int_reg, is_register
+from ..isa.registers import (
+    ALL_REGS, CC_REGS, FP_REGS, INT_REGS, is_cc_reg, is_fp_reg, is_int_reg,
+    is_register,
+)
 
 
 @dataclass(frozen=True)
@@ -76,11 +80,12 @@ _FP_SRCS = {"fadd", "fsub", "fmul", "fdiv", "fmov", "fneg",
 _CC_BRANCHES = {"bct", "bcf", "bctl", "bcfl"}
 
 
-def _expected_classes(ins: Instruction) -> tuple[Optional[str], list[str]]:
-    """Return (dest_class, [src_class, ...]) for *ins*, where each class is
-    ``"int"``, ``"fp"`` or ``"cc"`` (None when no destination)."""
-    op, fmt = ins.op, ins.info.fmt
-    n = len(ins.srcs)
+def _expected_classes(op: str, fmt: Fmt, n: int, has_dest: bool,
+                      ) -> tuple[Optional[str], list[str]]:
+    """Return (dest_class, [src_class, ...]) for an instruction with opcode
+    *op*, cached format *fmt*, *n* sources and (if *has_dest*) a
+    destination, where each class is ``"int"``, ``"fp"`` or ``"cc"``
+    (None when no destination)."""
     if op in _FP_DEST or op in _FP_SRCS:
         dest = "fp" if op in _FP_DEST else (
             "cc" if op.startswith("fcmp") else "int")
@@ -92,7 +97,7 @@ def _expected_classes(ins: Instruction) -> tuple[Optional[str], list[str]]:
             srcs = ["fp"] * n
         else:  # cvtif
             srcs = ["int"] * n
-        return (dest if ins.dest is not None else None), srcs
+        return (dest if has_dest else None), srcs
     if fmt == Fmt.CMP:
         return "cc", ["int"] * n
     if fmt in (Fmt.CCLOGIC1, Fmt.CCLOGIC2):
@@ -104,10 +109,30 @@ def _expected_classes(ins: Instruction) -> tuple[Optional[str], list[str]]:
         return None, [cls] * n
     # Everything else (RRR/RRI/RI/RR/LOAD/STORE/JR/JALR/JUMP/CMOVR/NONE)
     # moves integer values.
-    return ("int" if ins.dest is not None else None), ["int"] * n
+    return ("int" if has_dest else None), ["int"] * n
 
 
 _CLASS_CHECK = {"int": is_int_reg, "fp": is_fp_reg, "cc": is_cc_reg}
+_CLASS_REGS = {"int": frozenset(INT_REGS), "fp": frozenset(FP_REGS),
+               "cc": frozenset(CC_REGS)}
+_CC_SET = _CLASS_REGS["cc"]
+
+
+@lru_cache(maxsize=1024)
+def _operand_sets(op: str, fmt: Fmt, n: int, has_dest: bool,
+                  ) -> tuple[frozenset, tuple[frozenset, ...]]:
+    """The registers each operand of such an instruction may name without
+    a violation: (destination set, one set per source).
+
+    Derived from :func:`_expected_classes`.  An operand whose class is not
+    constrained (a branch's stray destination, a source past the
+    opcode's list) only has to be some register.
+    """
+    dest_cls, src_cls = _expected_classes(op, fmt, n, has_dest)
+    dest = ALL_REGS if dest_cls is None else _CLASS_REGS[dest_cls]
+    srcs = [_CLASS_REGS[cls] for cls in src_cls[:n]]
+    srcs += [ALL_REGS] * (n - len(srcs))
+    return dest, tuple(srcs)
 
 
 # -- individual checks ----------------------------------------------------------
@@ -141,31 +166,48 @@ def _check_targets(prog: Program) -> Iterable[Violation]:
 
 
 def _check_registers(prog: Program) -> Iterable[Violation]:
+    # Set membership accepts a clean instruction; anything else gets the
+    # per-operand diagnosis.  The sets are derived per opcode signature,
+    # never per instruction, so an instruction a pass rewrote in place is
+    # judged on its current fields (including a stale cached format).
     for i, ins in enumerate(prog.instructions):
-        where = f"instr {i} ({ins.op})"
-        regs = [("dest", ins.dest)] if ins.dest is not None else []
-        regs += [(f"src{k}", s) for k, s in enumerate(ins.srcs)]
-        bad_name = False
-        for role, reg in regs:
-            if not is_register(reg):
-                yield Violation("registers", where,
-                                f"{role} {reg!r} is not a register")
-                bad_name = True
-        if bad_name:
+        dest, srcs, guard = ins.dest, ins.srcs, ins.guard
+        dest_regs, src_regs = _operand_sets(ins.op, ins.info.fmt, len(srcs),
+                                            dest is not None)
+        if (dest is None or dest in dest_regs) \
+                and all(map(frozenset.__contains__, src_regs, srcs)) \
+                and (guard is None or guard.reg in _CC_SET):
             continue
-        dest_cls, src_cls = _expected_classes(ins)
-        if dest_cls is not None and ins.dest is not None \
-                and not _CLASS_CHECK[dest_cls](ins.dest):
+        yield from _diagnose_registers(i, ins)
+
+
+def _diagnose_registers(i: int, ins: Instruction) -> Iterable[Violation]:
+    """Every register violation of instruction *i*, operand by operand."""
+    where = f"instr {i} ({ins.op})"
+    regs = [("dest", ins.dest)] if ins.dest is not None else []
+    regs += [(f"src{k}", s) for k, s in enumerate(ins.srcs)]
+    bad_name = False
+    for role, reg in regs:
+        if not is_register(reg):
             yield Violation("registers", where,
-                            f"dest {ins.dest!r} not in class {dest_cls!r}")
-        for k, (reg, cls) in enumerate(zip(ins.srcs, src_cls)):
-            if not _CLASS_CHECK[cls](reg):
-                yield Violation("registers", where,
-                                f"src{k} {reg!r} not in class {cls!r}")
-        if ins.guard is not None and not is_cc_reg(ins.guard.reg):
+                            f"{role} {reg!r} is not a register")
+            bad_name = True
+    if bad_name:
+        return
+    dest_cls, src_cls = _expected_classes(ins.op, ins.info.fmt,
+                                          len(ins.srcs), ins.dest is not None)
+    if dest_cls is not None and ins.dest is not None \
+            and not _CLASS_CHECK[dest_cls](ins.dest):
+        yield Violation("registers", where,
+                        f"dest {ins.dest!r} not in class {dest_cls!r}")
+    for k, (reg, cls) in enumerate(zip(ins.srcs, src_cls)):
+        if not _CLASS_CHECK[cls](reg):
             yield Violation("registers", where,
-                            f"guard register {ins.guard.reg!r} is not a "
-                            f"cc register")
+                            f"src{k} {reg!r} not in class {cls!r}")
+    if ins.guard is not None and not is_cc_reg(ins.guard.reg):
+        yield Violation("registers", where,
+                        f"guard register {ins.guard.reg!r} is not a "
+                        f"cc register")
 
 
 def _check_guards(prog: Program, cfg: CFG) -> Iterable[Violation]:

@@ -1,12 +1,19 @@
 """Fuzz cells: keys, execution, and crash containment."""
 
 import dataclasses
+import random
 
+import pytest
+
+from repro.qa import cells
 from repro.qa.cells import (
-    FUZZ_SCHEMES, FuzzCellSpec, check_program, execute_fuzz_cell,
-    fuzz_cell_key,
+    FUZZ_MAX_STEPS, FUZZ_SCHEMES, FuzzCellSpec, check_program,
+    execute_fuzz_cell, fuzz_cell_key,
 )
 from repro.qa.strategies import BY_NAME
+from repro.robust.diffcheck import check_equivalence
+from repro.robust.faults import inject_program_fault
+from repro.sim.functional import FunctionalSim
 
 
 def test_fuzz_cell_key_stable_and_sensitive():
@@ -47,3 +54,53 @@ def test_payload_is_json_serializable():
 
     payload = execute_fuzz_cell(FuzzCellSpec("calls", 5))
     assert json.loads(json.dumps(payload)) == payload
+
+
+def test_check_program_runs_the_original_twice(monkeypatch):
+    """One profiling run and one reference run of the original, then one
+    run per scheme's program: 8 simulators for the six schemes."""
+    prog = BY_NAME["loops"].program(3)
+    made = []
+    init = FunctionalSim.__init__
+
+    def counting_init(self, program, *args, **kwargs):
+        made.append(program)
+        init(self, program, *args, **kwargs)
+
+    monkeypatch.setattr(FunctionalSim, "__init__", counting_init)
+    verdicts = check_program(prog)
+    assert verdicts["divergent"] == []
+    assert len(made) == 2 + len(FUZZ_SCHEMES) == 8
+    assert sum(p is prog for p in made) == 2
+
+
+#: Faults written into two schemes' compiled programs, so the shared
+#: reference is also compared with divergent programs.
+_MISCOMPILES = {"speculative": "clobbered-register",
+                "guarded": "branch-retarget"}
+
+
+@pytest.mark.parametrize("strategy,seed", [
+    ("loops", 3), ("memory", 1), ("calls", 2), ("phased", 4),
+])
+def test_check_program_verdicts_equal_one_shot_checks(strategy, seed,
+                                                      monkeypatch):
+    compiled = {}
+    compile_scheme = cells.compile_scheme
+
+    def recording_compile(prog, scheme, **kwargs):
+        result = compile_scheme(prog, scheme, **kwargs)
+        if scheme in _MISCOMPILES:
+            result.program = next(inject_program_fault(
+                _MISCOMPILES[scheme], result.program, random.Random(0)),
+                result.program)
+        compiled[scheme] = result.program
+        return result
+
+    monkeypatch.setattr(cells, "compile_scheme", recording_compile)
+    prog = BY_NAME[strategy].program(seed)
+    verdicts = check_program(prog)
+    assert set(compiled) == {name for name, _ in FUZZ_SCHEMES}
+    for scheme, program in compiled.items():
+        one_shot = check_equivalence(prog, program, max_steps=FUZZ_MAX_STEPS)
+        assert verdicts["schemes"][scheme]["report"] == one_shot.to_dict()

@@ -6,7 +6,9 @@ from repro.core import compile_baseline, compile_proposed
 from repro.isa import parse
 from repro.isa.instruction import make
 from repro.isa.randprog import random_program
-from repro.robust import EquivalenceError, certify, check_equivalence
+from repro.robust import (
+    EquivalenceError, certify, check_equivalence, run_reference,
+)
 
 STORES = """.text
 main:
@@ -97,3 +99,42 @@ def test_certify_raises_with_report():
                                 bad.instructions[3].srcs[0])
     with pytest.raises(EquivalenceError, match="NOT equivalent"):
         certify(prog, bad)
+
+
+def _variants(prog):
+    """Transformed versions of *prog*, one per kind of report."""
+    swapped = prog.copy()
+    swapped.instructions[3].srcs = swapped.instructions[3].srcs[::-1]
+    escaping = prog.copy()
+    escaping.instructions[-1] = make("jr", "r1")   # r1 = 10: past the end
+    looping = prog.copy()
+    looping.labels["spin"] = len(looping.instructions) - 1
+    looping.instructions[-1] = make("j", "spin")
+    dangling = prog.copy()
+    dangling.instructions[-1] = make("j", ".nowhere")
+    dead_write = prog.copy()
+    dead_write.instructions.insert(3, make("li", "r7", 123))
+    return [prog.copy(), swapped, escaping, looping, dangling, dead_write]
+
+
+@pytest.mark.parametrize("original", ["clean", "looping", "unloadable"])
+def test_reference_checks_equal_one_shot_checks(original):
+    """One reference run serves any number of checks, in any order, and
+    each report equals the one-shot check of the same pair."""
+    prog = _stores()
+    variants = _variants(prog)
+    orig = {"clean": prog, "looping": variants[3],
+            "unloadable": variants[4]}[original]
+    reference = run_reference(orig, 2_000)
+    kinds = set()
+    for transformed in variants + variants[::-1]:
+        for kw in ({}, {"registers": ["r7"]}, {"step_ratio": 1.0}):
+            report = reference.check(transformed, **kw)
+            assert report == check_equivalence(orig, transformed,
+                                               max_steps=2_000, **kw)
+            kinds.add(report.kind)
+    if original == "clean":
+        assert kinds == {"equivalent", "load-failure", "timeout", "crash",
+                         "mem-mismatch", "reg-mismatch"}
+    else:
+        assert kinds == {"original-failed"}

@@ -47,7 +47,7 @@ from repro.cfg.graph import build_cfg  # noqa: E402
 from repro.core.pipeline import compile_proposed  # noqa: E402
 from repro.isa.program import Program  # noqa: E402
 from repro.profilefb.profiledb import ProfileDB  # noqa: E402
-from repro.robust.diffcheck import check_equivalence  # noqa: E402
+from repro.robust.diffcheck import Reference, run_reference  # noqa: E402
 from repro.robust.faults import (  # noqa: E402
     PASS_FAULTS, PROFILE_FAULTS, PROGRAM_FAULTS, buggy_pass, corrupt_profile,
     inject_program_fault,
@@ -61,25 +61,19 @@ from repro.workloads import benchmark_programs  # noqa: E402
 MAX_STEPS = 5_000_000
 
 
-def _counts(prog: Program) -> list[int]:
-    """Dynamic per-instruction execution counts of the pristine program."""
-    sim = FunctionalSim(prog, max_steps=MAX_STEPS, record_outcomes=False)
-    sim.run()
-    return sim.index_counts
-
-
-def check_program_fault(name: str, prog: Program,
-                        counts: list[int]) -> tuple[bool, str]:
+def check_program_fault(name: str, pristine: Reference) -> tuple[bool, str]:
     """Inject one program fault class; return (caught, layer).
 
     Verifier-class faults must be flagged *statically* on every candidate.
     Diffcheck-class faults must diverge on at least one candidate (a
     candidate diffcheck proves equivalent changed nothing observable and
-    is benign by construction).
+    is benign by construction).  Injection is steered by the pristine
+    run's per-instruction execution counts.
     """
     expected = PROGRAM_FAULTS[name][0].detector
-    candidates = list(inject_program_fault(name, prog, random.Random(0),
-                                           counts))
+    candidates = list(inject_program_fault(name, pristine.program,
+                                           random.Random(0),
+                                           pristine.sim.index_counts))
     if not candidates:
         return True, "n/a (no injection site)"
     if expected == "verifier":
@@ -91,26 +85,28 @@ def check_program_fault(name: str, prog: Program,
     for bad in candidates:
         if verify_program(bad):
             flagged += 1  # caught even earlier than expected
-        elif not check_equivalence(prog, bad, max_steps=MAX_STEPS):
+        elif not pristine.check(bad):
             flagged += 1
     if not flagged:
         return False, "UNCAUGHT (no candidate diverged)"
     return True, f"diffcheck ({flagged}/{len(candidates)} diverged)"
 
 
-def check_profile_fault(name: str, prog: Program) -> tuple[bool, str]:
+def check_profile_fault(name: str, pristine: Reference) -> tuple[bool, str]:
     """Corrupt the feedback; the compile must stay semantics-preserving."""
+    prog = pristine.program
     db = corrupt_profile(name, ProfileDB.from_run(prog, max_steps=MAX_STEPS))
     result = compile_proposed(prog, profile=db, max_steps=MAX_STEPS)
     if verify_program(result.program):
         return False, "UNCAUGHT (emitted invalid IR)"
-    if not check_equivalence(prog, result.program, max_steps=MAX_STEPS):
+    if not pristine.check(result.program):
         return False, "UNCAUGHT (semantics corrupted)"
     return True, "tolerated"
 
 
-def check_pass_fault(name: str, prog: Program) -> tuple[bool, str]:
+def check_pass_fault(name: str, pristine: Reference) -> tuple[bool, str]:
     """Run a synthetic buggy pass in the sandbox; rollback must hold."""
+    prog = pristine.program
     cfg = build_cfg(prog)
     box = PassSandbox(cfg)
     fn = buggy_pass(name)
@@ -120,7 +116,7 @@ def check_pass_fault(name: str, prog: Program) -> tuple[bool, str]:
     restored = cfg.to_program(prog.name + ".restored")
     if verify_program(restored):
         return False, "UNCAUGHT (rollback left invalid IR)"
-    if not check_equivalence(prog, restored, max_steps=MAX_STEPS):
+    if not pristine.check(restored):
         return False, "UNCAUGHT (rollback changed semantics)"
     return True, "sandbox"
 
@@ -141,9 +137,11 @@ def _fault_oracle(fault: str):
     divergence kind of the first diverging injection (or None).
     """
     def classify(candidate: Program):
+        reference = None  # run only once the fault has a site
         for bad in inject_program_fault(fault, candidate, random.Random(0)):
-            report = check_equivalence(candidate, bad,
-                                       max_steps=FUZZ_STEP_CAP)
+            if reference is None:
+                reference = run_reference(candidate, FUZZ_STEP_CAP)
+            report = reference.check(bad)
             if not report.equivalent:
                 return report
         return None
@@ -280,14 +278,18 @@ def main(argv: list[str] | None = None) -> int:
     uncaught = 0
     total = 0
     for bench, prog in programs.items():
-        counts = _counts(prog)
+        # Every injection on this benchmark is checked against one run of
+        # the pristine program.
+        pristine = run_reference(prog, MAX_STEPS)
+        if pristine.failure is not None:
+            raise SystemExit(f"{bench}: {pristine.failure}")
         rows: list[tuple[str, bool, str]] = []
         for name in PROGRAM_FAULTS:
-            rows.append((name, *check_program_fault(name, prog, counts)))
+            rows.append((name, *check_program_fault(name, pristine)))
         for name in PROFILE_FAULTS:
-            rows.append((name, *check_profile_fault(name, prog)))
+            rows.append((name, *check_profile_fault(name, pristine)))
         for name in PASS_FAULTS:
-            rows.append((name, *check_pass_fault(name, prog)))
+            rows.append((name, *check_pass_fault(name, pristine)))
         print(f"{bench} (scale {args.scale}):")
         for name, caught, layer in rows:
             total += 1
