@@ -16,8 +16,7 @@ import os
 
 import pytest
 
-from repro.engine import ArtifactCache
-from repro.eval import run_suite
+from repro.engine import ArtifactCache, run_suite
 
 #: Scale factor for benchmark-suite runs (1.0 = the default workload sizes
 #: used in EXPERIMENTS.md; reduced here to keep the harness quick).

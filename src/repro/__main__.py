@@ -540,6 +540,8 @@ def _verify_in_session(args: argparse.Namespace, session: Session) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .core.heuristics import DEFAULT_HEURISTICS
+    from .engine.cells import SCHEME_PLAN, kind_heuristics
     from .fastsim.backend import resolve_backend
 
     backend = resolve_backend(getattr(args, "backend", None))
@@ -548,24 +550,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     if scheme is None:  # legacy flags
         scheme = ("proposed" if args.proposed
                   else "raw" if args.raw else "baseline")
-    if scheme == "proposed":
-        prog = compile_proposed(prog, backend=backend).program
-    elif scheme == "safe-speculative":
-        from dataclasses import replace
-
-        from .core.heuristics import DEFAULT_HEURISTICS
-
-        prog = compile_proposed(
-            prog, heur=replace(DEFAULT_HEURISTICS, spectre_safe=True),
-            backend=backend).program
-    elif scheme == "melded":
-        from dataclasses import replace
-
-        from .core.heuristics import DEFAULT_HEURISTICS
-
-        prog = compile_proposed(
-            prog, heur=replace(DEFAULT_HEURISTICS, enable_meld=True),
-            backend=backend).program
+    # proposed / safe-speculative / melded: the suite scheme's kind
+    kinds = {name.lower(): kind for name, kind, _ in SCHEME_PLAN
+             if kind != "base"}
+    if scheme in kinds:
+        heur = kind_heuristics(kinds[scheme], DEFAULT_HEURISTICS)
+        prog = compile_proposed(prog, heur=heur, backend=backend).program
     elif scheme == "baseline":
         prog = compile_baseline(prog).program
     # scheme == "raw": simulate the program untouched

@@ -1,16 +1,12 @@
-"""The unified experiment front door: :class:`Session` + :class:`RunOptions`.
+"""The experiment front door: :class:`Session` + :class:`RunOptions`.
 
-After PRs 1–3 the repository had four overlapping ways to run an
-experiment (``eval.run_benchmark``, ``eval.run_suite``,
-``engine.run_sweep``, ``qa.run_campaign``), each with slightly different
-signatures for the same knobs.  PR 4 consolidated them behind
-:class:`Session`; this module now goes one step further and bundles every
-*execution* knob — worker count, artifact cache, execution backend,
-observability sinks, remote routing — into one frozen
-:class:`RunOptions` value held once per session.  Every experiment
-method (``run_benchmark`` / ``run_suite`` / ``sweep`` / ``fuzz`` /
-``tune``) resolves its knobs through it instead of re-declaring the same
-parameter list, with three precedence levels::
+:class:`Session` is the one supported way to run an experiment
+(``run_benchmark`` / ``run_suite`` / ``sweep`` / ``fuzz`` / ``tune`` /
+``spectre``).  Every *execution* knob — worker count, artifact cache,
+execution backend, observability sinks, remote routing, step budget,
+per-cell timeout — lives in one frozen :class:`RunOptions` value held
+once per session, and every experiment method resolves its knobs
+through it with three precedence levels::
 
     session default  <  per-call options=RunOptions(...)  <  explicit kwarg
 
@@ -25,17 +21,20 @@ Usage::
         # one-off override without touching the session default:
         cold = s.run_suite(scale=0.3, options=replace(opts, cache=None))
 
-Every pre-RunOptions keyword keeps working (``Session(jobs=4,
+The constructor also takes each knob as a keyword (``Session(jobs=4,
 cache=True)`` maps onto the options value, byte-identically), and the
 CLI builds its per-invocation options through one shared
 :func:`options_from_args` helper so ``--jobs`` / ``--no-cache`` /
 ``--backend`` / ``--trace`` behave identically across every subcommand.
 
-A session can also point at a running evaluation service
-(``repro serve``) instead of the local pool — ``RunOptions(remote="http://
-host:8732", tenant="alice")`` routes ``run_suite`` / ``sweep`` /
-``fuzz`` / ``tune`` through :mod:`repro.serve` with byte-identical
-results.
+Locally, ``run_suite`` and ``run_benchmark`` both go through
+:func:`repro.engine.suite.run_suite`, so every cell runs through
+:func:`repro.engine.cells.execute_cell` and the timeout applies at every
+``jobs`` value.  A session can also point at a running evaluation
+service (``repro serve``) instead of the local pool —
+``RunOptions(remote="http://host:8732", tenant="alice")`` routes
+``run_suite`` / ``sweep`` / ``fuzz`` / ``tune`` through
+:mod:`repro.serve` with byte-identical results.
 
 Entering the session installs the JSONL tracer (when ``trace`` is set)
 and enables the metrics registry (when ``metrics=True``); exiting
@@ -48,14 +47,13 @@ from dataclasses import dataclass, fields as dc_fields, replace as dc_replace
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from ._deprecation import resolve_impl
 from .core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
 from .engine.suite import CacheLike, coerce_cache
 from .obs import metrics as _metrics
 from .obs import trace as _trace
 
 #: Sentinel distinguishing "keyword not passed" from an explicit value
-#: (so a legacy kwarg can override ``options=`` only when actually given).
+#: (so a keyword can override ``options=`` only when actually given).
 _UNSET = object()
 
 
@@ -316,15 +314,16 @@ class Session:
                       max_steps: Optional[int] = None,
                       strict: Optional[bool] = None,
                       options: Optional[RunOptions] = None):
-        """Run every evaluation scheme on one program (serial, uncached)."""
-        from .eval import runner as _runner
+        """Run every evaluation scheme on one program (serial, uncached):
+        ``run_suite(benchmarks={name: prog})[name]``."""
+        from .engine import suite as _suite
 
         opts = self._resolve(options, max_steps=max_steps, strict=strict)
-        fn = resolve_impl(_runner.run_benchmark)
-        return fn(name, prog, heur=self.heur,
-                  config_overrides=self.config_overrides or None,
-                  max_steps=opts.max_steps, strict=opts.strict,
-                  backend=opts.resolve_backend())
+        return _suite.run_suite(
+            benchmarks={name: prog}, heur=self.heur,
+            config_overrides=self.config_overrides or None,
+            max_steps=opts.max_steps, strict=opts.strict,
+            timeout=opts.timeout, backend=opts.resolve_backend())[name]
 
     def run_suite(self, scale: float = 1.0, *,
                   benchmarks: Optional[dict] = None,
@@ -379,10 +378,10 @@ class Session:
                                     backend=opts.resolve_backend())
         from .engine import sweep as _sweep
 
-        fn = resolve_impl(_sweep.run_sweep)
-        return fn(spec, jobs=opts.jobs, cache=self._cache_of(opts),
-                  progress=progress, timeout=opts.timeout,
-                  backend=opts.resolve_backend())
+        return _sweep.run_sweep(spec, jobs=opts.jobs,
+                                cache=self._cache_of(opts),
+                                progress=progress, timeout=opts.timeout,
+                                backend=opts.resolve_backend())
 
     def fuzz(self, cfg=None, *,
              progress: Optional[Callable[[str], None]] = None,
@@ -405,8 +404,8 @@ class Session:
             from .serve.client import remote_fuzz_executor
 
             executor = remote_fuzz_executor(self._client_of(opts))
-        fn = resolve_impl(_campaign.run_campaign)
-        return fn(cfg, progress=progress, executor=executor)
+        return _campaign.run_campaign(cfg, progress=progress,
+                                      executor=executor)
 
     def tune(self, spec, *,
              progress: Optional[Callable[[str], None]] = None,

@@ -9,12 +9,14 @@ run, turned into a proper execution engine:
   (``.repro-cache/`` or ``$REPRO_CACHE_DIR``) with atomic writes,
   corrupted-entry recovery, and size-capped LRU eviction;
 * :mod:`~repro.engine.cells` — the picklable unit of work (one
-  benchmark × scheme cell) with crash containment, retry, and an optional
-  per-attempt timeout;
+  benchmark × scheme cell) and :func:`~repro.engine.cells.execute_cell`,
+  the only code that runs one, with crash containment, retry, and an
+  optional per-attempt timeout;
 * :mod:`~repro.engine.pool` — process-pool fan-out with an in-process
-  fallback at ``jobs=1`` and worker-death recovery;
-* :mod:`~repro.engine.suite` — the cached/parallel three-scheme suite
-  runner that ``repro.eval.run_suite`` delegates to;
+  path at ``jobs=1`` and worker-death recovery;
+* :mod:`~repro.engine.suite` — the cached suite runner behind
+  ``Session.run_suite``/``run_benchmark``: cache misses, and only
+  those, go to the pool at every ``jobs`` value;
 * :mod:`~repro.engine.sweep` — declarative cartesian design-space sweeps
   reusing the same cache and pool.
 

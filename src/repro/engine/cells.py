@@ -5,17 +5,21 @@ the scheme's pipeline kind, simulate it under the scheme's predictor, and
 return statistics.  :class:`CellSpec` is a fully picklable description of
 a cell (the program travels as printed assembly + data tables, because
 :class:`~repro.isa.program.Program` objects are not picklable), and
-:func:`execute_cell` runs one — either in-process or inside a worker
-process of :mod:`repro.engine.pool`.
+:func:`execute_cell` is the only code that runs one: in-process for the
+suite at every ``jobs`` value, ``Session.run_benchmark`` and the ingest
+goldens, and inside pool workers, serve workers and tune.
 
-Containment semantics mirror the serial runner exactly (PR 1): a cell
-that raises is retried once, then reported as a ``failure`` record the
-tables render as ``FAIL(<reason>)``.  When ``timeout`` is set, each
-attempt is additionally bounded by a :class:`_watchdog` timer that
-raises :class:`CellTimeout` inside the executing thread — it works in
-*any* thread (the service workers of :mod:`repro.serve` run cells on
-threads, where the former ``SIGALRM`` scheme was a silent no-op), and a
-fired watchdog is just another contained failure.
+Containment: a cell that raises is retried once, then reported as a
+failed :class:`~repro.eval.runner.SchemeResult` the tables render as
+``FAIL(<reason>)``.  When ``timeout`` is set, each attempt is
+additionally bounded by a :class:`_watchdog` timer that raises
+:class:`CellTimeout` inside the executing thread — it works in *any*
+thread (the service workers of :mod:`repro.serve` run cells on threads,
+where the former ``SIGALRM`` scheme was a silent no-op), and a fired
+watchdog is just another contained failure.  :class:`CellTimeout` is a
+``BaseException``, so the compiler's and the fast simulator's own
+``except Exception`` containment cannot turn a timeout into a baseline
+fallback or a reference rerun that reports ok.
 
 :data:`COUNTERS` counts every *actual* compile and simulation performed
 in this process — the engine's warm-cache acceptance test asserts these
@@ -28,9 +32,8 @@ import ctypes
 import threading
 import traceback
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
-from ..core import serde
 from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
 from ..core.pipeline import CompileResult, compile_baseline, compile_proposed
 from ..isa.program import Program
@@ -80,8 +83,13 @@ class EngineCounters:
 COUNTERS = EngineCounters()
 
 
-class CellTimeout(RuntimeError):
-    """A cell attempt exceeded its wall-clock budget."""
+class CellTimeout(BaseException):
+    """A cell attempt exceeded its wall-clock budget.
+
+    A ``BaseException`` so that no ``except Exception`` between the
+    watchdog and :func:`execute_cell` (pass sandbox, profiling,
+    fast-simulator fallback) can absorb it into a result.
+    """
 
 
 @dataclass(frozen=True)
@@ -215,26 +223,18 @@ class BenchmarkMemo:
         return prog
 
     def cell(self, kind: str, config: MachineConfig, prog: Program,
-             heur: FeedbackHeuristics, max_steps: int, backend: str,
-             compile_fn: Callable, simulate_fn: Callable) -> tuple:
-        """``(CompileResult, SimStats, ExecStats)`` of one cell.
-
-        *compile_fn* has :func:`counted_compile`'s signature and
-        *simulate_fn* :func:`counted_simulate`'s.  The backend travels
-        only when it is not ``"reference"`` (their default) and the
-        profile only when shared, so replacements with the original four-
-        and three-argument signatures keep working on the reference path.
-        """
-        bk = {"backend": backend} if backend != "reference" else {}
+             heur: FeedbackHeuristics, max_steps: int,
+             backend: str) -> tuple:
+        """``(CompileResult, SimStats, ExecStats)`` of one cell, through
+        :func:`counted_compile` and :func:`counted_simulate`."""
         src = self._id(prog)
         ckey = (src, kind, heur, max_steps, backend)
         hit = self._compiles.get(ckey)
         if hit is None:
             pkey = (src, heur.classify, max_steps, backend)
-            extra = dict(bk)
-            if kind != "base" and pkey in self._profiles:
-                extra["profile"] = self._profiles[pkey]
-            cr = compile_fn(kind, prog, heur, max_steps, **extra)
+            profile = self._profiles.get(pkey) if kind != "base" else None
+            cr = counted_compile(kind, prog, heur, max_steps, backend,
+                                 profile=profile)
             hit = self._compiles[ckey] = (cr, program_digest(cr.program))
             if cr.profile is not None:
                 self._profiles.setdefault(pkey, cr.profile)
@@ -242,8 +242,8 @@ class BenchmarkMemo:
         skey = (digest, config, max_steps, backend)
         sim = self._sims.get(skey)
         if sim is None:
-            sim = self._sims[skey] = simulate_fn(cr.program, config,
-                                                 max_steps, **bk)
+            sim = self._sims[skey] = counted_simulate(cr.program, config,
+                                                      max_steps, backend)
         return (cr, *sim)
 
 
@@ -252,16 +252,6 @@ def _short_reason(exc: BaseException) -> str:
     text = str(exc).splitlines()[0] if str(exc) else ""
     name = type(exc).__name__
     return f"{name}: {text}"[:80] if text else name
-
-
-def _failure_payload(benchmark: str, scheme: str,
-                     exc: BaseException) -> dict:
-    detail = "".join(traceback.format_exception(
-        type(exc), exc, exc.__traceback__)[-4:])
-    return serde.stamp(
-        {"benchmark": benchmark, "scheme": scheme, "stats": None,
-         "exec_stats": None, "compile_result": None,
-         "failure": _short_reason(exc), "failure_detail": detail})
 
 
 def _async_raise(thread_id: int, exc_type: type) -> bool:
@@ -297,11 +287,10 @@ class _watchdog:
     is falsy.
 
     Disarming takes a lock shared with the timer callback, so once
-    ``__exit__`` starts no late timeout can fire.  The one unavoidable
-    window — the callback scheduled the exception but the thread has not
-    reached a bytecode boundary yet — surfaces inside the caller's
-    containment ``try`` (``execute_cell`` retries the cell), never in
-    unrelated code.
+    ``__exit__`` holds it no late timeout can fire.  A timeout scheduled
+    just as the attempt ended — the thread had not reached a bytecode
+    boundary yet — is withdrawn there, so it never surfaces in the
+    caller's code after the attempt's result or exception.
     """
 
     def __init__(self, seconds: Optional[float]):
@@ -309,18 +298,19 @@ class _watchdog:
         self._timer: Optional[threading.Timer] = None
         self._lock = threading.Lock()
         self._armed = False
+        self._thread_id = 0
         self.fired = False
 
     def __enter__(self) -> "_watchdog":
         if not self.seconds:
             return self
-        thread_id = threading.get_ident()
+        self._thread_id = threading.get_ident()
 
         def _fire() -> None:
             with self._lock:
                 if not self._armed:
                     return
-                self.fired = _async_raise(thread_id, CellTimeout)
+                self.fired = _async_raise(self._thread_id, CellTimeout)
 
         self._armed = True
         self._timer = threading.Timer(self.seconds, _fire)
@@ -331,23 +321,30 @@ class _watchdog:
     def __exit__(self, *exc_info) -> None:
         with self._lock:
             self._armed = False
+            if self.fired:  # no-op unless still pending
+                ctypes.pythonapi.PyThreadState_SetAsyncExc(
+                    ctypes.c_ulong(self._thread_id), None)
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
 
 
 def execute_cell(spec: CellSpec, program: Optional[Program] = None,
-                 memo: Optional[BenchmarkMemo] = None) -> dict:
-    """Run one cell; returns a plain-dict :class:`SchemeResult` payload.
+                 memo: Optional[BenchmarkMemo] = None):
+    """Run one cell; returns its :class:`~repro.eval.runner.SchemeResult`.
 
     *program* short-circuits payload deserialization when the caller
     already holds the Program (in-process fast path).  *memo* shares
     profiles, compiles and simulations across the cells of one benchmark
-    (see :class:`BenchmarkMemo`), exactly as the serial runner does.
+    (see :class:`BenchmarkMemo`).  Pool and serve workers serialize the
+    result with ``to_dict``; in-process callers use it as is.
 
     With ``spec.strict`` the first exception propagates; otherwise the
-    cell is retried once and then recorded as a failure payload.
+    cell is retried once and then recorded as a failed result.  A
+    :class:`CellTimeout` is contained like any other failure.
     """
+    from ..eval.runner import SchemeResult
+
     with obs_span(f"cell.{spec.scheme}", benchmark=spec.benchmark,
                   scheme=spec.scheme) as sp:
         last: Optional[BaseException] = None
@@ -359,17 +356,16 @@ def execute_cell(spec: CellSpec, program: Optional[Program] = None,
                         else memo.program(spec.program)
                     cr, stats, exec_stats = memo.cell(
                         spec.kind, spec.resolve_config(), prog, spec.heur,
-                        spec.max_steps, spec.backend, counted_compile,
-                        counted_simulate)
-                return serde.stamp(
-                    {"benchmark": spec.benchmark, "scheme": spec.scheme,
-                     "stats": stats.to_dict(),
-                     "exec_stats": exec_stats.to_dict(),
-                     "compile_result": cr.to_dict(),
-                     "failure": None, "failure_detail": ""})
-            except Exception as exc:  # noqa: BLE001 - isolation is the point
+                        spec.max_steps, spec.backend)
+                return SchemeResult(spec.benchmark, spec.scheme, stats,
+                                    exec_stats, cr)
+            except (Exception, CellTimeout) as exc:  # noqa: BLE001
                 if spec.strict:
                     raise
                 last = exc
         sp.set("failure", _short_reason(last))
-        return _failure_payload(spec.benchmark, spec.scheme, last)
+        detail = "".join(traceback.format_exception(
+            type(last), last, last.__traceback__)[-4:])
+        return SchemeResult(spec.benchmark, spec.scheme,
+                            failure=_short_reason(last),
+                            failure_detail=detail)

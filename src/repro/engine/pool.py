@@ -1,15 +1,17 @@
 """Process-pool fan-out for independent evaluation cells.
 
 :func:`run_cells` executes a list of :class:`~repro.engine.cells.CellSpec`
-and returns one result payload per spec, in input order.  With ``jobs <=
-1`` it runs everything in the calling process (sharing profiles,
-compiles and simulations across each benchmark's cells, like the serial
-runner); with ``jobs > 1`` it fans out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.
+and returns one :class:`~repro.eval.runner.SchemeResult` per spec, in
+input order.  With ``jobs <= 1`` it runs everything in the calling
+process, sharing profiles, compiles and simulations across each
+benchmark's cells (one :class:`~repro.engine.cells.BenchmarkMemo` per
+benchmark) with no serialization at all; with ``jobs > 1`` it fans out
+over a :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
+send each result back as its ``to_dict`` payload.
 
 Crash containment extends into the worker path: a Python exception inside
 a worker is contained by :func:`~repro.engine.cells.execute_cell` itself
-(retry once, then a ``FAIL(...)`` payload).  If a worker *process* dies
+(retry once, then a ``FAIL(...)`` result).  If a worker *process* dies
 (OOM kill, interpreter abort), every in-flight and unstarted cell's
 future raises — those cells are transparently re-run in the parent
 process with the same containment, so one dead worker degrades throughput,
@@ -91,9 +93,14 @@ def execution_mode(jobs: int, n_items: int) -> PoolDecision:
     return decision
 
 
+def _execute_payload(spec: CellSpec) -> dict:
+    """Pool-worker entry: run one cell and serialize its result."""
+    return execute_cell(spec).to_dict()
+
+
 def _run_serial(specs: list[CellSpec],
-                programs: Optional[dict[str, Program]] = None) -> list[dict]:
-    """In-process fallback: one :class:`BenchmarkMemo` per benchmark.
+                programs: Optional[dict[str, Program]] = None) -> list:
+    """In-process execution: one :class:`BenchmarkMemo` per benchmark.
 
     The memo keys every compile by input program, kind, heuristics, step
     budget and backend, so :mod:`repro.tune`'s batches of *different*
@@ -111,8 +118,8 @@ def _run_serial(specs: list[CellSpec],
 
 
 def run_cells(specs: list[CellSpec], jobs: int = 1,
-              programs: Optional[dict[str, Program]] = None) -> list[dict]:
-    """Execute all *specs*; returns result payloads in input order.
+              programs: Optional[dict[str, Program]] = None) -> list:
+    """Execute all *specs*; returns one ``SchemeResult`` per spec, in order.
 
     *programs* optionally maps benchmark name to an already-built
     :class:`Program`, short-circuiting deserialization on the in-process
@@ -125,14 +132,16 @@ def run_cells(specs: list[CellSpec], jobs: int = 1,
     if decision.workers <= 1:
         return _run_serial(specs, programs)
 
-    results: list[Optional[dict]] = [None] * len(specs)
+    from ..eval.runner import SchemeResult
+
+    results: list = [None] * len(specs)
     redo: list[int] = []
     try:
         with ProcessPoolExecutor(max_workers=decision.workers) as ex:
-            futures = [ex.submit(execute_cell, spec) for spec in specs]
+            futures = [ex.submit(_execute_payload, spec) for spec in specs]
             for i, fut in enumerate(futures):
                 try:
-                    results[i] = fut.result()
+                    results[i] = SchemeResult.from_dict(fut.result())
                 except Exception:  # noqa: BLE001 - worker died; re-run here
                     redo.append(i)
     except Exception:  # noqa: BLE001 - executor setup/teardown failure
@@ -140,8 +149,8 @@ def run_cells(specs: list[CellSpec], jobs: int = 1,
                     if results[i] is None and i not in redo)
     if redo:
         redone = _run_serial([specs[i] for i in redo], programs)
-        for i, payload in zip(redo, redone):
-            results[i] = payload
+        for i, cell in zip(redo, redone):
+            results[i] = cell
     return [r if r is not None else _run_serial([specs[i]], programs)[0]
             for i, r in enumerate(results)]
 
@@ -153,12 +162,13 @@ def run_tasks(fn: Callable, payloads: Sequence, jobs: int = 1) -> list:
     not (benchmark, scheme) cells — e.g. :mod:`repro.qa` fuzz cells.  *fn*
     must be a module-level picklable callable and each payload picklable;
     containment of Python-level exceptions is *fn*'s own responsibility
-    (fuzz cells return failure payloads, mirroring
-    :func:`~repro.engine.cells.execute_cell`).  Worker-process death is
-    handled here exactly like :func:`run_cells`: the affected payloads are
-    transparently re-executed in the calling process, so a dead worker
-    degrades throughput, never results.  Worker count follows
-    :func:`execution_mode` (oversubscribed requests run serially).
+    (fuzz cells return failure payloads, as
+    :func:`~repro.engine.cells.execute_cell` returns failed results).
+    Worker-process death is handled here exactly like :func:`run_cells`:
+    the affected payloads are transparently re-executed in the calling
+    process, so a dead worker degrades throughput, never results.  Worker
+    count follows :func:`execution_mode` (oversubscribed requests run
+    serially).
     """
     decision = execution_mode(jobs, len(payloads))
     if decision.workers <= 1:

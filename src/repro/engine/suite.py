@@ -1,36 +1,34 @@
-"""Cached, parallel three-scheme suite execution.
+"""Cached, parallel suite execution: the one way a suite's cells run.
 
-:func:`run_suite` is the engine behind ``repro.eval.runner.run_suite``:
-the same (benchmark, scheme) grid, with two new capabilities layered on
-top of the PR 1 containment semantics:
+:func:`run_suite` runs the (benchmark, scheme) grid behind every table.
+``Session.run_suite``/``run_benchmark``, the sweep driver and the ingest
+goldens all come through here, and every cell runs through
+:func:`~repro.engine.cells.execute_cell` (retry-once containment, an
+optional per-attempt timeout):
 
 * **artifact caching** — each cell is keyed by a content digest of
   (program, scheme, heuristics, machine config, step budget, schema
   version); a hit deserializes the stored stats and decision trail
   without compiling or simulating anything;
-* **parallel fan-out** — cache misses run through the process pool when
-  ``jobs > 1``.
-
-Compatibility contract: with ``jobs=1`` and no cache, execution routes
-through ``repro.eval.runner.run_benchmark`` — looked up *at call time* on
-the runner module — so fault-injection tests (and anyone else) can still
-monkeypatch the serial path.  A benchmark with any cache miss recomputes
-all of its cells through that path (profiles, compiles and simulations
-are shared within a benchmark, so a lone miss costs nearly a full
-benchmark anyway) and refreshes the cache.
+* **misses only** — the cells that missed go to
+  :func:`~repro.engine.pool.run_cells`: in-process at ``jobs=1``, with
+  one :class:`~repro.engine.cells.BenchmarkMemo` per benchmark on the
+  caller's built programs, and over worker processes when ``jobs > 1``.
+  A benchmark's cached hits are kept; they equal what a rerun would
+  produce, because a cell's result never depends on which other cells
+  of its benchmark ran with it.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
-from .._deprecation import resolve_impl
 from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
 from ..isa.program import Program
 from ..obs.trace import span as obs_span
 from ..workloads import benchmark_programs
 from .cache import ArtifactCache
-from .cells import SCHEME_PLAN, CellSpec, overrides_as_items
+from .cells import SCHEME_PLAN, CellSpec, _short_reason, overrides_as_items
 from .keys import cell_key
 from .pool import run_cells
 
@@ -50,16 +48,6 @@ def coerce_cache(cache: CacheLike) -> Optional[ArtifactCache]:
     return ArtifactCache(cache)
 
 
-def _all_fail_run(name: str, exc: BaseException):
-    """A BenchmarkRun whose three cells all failed (construction crash)."""
-    from ..eval.runner import BenchmarkRun, SchemeResult, _short_reason
-
-    reason = _short_reason(exc)
-    return BenchmarkRun(name=name, results={
-        scheme: SchemeResult(name, scheme, failure=reason)
-        for scheme, _, _ in SCHEME_PLAN})
-
-
 def run_suite(scale: float = 1.0,
               heur: FeedbackHeuristics = DEFAULT_HEURISTICS,
               benchmarks: Optional[dict[str, Program]] = None,
@@ -72,21 +60,21 @@ def run_suite(scale: float = 1.0,
               timeout: Optional[float] = None,
               seed: Optional[int] = None,
               backend: Optional[str] = None):
-    """Run the full suite through the cache and (optionally) the pool.
+    """Run the full suite through the cache and the cell executor.
 
-    Returns ``{benchmark: BenchmarkRun}`` in benchmark order, exactly like
-    the serial runner.  *jobs* > 1 fans cache misses out over worker
+    Returns ``{benchmark: BenchmarkRun}`` in benchmark order.  A
+    benchmark whose cells cannot even be built (the program fails to
+    serialize or key) is recorded as a run whose cells all failed,
+    unless *strict*.  *jobs* > 1 fans cache misses out over worker
     processes; *cache* enables the artifact store (see
-    :func:`coerce_cache`); *timeout* bounds each parallel cell attempt in
-    seconds; *seed* re-seeds the synthetic workload generators (identical
-    inputs hash identically, so reruns hit the cache).  *backend* selects
-    the execution backend (``"fast"`` or ``"reference"``); None defers to
-    the ``REPRO_BACKEND`` environment variable, then ``"fast"``.
-    Backends produce byte-identical payloads but key separately in the
-    artifact cache.
+    :func:`coerce_cache`); *timeout* bounds each cell attempt in
+    seconds, at every *jobs* value; *seed* re-seeds the synthetic
+    workload generators (identical inputs hash identically, so reruns
+    hit the cache).  *backend* selects the execution backend (``"fast"``
+    or ``"reference"``); None defers to the ``REPRO_BACKEND`` environment
+    variable, then ``"fast"``.  Backends produce byte-identical payloads
+    but key separately in the artifact cache.
     """
-    from ..eval import runner as _runner  # late: avoids an import cycle,
-    # and keeps run_benchmark/monkeypatches resolvable at call time.
     from ..fastsim.backend import resolve_backend
 
     backend = resolve_backend(backend)
@@ -94,29 +82,21 @@ def run_suite(scale: float = 1.0,
                   cached=cache is not None, backend=backend):
         return _run_suite_inner(scale, heur, benchmarks, config_overrides,
                                 progress, max_steps, strict, jobs, cache,
-                                timeout, seed, backend, _runner)
+                                timeout, seed, backend)
 
 
 def _run_suite_inner(scale, heur, benchmarks, config_overrides, progress,
-                     max_steps, strict, jobs, cache, timeout, seed, backend,
-                     _runner):
+                     max_steps, strict, jobs, cache, timeout, seed, backend):
     """Body of :func:`run_suite` (split out so the span wraps it whole)."""
-    store = coerce_cache(cache)
-    if benchmarks is not None:
-        programs = benchmarks
-    elif seed is not None:
-        programs = benchmark_programs(scale, seed=seed)
-    else:
-        # Attribute lookup on the runner module, so tests that shrink the
-        # suite by monkeypatching ``runner.benchmark_programs`` (which may
-        # not accept ``seed``) keep working.
-        programs = _runner.benchmark_programs(scale)
-    overrides = config_overrides or {}
-    over_items = overrides_as_items(overrides)
+    from ..eval.runner import BenchmarkRun, SchemeResult
 
-    runs: dict[str, object] = {}
-    # (name, scheme) -> SchemeResult recovered from the artifact cache
-    hits: dict[tuple[str, str], object] = {}
+    store = coerce_cache(cache)
+    programs = benchmarks if benchmarks is not None \
+        else benchmark_programs(scale, seed=seed)
+    over_items = overrides_as_items(config_overrides)
+
+    # (name, scheme) -> SchemeResult, from the cache or freshly computed
+    cells: dict[tuple[str, str], object] = {}
     # cells to compute, with their cache keys for the write-back
     miss_specs: list[CellSpec] = []
     miss_keys: dict[tuple[str, str], str] = {}
@@ -133,15 +113,14 @@ def _run_suite_inner(scale, heur, benchmarks, config_overrides, progress,
                     predictor=predictor, program=payload_d, heur=heur,
                     config_overrides=over_items, max_steps=max_steps,
                     timeout=timeout, strict=strict, backend=backend)
-                key = None
                 if store is not None:
                     key = cell_key(prog, scheme, heur,
                                    spec.resolve_config(), max_steps,
                                    backend=backend)
                     cached = store.get(key)
                     if cached is not None:
-                        hits[(name, scheme)] = \
-                            _runner.SchemeResult.from_dict(cached)
+                        cells[(name, scheme)] = \
+                            SchemeResult.from_dict(cached)
                         continue
                     miss_keys[(name, scheme)] = key
                 miss_specs.append(spec)
@@ -151,78 +130,21 @@ def _run_suite_inner(scale, heur, benchmarks, config_overrides, progress,
             broken[name] = exc
             miss_specs = [s for s in miss_specs if s.benchmark != name]
 
-    if jobs > 1:
-        fresh = _parallel_misses(miss_specs, programs, jobs, strict)
-    else:
-        fresh = _serial_misses(_runner, miss_specs, programs, hits, heur,
-                               config_overrides, max_steps, strict, backend)
+    fresh = run_cells(miss_specs, jobs=jobs, programs=programs)
+    for spec, cell in zip(miss_specs, fresh):
+        cells[(spec.benchmark, spec.scheme)] = cell
+        key = miss_keys.get((spec.benchmark, spec.scheme))
+        if key is not None and cell.ok:
+            store.put(key, cell.to_dict())
 
+    runs: dict[str, BenchmarkRun] = {}
     for name in programs:
         if name in broken:
-            runs[name] = _all_fail_run(name, broken[name])
+            reason = _short_reason(broken[name])
+            runs[name] = BenchmarkRun(name=name, results={
+                scheme: SchemeResult(name, scheme, failure=reason)
+                for scheme, _, _ in SCHEME_PLAN})
             continue
-        results = {}
-        for scheme, _, _ in SCHEME_PLAN:
-            cell = fresh.get((name, scheme), hits.get((name, scheme)))
-            if cell is None:  # pool returned nothing for it (cannot
-                cell = _runner.SchemeResult(  # happen in practice)
-                    name, scheme, failure="MissingResult")
-            results[scheme] = cell
-        runs[name] = _runner.BenchmarkRun(name=name, results=results)
-        if store is not None:
-            for scheme, _, _ in SCHEME_PLAN:
-                cell = results[scheme]
-                key = miss_keys.get((name, scheme))
-                if key is not None and cell.ok:
-                    store.put(key, cell.to_dict())
+        runs[name] = BenchmarkRun(name=name, results={
+            scheme: cells[(name, scheme)] for scheme, _, _ in SCHEME_PLAN})
     return runs
-
-
-def _serial_misses(_runner, miss_specs, programs, hits, heur,
-                   config_overrides, max_steps, strict, backend):
-    """Recompute missing cells via the runner's serial per-benchmark path.
-
-    A benchmark with *any* miss is recomputed whole through
-    ``run_benchmark`` (attribute lookup on the runner module, preserving
-    monkeypatchability); its cached hits are superseded by the fresh
-    results so one benchmark never mixes artifact generations.
-    """
-    fresh: dict[tuple[str, str], object] = {}
-    names = []
-    for spec in miss_specs:
-        if spec.benchmark not in names:
-            names.append(spec.benchmark)
-    for name in names:
-        # Attribute lookup keeps monkeypatched replacements (no shim
-        # attribute) in play; resolve_impl skips the deprecation shim on
-        # the real function so internal routing never warns.
-        fn = resolve_impl(_runner.run_benchmark)
-        try:
-            run = fn(
-                name, programs[name], heur=heur,
-                config_overrides=config_overrides,
-                max_steps=max_steps, strict=strict, backend=backend)
-        except Exception as exc:  # noqa: BLE001 - construction failure
-            if strict:
-                raise
-            run = _all_fail_run(name, exc)
-        for scheme, _, _ in SCHEME_PLAN:
-            fresh[(name, scheme)] = run.results[scheme]
-            hits.pop((name, scheme), None)  # superseded by fresh result
-    return fresh
-
-
-def _parallel_misses(miss_specs, programs, jobs, strict):
-    """Fan cache misses out over the pool; strict re-raises failures."""
-    from ..eval.runner import SchemeResult
-
-    payloads = run_cells(miss_specs, jobs=jobs, programs=programs)
-    fresh: dict[tuple[str, str], object] = {}
-    for spec, payload in zip(miss_specs, payloads):
-        cell = SchemeResult.from_dict(payload)
-        if strict and not cell.ok:
-            raise RuntimeError(
-                f"{cell.benchmark}/{cell.scheme} failed: {cell.failure}\n"
-                f"{cell.failure_detail}")
-        fresh[(spec.benchmark, spec.scheme)] = cell
-    return fresh

@@ -24,7 +24,6 @@ import itertools
 from dataclasses import dataclass, fields as dc_fields, replace
 from typing import Callable, Iterator, Optional
 
-from .._deprecation import deprecated
 from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
 from ..obs.trace import span as obs_span
 from ..sim.config import MachineConfig
@@ -140,10 +139,10 @@ def _cell_record(point: dict, name: str, cell) -> dict:
     return rec
 
 
-def run_sweep_impl(spec: SweepSpec, jobs: int = 1, cache: CacheLike = None,
-                   progress: Optional[Callable[[str], None]] = None,
-                   timeout: Optional[float] = None,
-                   backend: Optional[str] = None) -> list[dict]:
+def run_sweep(spec: SweepSpec, jobs: int = 1, cache: CacheLike = None,
+              progress: Optional[Callable[[str], None]] = None,
+              timeout: Optional[float] = None,
+              backend: Optional[str] = None) -> list[dict]:
     """Evaluate every point of *spec*; returns one record per cell.
 
     Each point reuses the suite engine, so the artifact cache deduplicates
@@ -176,6 +175,3 @@ def run_sweep_impl(spec: SweepSpec, jobs: int = 1, cache: CacheLike = None,
             for cell in run.results.values():
                 records.append(_cell_record(point, name, cell))
     return records
-
-
-run_sweep = deprecated("repro.api.Session.sweep")(run_sweep_impl)

@@ -1,8 +1,8 @@
 """Experiment harness: the paper's three-scheme comparison and Tables 1-4."""
 
 from .runner import (
-    SCHEMES, BenchmarkRun, SchemeResult, run_benchmark, run_suite,
-    suite_failures, suite_from_dict, suite_to_dict,
+    SCHEMES, BenchmarkRun, SchemeResult, suite_failures, suite_from_dict,
+    suite_to_dict,
 )
 from .paper_data import (
     PAPER_TABLE1, PAPER_TABLE3_BR, PAPER_TABLE4_IPC, format_shape_verdicts,
@@ -18,8 +18,8 @@ __all__ = [
     "PAPER_TABLE1", "PAPER_TABLE3_BR", "PAPER_TABLE4_IPC",
     "format_shape_verdicts", "shape_verdicts",
     "render_report", "write_report",
-    "SCHEMES", "BenchmarkRun", "SchemeResult", "run_benchmark", "run_suite",
-    "suite_failures", "suite_from_dict", "suite_to_dict",
+    "SCHEMES", "BenchmarkRun", "SchemeResult", "suite_failures",
+    "suite_from_dict", "suite_to_dict",
     "PAPER_ORDER", "format_improvements", "format_table1", "format_table2",
     "format_table3", "format_table4", "table1", "table2", "table3", "table4",
 ]

@@ -1,4 +1,4 @@
-"""Scheme runner: executes the paper's three-way comparison.
+"""Scheme results: the cells of the paper's comparison and their serde.
 
 The paper's Tables 3 and 4 compare, per benchmark:
 
@@ -8,54 +8,32 @@ The paper's Tables 3 and 4 compare, per benchmark:
    the same 2-bit prediction;
 3. ``PerfectBP``   — native code, perfect prediction (theoretical bound).
 
-Suite isolation
----------------
-Each (benchmark, scheme) cell runs in containment: a cell that raises is
-retried once (transient allocator/recursion issues), then recorded as a
-*failed cell* — ``SchemeResult.failure`` holds the classified reason and
-the tables render ``FAIL(<reason>)`` instead of the whole run aborting.
-``strict=True`` restores fail-fast for debugging.
-
-Engine integration
-------------------
-:func:`run_suite` routes through :mod:`repro.engine`: pass ``cache`` to
-reuse previously computed cells from the content-addressed artifact store
-and ``jobs`` to fan cache misses out over worker processes.  The default
-(``jobs=1``, no cache) behaves exactly like the original serial loop —
-including calling :func:`run_benchmark` through this module's namespace,
-so monkeypatched fault injection keeps working.
+One :class:`SchemeResult` is one (benchmark, scheme) cell and one
+:class:`BenchmarkRun` a benchmark's row of them.  Cells are run by
+:func:`repro.engine.cells.execute_cell` only, whatever the entry point
+(``Session.run_suite``/``run_benchmark``, ``repro.engine.run_suite``,
+pool and serve workers, tune).  A cell that raises is retried once, then
+recorded as a *failed cell*: ``SchemeResult.failure`` holds the
+classified reason and the tables render ``FAIL(<reason>)`` instead of
+the whole run aborting.  ``strict=True`` restores fail-fast for
+debugging.
 """
 
 from __future__ import annotations
 
-import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
-from .._deprecation import deprecated
 from ..core import serde
-from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
-from ..core.pipeline import CompileResult, compile_baseline, compile_proposed
-from ..engine.cells import (COUNTERS, SCHEME_PLAN, BenchmarkMemo,
-                            kind_heuristics)
-from ..isa.program import Program
-from ..obs.pipeline_obs import maybe_observer
-from ..obs.trace import span as obs_span
-from ..sim.config import MachineConfig, r10k_config
-from ..sim.functional import ExecStats, FunctionalSim
-from ..sim.pipeline import TimingSim
+from ..core.pipeline import CompileResult
+from ..engine.cells import SCHEME_PLAN
+from ..sim.functional import ExecStats
 from ..sim.stats import SimStats
-from ..workloads import benchmark_programs
 
 #: Scheme names in the paper's column order, plus the speculative-safety
-#: variant (``safe-speculative``: the Proposed pipeline with every
-#: Spectre-flagged hoist fenced, see :mod:`repro.robust.spectre`) and the
-#: branch-melding variant (``melded``: if-conversion decisions flattened
-#: into native conditional-move selects, see :mod:`repro.transform.meld`).
-SCHEMES = ("2bitBP", "Proposed", "PerfectBP", "safe-speculative", "melded")
-
-#: Per-cell retry count before a failure is recorded (transient faults).
-CELL_RETRIES = 1
+#: and branch-melding variants, as declared by
+#: :data:`~repro.engine.cells.SCHEME_PLAN`.
+SCHEMES = tuple(scheme for scheme, _, _ in SCHEME_PLAN)
 
 
 @dataclass
@@ -113,7 +91,7 @@ class SchemeResult:
 
 @dataclass
 class BenchmarkRun:
-    """All three schemes for one benchmark."""
+    """Every scheme's cell for one benchmark."""
 
     name: str
     results: dict[str, SchemeResult] = field(default_factory=dict)
@@ -159,138 +137,6 @@ class BenchmarkRun:
         return cls(name=d["name"],
                    results={s: SchemeResult.from_dict(r)
                             for s, r in d["results"].items()})
-
-
-def _short_reason(exc: BaseException) -> str:
-    """One-line classification of a cell failure for table rendering."""
-    text = str(exc).splitlines()[0] if str(exc) else ""
-    name = type(exc).__name__
-    return f"{name}: {text}"[:80] if text else name
-
-
-def _run(prog: Program, config: MachineConfig,
-         max_steps: int = 50_000_000,
-         backend: str = "reference") -> tuple[SimStats, ExecStats]:
-    COUNTERS.simulates += 1
-    if backend == "fast":
-        from ..fastsim.backend import simulate as fast_simulate
-
-        return fast_simulate(prog, config, max_steps=max_steps)
-    fsim = FunctionalSim(prog, max_steps=max_steps, record_outcomes=False)
-    tsim = TimingSim(config, observer=maybe_observer())
-    stats = tsim.run(fsim.trace())
-    return stats, fsim.stats
-
-
-def _run_cell(benchmark: str, scheme: str, fn: Callable[[], SchemeResult],
-              strict: bool, retries: int = CELL_RETRIES) -> SchemeResult:
-    """Execute one cell with retry-once and failure capture."""
-    with obs_span(f"cell.{scheme}", benchmark=benchmark,
-                  scheme=scheme) as sp:
-        last: Optional[BaseException] = None
-        for _ in range(retries + 1):
-            try:
-                return fn()
-            except Exception as exc:  # noqa: BLE001 - isolation is the point
-                if strict:
-                    raise
-                last = exc
-        sp.set("failure", _short_reason(last))
-        detail = "".join(traceback.format_exception(
-            type(last), last, last.__traceback__)[-4:])
-        return SchemeResult(benchmark, scheme, failure=_short_reason(last),
-                            failure_detail=detail)
-
-
-def _compile(kind: str, prog: Program, heur: FeedbackHeuristics,
-             max_steps: int, backend: str = "reference",
-             profile=None) -> CompileResult:
-    """:func:`~repro.engine.cells.counted_compile` through this module's
-    ``compile_baseline``/``compile_proposed``, which fault-injection tests
-    monkeypatch."""
-    COUNTERS.compiles += 1
-    if kind == "base":
-        return compile_baseline(prog)
-    return compile_proposed(prog, heur=kind_heuristics(kind, heur),
-                            max_steps=max_steps, backend=backend,
-                            profile=profile)
-
-
-def run_benchmark_impl(name: str, prog: Program,
-                       heur: FeedbackHeuristics = DEFAULT_HEURISTICS,
-                       config_overrides: Optional[dict] = None,
-                       max_steps: int = 50_000_000,
-                       strict: bool = False,
-                       backend: str = "reference") -> BenchmarkRun:
-    """Run every scheme in :data:`SCHEMES` on one benchmark program.
-
-    With ``strict=False`` (default) a crashing cell is retried once and
-    then recorded as failed; with ``strict=True`` the exception propagates.
-    ``backend="fast"`` runs every cell on the :mod:`repro.fastsim`
-    backend (byte-identical results, transparent reference fallback).
-    The cells share one profiling run, their compiles and identical
-    simulations through a :class:`~repro.engine.cells.BenchmarkMemo`; a
-    failed compile fails only the cells that need its output.
-    """
-    overrides = config_overrides or {}
-    run = BenchmarkRun(name=name)
-    memo = BenchmarkMemo()
-
-    def _cell(scheme: str, kind: str, predictor: str) -> SchemeResult:
-        cr, st, ex = memo.cell(kind, r10k_config(predictor, **overrides),
-                               prog, heur, max_steps, backend, _compile,
-                               _run)
-        return SchemeResult(name, scheme, st, ex, cr)
-
-    for scheme, kind, predictor in SCHEME_PLAN:
-        run.results[scheme] = _run_cell(
-            name, scheme,
-            lambda s=scheme, k=kind, p=predictor: _cell(s, k, p),
-            strict=strict)
-    return run
-
-
-run_benchmark = deprecated(
-    "repro.api.Session.run_benchmark")(run_benchmark_impl)
-
-
-def run_suite_impl(scale: float = 1.0,
-                   heur: FeedbackHeuristics = DEFAULT_HEURISTICS,
-                   benchmarks: Optional[dict[str, Program]] = None,
-                   config_overrides: Optional[dict] = None,
-                   progress: Optional[Callable[[str], None]] = None,
-                   max_steps: int = 50_000_000,
-                   strict: bool = False,
-                   jobs: int = 1,
-                   cache=None,
-                   timeout: Optional[float] = None,
-                   seed: Optional[int] = None,
-                   backend: Optional[str] = None) -> dict[str, BenchmarkRun]:
-    """Run the full benchmark suite through all three schemes.
-
-    Returns ``{benchmark: BenchmarkRun}`` in the paper's benchmark order.
-    A benchmark whose *construction* fails is recorded as a run whose three
-    cells all failed (unless ``strict``); cell-level failures are handled
-    by :func:`run_benchmark`.
-
-    Execution routes through :func:`repro.engine.run_suite`: *cache*
-    (None, True, a path, or an :class:`~repro.engine.ArtifactCache`)
-    enables the content-addressed artifact store, *jobs* > 1 runs cache
-    misses in parallel worker processes with an optional per-cell
-    *timeout* (seconds), and *seed* re-seeds the synthetic workloads.
-    *backend* selects the execution backend (``"fast"``/``"reference"``;
-    None defers to ``REPRO_BACKEND``, then ``"fast"``).
-    """
-    from ..engine.suite import run_suite as _engine_run_suite
-
-    return _engine_run_suite(
-        scale=scale, heur=heur, benchmarks=benchmarks,
-        config_overrides=config_overrides, progress=progress,
-        max_steps=max_steps, strict=strict, jobs=jobs, cache=cache,
-        timeout=timeout, seed=seed, backend=backend)
-
-
-run_suite = deprecated("repro.api.Session.run_suite")(run_suite_impl)
 
 
 def suite_to_dict(runs: dict[str, BenchmarkRun]) -> dict:

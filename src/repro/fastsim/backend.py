@@ -59,17 +59,17 @@ from .timing import FastTimingSim
 BACKENDS = ("reference", "fast")
 #: What :func:`resolve_backend` falls back to: the backend of every entry
 #: point (CLI, ``api.Session``/``RunOptions``, ``engine.run_suite`` and
-#: ``run_sweep``, ``runner.run_suite_impl``).  The library functions
-#: beneath them take the backend as an argument and default to
-#: ``"reference"``, the conformance oracle, so direct calls, the fuzzer
-#: and legacy payloads keep their meaning.
+#: ``run_sweep``).  The library functions beneath them take the backend
+#: as an argument and default to ``"reference"``, the conformance oracle,
+#: so direct calls, the fuzzer and legacy payloads keep their meaning.
 DEFAULT_BACKEND = "fast"
 #: Environment variable consulted when no explicit backend is given.
 ENV_BACKEND = "REPRO_BACKEND"
 
 #: Exceptions that are the *program's* fault: identical on both
 #: backends, so they propagate instead of triggering a fallback.
-#: RuntimeError covers SimulationError and the cell watchdog's timeout.
+#: RuntimeError covers SimulationError.  The cell watchdog's
+#: ``CellTimeout`` is a BaseException and passes every handler here.
 _SEMANTIC = (RuntimeError, AlignmentError, ValueError, OverflowError,
              struct.error)
 

@@ -57,10 +57,10 @@ def lowered_text(path: Union[str, Path]) -> str:
 def stats_text(prog: Program, *, backend: str = "reference",
                max_steps: int = STATS_MAX_STEPS) -> str:
     """The byte-exact ``.stats.json`` content for one lowered program."""
-    from ..eval.runner import run_benchmark_impl
+    from ..engine.suite import run_suite
 
-    run = run_benchmark_impl(prog.name, prog, max_steps=max_steps,
-                             strict=True, backend=backend)
+    run = run_suite(benchmarks={prog.name: prog}, max_steps=max_steps,
+                    strict=True, backend=backend)[prog.name]
     schemes = {
         scheme: {"stats": r.stats.to_dict(),
                  "exec_stats": r.exec_stats.to_dict()}

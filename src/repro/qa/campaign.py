@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .._deprecation import deprecated
 from ..core import serde
 from ..engine.cache import ArtifactCache
 from ..engine.pool import run_tasks
@@ -187,10 +186,9 @@ def _shrink_entry(entry: TriageEntry, prog: Program,
         sp.set("oracle_calls", entry.shrink.get("oracle_calls"))
 
 
-def run_campaign_impl(cfg: CampaignConfig,
-                      progress: Optional[Callable[[str], None]] = None,
-                      executor: Optional[Callable] = None,
-                      ) -> CampaignResult:
+def run_campaign(cfg: CampaignConfig,
+                 progress: Optional[Callable[[str], None]] = None,
+                 executor: Optional[Callable] = None) -> CampaignResult:
     """Run one differential fuzzing campaign; see the module docstring.
 
     *executor*, when given, replaces the local process pool for the
@@ -209,9 +207,6 @@ def run_campaign_impl(cfg: CampaignConfig,
         REGISTRY.inc("fuzz.divergences", result.summary.divergences)
         REGISTRY.inc("fuzz.cell_errors", result.summary.cell_errors)
     return result
-
-
-run_campaign = deprecated("repro.api.Session.fuzz")(run_campaign_impl)
 
 
 def _run_campaign_inner(cfg: CampaignConfig,

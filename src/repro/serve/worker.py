@@ -6,8 +6,9 @@ Each worker loops claim → execute → store → complete against one
 containment unchanged — :func:`~repro.engine.cells.execute_cell` for
 evaluation cells (retry + the thread-portable watchdog timeout; workers
 are threads, which is exactly why the watchdog replaced ``SIGALRM``) and
-:func:`~repro.qa.cells.execute_fuzz_cell` for fuzz cells.  Both return
-failure payloads instead of raising, so a cell can only take a worker
+:func:`~repro.qa.cells.execute_fuzz_cell` for fuzz cells.  Both contain
+failures instead of raising, and the worker stores each evaluation
+cell's result as its ``to_dict`` payload, so a cell can only take a worker
 down through interpreter-level faults — and even then the dispatch loop
 catches the escape, requeues the cell for a live worker (bounded by
 :data:`~repro.serve.queue.MAX_CELL_ATTEMPTS`), and keeps serving.
@@ -69,7 +70,7 @@ def execute_payload(kind: str, spec: dict) -> dict:
             max_steps=spec["max_steps"]))
     from ..engine.cells import execute_cell
 
-    return execute_cell(protocol.cellspec_from_payload(spec))
+    return execute_cell(protocol.cellspec_from_payload(spec)).to_dict()
 
 
 class Worker:

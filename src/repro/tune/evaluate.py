@@ -126,8 +126,8 @@ def evaluate_batch(cells: list[tuple[str, str, CellSpec]], programs: dict,
         else:
             results = run_cells([s for _, s in items], jobs=jobs,
                                 programs=programs)
-            fresh = {k: payload
-                     for (k, _), payload in zip(items, results)}
+            fresh = {k: cell.to_dict()
+                     for (k, _), cell in zip(items, results)}
         for key, payload in fresh.items():
             payloads[key] = payload
             if cache is not None and payload.get("failure") is None:

@@ -134,8 +134,8 @@ def test_session_backend_reaches_sweep_and_benchmark_runs(monkeypatch,
                                                           backend):
     """Every experiment of a session runs on the session's backend, also
     the one that is not the default."""
+    from repro.engine import suite as _suite
     from repro.engine import sweep as _sweep
-    from repro.eval import runner as _runner
 
     seen = {}
 
@@ -143,11 +143,12 @@ def test_session_backend_reaches_sweep_and_benchmark_runs(monkeypatch,
         seen["sweep"] = kw["backend"]
         return []
 
-    def fake_benchmark(name, prog, **kw):
+    def fake_run_suite(benchmarks, **kw):
         seen["benchmark"] = kw["backend"]
+        return dict.fromkeys(benchmarks)
 
     monkeypatch.setattr(_sweep, "run_sweep", fake_sweep)
-    monkeypatch.setattr(_runner, "run_benchmark", fake_benchmark)
+    monkeypatch.setattr(_suite, "run_suite", fake_run_suite)
     s = Session(backend=backend, cache=False)
     s.sweep(_sweep.SweepSpec(scales=(0.01,)))
     s.run_benchmark("x", object())
@@ -178,7 +179,7 @@ def test_byte_identical_results_via_options_vs_legacy():
         == json.dumps(suite_to_dict(modern), sort_keys=True)
 
 
-# -- deprecation-shim passthrough under the new resolution path -------------
+# -- Session.run_benchmark is the suite runner on one program --------------
 
 def test_session_resolution_never_warns():
     from repro.workloads import benchmark_programs
@@ -192,23 +193,24 @@ def test_session_resolution_never_warns():
 
 
 def test_monkeypatched_legacy_impl_still_reached(monkeypatch):
-    """Session.run_benchmark resolves the runner impl at call time, so
-    monkeypatching the legacy free function still takes effect."""
-    from repro.eval import runner as _runner
+    """Session.run_benchmark resolves the suite runner at call time and
+    returns its one benchmark's run, with the per-call knobs applied."""
+    from repro.engine import suite as _suite
 
     calls = {}
+    prog = object()
 
-    def fake(name, prog, **kw):
-        calls["name"] = name
+    def fake(**kw):
         calls.update(kw)
-        return "sentinel"
+        return {"x": "sentinel"}
 
-    monkeypatch.setattr(_runner, "run_benchmark", fake)
-    out = Session().run_benchmark("x", object(),
-                                  options=RunOptions(max_steps=42))
+    monkeypatch.setattr(_suite, "run_suite", fake)
+    out = Session().run_benchmark(
+        "x", prog, options=RunOptions(max_steps=42, timeout=7.5))
     assert out == "sentinel"
-    assert calls["name"] == "x"
+    assert calls["benchmarks"] == {"x": prog}
     assert calls["max_steps"] == 42
+    assert calls["timeout"] == 7.5
 
 
 # -- options_from_args (the one shared CLI translation) ---------------------

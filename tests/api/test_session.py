@@ -6,7 +6,8 @@ import warnings
 import pytest
 
 from repro.api import Session
-from repro.engine import ArtifactCache, SweepSpec
+from repro.engine import (ArtifactCache, CellSpec, SCHEME_PLAN, SweepSpec,
+                          execute_cell)
 from repro.eval import suite_to_dict
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -15,52 +16,51 @@ from repro.workloads import benchmark_programs
 SCALE = 0.01
 
 
-def _legacy(fn, *args, **kw):
-    """Call a deprecated free function with its warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return fn(*args, **kw)
-
-
 def test_run_suite_matches_legacy_byte_for_byte():
-    from repro.eval import run_suite as legacy_run_suite
+    """The session's suite equals the engine's free function with the
+    session's defaults (no cache, one job)."""
+    from repro.engine import run_suite
 
     with Session() as s:
         via_session = s.run_suite(scale=SCALE)
-    legacy = _legacy(legacy_run_suite, scale=SCALE)
+    legacy = run_suite(scale=SCALE)
     assert json.dumps(suite_to_dict(via_session), sort_keys=True) \
         == json.dumps(suite_to_dict(legacy), sort_keys=True)
 
 
 def test_run_benchmark_matches_legacy():
-    from repro.eval import run_benchmark as legacy_run_benchmark
-
+    """Each cell of ``run_benchmark`` equals that cell executed alone,
+    with no benchmark memo, on a payload-built program."""
     prog = benchmark_programs(SCALE)["compress"]
     with Session() as s:
         via_session = s.run_benchmark("compress", prog)
-    legacy = _legacy(legacy_run_benchmark, "compress", prog)
-    assert json.dumps(via_session.to_dict(), sort_keys=True) \
-        == json.dumps(legacy.to_dict(), sort_keys=True)
+    alone = {scheme: execute_cell(CellSpec(
+        benchmark="compress", scheme=scheme, kind=kind,
+        predictor=predictor, program=prog.to_dict(),
+        backend=s.backend)).to_dict()
+        for scheme, kind, predictor in SCHEME_PLAN}
+    assert json.dumps(via_session.to_dict()["results"], sort_keys=True) \
+        == json.dumps(alone, sort_keys=True)
 
 
 def test_sweep_matches_legacy():
-    from repro.engine import run_sweep as legacy_run_sweep
+    from repro.engine import run_sweep
 
     spec = SweepSpec(scales=(SCALE,), benchmarks=("compress",))
     with Session() as s:
         via_session = s.sweep(spec)
-    legacy = _legacy(legacy_run_sweep, spec)
+    legacy = run_sweep(spec)
     assert json.dumps(via_session, sort_keys=True, default=str) \
         == json.dumps(legacy, sort_keys=True, default=str)
 
 
 def test_fuzz_matches_legacy():
-    from repro.qa import CampaignConfig, run_campaign as legacy_run_campaign
+    from repro.qa import CampaignConfig, run_campaign
 
     cfg = CampaignConfig(budget=3, seed=0, shrink=False)
     with Session() as s:
         via_session = s.fuzz(cfg)
-    legacy = _legacy(legacy_run_campaign, cfg)
+    legacy = run_campaign(cfg)
     assert json.dumps(via_session.summary.to_dict(), sort_keys=True) \
         == json.dumps(legacy.summary.to_dict(), sort_keys=True)
 

@@ -1,5 +1,5 @@
 """BenchmarkMemo: a benchmark's cells share one profile per input and one
-simulation per distinct (compiled program, machine), on the serial-runner
+simulation per distinct (compiled program, machine), on the suite-runner
 path and the pool path alike (with built programs or only payloads), and
 every payload equals what the cell returns when it runs alone."""
 
@@ -12,7 +12,7 @@ from repro.core.heuristics import DEFAULT_HEURISTICS
 from repro.engine.cells import (COUNTERS, SCHEME_PLAN, BenchmarkMemo,
                                 CellSpec, execute_cell)
 from repro.engine.pool import _run_serial, run_cells
-from repro.eval.runner import run_benchmark_impl
+from repro.engine.suite import run_suite
 from repro.fastsim.backend import resolve_backend
 from repro.isa import parse
 from repro.profilefb.profiledb import ProfileDB
@@ -31,19 +31,22 @@ def _specs(name, prog, heur):
 
 
 def _via_runner(name, prog, heur):
-    run = run_benchmark_impl(name, prog, heur=heur, max_steps=MAX_STEPS,
-                             backend=resolve_backend())
+    """The suite runner (``Session.run_benchmark`` and the ingest goldens
+    come this way) on the caller's built program."""
+    run = run_suite(benchmarks={name: prog}, heur=heur, max_steps=MAX_STEPS,
+                    backend=resolve_backend())[name]
     return [run.results[scheme].to_dict() for scheme, _, _ in SCHEME_PLAN]
 
 
 def _via_pool(name, prog, heur):
-    return _run_serial(_specs(name, prog, heur), {name: prog})
+    cells = _run_serial(_specs(name, prog, heur), {name: prog})
+    return [cell.to_dict() for cell in cells]
 
 
 def _via_payloads(name, prog, heur):
     """The public pool entry with no built programs: each cell's program
     travels only as its payload."""
-    return run_cells(_specs(name, prog, heur))
+    return [cell.to_dict() for cell in run_cells(_specs(name, prog, heur))]
 
 
 PATHS = {"runner": _via_runner, "pool": _via_pool,
@@ -52,7 +55,8 @@ PATHS = {"runner": _via_runner, "pool": _via_pool,
 
 def _alone(name, prog, heur):
     """Every cell run by itself, with no memo."""
-    return [execute_cell(spec) for spec in _specs(name, prog, heur)]
+    return [execute_cell(spec).to_dict()
+            for spec in _specs(name, prog, heur)]
 
 
 def _counted(monkeypatch, path, name, prog, heur):
@@ -148,7 +152,8 @@ def test_memo_never_lends_a_profile_to_another_program(monkeypatch):
     specs = [replace(spec, program=prog.to_dict())
              for spec in _specs("compress", prog, DEFAULT_HEURISTICS)]
     memo = BenchmarkMemo()
-    payloads = [execute_cell(spec, memo=memo) for spec in specs]
+    payloads = [execute_cell(spec, memo=memo).to_dict()
+                for spec in specs]
     # prop, safe and meld each profile their own build.
     assert len(runs) == 3 and len({id(p) for p in runs}) == 3
     assert json.dumps(payloads, sort_keys=True) == json.dumps(

@@ -92,3 +92,42 @@ def test_seed_changes_cache_keys(tmp_path):
     hits_before = cache.counters.hits
     run_suite(scale=SCALE, max_steps=MAX_STEPS, cache=cache, seed=1)
     assert cache.counters.hits > hits_before  # same seed hits again
+
+
+def test_one_missing_cell_recomputes_only_that_cell(tmp_path, programs):
+    """A warm benchmark with one cache entry gone runs that cell alone
+    (one compile, one simulation) and matches the cold results."""
+    from repro.core.heuristics import DEFAULT_HEURISTICS
+    from repro.engine.keys import cell_key
+    from repro.fastsim.backend import resolve_backend
+    from repro.sim.config import r10k_config
+
+    one = {"compress": programs["compress"]}
+    cache = ArtifactCache(tmp_path)
+    cold = run_suite(benchmarks=one, max_steps=MAX_STEPS, cache=cache)
+    key = cell_key(programs["compress"], "Proposed", DEFAULT_HEURISTICS,
+                   r10k_config("twobit"), MAX_STEPS,
+                   backend=resolve_backend())
+    cache._path(key).unlink()
+    COUNTERS.reset()
+    warm = run_suite(benchmarks=one, max_steps=MAX_STEPS, cache=cache)
+    assert (COUNTERS.compiles, COUNTERS.simulates) == (1, 1)
+    assert json.dumps(suite_to_dict(cold), sort_keys=True) == \
+        json.dumps(suite_to_dict(warm), sort_keys=True)
+
+
+def test_metrics_count_compiles_and_simulations_at_jobs_1(programs):
+    from repro.api import Session
+    from repro.obs.metrics import REGISTRY
+
+    REGISTRY.reset()
+    COUNTERS.reset()
+    try:
+        with Session(metrics=True, jobs=1) as s:
+            s.run_suite(benchmarks={"compress": programs["compress"]},
+                        max_steps=MAX_STEPS)
+        counters = REGISTRY.snapshot()["counters"]
+    finally:
+        REGISTRY.reset()
+    assert counters["engine.compiles"] == COUNTERS.compiles == 4
+    assert counters["engine.simulates"] == COUNTERS.simulates == 4

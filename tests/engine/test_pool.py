@@ -27,9 +27,13 @@ def _specs(programs, max_steps=2_000_000):
     return specs
 
 
+def _payloads(cells):
+    return [cell.to_dict() for cell in cells]
+
+
 def test_serial_results_in_input_order(programs):
     specs = _specs(programs)
-    payloads = run_cells(specs, jobs=1, programs=programs)
+    payloads = _payloads(run_cells(specs, jobs=1, programs=programs))
     assert [(p["benchmark"], p["scheme"]) for p in payloads] == \
         [(s.benchmark, s.scheme) for s in specs]
     assert all(p["failure"] is None for p in payloads)
@@ -37,8 +41,8 @@ def test_serial_results_in_input_order(programs):
 
 def test_parallel_byte_identical_to_serial(programs):
     specs = _specs(programs)
-    serial = run_cells(specs, jobs=1, programs=programs)
-    parallel = run_cells(specs, jobs=2)
+    serial = _payloads(run_cells(specs, jobs=1, programs=programs))
+    parallel = _payloads(run_cells(specs, jobs=2))
     assert json.dumps(serial, sort_keys=True) == \
         json.dumps(parallel, sort_keys=True)
 
@@ -47,7 +51,7 @@ def test_fail_cells_propagate_from_workers(programs):
     # A 10-step budget cannot run any benchmark: every cell must come
     # back as a contained FAIL payload, not an exception.
     specs = _specs(programs, max_steps=10)
-    payloads = run_cells(specs, jobs=2)
+    payloads = _payloads(run_cells(specs, jobs=2))
     assert len(payloads) == len(specs)
     for p in payloads:
         assert p["failure"] is not None

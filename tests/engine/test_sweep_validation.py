@@ -89,7 +89,7 @@ def test_same_name_across_both_grids_rejected(monkeypatch):
 
 def test_error_not_raised_deep_in_worker():
     """run_sweep surfaces the validation error before any evaluation."""
-    from repro.engine.sweep import run_sweep_impl
+    from repro.engine.sweep import run_sweep
 
     with pytest.raises(ValueError, match="heur_grid"):
-        run_sweep_impl(_spec(heur={"bogus": (1,)}))
+        run_sweep(_spec(heur={"bogus": (1,)}))

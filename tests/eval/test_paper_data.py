@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.engine import run_suite
 from repro.eval import (
     PAPER_TABLE1, PAPER_TABLE3_BR, PAPER_TABLE4_IPC, format_shape_verdicts,
-    run_suite, shape_verdicts,
+    shape_verdicts,
 )
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.eval import render_report, run_suite, write_report
+from repro.engine import run_suite
+from repro.eval import render_report, write_report
 
 
 @pytest.fixture(scope="module")

@@ -6,10 +6,11 @@ both the plumbing and the paper's qualitative claims on the output.
 
 import pytest
 
+from repro.api import Session
+from repro.engine import run_suite
 from repro.eval import (
     SCHEMES, format_improvements, format_table1, format_table2,
-    format_table3, format_table4, run_benchmark, run_suite, table1, table2,
-    table3, table4,
+    format_table3, format_table4, table1, table2, table3, table4,
 )
 from repro.workloads import biased_loop_program
 
@@ -86,7 +87,7 @@ def test_formatters_render(runs):
 
 def test_run_benchmark_single():
     prog = biased_loop_program(iterations=200, period=8)
-    run = run_benchmark("synth", prog)
+    run = Session(backend="reference").run_benchmark("synth", prog)
     assert run.name == "synth"
     assert run["2bitBP"].stats.cycles > 0
     assert run.improvement > 0
@@ -94,8 +95,8 @@ def test_run_benchmark_single():
 
 def test_config_overrides():
     prog = biased_loop_program(iterations=200, period=8)
-    small = run_benchmark("synth", prog,
-                          config_overrides={"bht_entries": 4})
-    big = run_benchmark("synth", prog)
+    small = Session(config_overrides={"bht_entries": 4},
+                    backend="reference").run_benchmark("synth", prog)
+    big = Session(backend="reference").run_benchmark("synth", prog)
     # Tiny BHT can only hurt (or tie) the 2-bit baseline.
     assert small["2bitBP"].stats.ipc <= big["2bitBP"].stats.ipc + 1e-9

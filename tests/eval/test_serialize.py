@@ -5,9 +5,9 @@ import json
 import pytest
 
 from repro.core.pipeline import CompileResult, compile_proposed
+from repro.api import Session
 from repro.eval.runner import (
-    BenchmarkRun, SchemeResult, run_benchmark, suite_from_dict,
-    suite_to_dict,
+    BenchmarkRun, SchemeResult, suite_from_dict, suite_to_dict,
 )
 from repro.sim import FunctionalSim, TimingSim, r10k_config
 from repro.workloads import benchmark_programs
@@ -17,7 +17,8 @@ from repro.workloads import benchmark_programs
 def run():
     """One real benchmark run to serialize (module-scoped: expensive)."""
     prog = benchmark_programs(0.01)["compress"]
-    return run_benchmark("compress", prog, max_steps=2_000_000)
+    return Session(backend="reference").run_benchmark(
+        "compress", prog, max_steps=2_000_000)
 
 
 def _json_round_trip(d):

@@ -123,8 +123,9 @@ def test_engine_cell_payloads_byte_identical(scheme, kind, predictor):
                     predictor=predictor, program=prog.to_dict(),
                     config_overrides=overrides_as_items(None),
                     max_steps=MAX_STEPS, strict=True)
-    ref = execute_cell(spec, program=prog)
+    ref = execute_cell(spec, program=prog).to_dict()
     fast = execute_cell(
-        CellSpec(**{**spec.__dict__, "backend": "fast"}), program=prog)
+        CellSpec(**{**spec.__dict__, "backend": "fast"}),
+        program=prog).to_dict()
     assert json.dumps(ref, sort_keys=True) == \
         json.dumps(fast, sort_keys=True)

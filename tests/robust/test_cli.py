@@ -3,7 +3,8 @@
 import pytest
 
 from repro.__main__ import main
-from repro.eval import runner as runner_mod
+from repro.engine import cells as cells_mod
+from repro.engine import suite as suite_mod
 from repro.isa import parse
 
 TINY = """.text
@@ -44,13 +45,13 @@ def _tiny_suite(monkeypatch):
     """Shrink the table suite to one tiny benchmark with a broken Proposed
     compile, so CLI isolation tests run in milliseconds."""
     monkeypatch.setattr(
-        runner_mod, "benchmark_programs",
-        lambda scale=1.0: {"tiny": parse(TINY, name="tiny")})
+        suite_mod, "benchmark_programs",
+        lambda scale=1.0, seed=None: {"tiny": parse(TINY, name="tiny")})
 
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic mid-pass crash")
 
-    monkeypatch.setattr(runner_mod, "compile_proposed", boom)
+    monkeypatch.setattr(cells_mod, "compile_proposed", boom)
 
 
 def test_tables_with_failed_cell_exits_zero(_tiny_suite, capsys):

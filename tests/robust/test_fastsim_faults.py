@@ -122,10 +122,11 @@ def test_engine_cell_survives_injected_fault(fault, prog):
     spec = CellSpec(benchmark="grep", scheme="2bitBP", kind="base",
                     predictor="twobit", program=prog.to_dict(),
                     max_steps=MAX_STEPS, strict=True)
-    ref = execute_cell(spec, program=prog)
+    ref = execute_cell(spec, program=prog).to_dict()
     with inject_fastsim_fault(fault):
         fast = execute_cell(
-            CellSpec(**{**spec.__dict__, "backend": "fast"}), program=prog)
+            CellSpec(**{**spec.__dict__, "backend": "fast"}),
+            program=prog).to_dict()
     assert json.dumps(ref, sort_keys=True) == \
         json.dumps(fast, sort_keys=True)
     assert fast["failure"] is None
@@ -146,8 +147,9 @@ def test_unmodeled_opcode_fails_identically(prog):
     spec = dict(benchmark="grep", scheme="2bitBP", kind="base",
                 predictor="twobit", program=bad.to_dict(),
                 max_steps=MAX_STEPS)
-    ref = execute_cell(CellSpec(**spec), program=bad)
-    fast = execute_cell(CellSpec(**spec, backend="fast"), program=bad)
+    ref = execute_cell(CellSpec(**spec), program=bad).to_dict()
+    fast = execute_cell(CellSpec(**spec, backend="fast"),
+                        program=bad).to_dict()
     assert ref["failure"] == fast["failure"]
     assert ref["failure"].startswith("UnmodeledOpcode")
     assert ref["stats"] is None and fast["stats"] is None

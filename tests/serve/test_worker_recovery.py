@@ -121,11 +121,13 @@ def test_engine_retry_runs_inside_the_service_loop(tmp_path, monkeypatch):
     real_compile = engine_cells.counted_compile
     failures = []
 
-    def compile_flaky_once(kind, prog, heur, max_steps):
+    def compile_flaky_once(kind, prog, heur, max_steps, backend,
+                           profile=None):
         if not failures:
             failures.append(kind)
             raise RuntimeError("transient compile fault")
-        return real_compile(kind, prog, heur, max_steps)
+        return real_compile(kind, prog, heur, max_steps, backend,
+                            profile=profile)
 
     monkeypatch.setattr(engine_cells, "counted_compile",
                         compile_flaky_once)

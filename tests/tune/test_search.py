@@ -201,7 +201,8 @@ def test_remote_client_routes_batches(monkeypatch):
     def fake_remote_cell_executor(client):
         def _execute(cells):
             batches.append(len(cells))
-            return {key: execute_cell(spec) for key, spec in cells}
+            return {key: execute_cell(spec).to_dict()
+                    for key, spec in cells}
 
         return _execute
 
