@@ -54,7 +54,12 @@ from .serde import check as serde_check, stamp as serde_stamp
 
 @dataclass
 class CompileResult:
-    """A compiled program plus the pipeline's decision trail."""
+    """A compiled program plus the pipeline's decision trail.
+
+    A result from :meth:`from_dict` keeps the compiled program's payload
+    and builds the :class:`Program` when ``program`` is first read, so a
+    cache hit that only reports statistics parses nothing.
+    """
 
     program: Program
     plan: Optional[DecisionPlan] = None
@@ -70,6 +75,11 @@ class CompileResult:
     #: pipeline output), "baseline" (local schedule only) or "native"
     #: (input program returned untransformed)
     fallback: Optional[str] = None
+
+    #: ``Program.to_dict`` payload of a program :meth:`from_dict` has not
+    #: built yet (see ``program`` below the class)
+    _program_payload: Optional[dict] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def degraded(self) -> bool:
@@ -107,9 +117,14 @@ class CompileResult:
         holds per-branch outcome vectors keyed by process-local instruction
         uids, so it is deliberately dropped — ``from_dict`` restores
         ``profile=None``.  Consumers needing feedback data re-profile.
+        The program entry is ``program.to_dict()``, except that a result
+        from :meth:`from_dict` whose program has not been read returns a
+        copy of the payload it kept, and so prints nothing.
         """
+        payload = self._program_payload
         return serde_stamp({
-            "program": self.program.to_dict(),
+            "program": (self.program.to_dict() if payload is None
+                        else _copy_program_payload(payload)),
             "plan": self.plan.to_dict() if self.plan is not None else None,
             "splits_applied": self.splits_applied,
             "ifconverts_applied": self.ifconverts_applied,
@@ -125,10 +140,15 @@ class CompileResult:
     @classmethod
     def from_dict(cls, d: dict) -> "CompileResult":
         """Inverse of :meth:`to_dict` (``profile`` is restored as None;
-        the schema version is checked)."""
+        the schema version is checked).
+
+        The program is not parsed here: the result keeps a copy of its
+        payload and builds ``Program.from_dict(payload)`` on the first
+        read of ``program``.
+        """
         serde_check(d, "CompileResult")
-        return cls(
-            program=Program.from_dict(d["program"]),
+        result = cls(
+            program=None,
             plan=(DecisionPlan.from_dict(d["plan"])
                   if d["plan"] is not None else None),
             splits_applied=d["splits_applied"],
@@ -141,6 +161,35 @@ class CompileResult:
             failures=[PassFailure.from_dict(f) for f in d["failures"]],
             fallback=d["fallback"],
         )
+        result._program_payload = _copy_program_payload(d["program"])
+        return result
+
+
+def _copy_program_payload(payload: dict) -> dict:
+    """An unaliased copy of a ``Program.to_dict`` payload (its values are
+    strings and flat tables)."""
+    return {k: dict(v) if isinstance(v, dict) else v
+            for k, v in payload.items()}
+
+
+def _read_program(result: CompileResult) -> Program:
+    payload = result._program_payload
+    if payload is not None:
+        result._program = Program.from_dict(payload)
+        result._program_payload = None
+    return result._program
+
+
+def _write_program(result: CompileResult, program: Program) -> None:
+    result._program = program
+    result._program_payload = None
+
+
+# ``program`` stays a dataclass field (constructor argument, ``fields``,
+# ``replace``) but is read and written through this property: a result
+# from ``from_dict`` builds its program on the first read, and from then
+# on ``to_dict`` prints the program, so mutations through it show.
+CompileResult.program = property(_read_program, _write_program)
 
 
 def compile_baseline(prog: Program,

@@ -8,6 +8,8 @@ a cell (the program travels as printed assembly + data tables, because
 :func:`execute_cell` is the only code that runs one: in-process for the
 suite at every ``jobs`` value, ``Session.run_benchmark`` and the ingest
 goldens, and inside pool workers, serve workers and tune.
+:func:`cell_grid` builds a suite's specs and their cache keys for the
+suite runner, the serve client and tune alike.
 
 Containment: a cell that raises is retried once, then reported as a
 failed :class:`~repro.eval.runner.SchemeResult` the tables render as
@@ -45,7 +47,7 @@ from ..sim.config import MachineConfig, r10k_config
 from ..sim.functional import ExecStats, FunctionalSim
 from ..sim.pipeline import TimingSim
 from ..sim.stats import SimStats
-from .keys import program_digest
+from .keys import KeyMemo, cell_key, program_digest
 
 #: The paper's three schemes — plus the speculative-safety variant of the
 #: proposed one (PR 6) and the branch-melding variant (``melded``: arms
@@ -116,6 +118,50 @@ class CellSpec:
 def overrides_as_items(config_overrides: Optional[dict]) -> tuple:
     """Normalize a config-override dict into sorted picklable pairs."""
     return tuple(sorted((config_overrides or {}).items()))
+
+
+def cell_grid(programs: dict[str, Program], heur: FeedbackHeuristics,
+              config_overrides: Optional[dict], max_steps: int,
+              backend: str, *, schemes: tuple = SCHEME_PLAN,
+              timeout: Optional[float] = None, strict: bool = False,
+              broken: Optional[dict[str, BaseException]] = None
+              ) -> list[tuple[str, str, CellSpec, str]]:
+    """The ``(benchmark, scheme, spec, cache key)`` grid of a suite.
+
+    One cell per program and ``(scheme, kind, predictor)`` row of
+    *schemes*, in program then row order.  Each program is printed once,
+    and that payload is both every spec's ``program`` and the key's
+    fingerprint; the keys equal :func:`~repro.engine.keys.cell_key`'s,
+    with each program, the heuristics and each resolved config encoded
+    once.  When *broken* is given, a program whose cells cannot be built
+    is recorded there (name → exception) and left out; otherwise the
+    exception propagates.
+    """
+    over_items = overrides_as_items(config_overrides)
+    configs: dict[str, MachineConfig] = {}
+    memo = KeyMemo()
+    grid = []
+    for name, prog in programs.items():
+        try:
+            payload = prog.to_dict()
+            cells = []
+            for scheme, kind, predictor in schemes:
+                spec = CellSpec(
+                    benchmark=name, scheme=scheme, kind=kind,
+                    predictor=predictor, program=payload, heur=heur,
+                    config_overrides=over_items, max_steps=max_steps,
+                    timeout=timeout, strict=strict, backend=backend)
+                config = configs.setdefault(predictor, spec.resolve_config())
+                cells.append((name, scheme, spec, cell_key(
+                    payload, scheme, heur, config, max_steps,
+                    backend=backend, memo=memo)))
+        except Exception as exc:  # noqa: BLE001 - printing/keying crash
+            if broken is None:
+                raise
+            broken[name] = exc
+            continue
+        grid.extend(cells)
+    return grid
 
 
 def kind_heuristics(kind: str,

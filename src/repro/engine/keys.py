@@ -17,7 +17,9 @@ A cache key must satisfy two properties:
 
 The full key of one evaluation cell is
 ``sha256(canonical_json({schema, program, scheme, heur, config,
-max_steps, extra}))`` — see :func:`cell_key`.
+max_steps, extra, backend}))`` — see :func:`cell_key`.  The cells of one
+grid share a program, heuristics and machine configs: a :class:`KeyMemo`
+passed to their ``cell_key`` calls encodes each of those once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, Optional
+from typing import Any, Callable, Optional, Union
 
 from ..core.heuristics import FeedbackHeuristics
 from ..isa.program import Program
@@ -85,13 +87,14 @@ def digest(obj: Any) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def program_fingerprint(prog: Program) -> dict:
+def program_fingerprint(prog: Union[Program, dict]) -> dict:
     """The key-relevant content of a program.
 
     Delegates to :meth:`Program.to_dict`: printed assembly (uid-free,
     deterministic) plus the data segment, symbols, and code references.
+    A ``to_dict`` payload is its own fingerprint and passes through.
     """
-    return prog.to_dict()
+    return prog if isinstance(prog, dict) else prog.to_dict()
 
 
 def program_digest(prog: Program) -> str:
@@ -99,29 +102,62 @@ def program_digest(prog: Program) -> str:
     return digest(program_fingerprint(prog))
 
 
-def cell_key(prog: Program, scheme: str, heur: FeedbackHeuristics,
-             config: MachineConfig, max_steps: int,
-             schema_version: int = SCHEMA_VERSION,
-             extra: Optional[dict] = None,
-             backend: str = "reference") -> str:
+class KeyMemo:
+    """Canonical JSON of key components that many cells share.
+
+    :func:`cell_key` encodes its program fingerprint, heuristics and
+    machine config on every call.  Handed one memo, the calls of a cell
+    grid encode each such object once.  Objects are remembered by
+    identity and held for the memo's life, so no id is reused; they must
+    not change while the memo is in use.
+    """
+
+    def __init__(self) -> None:
+        self._texts: dict[int, tuple[Any, str]] = {}
+
+    def encode(self, obj: Any,
+               reduce: Callable[[Any], Any] = lambda obj: obj) -> str:
+        """``canonical_json(reduce(obj))``, computed once per object."""
+        hit = self._texts.get(id(obj))
+        if hit is None:
+            hit = self._texts[id(obj)] = (obj, canonical_json(reduce(obj)))
+        return hit[1]
+
+
+def _encoded_digest(fields: dict[str, str]) -> str:
+    """:func:`digest` of a dict whose values are already canonical JSON."""
+    text = "{" + ",".join(f"{json.dumps(name)}:{value}"
+                          for name, value in sorted(fields.items())) + "}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def cell_key(prog: Union[Program, dict], scheme: str,
+             heur: FeedbackHeuristics, config: MachineConfig,
+             max_steps: int, schema_version: int = SCHEMA_VERSION,
+             extra: Optional[dict] = None, backend: str = "reference",
+             memo: Optional[KeyMemo] = None) -> str:
     """Cache key of one (program, scheme) evaluation cell.
 
-    *config* is the fully resolved :class:`MachineConfig` (predictor and
-    overrides applied), so any machine-parameter sweep point keys
-    distinctly.  *extra* lets callers fold additional discriminators in
-    (it must be canonicalizable).  *backend* names the execution backend
-    (``"reference"`` or ``"fast"``); backends are required to produce
-    byte-identical payloads, but they key separately so a fastsim bug can
-    never poison reference results (and the conformance suite can hold
-    both results side by side in one cache).
+    *prog* is a :class:`Program` or its ``to_dict`` payload (the same
+    key either way).  *config* is the fully resolved
+    :class:`MachineConfig` (predictor and overrides applied), so any
+    machine-parameter sweep point keys distinctly.  *extra* lets callers
+    fold additional discriminators in (it must be canonicalizable).
+    *backend* names the execution backend (``"reference"`` or
+    ``"fast"``); backends are required to produce byte-identical
+    payloads, but they key separately so a fastsim bug can never poison
+    reference results (and the conformance suite can hold both results
+    side by side in one cache).  *memo* shares the encoding of *prog*,
+    *heur* and *config* with other calls; the key does not depend on it.
     """
-    return digest({
-        "schema": schema_version,
-        "program": program_fingerprint(prog),
-        "scheme": scheme,
-        "heur": heur,
-        "config": config,
-        "max_steps": max_steps,
-        "extra": extra,
-        "backend": backend,
+    memo = memo if memo is not None else KeyMemo()
+    return _encoded_digest({
+        "schema": canonical_json(schema_version),
+        "program": memo.encode(prog, program_fingerprint),
+        "scheme": canonical_json(scheme),
+        "heur": memo.encode(heur),
+        "config": memo.encode(config),
+        "max_steps": canonical_json(max_steps),
+        "extra": canonical_json(extra),
+        "backend": canonical_json(backend),
     })

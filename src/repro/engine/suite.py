@@ -28,8 +28,7 @@ from ..isa.program import Program
 from ..obs.trace import span as obs_span
 from ..workloads import benchmark_programs
 from .cache import ArtifactCache
-from .cells import SCHEME_PLAN, CellSpec, _short_reason, overrides_as_items
-from .keys import cell_key
+from .cells import SCHEME_PLAN, CellSpec, _short_reason, cell_grid
 from .pool import run_cells
 
 #: Accepted forms of the ``cache`` argument.
@@ -93,48 +92,31 @@ def _run_suite_inner(scale, heur, benchmarks, config_overrides, progress,
     store = coerce_cache(cache)
     programs = benchmarks if benchmarks is not None \
         else benchmark_programs(scale, seed=seed)
-    over_items = overrides_as_items(config_overrides)
+    if progress:
+        for name in programs:
+            progress(name)
+    broken: dict[str, BaseException] = {}
+    grid = cell_grid(programs, heur, config_overrides, max_steps, backend,
+                     timeout=timeout, strict=strict,
+                     broken=None if strict else broken)
 
     # (name, scheme) -> SchemeResult, from the cache or freshly computed
     cells: dict[tuple[str, str], object] = {}
     # cells to compute, with their cache keys for the write-back
     miss_specs: list[CellSpec] = []
-    miss_keys: dict[tuple[str, str], str] = {}
-    broken: dict[str, BaseException] = {}
-
-    for name, prog in programs.items():
-        if progress:
-            progress(name)
-        try:
-            payload_d = prog.to_dict()
-            for scheme, kind, predictor in SCHEME_PLAN:
-                spec = CellSpec(
-                    benchmark=name, scheme=scheme, kind=kind,
-                    predictor=predictor, program=payload_d, heur=heur,
-                    config_overrides=over_items, max_steps=max_steps,
-                    timeout=timeout, strict=strict, backend=backend)
-                if store is not None:
-                    key = cell_key(prog, scheme, heur,
-                                   spec.resolve_config(), max_steps,
-                                   backend=backend)
-                    cached = store.get(key)
-                    if cached is not None:
-                        cells[(name, scheme)] = \
-                            SchemeResult.from_dict(cached)
-                        continue
-                    miss_keys[(name, scheme)] = key
-                miss_specs.append(spec)
-        except Exception as exc:  # noqa: BLE001 - keying/serialization crash
-            if strict:
-                raise
-            broken[name] = exc
-            miss_specs = [s for s in miss_specs if s.benchmark != name]
+    miss_keys: list[str] = []
+    for name, scheme, spec, key in grid:
+        cached = store.get(key) if store is not None else None
+        if cached is not None:
+            cells[(name, scheme)] = SchemeResult.from_dict(cached)
+        else:
+            miss_specs.append(spec)
+            miss_keys.append(key)
 
     fresh = run_cells(miss_specs, jobs=jobs, programs=programs)
-    for spec, cell in zip(miss_specs, fresh):
+    for spec, key, cell in zip(miss_specs, miss_keys, fresh):
         cells[(spec.benchmark, spec.scheme)] = cell
-        key = miss_keys.get((spec.benchmark, spec.scheme))
-        if key is not None and cell.ok:
+        if store is not None and cell.ok:
             store.put(key, cell.to_dict())
 
     runs: dict[str, BenchmarkRun] = {}

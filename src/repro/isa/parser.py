@@ -56,19 +56,30 @@ _STRING_RE = re.compile(r'^"((?:[^"\\]|\\.)*)"$')
 
 
 def _strip_comment(line: str) -> str:
-    # Respect '#' and ';' but not inside string literals.
-    out = []
-    in_str = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch == '"' and (i == 0 or line[i - 1] != "\\"):
-            in_str = not in_str
+    """*line* up to its first ``#`` or ``;`` outside a string literal.
+
+    A backslash escapes the character after it, so ``\\"`` neither opens
+    nor closes a string and ``"C:\\\\"`` closes at its last quote.  Outside
+    a string, ``#`` and ``;`` start the comment even when escaped.
+    """
+    if '"' not in line:
+        cut = len(line)
+        for ch in "#;":
+            i = line.find(ch, 0, cut)
+            if i >= 0:
+                cut = i
+        return line[:cut]
+    in_str = escaped = False
+    for i, ch in enumerate(line):
         if not in_str and ch in "#;":
-            break
-        out.append(ch)
-        i += 1
-    return "".join(out)
+            return line[:i]
+        if escaped:
+            escaped = False
+        elif ch == "\\":
+            escaped = True
+        elif ch == '"':
+            in_str = not in_str
+    return line
 
 
 def _unescape(s: str) -> bytes:
@@ -85,13 +96,13 @@ def _pending_code_refs(prog: Program) -> list[tuple[int, str]]:
 def parse(text: str, name: str = "program") -> Program:
     """Parse assembly *text* into a validated :class:`Program`."""
     prog = Program(name=name)
-    lines = text.splitlines()
+    raws = text.splitlines()
+    lines = [_strip_comment(raw).strip() for raw in raws]
 
     # ---- pass 1: data segment -------------------------------------------------
     section = "text"
     pending_label: Optional[str] = None
-    for lineno, raw in enumerate(lines, 1):
-        line = _strip_comment(raw).strip()
+    for lineno, (raw, line) in enumerate(zip(raws, lines), 1):
         if not line:
             continue
         if line == ".data":
@@ -122,8 +133,7 @@ def parse(text: str, name: str = "program") -> Program:
 
     # ---- pass 2: text segment ---------------------------------------------------
     section = "text"
-    for lineno, raw in enumerate(lines, 1):
-        line = _strip_comment(raw).strip()
+    for lineno, (raw, line) in enumerate(zip(raws, lines), 1):
         if not line:
             continue
         if line == ".data":

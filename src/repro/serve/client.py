@@ -34,8 +34,7 @@ import urllib.request
 from typing import Callable, Optional
 
 from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
-from ..engine.cells import SCHEME_PLAN, CellSpec, overrides_as_items
-from ..engine.keys import cell_key
+from ..engine.cells import CellSpec, cell_grid
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span as obs_span
 from . import protocol
@@ -185,28 +184,18 @@ def suite_cells(programs: dict, heur: FeedbackHeuristics,
                 config_overrides: Optional[dict], max_steps: int,
                 timeout: Optional[float] = None,
                 backend: str = "reference"
-                ) -> list[tuple[str, str, str, CellSpec, str]]:
+                ) -> list[tuple[str, str, str, CellSpec, dict]]:
     """The suite's cell grid: (name, scheme, key, spec, spec-payload).
 
-    Factored out so the client, the bench harness, and the CI smoke job
-    derive *identical* cells for identical inputs — the dedup and
-    warm-replay assertions depend on that.
+    :func:`~repro.engine.cells.cell_grid` plus each spec's wire payload,
+    so the client, the bench harness, and the CI smoke job derive
+    *identical* cells for identical inputs — the dedup and warm-replay
+    assertions depend on that.
     """
-    out = []
-    over_items = overrides_as_items(config_overrides)
-    for name, prog in programs.items():
-        payload_d = prog.to_dict()
-        for scheme, kind, predictor in SCHEME_PLAN:
-            spec = CellSpec(
-                benchmark=name, scheme=scheme, kind=kind,
-                predictor=predictor, program=payload_d, heur=heur,
-                config_overrides=over_items, max_steps=max_steps,
-                timeout=timeout, backend=backend)
-            key = cell_key(prog, scheme, heur, spec.resolve_config(),
-                           max_steps, backend=backend)
-            out.append((name, scheme, key, spec,
-                        protocol.cellspec_to_payload(spec)))
-    return out
+    return [(name, scheme, key, spec, protocol.cellspec_to_payload(spec))
+            for name, scheme, spec, key in cell_grid(
+                programs, heur, config_overrides, max_steps, backend,
+                timeout=timeout)]
 
 
 def remote_run_suite(client: ServeClient, scale: float = 1.0,

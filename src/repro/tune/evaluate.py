@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..engine.cells import COUNTERS, CellSpec, overrides_as_items
-from ..engine.keys import cell_key
+from ..engine.cells import COUNTERS, CellSpec, cell_grid
 from ..engine.pool import run_cells
 from ..eval.runner import SchemeResult
 from ..obs.metrics import REGISTRY
@@ -61,22 +60,14 @@ def candidate_cells(heur, config_overrides: dict, programs: dict,
     """The (benchmark, key, spec) grid of one candidate vector.
 
     One Proposed-scheme cell per workload, keyed exactly like the suite
-    runner's Proposed cell for the same inputs — a candidate whose
-    vector equals the session default therefore costs nothing after any
+    runner's Proposed cell for the same inputs (both come from
+    :func:`~repro.engine.cells.cell_grid`) — a candidate whose vector
+    equals the session default therefore costs nothing after any
     ``tables`` run at the same scale.
     """
-    scheme, kind, predictor = TUNE_SCHEME
-    over_items = overrides_as_items(config_overrides)
-    out = []
-    for name, prog in programs.items():
-        spec = CellSpec(
-            benchmark=name, scheme=scheme, kind=kind, predictor=predictor,
-            program=prog.to_dict(), heur=heur, config_overrides=over_items,
-            max_steps=max_steps, timeout=timeout, backend=backend)
-        key = cell_key(prog, scheme, heur, spec.resolve_config(),
-                       max_steps, backend=backend)
-        out.append((name, key, spec))
-    return out
+    return [(name, key, spec) for name, _, spec, key in cell_grid(
+        programs, heur, config_overrides, max_steps, backend,
+        schemes=(TUNE_SCHEME,), timeout=timeout)]
 
 
 def measure(payload: dict, original_len: int) -> dict:
