@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.engine import ArtifactCache, run_suite
+from repro.engine import ArtifactCache, LocalExecutor, run_suite
 
 #: Scale factor for benchmark-suite runs (1.0 = the default workload sizes
 #: used in EXPERIMENTS.md; reduced here to keep the harness quick).
@@ -26,5 +26,6 @@ SUITE_SCALE = 0.3
 @pytest.fixture(scope="session")
 def suite_runs():
     """The full Tables-3/4 sweep: 4 benchmarks x 3 schemes, cached."""
+    jobs = int(os.environ.get("REPRO_JOBS", "1"))
     return run_suite(scale=SUITE_SCALE, cache=ArtifactCache(),
-                     jobs=int(os.environ.get("REPRO_JOBS", "1")))
+                     executor=LocalExecutor(jobs))

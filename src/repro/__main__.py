@@ -53,8 +53,9 @@ behave identically everywhere: results are cached in ``.repro-cache/``
 (override with ``--cache-dir`` or ``$REPRO_CACHE_DIR``, disable with
 ``--no-cache``), cache misses fan out over ``--jobs N`` worker
 processes, and ``--trace FILE`` writes a JSONL span trace of the run.
-``--remote URL`` (with ``--tenant NAME``) routes the experiment through
-a running ``repro serve`` instance instead of the local pool.
+``--remote URL`` (with ``--tenant NAME``) sends the cache misses to a
+running ``repro serve`` instance instead of the local pool (with
+``--no-cache``, every cell).
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_submit(args: argparse.Namespace) -> int:
     """Submit a suite batch to a running service; stream results back."""
     from .serve import Backpressure, ServeClient, ServeError
-    from .serve.client import remote_run_suite, suite_cells
+    from .serve.client import suite_cells
 
     client = ServeClient(args.remote, tenant=args.tenant,
                          timeout=args.timeout)
@@ -249,10 +250,13 @@ def cmd_submit(args: argparse.Namespace) -> int:
                   f"{job['n_deduped']} deduped) as tenant {args.tenant!r}")
             print(f"poll with: python -m repro jobs --remote {args.remote}")
             return 0
-        runs = remote_run_suite(
-            client, scale=args.scale, seed=args.seed,
-            max_steps=args.max_steps, backend=args.backend,
-            progress=lambda msg: print(msg, file=sys.stderr))
+        from .engine import run_suite
+
+        print(f"submitting the suite to {client.base_url} as tenant "
+              f"{client.tenant!r}", file=sys.stderr)
+        runs = run_suite(scale=args.scale, seed=args.seed,
+                         max_steps=args.max_steps, backend=args.backend,
+                         executor=client)
     except (Backpressure, ServeError, OSError) as exc:
         print(f"submit failed: {exc}", file=sys.stderr)
         return 2

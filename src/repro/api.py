@@ -27,14 +27,13 @@ CLI builds its per-invocation options through one shared
 :func:`options_from_args` helper so ``--jobs`` / ``--no-cache`` /
 ``--backend`` / ``--trace`` behave identically across every subcommand.
 
-Locally, ``run_suite`` and ``run_benchmark`` both go through
-:func:`repro.engine.suite.run_suite`, so every cell runs through
-:func:`repro.engine.cells.execute_cell` and the timeout applies at every
-``jobs`` value.  A session can also point at a running evaluation
-service (``repro serve``) instead of the local pool —
-``RunOptions(remote="http://host:8732", tenant="alice")`` routes
-``run_suite`` / ``sweep`` / ``fuzz`` / ``tune`` through
-:mod:`repro.serve` with byte-identical results.
+Every experiment runs its cells through
+:func:`repro.engine.pool.run_cached` with the session's cache and one
+*executor* built from ``jobs``, ``remote`` and ``tenant``: a
+:class:`~repro.engine.pool.LocalExecutor`, or with
+``RunOptions(remote="http://host:8732", tenant="alice")`` a
+:class:`~repro.serve.client.ServeClient`, so the cache misses run on a
+``repro serve`` fleet with byte-identical results.
 
 Entering the session installs the JSONL tracer (when ``trace`` is set)
 and enables the metrics registry (when ``metrics=True``); exiting
@@ -43,11 +42,12 @@ restores both, so observability state never leaks across sessions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dc_fields, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 from typing import Callable, Optional, Union
 
 from .core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
+from .engine.pool import LocalExecutor
 from .engine.suite import CacheLike, coerce_cache
 from .obs import metrics as _metrics
 from .obs import trace as _trace
@@ -71,8 +71,8 @@ class RunOptions:
     instance); ``cache_dir`` names the directory used when ``cache`` is
     True (None = ``.repro-cache/`` or ``$REPRO_CACHE_DIR``).  ``backend``
     is the execution backend (``"fast"``/``"reference"``; None defers to
-    ``$REPRO_BACKEND``, then ``"fast"``).  ``remote``/``tenant`` route
-    execution through a running ``repro serve`` instance.
+    ``$REPRO_BACKEND``, then ``"fast"``).  ``jobs`` or, when set,
+    ``remote``/``tenant`` choose the executor (:meth:`resolve_executor`).
     """
 
     jobs: int = 1
@@ -102,9 +102,15 @@ class RunOptions:
 
         return resolve_backend(self.backend)
 
+    def resolve_executor(self):
+        """The options' executor: a :class:`~repro.serve.ServeClient` for
+        ``remote``/``tenant`` when ``remote`` is set, else a
+        :class:`~repro.engine.pool.LocalExecutor` of ``jobs`` workers."""
+        if self.remote is None:
+            return LocalExecutor(self.jobs)
+        from .serve import ServeClient
 
-#: RunOptions field names, for legacy-kwarg mapping and validation.
-_OPTION_FIELDS = tuple(f.name for f in dc_fields(RunOptions))
+        return ServeClient(self.remote, tenant=self.tenant)
 
 
 def options_from_args(args) -> RunOptions:
@@ -175,12 +181,12 @@ class Session:
         opts = dc_replace(opts, backend=opts.resolve_backend())
         #: The session's default :class:`RunOptions`.
         self.options = opts
-        # The cache store is coerced once so its hit/miss counters (and
-        # identity, when an ArtifactCache instance was passed) persist
-        # across the session's experiments.
+        # The cache store and the executor are made once, so the store's
+        # hit/miss counters (and identity, when an ArtifactCache instance
+        # was passed) persist across the session's experiments.
         self._cache = opts.resolve_cache()
+        self._executor = opts.resolve_executor()
         self._tracer: Optional[_trace.Tracer] = None
-        self._client = None
 
     # -- option plumbing ---------------------------------------------------
 
@@ -205,16 +211,13 @@ class Session:
             return self._cache
         return opts.resolve_cache()
 
-    def _client_of(self, opts: RunOptions):
-        """*opts*' :class:`~repro.serve.ServeClient` (None when local)."""
-        if opts.remote is None:
-            return None
-        if opts.remote == self.options.remote \
-                and opts.tenant == self.options.tenant:
-            return self.client
-        from .serve import ServeClient
-
-        return ServeClient(opts.remote, tenant=opts.tenant)
+    def _executor_of(self, opts: RunOptions):
+        """*opts*' executor — the session's own whenever the executor
+        knobs (``jobs``, ``remote``, ``tenant``) are untouched."""
+        knobs = ("jobs", "remote", "tenant")
+        if all(getattr(opts, k) == getattr(self.options, k) for k in knobs):
+            return self._executor
+        return opts.resolve_executor()
 
     # -- legacy attribute surface (reads resolve through the options) ------
 
@@ -269,17 +272,6 @@ class Session:
         "reference" or "fast" (:mod:`repro.fastsim`)."""
         return self.options.backend
 
-    @property
-    def client(self):
-        """The session's :class:`~repro.serve.ServeClient` (remote only)."""
-        if self.remote is None:
-            return None
-        if self._client is None:
-            from .serve import ServeClient
-
-            self._client = ServeClient(self.remote, tenant=self.tenant)
-        return self._client
-
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "Session":
@@ -332,31 +324,17 @@ class Session:
                   max_steps: Optional[int] = None,
                   strict: Optional[bool] = None,
                   options: Optional[RunOptions] = None):
-        """Run the full suite through the session's cache and pool.
-
-        With ``remote=`` set (on the session or the per-call options),
-        the suite routes through the evaluation service instead
-        (byte-identical results; see
-        :func:`repro.serve.client.remote_run_suite`).
-        """
+        """Run the full suite through the session's cache and executor
+        (the evaluation service with ``remote=`` set, on the session or
+        the per-call options)."""
         opts = self._resolve(options, max_steps=max_steps, strict=strict)
-        if opts.remote is not None:
-            from .serve.client import remote_run_suite
-
-            return remote_run_suite(
-                self._client_of(opts), scale=scale, heur=self.heur,
-                benchmarks=benchmarks,
-                config_overrides=self.config_overrides or None,
-                progress=progress, max_steps=opts.max_steps,
-                timeout=opts.timeout, seed=seed,
-                backend=opts.resolve_backend())
         from .engine import suite as _suite
 
         return _suite.run_suite(
             scale=scale, heur=self.heur, benchmarks=benchmarks,
             config_overrides=self.config_overrides or None,
             progress=progress, max_steps=opts.max_steps,
-            strict=opts.strict, jobs=opts.jobs,
+            strict=opts.strict, executor=self._executor_of(opts),
             cache=self._cache_of(opts), timeout=opts.timeout,
             seed=seed, backend=opts.resolve_backend())
 
@@ -365,20 +343,13 @@ class Session:
               options: Optional[RunOptions] = None):
         """Evaluate a :class:`~repro.engine.sweep.SweepSpec` grid.
 
-        With ``remote=`` set, every point's suite rides the service
+        With ``remote=`` set, every point's misses ride the service
         queue (overlapping points and tenants share executions).
         """
         opts = self._resolve(options)
-        if opts.remote is not None:
-            from .serve.client import remote_run_sweep
-
-            return remote_run_sweep(self._client_of(opts), spec,
-                                    progress=progress,
-                                    timeout=opts.timeout,
-                                    backend=opts.resolve_backend())
         from .engine import sweep as _sweep
 
-        return _sweep.run_sweep(spec, jobs=opts.jobs,
+        return _sweep.run_sweep(spec, executor=self._executor_of(opts),
                                 cache=self._cache_of(opts),
                                 progress=progress, timeout=opts.timeout,
                                 backend=opts.resolve_backend())
@@ -389,23 +360,17 @@ class Session:
         """Run a differential fuzzing campaign.
 
         Pass a full :class:`~repro.qa.campaign.CampaignConfig` as *cfg*,
-        or keyword fields for one — the session supplies ``jobs`` and
-        ``cache`` unless overridden.
+        or keyword fields for one — the session supplies ``cache``
+        unless overridden.  The misses run on the session's executor.
         """
         from .qa import campaign as _campaign
 
         opts = self._resolve(options)
         if cfg is None:
-            kw.setdefault("jobs", opts.jobs)
             kw.setdefault("cache", self._cache_of(opts))
             cfg = _campaign.CampaignConfig(**kw)
-        executor = None
-        if opts.remote is not None:
-            from .serve.client import remote_fuzz_executor
-
-            executor = remote_fuzz_executor(self._client_of(opts))
         return _campaign.run_campaign(cfg, progress=progress,
-                                      executor=executor)
+                                      executor=self._executor_of(opts))
 
     def tune(self, spec, *,
              progress: Optional[Callable[[str], None]] = None,
@@ -413,16 +378,16 @@ class Session:
         """Run a closed-loop heuristic search (see :mod:`repro.tune`).
 
         Candidates are evaluated as ordinary cached engine cells through
-        the session's cache/pool — or, with ``remote=`` set, submitted
-        to the evaluation service in per-round batches.  Returns a
+        the session's cache and executor, one batch per round (one
+        service job per round with ``remote=`` set).  Returns a
         :class:`~repro.tune.TuneResult`.
         """
         from .tune import run_tune
 
         opts = self._resolve(options)
-        return run_tune(spec, cache=self._cache_of(opts), jobs=opts.jobs,
+        return run_tune(spec, cache=self._cache_of(opts),
+                        executor=self._executor_of(opts),
                         backend=opts.resolve_backend(),
-                        client=self._client_of(opts),
                         timeout=opts.timeout, progress=progress)
 
     def spectre(self, prog, *, sew: Optional[int] = None,

@@ -12,13 +12,14 @@ run, turned into a proper execution engine:
   benchmark × scheme cell) and :func:`~repro.engine.cells.execute_cell`,
   the only code that runs one, with crash containment, retry, and an
   optional per-attempt timeout;
-* :mod:`~repro.engine.pool` — process-pool fan-out with an in-process
-  path at ``jobs=1`` and worker-death recovery;
+* :mod:`~repro.engine.pool` — :func:`~repro.engine.pool.run_cached`,
+  the one cached loop every batch of cells runs through, and
+  :class:`~repro.engine.pool.LocalExecutor` (in-process at ``jobs=1``,
+  a process pool with worker-death recovery above);
 * :mod:`~repro.engine.suite` — the cached suite runner behind
-  ``Session.run_suite``/``run_benchmark``: cache misses, and only
-  those, go to the pool at every ``jobs`` value;
+  ``Session.run_suite``/``run_benchmark``;
 * :mod:`~repro.engine.sweep` — declarative cartesian design-space sweeps
-  reusing the same cache and pool.
+  through the suite runner.
 
 A warm cache makes ``python -m repro tables`` perform **zero** compiles
 and simulations (assert via :data:`~repro.engine.cells.COUNTERS`); a cold
@@ -28,24 +29,26 @@ docs/ENGINE.md for the cache layout and invalidation rules.
 
 from .cache import ArtifactCache, CacheCounters, default_cache_dir
 from .cells import (
-    CELL_RETRIES, COUNTERS, SCHEME_PLAN, CellSpec, CellTimeout,
+    CELL_RETRIES, CELLS, COUNTERS, SCHEME_PLAN, CellSpec, CellTimeout,
     EngineCounters, execute_cell,
 )
 from .keys import (
     SCHEMA_VERSION, canonical, canonical_json, cell_key, digest,
     program_digest, program_fingerprint,
 )
-from .pool import PoolDecision, execution_mode, run_cells, run_tasks
+from .pool import (
+    CellKind, LocalExecutor, PoolDecision, execution_mode, run_cached,
+)
 from .suite import coerce_cache, run_suite
 from .sweep import SweepSpec, grid_from_dict, run_sweep
 
 __all__ = [
     "ArtifactCache", "CacheCounters", "default_cache_dir",
-    "CELL_RETRIES", "COUNTERS", "SCHEME_PLAN", "CellSpec", "CellTimeout",
-    "EngineCounters", "execute_cell",
+    "CELL_RETRIES", "CELLS", "COUNTERS", "SCHEME_PLAN", "CellSpec",
+    "CellTimeout", "EngineCounters", "execute_cell",
     "SCHEMA_VERSION", "canonical", "canonical_json", "cell_key", "digest",
     "program_digest", "program_fingerprint",
-    "PoolDecision", "execution_mode", "run_cells", "run_tasks",
-    "coerce_cache", "run_suite",
+    "CellKind", "LocalExecutor", "PoolDecision", "execution_mode",
+    "run_cached", "coerce_cache", "run_suite",
     "SweepSpec", "grid_from_dict", "run_sweep",
 ]

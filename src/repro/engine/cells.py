@@ -9,7 +9,8 @@ a cell (the program travels as printed assembly + data tables, because
 suite at every ``jobs`` value, ``Session.run_benchmark`` and the ingest
 goldens, and inside pool workers, serve workers and tune.
 :func:`cell_grid` builds a suite's specs and their cache keys for the
-suite runner, the serve client and tune alike.
+suite runner, the serve client and tune alike, and :data:`CELLS` is the
+cell kind every executor runs them as (:mod:`repro.engine.pool`).
 
 Containment: a cell that raises is retried once, then reported as a
 failed :class:`~repro.eval.runner.SchemeResult` the tables render as
@@ -33,6 +34,7 @@ from __future__ import annotations
 import ctypes
 import threading
 import traceback
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -48,6 +50,7 @@ from ..sim.functional import ExecStats, FunctionalSim
 from ..sim.pipeline import TimingSim
 from ..sim.stats import SimStats
 from .keys import KeyMemo, cell_key, program_digest
+from .pool import CellKind
 
 #: The paper's three schemes — plus the speculative-safety variant of the
 #: proposed one (PR 6) and the branch-melding variant (``melded``: arms
@@ -415,3 +418,42 @@ def execute_cell(spec: CellSpec, program: Optional[Program] = None,
         return SchemeResult(spec.benchmark, spec.scheme,
                             failure=_short_reason(last),
                             failure_detail=detail)
+
+
+def execute_cells(specs: list[CellSpec],
+                  programs: Optional[dict[str, Program]] = None) -> list:
+    """Run *specs* in this process; one ``SchemeResult`` per spec, in order.
+
+    Each benchmark's cells share one :class:`BenchmarkMemo`; *programs*
+    maps benchmark name to the caller's built program (a missing one is
+    built once per payload by the memo).
+    """
+    memos: dict[str, BenchmarkMemo] = defaultdict(BenchmarkMemo)
+    out = []
+    for spec in specs:
+        prog = (programs or {}).get(spec.benchmark)
+        out.append(execute_cell(spec, program=prog,
+                                memo=memos[spec.benchmark]))
+    return out
+
+
+def _encode_cell(result) -> dict:
+    """A ``SchemeResult``'s payload."""
+    return result.to_dict()
+
+
+def _decode_cell(payload: dict):
+    """The ``SchemeResult`` of a payload."""
+    from ..eval.runner import SchemeResult
+
+    return SchemeResult.from_dict(payload)
+
+
+def cell_ok(payload: dict) -> bool:
+    """Whether an evaluation-cell payload may be cached: no failure."""
+    return payload.get("failure") is None
+
+
+#: Evaluation cells as an executor runs them (see :class:`CellKind`).
+CELLS = CellKind("cells", run=execute_cells, ok=cell_ok,
+                 encode=_encode_cell, decode=_decode_cell)

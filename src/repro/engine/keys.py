@@ -45,7 +45,11 @@ from ..sim.config import MachineConfig
 #: v5: the melded scheme — meld knobs on FeedbackHeuristics (folded into
 #: keys via canonical()), melds_applied in CompileResult payloads
 #: (serde v4, serve protocol v3 — bumped in lockstep).
-SCHEMA_VERSION = 5
+#: v6: speculation renames a hoisted write whose register an earlier,
+#: left-behind instruction also writes.  Fuzz verdicts cached under v5
+#: recorded the miscompile; no payload shape or wire field changed, so
+#: serde stays at v4 and the serve protocol at v3.
+SCHEMA_VERSION = 6
 
 
 def canonical(obj: Any) -> Any:

@@ -1,47 +1,75 @@
-"""Process-pool fan-out for independent evaluation cells.
+"""The one cached loop every batch of cells runs through, and executors.
 
-:func:`run_cells` executes a list of :class:`~repro.engine.cells.CellSpec`
-and returns one :class:`~repro.eval.runner.SchemeResult` per spec, in
-input order.  With ``jobs <= 1`` it runs everything in the calling
-process, sharing profiles, compiles and simulations across each
-benchmark's cells (one :class:`~repro.engine.cells.BenchmarkMemo` per
-benchmark) with no serialization at all; with ``jobs > 1`` it fans out
-over a :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
-send each result back as its ``to_dict`` payload.
+:func:`run_cached` runs a suite's grid, a fuzz campaign and a tune round
+alike: it probes the artifact cache once per distinct key, hands only
+the misses to an *executor* in one batch, and stores only fresh results
+that pass their kind's success test.  An executor's
+``run(kind, cells, programs)`` returns results in input order:
 
-Crash containment extends into the worker path: a Python exception inside
-a worker is contained by :func:`~repro.engine.cells.execute_cell` itself
-(retry once, then a ``FAIL(...)`` result).  If a worker *process* dies
-(OOM kill, interpreter abort), every in-flight and unstarted cell's
-future raises — those cells are transparently re-run in the parent
-process with the same containment, so one dead worker degrades throughput,
-never results.
+* :class:`LocalExecutor` runs in the calling process at ``jobs=1``
+  through the kind's batch function (one
+  :class:`~repro.engine.cells.BenchmarkMemo` per benchmark on the
+  caller's built programs for evaluation cells, no serialization), and
+  above that over a :class:`~concurrent.futures.ProcessPoolExecutor`
+  whose workers send each result back as its payload.  A Python
+  exception is contained by the kind's own code; a spec whose worker
+  *process* died (OOM kill, interpreter abort) is re-run in the parent,
+  so a dead worker degrades throughput, never results;
+* :class:`repro.serve.client.ServeClient` sends the batch to a running
+  ``repro serve`` instance as one job.
 
-Oversubscription guard
-----------------------
-Spawning more workers than the machine has CPUs is a *slowdown*, not a
-speedup: process startup plus import cost is paid per worker while the
-workers time-slice one another (observed as ``speedup_parallel_over_cold
-< 1.0`` in BENCH_engine.json on a 1-CPU box).  :func:`execution_mode`
-therefore clamps the worker count to ``min(jobs, n_items, cpu_count)``
-and falls back to serial execution when the clamp leaves a single worker.
-The decision (mode, workers, and why) is recorded in
-:data:`LAST_DECISION` so benchmarks and the CLI can report which path
-actually ran.  Set ``REPRO_POOL_FORCE=1`` to bypass the CPU clamp (e.g.
-for I/O-bound custom tasks or pool testing on small boxes).
+A :class:`CellKind` — :data:`repro.engine.cells.CELLS` or
+:data:`repro.qa.cells.FUZZ` — declares once how its specs run, how a
+result becomes a JSON payload and back, and which payloads are
+successes; the serve worker reads the same declarations.
+
+Oversubscription guard: more workers than CPUs is a slowdown (process
+startup and imports per worker, time-sliced), so :func:`execution_mode`
+clamps the worker count to ``min(jobs, n_items, cpu_count)`` and runs
+in-process when that leaves one worker, recording the decision in
+:data:`LAST_DECISION`.  ``REPRO_POOL_FORCE=1`` bypasses the CPU clamp
+(e.g. for pool testing on small boxes).
 """
 
 from __future__ import annotations
 
 import os
-from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from ..isa.program import Program
 from ..obs.metrics import REGISTRY
-from .cells import BenchmarkMemo, CellSpec, execute_cell
+
+
+def _identity(payload):
+    """A result that already is its JSON payload."""
+    return payload
+
+
+@dataclass(frozen=True)
+class CellKind:
+    """One kind of cell: how its specs run and which results are kept.
+
+    ``run(specs, programs)`` executes a batch in the calling process and
+    returns one result per spec; *programs* optionally maps benchmark
+    name to an already-built program.  ``encode``/``decode`` convert a
+    result to its JSON payload and back, and ``ok(payload)`` is the
+    success test: only payloads that pass it are ever cached.  Every
+    field is a module-level function, so a kind pickles into pool
+    workers by reference.
+    """
+
+    name: str                  # the serve protocol's job kind
+    run: Callable
+    ok: Callable[[dict], bool]
+    encode: Callable = _identity
+    decode: Callable = _identity
+
+    def execute(self, spec) -> dict:
+        """Run one spec by itself; returns its payload (pool and serve
+        workers)."""
+        return self.encode(self.run([spec], None)[0])
 
 
 @dataclass(frozen=True)
@@ -93,101 +121,75 @@ def execution_mode(jobs: int, n_items: int) -> PoolDecision:
     return decision
 
 
-def _execute_payload(spec: CellSpec) -> dict:
-    """Pool-worker entry: run one cell and serialize its result."""
-    return execute_cell(spec).to_dict()
-
-
-def _run_serial(specs: list[CellSpec],
-                programs: Optional[dict[str, Program]] = None) -> list:
-    """In-process execution: one :class:`BenchmarkMemo` per benchmark.
-
-    The memo keys every compile by input program, kind, heuristics, step
-    budget and backend, so :mod:`repro.tune`'s batches of *different*
-    candidate vectors of one benchmark never share a compile — only the
-    profiles and simulations their inputs determine.  A benchmark missing
-    from *programs* is built once per payload by the memo.
-    """
-    memos: dict[str, BenchmarkMemo] = defaultdict(BenchmarkMemo)
-    out = []
-    for spec in specs:
-        prog = (programs or {}).get(spec.benchmark)
-        out.append(execute_cell(spec, program=prog,
-                                memo=memos[spec.benchmark]))
-    return out
-
-
-def run_cells(specs: list[CellSpec], jobs: int = 1,
-              programs: Optional[dict[str, Program]] = None) -> list:
-    """Execute all *specs*; returns one ``SchemeResult`` per spec, in order.
-
-    *programs* optionally maps benchmark name to an already-built
-    :class:`Program`, short-circuiting deserialization on the in-process
-    path (worker processes always rebuild from the spec payload).
+class LocalExecutor:
+    """Runs batches in this process, or over *jobs* worker processes.
 
     Worker count follows :func:`execution_mode`: oversubscribed requests
-    (more jobs than CPUs can absorb) fall back to serial execution.
+    (more jobs than CPUs can absorb) run in-process.
     """
-    decision = execution_mode(jobs, len(specs))
-    if decision.workers <= 1:
-        return _run_serial(specs, programs)
 
-    from ..eval.runner import SchemeResult
+    def __init__(self, jobs: int = 1):
+        self.jobs = jobs
 
-    results: list = [None] * len(specs)
-    redo: list[int] = []
-    try:
-        with ProcessPoolExecutor(max_workers=decision.workers) as ex:
-            futures = [ex.submit(_execute_payload, spec) for spec in specs]
-            for i, fut in enumerate(futures):
-                try:
-                    results[i] = SchemeResult.from_dict(fut.result())
-                except Exception:  # noqa: BLE001 - worker died; re-run here
-                    redo.append(i)
-    except Exception:  # noqa: BLE001 - executor setup/teardown failure
-        redo.extend(i for i in range(len(specs))
-                    if results[i] is None and i not in redo)
-    if redo:
-        redone = _run_serial([specs[i] for i in redo], programs)
-        for i, cell in zip(redo, redone):
-            results[i] = cell
-    return [r if r is not None else _run_serial([specs[i]], programs)[0]
-            for i, r in enumerate(results)]
+    def run(self, kind: CellKind, cells: list,
+            programs: Optional[dict] = None) -> list:
+        """Results of the ``[(key, spec)]`` *cells*, in input order."""
+        specs = [spec for _, spec in cells]
+        decision = execution_mode(self.jobs, len(specs))
+        if decision.workers <= 1:
+            return kind.run(specs, programs)
+        results: list = [None] * len(specs)
+        with suppress(Exception):  # pool setup/teardown failure
+            with ProcessPoolExecutor(max_workers=decision.workers) as ex:
+                futures = [ex.submit(kind.execute, spec) for spec in specs]
+                for i, fut in enumerate(futures):
+                    with suppress(Exception):  # its worker process died
+                        results[i] = kind.decode(fut.result())
+        redo = [i for i, result in enumerate(results) if result is None]
+        for i, result in zip(redo, kind.run([specs[i] for i in redo],
+                                            programs)):
+            results[i] = result
+        return results
+
+    def __repr__(self) -> str:
+        return f"LocalExecutor(jobs={self.jobs})"
 
 
-def run_tasks(fn: Callable, payloads: Sequence, jobs: int = 1) -> list:
-    """Generic fan-out: ``[fn(p) for p in payloads]``, optionally parallel.
+def run_cached(kind: CellKind, cells: list, executor=None, store=None,
+               programs: Optional[dict] = None,
+               progress: Optional[Callable[[str], None]] = None
+               ) -> tuple[list, int, int]:
+    """Results of the ``[(key, spec)]`` *cells*, in order, via the cache.
 
-    The engine-grade sibling of :func:`run_cells` for work units that are
-    not (benchmark, scheme) cells — e.g. :mod:`repro.qa` fuzz cells.  *fn*
-    must be a module-level picklable callable and each payload picklable;
-    containment of Python-level exceptions is *fn*'s own responsibility
-    (fuzz cells return failure payloads, as
-    :func:`~repro.engine.cells.execute_cell` returns failed results).
-    Worker-process death is handled here exactly like :func:`run_cells`:
-    the affected payloads are transparently re-executed in the calling
-    process, so a dead worker degrades throughput, never results.  Worker
-    count follows :func:`execution_mode` (oversubscribed requests run
-    serially).
+    Each distinct key is probed once in *store* (an
+    :class:`~repro.engine.cache.ArtifactCache`, or None); the misses go
+    to *executor* (a :class:`LocalExecutor` when None) in one batch, and
+    not at all when there are none.  A fresh result is stored only when
+    its payload passes ``kind.ok``.  Cells sharing a key share one
+    result.  Returns ``(results, hits, executed)``, both counts over
+    distinct keys.
     """
-    decision = execution_mode(jobs, len(payloads))
-    if decision.workers <= 1:
-        return [fn(p) for p in payloads]
-
-    results: list = [None] * len(payloads)
-    filled = [False] * len(payloads)
-    try:
-        with ProcessPoolExecutor(max_workers=decision.workers) as ex:
-            futures = [ex.submit(fn, p) for p in payloads]
-            for i, fut in enumerate(futures):
-                try:
-                    results[i] = fut.result()
-                    filled[i] = True
-                except Exception:  # noqa: BLE001 - worker died; re-run here
-                    pass
-    except Exception:  # noqa: BLE001 - executor setup/teardown failure
-        pass
-    for i, done in enumerate(filled):
-        if not done:
-            results[i] = fn(payloads[i])
-    return results
+    found: dict = {}
+    misses: dict = {}
+    for key, spec in cells:
+        if key in found or key in misses:
+            continue
+        payload = store.get(key) if store is not None else None
+        if payload is not None:
+            found[key] = kind.decode(payload)
+        else:
+            misses[key] = spec
+    hits = len(found)
+    if progress:
+        progress(f"{len(cells)} cells: {hits} cached, "
+                 f"{len(misses)} to run")
+    if misses:
+        executor = executor if executor is not None else LocalExecutor()
+        fresh = executor.run(kind, list(misses.items()), programs)
+        for key, result in zip(misses, fresh):
+            found[key] = result
+            if store is not None:
+                payload = kind.encode(result)
+                if kind.ok(payload):
+                    store.put(key, payload)
+    return [found[key] for key, _ in cells], hits, len(misses)

@@ -6,16 +6,16 @@ Gušev and the fetch-rate sweeps of Ramachandran & Johnson in PAPERS.md).
 :class:`SweepSpec` describes a cartesian product over workload scale
 factors, machine-configuration fields (issue widths, queue sizes, ...),
 and feedback-heuristic thresholds; :func:`run_sweep` evaluates every
-point through the same artifact cache and process pool as the suite
-runner and emits one flat JSON-serializable record per (point, benchmark,
-scheme) cell.
+point through the suite runner — the same artifact cache and executor,
+local or remote — and emits one flat JSON-serializable record per
+(point, benchmark, scheme) cell.
 
 Example::
 
     spec = SweepSpec(scales=(0.1, 0.3),
                      config_grid={"fetch_width": (2, 4, 8)},
                      heur_grid={"speculation_bias": (0.5, 0.65, 0.8)})
-    records = run_sweep(spec, jobs=4, cache=True)
+    records = run_sweep(spec, executor=LocalExecutor(jobs=4), cache=True)
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def _cell_record(point: dict, name: str, cell) -> dict:
     return rec
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1, cache: CacheLike = None,
+def run_sweep(spec: SweepSpec, executor=None, cache: CacheLike = None,
               progress: Optional[Callable[[str], None]] = None,
               timeout: Optional[float] = None,
               backend: Optional[str] = None) -> list[dict]:
@@ -148,8 +148,10 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, cache: CacheLike = None,
     Each point reuses the suite engine, so the artifact cache deduplicates
     across points (e.g. the 2bitBP baseline of a config point is shared by
     every heuristic variation, which only changes the Proposed cells) and
-    across repeated sweep invocations.  Each point emits a ``sweep.point``
-    tracing span carrying the point's scale/config/heur attributes.
+    across repeated sweep invocations; *executor* runs each point's
+    misses, as for :func:`~repro.engine.suite.run_suite`.  Each point
+    emits a ``sweep.point`` tracing span carrying the point's
+    scale/config/heur attributes.
     """
     spec.validate()
     records: list[dict] = []
@@ -169,7 +171,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, cache: CacheLike = None,
                             if n in spec.benchmarks}
             runs = run_suite(benchmarks=programs, heur=heur,
                              config_overrides=point["config"],
-                             max_steps=spec.max_steps, jobs=jobs,
+                             max_steps=spec.max_steps, executor=executor,
                              cache=cache, timeout=timeout, backend=backend)
         for name, run in runs.items():
             for cell in run.results.values():

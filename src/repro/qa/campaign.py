@@ -3,8 +3,10 @@
 :func:`run_campaign` drives the whole loop:
 
 1. expand the strategy lattice into *budget* deterministic fuzz cells;
-2. resolve each cell against the :mod:`repro.engine` artifact cache and
-   fan the misses out over :func:`repro.engine.pool.run_tasks`;
+2. run them through :func:`repro.engine.pool.run_cached`: each cell is
+   resolved against the :mod:`repro.engine` artifact cache, the misses
+   go to the executor (the local pool or a serve fleet), and only
+   verdicts without a cell error are stored;
 3. shrink every divergence to a minimal reproducer (delta debugging at
    block then instruction granularity, re-running the failing scheme's
    oracle at each step) and write it into the triage-bucketed corpus;
@@ -22,8 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from ..core import serde
-from ..engine.cache import ArtifactCache
-from ..engine.pool import run_tasks
+from ..engine.pool import run_cached
 from ..engine.suite import CacheLike, coerce_cache
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span as obs_span
@@ -31,14 +32,10 @@ from ..isa.printer import format_program
 from ..isa.program import Program
 from ..robust.diffcheck import check_equivalence
 from . import cells as _cells
-from .cells import FUZZ_MAX_STEPS, FuzzCellSpec, fuzz_cell_key
+from .cells import FUZZ, FUZZ_MAX_STEPS, FuzzCellSpec, fuzz_cell_key
 from .shrink import DEFAULT_ORACLE_BUDGET, shrink_program
 from .strategies import FuzzStrategy, campaign_plan, select_strategies
 from .triage import TriageEntry, triage_cell_error, triage_divergence
-
-#: Hard floor/ceiling applied to a campaign budget by the CLI.
-MIN_BUDGET = 1
-
 
 @dataclass
 class CampaignConfig:
@@ -46,7 +43,6 @@ class CampaignConfig:
 
     budget: int = 100
     seed: int = 0
-    jobs: int = 1
     shrink: bool = True
     strategies: Optional[Sequence[str]] = None   # lattice names; None = all
     max_steps: int = FUZZ_MAX_STEPS
@@ -188,17 +184,15 @@ def _shrink_entry(entry: TriageEntry, prog: Program,
 
 def run_campaign(cfg: CampaignConfig,
                  progress: Optional[Callable[[str], None]] = None,
-                 executor: Optional[Callable] = None) -> CampaignResult:
+                 executor=None) -> CampaignResult:
     """Run one differential fuzzing campaign; see the module docstring.
 
-    *executor*, when given, replaces the local process pool for the
-    cache-miss cells: ``executor(specs) -> payloads`` (same order).
-    :func:`repro.serve.client.remote_fuzz_executor` plugs a service
-    fleet in here; generation, triage, and shrinking stay local either
-    way.
+    *executor* runs the cache-miss cells (None = a
+    :class:`~repro.engine.pool.LocalExecutor` at ``jobs=1``; a
+    :class:`~repro.serve.client.ServeClient` plugs a service fleet in);
+    generation, triage, and shrinking stay local either way.
     """
-    with obs_span("fuzz.campaign", budget=cfg.budget, seed=cfg.seed,
-                  jobs=cfg.jobs) as sp:
+    with obs_span("fuzz.campaign", budget=cfg.budget, seed=cfg.seed) as sp:
         result = _run_campaign_inner(cfg, progress, executor)
         sp.set("divergences", result.summary.divergences)
         sp.set("cell_errors", result.summary.cell_errors)
@@ -211,37 +205,14 @@ def run_campaign(cfg: CampaignConfig,
 
 def _run_campaign_inner(cfg: CampaignConfig,
                         progress: Optional[Callable[[str], None]] = None,
-                        executor: Optional[Callable] = None,
-                        ) -> CampaignResult:
+                        executor=None) -> CampaignResult:
     """Campaign body (split out so the span wraps it whole)."""
     strategies: tuple[FuzzStrategy, ...] = select_strategies(cfg.strategies)
     plan = list(campaign_plan(cfg.budget, cfg.seed, strategies))
     specs = [FuzzCellSpec(s.name, seed, cfg.max_steps) for s, seed in plan]
-
-    store: Optional[ArtifactCache] = coerce_cache(cfg.cache)
-    payloads: list[Optional[dict]] = [None] * len(specs)
-    keys: list[Optional[str]] = [None] * len(specs)
-    misses: list[int] = []
-    for i, spec in enumerate(specs):
-        if store is not None:
-            keys[i] = fuzz_cell_key(spec)
-            payloads[i] = store.get(keys[i])
-        if payloads[i] is None:
-            misses.append(i)
-    if progress:
-        progress(f"{len(specs)} cells: {len(specs) - len(misses)} cached, "
-                 f"{len(misses)} to run (jobs={cfg.jobs})")
-
-    miss_specs = [specs[i] for i in misses]
-    if executor is not None:
-        fresh = executor(miss_specs)
-    else:
-        fresh = run_tasks(_cells.execute_fuzz_cell, miss_specs,
-                          jobs=cfg.jobs)
-    for i, payload in zip(misses, fresh):
-        payloads[i] = payload
-        if store is not None and keys[i] is not None:
-            store.put(keys[i], payload)
+    payloads, _, _ = run_cached(
+        FUZZ, [(fuzz_cell_key(spec), spec) for spec in specs], executor,
+        coerce_cache(cfg.cache), progress=progress)
 
     summary = CampaignSummary(budget=cfg.budget, seed=cfg.seed,
                               strategies=[s.name for s in strategies])

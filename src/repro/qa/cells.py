@@ -6,8 +6,8 @@ run of the original (:func:`repro.robust.diffcheck.run_reference`).  The
 cell result is a plain JSON dict, so it rides the :mod:`repro.engine`
 machinery unchanged: :func:`fuzz_cell_key` derives a content-addressed
 cache key (strategy config + seed + scheme plan + schema version) and
-:func:`execute_fuzz_cell` is a module-level callable the process pool
-can pickle.
+:data:`FUZZ` is the cell kind every executor (the process pool, a serve
+worker) runs it as, cached only when no cell error occurred.
 
 The program itself never travels in the payload — it is regenerated from
 ``(strategy, seed)`` on demand (shrinking does this in the parent), which
@@ -24,6 +24,7 @@ from ..core.pipeline import (
     CompileResult, compile_baseline, compile_variant,
 )
 from ..engine.keys import SCHEMA_VERSION, digest
+from ..engine.pool import CellKind
 from ..isa.program import Program
 from ..obs.trace import span as obs_span
 from ..profilefb.profiledb import ProfileDB
@@ -161,3 +162,20 @@ def execute_fuzz_cell(spec: FuzzCellSpec) -> dict:
             return {**base, "schemes": {}, "divergent": [],
                     "error": f"{type(exc).__name__}: {exc}",
                     "error_detail": detail}
+
+
+def run_fuzz_cells(specs: list[FuzzCellSpec],
+                   programs: Optional[dict] = None) -> list[dict]:
+    """Run *specs* in this process, in order (each cell regenerates its
+    own program, so *programs* is unused)."""
+    return [execute_fuzz_cell(spec) for spec in specs]
+
+
+def fuzz_ok(payload: dict) -> bool:
+    """Whether a fuzz verdict may be cached: no cell error."""
+    return payload.get("error") is None
+
+
+#: Fuzz cells as an executor runs them (see
+#: :class:`~repro.engine.pool.CellKind`); a verdict is its own payload.
+FUZZ = CellKind("fuzz", run=run_fuzz_cells, ok=fuzz_ok)

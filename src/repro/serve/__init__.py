@@ -12,23 +12,23 @@ Server side::
     with EvalServer(ServeConfig(port=0, workers=4)) as server:
         print(server.url)          # e.g. http://127.0.0.1:43121
 
-Client side::
+Client side — a :class:`ServeClient` is an executor, so any engine entry
+point runs its cache misses on the fleet::
 
-    from repro.serve import ServeClient, remote_run_suite
+    from repro.engine import run_suite
+    from repro.serve import ServeClient
     client = ServeClient("http://127.0.0.1:43121", tenant="alice")
-    runs = remote_run_suite(client, scale=0.1)   # == run_suite(scale=0.1)
+    runs = run_suite(scale=0.1, executor=client)   # == run_suite(scale=0.1)
 
 or, one level up, ``Session(remote="http://...", tenant="alice")`` from
-:mod:`repro.api` routes ``run_suite`` / ``sweep`` / ``fuzz`` through the
-service with byte-identical results.
+:mod:`repro.api` runs ``run_suite`` / ``sweep`` / ``fuzz`` / ``tune``
+through the service with byte-identical results, probing the local
+cache first.
 
 See ``docs/SERVICE.md`` for the architecture and the wire protocol.
 """
 
-from .client import (Backpressure, ServeClient, ServeError,
-                     remote_cell_executor, remote_fuzz_executor,
-                     remote_run_suite,
-                     remote_run_sweep, suite_cells)
+from .client import Backpressure, ServeClient, ServeError, suite_cells
 from .protocol import PROTOCOL_VERSION, ProtocolError
 from .queue import MAX_CELL_ATTEMPTS, Job, JobQueue
 from .ratelimit import RateLimiter, TokenBucket
@@ -47,8 +47,5 @@ __all__ = [
     "Worker", "WorkerFleet",
     "EvalServer", "ServeConfig", "DEFAULT_RATE", "DEFAULT_BURST",
     "serve_forever",
-    "ServeClient", "ServeError", "Backpressure",
-    "remote_run_suite", "remote_run_sweep", "remote_fuzz_executor",
-    "remote_cell_executor",
-    "suite_cells",
+    "ServeClient", "ServeError", "Backpressure", "suite_cells",
 ]

@@ -1,23 +1,22 @@
-"""Client side of the evaluation service: HTTP access + remote runners.
+"""Client side of the evaluation service: HTTP access and the remote
+executor.
 
 :class:`ServeClient` wraps the wire protocol (submission with
 backpressure-aware retry, long-polled JSONL result streaming, job and
-stats queries).  On top of it, :func:`remote_run_suite`,
-:func:`remote_run_sweep`, and :func:`remote_fuzz_executor` reproduce the
-local engine entry points **byte-identically**:
+stats queries), and is itself an executor for
+:func:`repro.engine.pool.run_cached`: its :meth:`ServeClient.run` sends
+one batch of cache misses as one job and returns the decoded results in
+input order.  Passing a client as the executor of ``run_suite``,
+``run_sweep``, ``run_campaign`` or ``run_tune`` — or setting
+``Session(remote=...)`` — therefore runs the same specs under the same
+content-addressed keys as a local run, and the results are
+**byte-identical** (``tests/serve/test_remote_parity.py``):
 
-* the client builds the same programs, :class:`CellSpec`\\ s, and
-  content-addressed cell keys the local engine would build;
-* the server executes each unique cell through the same
-  :func:`~repro.engine.cells.execute_cell` containment;
-* the client reassembles :class:`~repro.eval.runner.BenchmarkRun`
-  objects from the returned payloads exactly like
-  :mod:`repro.engine.suite` does from cache hits.
-
-Because keys are content-addressed and process-independent, a result
-computed remotely is indistinguishable from one computed locally — which
-is the property ``Session(remote=...)`` advertises and
-``tests/serve/test_service_e2e.py`` asserts.
+* the client builds the same programs, specs and keys the local engine
+  would build, and probes the local cache first;
+* the server executes each unique cell through the kind's own code
+  (:func:`~repro.engine.cells.execute_cell` for evaluation cells);
+* failures are delivered but stored nowhere, locally or on the server.
 
 Backpressure: a 429 response carries ``retry_after_s``; the client
 sleeps exactly that long (bounded) and retries up to
@@ -33,7 +32,7 @@ import urllib.error
 import urllib.request
 from typing import Callable, Optional
 
-from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
+from ..core.heuristics import FeedbackHeuristics
 from ..engine.cells import CellSpec, cell_grid
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span as obs_span
@@ -177,8 +176,28 @@ class ServeClient:
         job = self.submit_cells(cells, kind=kind)
         return dict(self.results(job["job_id"]))
 
+    # -- executor interface --------------------------------------------------
 
-# -- remote engine entry points --------------------------------------------
+    def run(self, kind, cells: list, programs: Optional[dict] = None
+            ) -> list:
+        """Run ``[(key, spec)]`` *cells* of one cell *kind* as one job.
+
+        The executor interface of :func:`repro.engine.pool.run_cached`:
+        returns the decoded results in input order.  *programs* is
+        unused (specs carry their programs).
+        """
+        batch = [(key, protocol.spec_to_payload(kind.name, spec))
+                 for key, spec in cells]
+        with obs_span("serve.client.batch", tenant=self.tenant,
+                      kind=kind.name, cells=len(batch)):
+            payloads = self.run_cells(batch, kind=kind.name)
+        return [kind.decode(payloads[key]) for key, _ in cells]
+
+    def __repr__(self) -> str:
+        return f"ServeClient({self.base_url!r}, tenant={self.tenant!r})"
+
+
+# -- suite grid ------------------------------------------------------------
 
 def suite_cells(programs: dict, heur: FeedbackHeuristics,
                 config_overrides: Optional[dict], max_steps: int,
@@ -196,121 +215,3 @@ def suite_cells(programs: dict, heur: FeedbackHeuristics,
             for name, scheme, spec, key in cell_grid(
                 programs, heur, config_overrides, max_steps, backend,
                 timeout=timeout)]
-
-
-def remote_run_suite(client: ServeClient, scale: float = 1.0,
-                     heur: FeedbackHeuristics = DEFAULT_HEURISTICS,
-                     benchmarks: Optional[dict] = None,
-                     config_overrides: Optional[dict] = None,
-                     progress: Optional[Callable[[str], None]] = None,
-                     max_steps: int = 50_000_000,
-                     timeout: Optional[float] = None,
-                     seed: Optional[int] = None,
-                     backend: Optional[str] = None) -> dict:
-    """The service-backed twin of :func:`repro.engine.suite.run_suite`.
-
-    Same signature surface, same return shape (``{name:
-    BenchmarkRun}``), byte-identical cells — execution just happens on
-    the other side of the wire, deduplicated fleet-wide.
-    """
-    from ..eval.runner import BenchmarkRun, SchemeResult
-    from ..fastsim.backend import resolve_backend
-    from ..workloads import benchmark_programs
-
-    backend = resolve_backend(backend)
-    programs = benchmarks if benchmarks is not None \
-        else benchmark_programs(scale, seed=seed)
-    with obs_span("serve.client.suite", scale=scale, tenant=client.tenant,
-                  benchmarks=len(programs), backend=backend):
-        grid = suite_cells(programs, heur, config_overrides, max_steps,
-                           timeout, backend=backend)
-        if progress:
-            progress(f"submitting {len(grid)} cells to {client.base_url} "
-                     f"as tenant {client.tenant!r}")
-        payloads = client.run_cells([(key, payload)
-                                     for _, _, key, _, payload in grid])
-        runs: dict[str, BenchmarkRun] = {}
-        for name, scheme, key, _, _ in grid:
-            run = runs.setdefault(name, BenchmarkRun(name=name))
-            run.results[scheme] = SchemeResult.from_dict(payloads[key])
-        return runs
-
-
-def remote_run_sweep(client: ServeClient, spec,
-                     progress: Optional[Callable[[str], None]] = None,
-                     timeout: Optional[float] = None,
-                     backend: Optional[str] = None) -> list[dict]:
-    """The service-backed twin of :func:`repro.engine.sweep.run_sweep`.
-
-    Iterates the same cartesian points and emits the same flat records;
-    every point's suite goes through :func:`remote_run_suite`, so
-    overlapping points (and overlapping tenants) share executions.
-    """
-    from dataclasses import replace
-
-    from ..engine.sweep import _cell_record
-    from ..workloads import benchmark_programs
-
-    spec.validate()
-    records: list[dict] = []
-    for i, point in enumerate(spec.points()):
-        if progress:
-            progress(f"point {i + 1}/{spec.num_points}: "
-                     f"scale={point['scale']} config={point['config']} "
-                     f"heur={point['heur']}")
-        heur = (replace(DEFAULT_HEURISTICS, **point["heur"])
-                if point["heur"] else DEFAULT_HEURISTICS)
-        programs = benchmark_programs(point["scale"], seed=spec.seed)
-        if spec.benchmarks is not None:
-            programs = {n: p for n, p in programs.items()
-                        if n in spec.benchmarks}
-        runs = remote_run_suite(
-            client, benchmarks=programs, heur=heur,
-            config_overrides=point["config"], max_steps=spec.max_steps,
-            timeout=timeout, backend=backend)
-        for name, run in runs.items():
-            for cell in run.results.values():
-                records.append(_cell_record(point, name, cell))
-    return records
-
-
-def remote_cell_executor(client: ServeClient) -> Callable:
-    """A batched cell executor for :func:`repro.tune.run_tune`.
-
-    Returns ``executor(cells) -> {key: payload}`` where *cells* is a
-    ``[(key, CellSpec)]`` batch: each tuning round submits its whole
-    candidate grid as one job (kind ``"cells"``), so the fleet dedups
-    identical cells across rounds, candidates, and tenants exactly as it
-    does for suite submissions.
-    """
-    def _execute(cells: list) -> dict[str, dict]:
-        if not cells:
-            return {}
-        batch = [(key, protocol.cellspec_to_payload(spec))
-                 for key, spec in cells]
-        with obs_span("serve.client.tune_batch", tenant=client.tenant,
-                      cells=len(batch)):
-            return client.run_cells(batch)
-
-    return _execute
-
-
-def remote_fuzz_executor(client: ServeClient) -> Callable:
-    """An executor for :func:`repro.qa.campaign.run_campaign`'s hook.
-
-    Returns ``executor(specs) -> payloads``: the campaign's cache-miss
-    fuzz cells ride the service queue (kind ``"fuzz"``) instead of the
-    local process pool; generation, shrinking, and triage stay local.
-    """
-    from ..qa.cells import fuzz_cell_key
-
-    def _execute(specs: list) -> list[dict]:
-        if not specs:
-            return []
-        cells = [(fuzz_cell_key(s),
-                  {"strategy": s.strategy, "seed": s.seed,
-                   "max_steps": s.max_steps}) for s in specs]
-        payloads = client.run_cells(cells, kind="fuzz")
-        return [payloads[key] for key, _ in cells]
-
-    return _execute

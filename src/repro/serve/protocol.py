@@ -23,7 +23,9 @@ Two codecs do the heavy lifting:
 Job kinds: ``"cells"`` (evaluation cells, :mod:`repro.engine.cells`) and
 ``"fuzz"`` (differential fuzz cells, :mod:`repro.qa.cells`).  Both are
 content-addressed: a job is a list of ``{"key", "spec"}`` pairs where
-``key`` is the cell's cache key and ``spec`` its executable description.
+``key`` is the cell's cache key and ``spec`` its executable description
+(:func:`spec_to_payload` / :func:`spec_from_payload`); :func:`cell_kind`
+maps it to the :class:`~repro.engine.pool.CellKind` that executes it.
 """
 
 from __future__ import annotations
@@ -160,6 +162,33 @@ def cellspec_from_payload(payload: dict) -> CellSpec:
         )
     except (KeyError, TypeError) as exc:
         raise ProtocolError(f"malformed cell spec: {exc}") from exc
+
+
+def spec_to_payload(kind: str, spec) -> dict:
+    """JSON form of one spec of job *kind*."""
+    if kind == "fuzz":
+        return dataclasses.asdict(spec)
+    return cellspec_to_payload(spec)
+
+
+def spec_from_payload(kind: str, payload: dict):
+    """Inverse of :func:`spec_to_payload`."""
+    if kind == "fuzz":
+        from ..qa.cells import FuzzCellSpec
+
+        return FuzzCellSpec(**payload)
+    return cellspec_from_payload(payload)
+
+
+def cell_kind(kind: str):
+    """The :class:`~repro.engine.pool.CellKind` of job *kind*."""
+    if kind == "fuzz":
+        from ..qa.cells import FUZZ
+
+        return FUZZ
+    from ..engine.cells import CELLS
+
+    return CELLS
 
 
 # -- job descriptions ------------------------------------------------------

@@ -16,7 +16,7 @@ second queue entry (counted as ``serve.queue.deduped``).  Workers
 :meth:`requeue` them when a worker dies mid-cell — a requeued cell keeps
 its subscribers and runs on the next live worker, so worker death
 degrades latency, never results (the same contract as
-:func:`repro.engine.pool.run_cells`).
+:class:`repro.engine.pool.LocalExecutor`).
 
 Thread-safety: one lock + condition guards all state; every public
 method is safe from any thread (HTTP handler threads submit while

@@ -2,21 +2,25 @@
 
 Each worker loops claim → execute → store → complete against one
 :class:`~repro.serve.queue.JobQueue` and one
-:class:`~repro.serve.store.TieredStore`.  Execution reuses the engine's
-containment unchanged — :func:`~repro.engine.cells.execute_cell` for
+:class:`~repro.serve.store.TieredStore`.  Execution is the job kind's
+own :class:`~repro.engine.pool.CellKind` code, exactly as a local pool
+worker runs it — :func:`~repro.engine.cells.execute_cell` for
 evaluation cells (retry + the thread-portable watchdog timeout; workers
 are threads, which is exactly why the watchdog replaced ``SIGALRM``) and
 :func:`~repro.qa.cells.execute_fuzz_cell` for fuzz cells.  Both contain
-failures instead of raising, and the worker stores each evaluation
-cell's result as its ``to_dict`` payload, so a cell can only take a worker
-down through interpreter-level faults — and even then the dispatch loop
+failures instead of raising, so a cell can only take a worker down
+through interpreter-level faults — and even then the dispatch loop
 catches the escape, requeues the cell for a live worker (bounded by
 :data:`~repro.serve.queue.MAX_CELL_ATTEMPTS`), and keeps serving.
 
-Results are written through to **every subscribing tenant's cache
-namespace** before completion: execution is deduplicated fleet-wide,
-but each tenant's artifact store stays isolated — the next identical
-submission from any of them replays from cache without queueing at all.
+Every result is delivered to the job.  A result that passes its kind's
+success test (``CellKind.ok``) is also written through to **every
+subscribing tenant's cache namespace** before completion: execution is
+deduplicated fleet-wide, but each tenant's artifact store stays
+isolated — the next identical submission from any of them replays from
+cache without queueing at all.  Failures are never stored (cell keys
+leave out the timeout, so a stored ``FAIL(CellTimeout)`` would answer
+an untimed submission).
 
 Utilization accounting: each worker tracks busy nanoseconds against its
 lifetime; :meth:`WorkerFleet.stats` reports per-worker and fleet-level
@@ -57,20 +61,13 @@ def _failure_payload(kind: str, exc: BaseException) -> dict:
 def execute_payload(kind: str, spec: dict) -> dict:
     """Execute one claimed cell of *kind*; returns its result payload.
 
-    ``"cells"`` decodes an evaluation :class:`CellSpec`; ``"fuzz"``
-    decodes a :class:`FuzzCellSpec`.  Both executors contain Python-level
-    failures themselves; decoding errors raise (the dispatch loop turns
-    them into failure payloads after the attempt budget).
+    Decodes the wire spec and runs it through the kind's
+    :meth:`~repro.engine.pool.CellKind.execute`, which contains
+    Python-level failures itself; decoding errors raise (the dispatch
+    loop turns them into failure payloads after the attempt budget).
     """
-    if kind == "fuzz":
-        from ..qa.cells import FuzzCellSpec, execute_fuzz_cell
-
-        return execute_fuzz_cell(FuzzCellSpec(
-            strategy=spec["strategy"], seed=spec["seed"],
-            max_steps=spec["max_steps"]))
-    from ..engine.cells import execute_cell
-
-    return execute_cell(protocol.cellspec_from_payload(spec)).to_dict()
+    return protocol.cell_kind(kind).execute(
+        protocol.spec_from_payload(kind, spec))
 
 
 class Worker:
@@ -135,12 +132,14 @@ class Worker:
             self._publish(key, kind, payload)
 
     def _publish(self, key: str, kind: str, payload: dict) -> None:
-        """Write the result into every subscriber namespace, complete."""
-        for tenant in self._subscribers_of(key):
-            try:
-                self.store.put(tenant, key, payload)
-            except Exception:  # noqa: BLE001 - cache write must not kill
-                REGISTRY.inc("serve.worker.store_failures")
+        """Store a success in every subscriber namespace; complete."""
+        tenants = self._subscribers_of(key)
+        if protocol.cell_kind(kind).ok(payload):
+            for tenant in tenants:
+                try:
+                    self.store.put(tenant, key, payload)
+                except Exception:  # noqa: BLE001 - cache write must not kill
+                    REGISTRY.inc("serve.worker.store_failures")
         self.queue.complete(key, payload)
 
     # -- reporting ---------------------------------------------------------

@@ -6,10 +6,11 @@ applied — exactly the cell the suite runner would build for the same
 inputs, keyed by the same content-addressed
 :func:`~repro.engine.keys.cell_key`.  That identity is the whole point:
 tune shares the artifact cache with ``tables``/``sweep`` runs, repeated
-or resumed searches re-execute nothing, and a fleet can absorb the
-search through the ordinary serve protocol
-(:func:`repro.serve.client.remote_cell_executor`) with fleet-wide
-dedup.
+or resumed searches re-execute nothing, and each round's grid runs
+through the same cached loop as a suite
+(:func:`repro.engine.pool.run_cached`), so a
+:class:`~repro.serve.client.ServeClient` executor absorbs the search
+through the ordinary serve protocol with fleet-wide dedup.
 
 Objectives extracted per (candidate, workload) cell:
 
@@ -24,10 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..engine.cells import COUNTERS, CellSpec, cell_grid
-from ..engine.pool import run_cells
-from ..eval.runner import SchemeResult
-from ..obs.metrics import REGISTRY
+from ..engine.cells import CellSpec, cell_grid
 
 #: The scheme every candidate is scored on: the paper's combined
 #: speculative+guarded pipeline — the one whose decisions the heuristic
@@ -70,9 +68,9 @@ def candidate_cells(heur, config_overrides: dict, programs: dict,
         schemes=(TUNE_SCHEME,), timeout=timeout)]
 
 
-def measure(payload: dict, original_len: int) -> dict:
-    """Objective vector of one cell payload (``ok=False`` on failure)."""
-    cell = SchemeResult.from_dict(payload)
+def measure(cell, original_len: int) -> dict:
+    """Objective vector of one cell's ``SchemeResult`` (``ok=False`` on
+    failure)."""
     if not cell.ok or cell.compile_result is None:
         return {"ok": False, "ipc": 0.0, "code_growth": float("inf"),
                 "compile_cost": 0, "failure": cell.failure}
@@ -82,50 +80,3 @@ def measure(payload: dict, original_len: int) -> dict:
             "code_growth": (size / original_len if original_len else 1.0),
             "compile_cost": compile_cost(cell.compile_result),
             "failure": None}
-
-
-def evaluate_batch(cells: list[tuple[str, str, CellSpec]], programs: dict,
-                   cache, jobs: int,
-                   executor=None) -> tuple[dict, int, int]:
-    """Execute one round's cell grid through cache, pool, or fleet.
-
-    *cells* is the concatenated ``candidate_cells`` output of every
-    candidate in the round (duplicate keys collapse — two candidates
-    whose vectors compile identically share one execution).  Returns
-    ``({key: payload}, hits, executed)``; ``hits`` counts artifact-cache
-    hits, ``executed`` the unique cells actually run.  *executor* (from
-    :func:`repro.serve.client.remote_cell_executor`) replaces the local
-    pool with one batched fleet submission.
-    """
-    payloads: dict[str, dict] = {}
-    miss: dict[str, CellSpec] = {}
-    for _, key, spec in cells:
-        if key in payloads or key in miss:
-            continue
-        cached = cache.get(key) if cache is not None else None
-        if cached is not None:
-            payloads[key] = cached
-            continue
-        miss[key] = spec
-    hits = len(payloads)
-    REGISTRY.inc("tune.cells.hit", hits)
-    REGISTRY.inc("tune.cells.miss", len(miss))
-    if miss:
-        items = list(miss.items())
-        if executor is not None:
-            fresh = executor([(k, s) for k, s in items])
-        else:
-            results = run_cells([s for _, s in items], jobs=jobs,
-                                programs=programs)
-            fresh = {k: cell.to_dict()
-                     for (k, _), cell in zip(items, results)}
-        for key, payload in fresh.items():
-            payloads[key] = payload
-            if cache is not None and payload.get("failure") is None:
-                cache.put(key, payload)
-    return payloads, hits, len(miss)
-
-
-def reset_counters() -> None:
-    """Zero the engine's compile/simulate counters (zero-work asserts)."""
-    COUNTERS.reset()

@@ -35,13 +35,15 @@ from typing import Callable, Optional
 
 from ..core import serde
 from ..core.heuristics import DEFAULT_HEURISTICS
+from ..engine.cells import CELLS
 from ..engine.keys import SCHEMA_VERSION as KEYS_SCHEMA_VERSION, digest
+from ..engine.pool import run_cached
 from ..fastsim.backend import resolve_backend
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span as obs_span
 from ..sim.config import r10k_config
 from ..workloads import benchmark_programs
-from .evaluate import candidate_cells, evaluate_batch, measure
+from .evaluate import candidate_cells, measure
 from .pareto import pareto_front
 from .spec import TuneSpec, apply_params
 
@@ -189,10 +191,11 @@ def _initial_population(spec: TuneSpec) -> int:
     return max(2, min(n0, spec.budget))
 
 
-def _evaluate_round(cands: list, frac: float, spec: TuneSpec, cache, jobs,
-                    backend, executor, timeout, round_no: int,
+def _evaluate_round(cands: list, frac: float, spec: TuneSpec, cache,
+                    executor, backend, timeout, round_no: int,
                     progress) -> tuple[int, int]:
-    """Score *cands* at rung *frac*; returns (cache hits, executed)."""
+    """Score *cands* at rung *frac* as one cached batch; returns (cache
+    hits, executed), counted over distinct cells."""
     scale = spec.scale if frac == 1.0 else spec.scale * frac
     programs = benchmark_programs(scale)
     if spec.benchmarks is not None:
@@ -210,11 +213,16 @@ def _evaluate_round(cands: list, frac: float, spec: TuneSpec, cache, jobs,
                                  spec.max_steps, timeout, backend)
             grid.append((cand, cc))
             cells.extend(cc)
-        payloads, hits, executed = evaluate_batch(
-            cells, programs, cache, jobs, executor=executor)
+        results, hits, executed = run_cached(
+            CELLS, [(key, cell) for _, key, cell in cells], executor, cache,
+            programs)
+        by_key = {key: result
+                  for (_, key, _), result in zip(cells, results)}
+        REGISTRY.inc("tune.cells.hit", hits)
+        REGISTRY.inc("tune.cells.miss", executed)
         best = 0.0
         for cand, cc in grid:
-            per_bench = {name: measure(payloads[key], original_len[name])
+            per_bench = {name: measure(by_key[key], original_len[name])
                          for name, key, _ in cc}
             agg = _aggregate(per_bench)
             cand["rungs"][label] = {"per_workload": per_bench,
@@ -273,18 +281,18 @@ def _pick_winners(finalists: list, spec: TuneSpec) -> dict:
     return winners
 
 
-def run_tune(spec: TuneSpec, cache=None, jobs: int = 1,
-             backend: Optional[str] = None, client=None,
+def run_tune(spec: TuneSpec, cache=None, executor=None,
+             backend: Optional[str] = None,
              timeout: Optional[float] = None,
              progress: Optional[Callable[[str], None]] = None
              ) -> TuneResult:
     """Run one closed-loop search (the engine behind ``Session.tune``).
 
-    *cache*/*jobs* mirror the suite runner; *client* (a
-    :class:`~repro.serve.ServeClient`) reroutes each round's cell batch
-    through the evaluation service.  An identical ``(spec, backend)``
-    search found in the cache is returned directly — resumption without
-    executing anything.
+    *cache*/*executor* mirror the suite runner: each round's cell batch
+    runs through the cache and the executor (None = in-process; a
+    :class:`~repro.serve.ServeClient` sends it to the evaluation service
+    as one job).  An identical ``(spec, backend)`` search found in the
+    cache is returned directly — resumption without executing anything.
     """
     spec.validate()
     backend = resolve_backend(backend)
@@ -297,12 +305,6 @@ def run_tune(spec: TuneSpec, cache=None, jobs: int = 1,
                 progress("identical search found in the artifact cache; "
                          "returning the stored result (0 cells)")
             return TuneResult.from_dict(stored)
-
-    executor = None
-    if client is not None:
-        from ..serve.client import remote_cell_executor
-
-        executor = remote_cell_executor(client)
 
     rng = random.Random(spec.seed)
     seen: set[str] = set()
@@ -336,8 +338,8 @@ def run_tune(spec: TuneSpec, cache=None, jobs: int = 1,
             wave = wave[:spec.budget - evaluations]
             if not wave:
                 break
-            h, x = _evaluate_round(wave, frac, spec, cache, jobs, backend,
-                                   executor, timeout, round_no, progress)
+            h, x = _evaluate_round(wave, frac, spec, cache, executor,
+                                   backend, timeout, round_no, progress)
             evaluations += len(wave)
             hits += h
             executed += x
@@ -370,8 +372,8 @@ def run_tune(spec: TuneSpec, cache=None, jobs: int = 1,
             if not wave:
                 break
             h, x = _evaluate_round(wave, spec.fidelities[-1], spec, cache,
-                                   jobs, backend, executor, timeout,
-                                   round_no, progress)
+                                   executor, backend, timeout, round_no,
+                                   progress)
             evaluations += len(wave)
             hits += h
             executed += x

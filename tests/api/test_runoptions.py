@@ -110,7 +110,7 @@ def test_per_call_options_route_to_run_suite(monkeypatch):
     monkeypatch.setattr(_suite, "run_suite", fake_run_suite)
     s = Session(jobs=1, max_steps=111)
     s.run_suite(scale=0.01, options=RunOptions(jobs=5, max_steps=222))
-    assert seen["jobs"] == 5
+    assert seen["executor"].jobs == 5
     assert seen["max_steps"] == 222
 
 

@@ -9,9 +9,9 @@ from dataclasses import replace
 import pytest
 
 from repro.core.heuristics import DEFAULT_HEURISTICS
-from repro.engine.cells import (COUNTERS, SCHEME_PLAN, BenchmarkMemo,
-                                CellSpec, execute_cell)
-from repro.engine.pool import _run_serial, run_cells
+from repro.engine.cells import (CELLS, COUNTERS, SCHEME_PLAN, BenchmarkMemo,
+                                CellSpec, execute_cell, execute_cells)
+from repro.engine.pool import LocalExecutor
 from repro.engine.suite import run_suite
 from repro.fastsim.backend import resolve_backend
 from repro.isa import parse
@@ -39,14 +39,17 @@ def _via_runner(name, prog, heur):
 
 
 def _via_pool(name, prog, heur):
-    cells = _run_serial(_specs(name, prog, heur), {name: prog})
+    cells = execute_cells(_specs(name, prog, heur), {name: prog})
     return [cell.to_dict() for cell in cells]
 
 
 def _via_payloads(name, prog, heur):
-    """The public pool entry with no built programs: each cell's program
+    """The local executor with no built programs: each cell's program
     travels only as its payload."""
-    return [cell.to_dict() for cell in run_cells(_specs(name, prog, heur))]
+    cells = LocalExecutor().run(
+        CELLS, [(str(i), spec)
+                for i, spec in enumerate(_specs(name, prog, heur))])
+    return [cell.to_dict() for cell in cells]
 
 
 PATHS = {"runner": _via_runner, "pool": _via_pool,

@@ -13,7 +13,8 @@ import time
 import pytest
 
 from repro.api import Session
-from repro.engine import ArtifactCache, CellTimeout, run_suite
+from repro.engine import (ArtifactCache, CellTimeout, LocalExecutor,
+                          run_suite)
 from repro.engine import cells as cells_mod
 from repro.fastsim.backend import clear_fallback_trail, fallback_trail
 from repro.isa import parse
@@ -56,7 +57,8 @@ def test_timed_cells_are_exact_or_timed_out(tmp_path, backend, jobs):
         cache = ArtifactCache(tmp_path / str(i))
         clear_fallback_trail()
         timed = run_suite(benchmarks=_compress(), backend=backend,
-                          jobs=jobs, timeout=timeout, cache=cache)
+                          executor=LocalExecutor(jobs), timeout=timeout,
+                          cache=cache)
         assert fallback_trail() == ()
         for scheme, cell in timed["compress"].results.items():
             if cell.ok:
@@ -66,7 +68,7 @@ def test_timed_cells_are_exact_or_timed_out(tmp_path, backend, jobs):
                 assert cell.failure.startswith("CellTimeout"), cell.failure
                 fired += 1
         warm = run_suite(benchmarks=_compress(), backend=backend,
-                         jobs=jobs, cache=cache)
+                         executor=LocalExecutor(jobs), cache=cache)
         assert _results(warm) == clean, timeout
     assert fired  # the watchdog did fire on this path
 

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.engine import ArtifactCache, COUNTERS, SCHEME_PLAN, run_suite
+from repro.engine import (ArtifactCache, COUNTERS, SCHEME_PLAN,
+                          LocalExecutor, run_suite)
 from repro.eval.runner import suite_to_dict
 from repro.workloads import benchmark_programs
 
@@ -43,7 +44,8 @@ def test_warm_results_identical_to_cold(tmp_path, programs):
 def test_parallel_identical_to_serial(programs):
     """Acceptance: --jobs 2 must reproduce the serial results exactly."""
     serial = run_suite(benchmarks=programs, max_steps=MAX_STEPS)
-    parallel = run_suite(benchmarks=programs, max_steps=MAX_STEPS, jobs=2)
+    parallel = run_suite(benchmarks=programs, max_steps=MAX_STEPS,
+                         executor=LocalExecutor(2))
     assert json.dumps(suite_to_dict(serial), sort_keys=True) == \
         json.dumps(suite_to_dict(parallel), sort_keys=True)
 
@@ -71,7 +73,7 @@ def test_failed_cells_are_not_cached(tmp_path, programs):
 
 def test_parallel_fail_cells_reach_the_tables(programs):
     runs = run_suite(benchmarks={"xlisp": programs["xlisp"]}, max_steps=10,
-                     jobs=2)
+                     executor=LocalExecutor(2))
     run = runs["xlisp"]
     assert not run.ok
     assert all(cell.failure for cell in run.results.values())
@@ -80,7 +82,7 @@ def test_parallel_fail_cells_reach_the_tables(programs):
 def test_strict_propagates_from_parallel_workers(programs):
     with pytest.raises(RuntimeError):
         run_suite(benchmarks={"xlisp": programs["xlisp"]}, max_steps=10,
-                  jobs=2, strict=True)
+                  executor=LocalExecutor(2), strict=True)
 
 
 def test_seed_changes_cache_keys(tmp_path):

@@ -1,10 +1,12 @@
-"""Process-pool fan-out: order, parity with serial, worker containment."""
+"""The local executor: order, parity with serial, worker containment."""
 
 import json
+import os
 
 import pytest
 
-from repro.engine import SCHEME_PLAN, CellSpec, run_cells
+from repro.engine import CELLS, SCHEME_PLAN, CellSpec, LocalExecutor
+from repro.engine import cells as cells_mod
 from repro.workloads import benchmark_programs
 
 
@@ -27,13 +29,19 @@ def _specs(programs, max_steps=2_000_000):
     return specs
 
 
+def _run(specs, jobs=1, programs=None, kind=CELLS):
+    """The local executor over *specs* (keys are unused locally)."""
+    return LocalExecutor(jobs).run(
+        kind, [(str(i), spec) for i, spec in enumerate(specs)], programs)
+
+
 def _payloads(cells):
     return [cell.to_dict() for cell in cells]
 
 
 def test_serial_results_in_input_order(programs):
     specs = _specs(programs)
-    payloads = _payloads(run_cells(specs, jobs=1, programs=programs))
+    payloads = _payloads(_run(specs, programs=programs))
     assert [(p["benchmark"], p["scheme"]) for p in payloads] == \
         [(s.benchmark, s.scheme) for s in specs]
     assert all(p["failure"] is None for p in payloads)
@@ -41,8 +49,8 @@ def test_serial_results_in_input_order(programs):
 
 def test_parallel_byte_identical_to_serial(programs):
     specs = _specs(programs)
-    serial = _payloads(run_cells(specs, jobs=1, programs=programs))
-    parallel = _payloads(run_cells(specs, jobs=2))
+    serial = _payloads(_run(specs, programs=programs))
+    parallel = _payloads(_run(specs, jobs=2))
     assert json.dumps(serial, sort_keys=True) == \
         json.dumps(parallel, sort_keys=True)
 
@@ -51,7 +59,7 @@ def test_fail_cells_propagate_from_workers(programs):
     # A 10-step budget cannot run any benchmark: every cell must come
     # back as a contained FAIL payload, not an exception.
     specs = _specs(programs, max_steps=10)
-    payloads = _payloads(run_cells(specs, jobs=2))
+    payloads = _payloads(_run(specs, jobs=2))
     assert len(payloads) == len(specs)
     for p in payloads:
         assert p["failure"] is not None
@@ -67,7 +75,50 @@ def test_strict_spec_raises_in_serial(programs):
         predictor=spec.predictor, program=spec.program, max_steps=10,
         strict=True)
     with pytest.raises(Exception):
-        run_cells([strict_spec], jobs=1)
+        _run([strict_spec])
+
+
+def _lethal_in_workers(monkeypatch, module, name):
+    """Make ``module.name`` kill any forked worker process that calls it;
+    returns the list of calls the parent made."""
+    parent = os.getpid()
+    real = getattr(module, name)
+    calls = []
+
+    def lethal(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, lethal)
+    return calls
+
+
+def test_dead_workers_cells_rerun_in_the_parent(programs, monkeypatch):
+    monkeypatch.setenv("REPRO_POOL_FORCE", "1")
+    specs = _specs(programs)
+    serial = _payloads(_run(specs))
+    calls = _lethal_in_workers(monkeypatch, cells_mod, "execute_cell")
+    pooled = _payloads(_run(specs, jobs=2))
+    assert len(calls) == len(specs)       # every cell re-ran here
+    assert json.dumps(pooled, sort_keys=True) == \
+        json.dumps(serial, sort_keys=True)
+
+
+def test_dead_workers_fuzz_cells_rerun_in_the_parent(monkeypatch):
+    from repro.qa import cells as qa_cells
+    from repro.qa.strategies import LATTICE, campaign_plan
+
+    monkeypatch.setenv("REPRO_POOL_FORCE", "1")
+    specs = [qa_cells.FuzzCellSpec(s.name, seed)
+             for s, seed in campaign_plan(3, 0, LATTICE)]
+    serial = _run(specs, kind=qa_cells.FUZZ)
+    calls = _lethal_in_workers(monkeypatch, qa_cells, "execute_fuzz_cell")
+    pooled = _run(specs, jobs=2, kind=qa_cells.FUZZ)
+    assert len(calls) == len(specs)
+    assert json.dumps(pooled, sort_keys=True) == \
+        json.dumps(serial, sort_keys=True)
 
 
 class TestExecutionMode:

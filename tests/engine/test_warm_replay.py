@@ -17,7 +17,8 @@ import repro.isa.parser as parser_mod
 import repro.isa.printer as printer_mod
 from repro.core.heuristics import DEFAULT_HEURISTICS
 from repro.core.pipeline import CompileResult
-from repro.engine import COUNTERS, SCHEME_PLAN, ArtifactCache, run_suite
+from repro.engine import (COUNTERS, SCHEME_PLAN, ArtifactCache, LocalExecutor,
+                          run_suite)
 from repro.engine.cells import cell_grid
 from repro.engine.keys import (
     SCHEMA_VERSION, cell_key, digest, program_fingerprint,
@@ -87,7 +88,8 @@ def test_pool_results_are_not_parsed_in_the_parent(stock, monkeypatch):
     monkeypatch.setenv("REPRO_POOL_FORCE", "1")
     programs, _, serial = stock[(None, "fast")]
     parses = _count_calls(monkeypatch, parser_mod, "parse")
-    pooled = run_suite(SCALE, benchmarks=programs, jobs=2, backend="fast")
+    pooled = run_suite(SCALE, benchmarks=programs,
+                       executor=LocalExecutor(2), backend="fast")
     assert len(parses) == 0
     assert _as_json(suite_to_dict(pooled)) == _as_json(suite_to_dict(serial))
 

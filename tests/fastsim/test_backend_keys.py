@@ -12,7 +12,9 @@ These tests pin the fix:
 * the serve protocol round-trips the backend and decodes legacy
   payloads (no ``backend`` field) as ``"reference"``,
 * the three version numbers moved in lockstep (engine key schema 5,
-  serde payload schema 4, serve protocol 3 since the melded scheme),
+  serde payload schema 4, serve protocol 3 since the melded scheme;
+  the key schema alone went to 6 for the speculation fix, which
+  changed cached fuzz verdicts but no payload shape or wire field),
 * while the *payloads* under the distinct keys stay byte-identical —
   distinct keys are a safety property, not a result difference.
 """
@@ -51,8 +53,10 @@ def test_cell_keys_distinct_per_backend(prog):
 def test_version_lockstep():
     # The melded scheme (ISSUE 10) bumped all three in the same change,
     # exactly as the backend layer (ISSUE 8) did before it; a future bump
-    # of one without the others reopens the poisoning hole.
-    assert SCHEMA_VERSION == 5      # engine cell-key/envelope schema
+    # of one without the others reopens the poisoning hole.  The key
+    # schema alone moved to 6 when the speculation fix changed cached
+    # fuzz verdicts: payload shapes and the wire stayed as they were.
+    assert SCHEMA_VERSION == 6      # engine cell-key/envelope schema
     assert serde.SCHEMA_VERSION == 4  # result payload schema
     assert PROTOCOL_VERSION == 3    # serve wire protocol
 

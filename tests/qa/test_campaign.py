@@ -13,7 +13,7 @@ FAST_STEPS = 400_000
 
 
 def _cfg(**kw):
-    base = dict(budget=3, seed=0, jobs=1, shrink=False,
+    base = dict(budget=3, seed=0, shrink=False,
                 strategies=["diamonds"], max_steps=FAST_STEPS, cache=None)
     base.update(kw)
     return CampaignConfig(**base)
@@ -102,6 +102,20 @@ def test_campaign_buckets_cell_errors(monkeypatch):
     assert all(e.kind == "cell-error" for e in result.entries)
     assert any(b.startswith("harness--cell-error")
                for b in result.summary.buckets)
+
+
+def test_cell_errors_are_not_cached(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("generator exploded")
+
+    cache_dir = tmp_path / "cache"
+    with monkeypatch.context() as m:
+        m.setattr(cells, "check_program", broken)
+        failed = run_campaign(_cfg(budget=2, cache=str(cache_dir)))
+    assert failed.summary.cell_errors == 2
+    # The fixed tooling reruns both cells instead of replaying the errors.
+    again = run_campaign(_cfg(budget=2, cache=str(cache_dir)))
+    assert again.summary.clean and again.summary.cell_errors == 0
 
 
 def test_campaign_progress_messages():

@@ -96,6 +96,7 @@ def test_poisoned_cell_fails_after_attempt_budget(tmp_path, monkeypatch):
 
     monkeypatch.setattr(worker_mod, "execute_payload", poisoned)
     queue, fleet = _fleet(tmp_path)
+    fleet.subscribe(KEY, "alice")
     job = queue.submit("alice", "fuzz", [(KEY, {})])
     fleet.start()
     try:
@@ -105,6 +106,8 @@ def test_poisoned_cell_fails_after_attempt_budget(tmp_path, monkeypatch):
         assert len(calls) == MAX_CELL_ATTEMPTS
         payload = job.results[KEY]
         assert "always fatal" in payload["error"]
+        # Delivered, but never stored for a later submission to replay.
+        assert fleet.store.get("alice", KEY) is None
     finally:
         queue.close()
         fleet.stop()

@@ -1,22 +1,23 @@
-"""The closed-loop search: determinism, resume, winners, fleet batching.
+"""The closed-loop search: determinism, resume, winners.
 
 Every test runs at tiny scale over a two-benchmark zoo so the whole file
 stays in tier-1 time; the full-zoo, full-scale behavior is exercised by
-``tools/bench_suite.py --skip``-gated phases and the CI ``tune`` job.
+``tools/bench_suite.py --skip``-gated phases and the CI ``tune`` job, and
+a search through a live server by ``tests/serve/test_remote_parity.py``.
 """
 
 import json
 
 import pytest
 
-from repro.engine import ArtifactCache
-from repro.engine.cells import COUNTERS, execute_cell
+from repro.engine import CELLS, ArtifactCache, run_cached
+from repro.engine.cells import COUNTERS
 from repro.obs import metrics as _metrics
 from repro.tune import (
     ParamSpec, TuneResult, TuneSpec, apply_params, format_tune_result,
     run_tune, tune_result_key,
 )
-from repro.tune.evaluate import candidate_cells, evaluate_batch
+from repro.tune.evaluate import candidate_cells
 
 SPEC = TuneSpec(
     params=(ParamSpec("classify.likely_threshold"),
@@ -39,7 +40,7 @@ def _clean_metrics():
 def first_result(tmp_path_factory):
     """One cached search shared by the read-only assertions below."""
     cache = ArtifactCache(tmp_path_factory.mktemp("tune-cache"))
-    result = run_tune(SPEC, cache=cache, jobs=1)
+    result = run_tune(SPEC, cache=cache)
     return cache, result
 
 
@@ -111,8 +112,8 @@ def test_result_schema_checked(first_result):
 # -- determinism + resume ---------------------------------------------------
 
 def test_same_seed_same_budget_identical_front():
-    a = run_tune(SPEC, cache=None, jobs=1)
-    b = run_tune(SPEC, cache=None, jobs=1)
+    a = run_tune(SPEC, cache=None)
+    b = run_tune(SPEC, cache=None)
     assert a.pareto == b.pareto
     assert a.to_dict() == b.to_dict()
 
@@ -120,9 +121,9 @@ def test_same_seed_same_budget_identical_front():
 def test_different_seed_changes_candidates():
     import dataclasses
 
-    a = run_tune(SPEC, cache=None, jobs=1)
+    a = run_tune(SPEC, cache=None)
     b = run_tune(dataclasses.replace(SPEC, seed=SPEC.seed + 1),
-                 cache=None, jobs=1)
+                 cache=None)
     assert [c["params"] for c in a.candidates[1:]] \
         != [c["params"] for c in b.candidates[1:]]
 
@@ -132,7 +133,7 @@ def test_warm_rerun_zero_compiles(first_result):
     cache answers before a single cell is keyed."""
     cache, result = first_result
     COUNTERS.reset()
-    again = run_tune(SPEC, cache=cache, jobs=1)
+    again = run_tune(SPEC, cache=cache)
     assert COUNTERS.compiles == 0
     assert COUNTERS.simulates == 0
     assert again.to_dict() == result.to_dict()
@@ -160,9 +161,11 @@ def test_cell_level_resume_zero_work(tmp_path):
                             max_steps=50_000_000, timeout=None,
                             backend="reference")
     cache = ArtifactCache(tmp_path / "cells")
-    evaluate_batch(cells, programs, cache, jobs=1)
+    batch = [(key, spec) for _, key, spec in cells]
+    run_cached(CELLS, batch, store=cache, programs=programs)
     COUNTERS.reset()
-    _, hits, executed = evaluate_batch(cells, programs, cache, jobs=1)
+    _, hits, executed = run_cached(CELLS, batch, store=cache,
+                                   programs=programs)
     assert (hits, executed) == (len(cells), 0)
     assert COUNTERS.compiles == 0 and COUNTERS.simulates == 0
 
@@ -175,7 +178,7 @@ def test_tune_cells_shared_with_suite_cache(tmp_path):
     from repro.workloads import benchmark_programs
 
     cache = ArtifactCache(tmp_path / "shared")
-    run_suite(scale=0.01, cache=cache, jobs=1)  # pre-warm, all schemes
+    run_suite(scale=0.01, cache=cache)  # pre-warm, all schemes
 
     programs = {n: p for n, p in benchmark_programs(0.01).items()
                 if n == "compress"}
@@ -184,42 +187,18 @@ def test_tune_cells_shared_with_suite_cache(tmp_path):
                             max_steps=50_000_000, timeout=None,
                             backend=resolve_backend())
     COUNTERS.reset()
-    _, hits, executed = evaluate_batch(cells, programs, cache, jobs=1)
+    _, hits, executed = run_cached(
+        CELLS, [(key, spec) for _, key, spec in cells], store=cache,
+        programs=programs)
     assert (hits, executed) == (len(cells), 0)
     assert COUNTERS.compiles == 0
-
-
-# -- fleet batching ---------------------------------------------------------
-
-def test_remote_client_routes_batches(monkeypatch):
-    """With a client, each round's grid goes through one batched
-    executor call instead of the local pool."""
-    import repro.serve.client as serve_client
-
-    batches = []
-
-    def fake_remote_cell_executor(client):
-        def _execute(cells):
-            batches.append(len(cells))
-            return {key: execute_cell(spec).to_dict()
-                    for key, spec in cells}
-
-        return _execute
-
-    monkeypatch.setattr(serve_client, "remote_cell_executor",
-                        fake_remote_cell_executor)
-    result = run_tune(SPEC, cache=None, jobs=1, client=object())
-    assert batches, "executor never invoked"
-    assert sum(batches) == result.cells_executed
-    local = run_tune(SPEC, cache=None, jobs=1)
-    assert result.to_dict() == local.to_dict()
 
 
 # -- observability ----------------------------------------------------------
 
 def test_search_emits_round_metrics():
     _metrics.metrics_enable()
-    run_tune(SPEC, cache=None, jobs=1)
+    run_tune(SPEC, cache=None)
     counters = _metrics.REGISTRY.snapshot()["counters"]
     assert counters.get("tune.rounds", 0) >= 2
     assert counters.get("tune.cells.miss", 0) > 0

@@ -75,7 +75,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.engine import COUNTERS, ArtifactCache, run_suite  # noqa: E402
+from repro.engine import (  # noqa: E402
+    COUNTERS, ArtifactCache, LocalExecutor, run_suite,
+)
 from repro.engine import pool as _pool  # noqa: E402
 
 
@@ -87,7 +89,7 @@ def _timed_run(scale: float, max_steps: int, cache: ArtifactCache,
     _pool.LAST_DECISION = None
     t0 = time.perf_counter()
     runs = run_suite(scale=scale, max_steps=max_steps, cache=cache,
-                     jobs=jobs)
+                     executor=LocalExecutor(jobs))
     elapsed = time.perf_counter() - t0
     failed = [f"{name}/{cell.scheme}"
               for name, run in runs.items()
@@ -100,7 +102,7 @@ def _timed_run(scale: float, max_steps: int, cache: ArtifactCache,
         "cache_misses": cache.counters.misses,
         "hit_rate": round(cache.counters.hit_rate, 4),
         "failed_cells": failed,
-        # None when jobs=1 short-circuited before the pool was consulted.
+        # None when every cell hit the cache (the executor never ran).
         "pool_decision": (_pool.LAST_DECISION.to_dict()
                           if _pool.LAST_DECISION else None),
     }
@@ -598,11 +600,11 @@ def bench_tune(scale: float, max_steps: int, repeats: int = 9,
     with tempfile.TemporaryDirectory(prefix="bench-tune-") as d:
         cache = ArtifactCache(Path(d) / "cache")
         t0 = time.perf_counter()
-        result = run_tune(spec, cache=cache, jobs=1)
+        result = run_tune(spec, cache=cache)
         cold_s = time.perf_counter() - t0
 
         COUNTERS.reset()
-        resumed = run_tune(spec, cache=cache, jobs=1)
+        resumed = run_tune(spec, cache=cache)
         resume_compiles = COUNTERS.compiles
         resume_simulates = COUNTERS.simulates
 
@@ -610,7 +612,7 @@ def bench_tune(scale: float, max_steps: int, repeats: int = 9,
             times = []
             for _ in range(repeats):
                 t = time.perf_counter()
-                run_tune(spec, cache=cache, jobs=1)
+                run_tune(spec, cache=cache)
                 times.append(time.perf_counter() - t)
             return min(times)
 
