@@ -17,10 +17,12 @@ Run:  pytest benchmarks/bench_table3_reservation.py --benchmark-only -s
 """
 
 from repro import r10k_config
-from repro.core import compile_baseline
-from repro.eval import SCHEMES, format_table3, table3
+from repro.core import compile_baseline, schemes
+from repro.eval import format_table3, table3
 from repro.sim import FunctionalSim, TimingSim
 from repro.workloads import benchmark_programs
+
+COLUMNS = [s.name for s in schemes.columns()]
 
 
 def test_table3(benchmark, suite_runs):
@@ -37,11 +39,11 @@ def test_table3(benchmark, suite_runs):
     print(format_table3(suite_runs))
     rows = table3(suite_runs)
     # Shape: summed BR occupancy strictly ordered across schemes.
-    br = {s: sum(r[s]["BR"] for r in rows) for s in SCHEMES}
+    br = {s: sum(r[s]["BR"] for r in rows) for s in COLUMNS}
     assert br["2bitBP"] <= br["Proposed"] + 1e-9
     assert br["Proposed"] <= br["PerfectBP"] + 1e-9
     # The BR buffer is the contended one; LDST/ALU stay far below it,
     # matching the paper's near-zero LDST/ALU columns.
     for row in rows:
-        for s in SCHEMES:
+        for s in COLUMNS:
             assert row[s]["LDST"] <= max(25.0, row[s]["BR"] + 25.0)

@@ -1,6 +1,6 @@
 """Shared fixtures for the benchmark harness.
 
-The full three-scheme suite run is expensive, so it is executed once per
+The full scheme suite run is expensive, so it is executed once per
 session (at a reduced but representative scale) and shared by every
 table-printing benchmark.  The ``benchmark`` fixture then times a single
 representative unit of work, keeping pytest-benchmark's statistics

@@ -2,14 +2,14 @@
 
 Commands:
 
-* ``tables``  — run the three-scheme suite and print Tables 1-4 plus the
+* ``tables``  — run the scheme suite and print Tables 1-4 plus the
   headline improvement summary;
 * ``profile`` — functional-profile a benchmark (or .s file) and print its
   per-branch feedback metrics;
 * ``compile`` — run the proposed pipeline and print the Figure 6 decision
   trail plus the transformed assembly;
-* ``run``     — simulate a program under one prediction scheme and print
-  the timing counters;
+* ``run``     — compile a program under one scheme's compile, simulate it
+  under one predictor and print the timing counters;
 * ``verify``  — IR-verify and differentially check the baseline and
   proposed compiles of a benchmark (or ``all``) against the original
   program: structural invariants plus architectural equivalence; with
@@ -65,7 +65,7 @@ import sys
 from pathlib import Path
 
 from .api import Session
-from .core import compile_baseline, compile_proposed
+from .core import compile_baseline, compile_proposed, schemes
 from .eval import (
     format_improvements, format_table1, format_table2, format_table3,
     format_table4, suite_failures,
@@ -544,25 +544,14 @@ def _verify_in_session(args: argparse.Namespace, session: Session) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .core.heuristics import DEFAULT_HEURISTICS
-    from .engine.cells import SCHEME_PLAN, kind_heuristics
     from .fastsim.backend import resolve_backend
 
     backend = resolve_backend(getattr(args, "backend", None))
     prog = _load_program(args.program, args.scale)
-    scheme = args.scheme
-    if scheme is None:  # legacy flags
-        scheme = ("proposed" if args.proposed
-                  else "raw" if args.raw else "baseline")
-    # proposed / safe-speculative / melded: the suite scheme's kind
-    kinds = {name.lower(): kind for name, kind, _ in SCHEME_PLAN
-             if kind != "base"}
-    if scheme in kinds:
-        heur = kind_heuristics(kinds[scheme], DEFAULT_HEURISTICS)
-        prog = compile_proposed(prog, heur=heur, backend=backend).program
-    elif scheme == "baseline":
-        prog = compile_baseline(prog).program
-    # scheme == "raw": simulate the program untouched
+    if args.scheme != "raw":  # raw: simulate the program untouched
+        prog = schemes.compile_scheme(
+            prog, schemes.compile_names()[args.scheme],
+            backend=backend).program
     observer = None
     if args.sample:
         from .obs import PipelineObserver
@@ -948,7 +937,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="(re)write each file's .golden.s and .stats.json")
     p.add_argument("--no-stats", action="store_true",
                    help="with --update-goldens: skip the (slower) "
-                        "six-scheme .stats.json golden")
+                        ".stats.json golden of every table column")
     p.add_argument("--emit", action="store_true",
                    help="print the lowered assembly of each file")
     p.add_argument("--max-steps", type=int, default=200_000,
@@ -961,20 +950,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--predictor", default="twobit",
                    choices=["twobit", "twolevel", "perfect", "static-taken"])
-    p.add_argument("--scheme", default=None,
-                   choices=["raw", "baseline", "proposed",
-                            "safe-speculative", "melded"],
-                   help="compilation scheme before simulating "
-                        "(safe-speculative = proposed with Spectre-flagged "
-                        "hoists fenced; melded = proposed with if-converted "
-                        "diamonds flattened into cmov selects; "
-                        "default baseline)")
-    p.add_argument("--proposed", action="store_true",
-                   help="compile with the proposed pipeline first "
-                        "(same as --scheme proposed)")
-    p.add_argument("--raw", action="store_true",
-                   help="skip baseline local scheduling "
-                        "(same as --scheme raw)")
+    p.add_argument("--scheme", default="baseline",
+                   choices=["raw", *schemes.compile_names()],
+                   help="compile before simulating: raw (none) or the "
+                        "compile of a Tables 3/4 column, named as in "
+                        "repro.core.schemes (default baseline)")
     p.add_argument("--sample", type=int, default=0, metavar="N",
                    help="sample every N-th retired instruction and print "
                         "a per-basic-block heat report")

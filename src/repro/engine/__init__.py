@@ -29,8 +29,8 @@ docs/ENGINE.md for the cache layout and invalidation rules.
 
 from .cache import ArtifactCache, CacheCounters, default_cache_dir
 from .cells import (
-    CELL_RETRIES, CELLS, COUNTERS, SCHEME_PLAN, CellSpec, CellTimeout,
-    EngineCounters, execute_cell,
+    CELL_RETRIES, CELLS, COUNTERS, CellSpec, CellTimeout, EngineCounters,
+    execute_cell, spec_key,
 )
 from .keys import (
     SCHEMA_VERSION, canonical, canonical_json, cell_key, digest,
@@ -44,8 +44,8 @@ from .sweep import SweepSpec, grid_from_dict, run_sweep
 
 __all__ = [
     "ArtifactCache", "CacheCounters", "default_cache_dir",
-    "CELL_RETRIES", "CELLS", "COUNTERS", "SCHEME_PLAN", "CellSpec",
-    "CellTimeout", "EngineCounters", "execute_cell",
+    "CELL_RETRIES", "CELLS", "COUNTERS", "CellSpec", "CellTimeout",
+    "EngineCounters", "execute_cell", "spec_key",
     "SCHEMA_VERSION", "canonical", "canonical_json", "cell_key", "digest",
     "program_digest", "program_fingerprint",
     "CellKind", "LocalExecutor", "PoolDecision", "execution_mode",

@@ -1,9 +1,10 @@
 """Evaluation cells: the unit of cached / parallel work.
 
-One *cell* is one (benchmark, scheme) table entry: compile the program for
-the scheme's pipeline kind, simulate it under the scheme's predictor, and
-return statistics.  :class:`CellSpec` is a fully picklable description of
-a cell (the program travels as printed assembly + data tables, because
+One *cell* is one (benchmark, scheme) table entry: compile the program
+under the scheme, simulate it under the scheme's predictor (both from
+:mod:`repro.core.schemes`), and return statistics.  :class:`CellSpec` is
+a fully picklable description of a cell (the program travels as printed
+assembly + data tables, because
 :class:`~repro.isa.program.Program` objects are not picklable), and
 :func:`execute_cell` is the only code that runs one: in-process for the
 suite at every ``jobs`` value, ``Session.run_benchmark`` and the ingest
@@ -35,11 +36,12 @@ import ctypes
 import threading
 import traceback
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
+from ..core import schemes
 from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
-from ..core.pipeline import CompileResult, compile_baseline, compile_proposed
+from ..core.pipeline import CompileResult
 from ..isa.program import Program
 from ..obs.metrics import REGISTRY
 from ..obs.pipeline_obs import maybe_observer
@@ -51,19 +53,6 @@ from ..sim.pipeline import TimingSim
 from ..sim.stats import SimStats
 from .keys import KeyMemo, cell_key, program_digest
 from .pool import CellKind
-
-#: The paper's three schemes — plus the speculative-safety variant of the
-#: proposed one (PR 6) and the branch-melding variant (``melded``: arms
-#: flattened into native conditional-move selects, repro.transform.meld)
-#: — as (scheme, pipeline kind, predictor) rows: the canonical plan the
-#: suite, cache keys, and workers all share.
-SCHEME_PLAN = (
-    ("2bitBP", "base", "twobit"),
-    ("Proposed", "prop", "twobit"),
-    ("PerfectBP", "base", "perfect"),
-    ("safe-speculative", "safe", "twobit"),
-    ("melded", "meld", "twobit"),
-)
 
 #: Per-cell retry count before a failure is recorded (transient faults).
 CELL_RETRIES = 1
@@ -99,12 +88,11 @@ class CellTimeout(BaseException):
 
 @dataclass(frozen=True)
 class CellSpec:
-    """Picklable description of one evaluation cell."""
+    """Picklable description of one evaluation cell; every field but
+    ``benchmark``, ``timeout`` and ``strict`` is in its key."""
 
     benchmark: str
-    scheme: str
-    kind: str                      # "base" | "prop" | "safe" | "meld"
-    predictor: str                 # "twobit" | "perfect" | ...
+    scheme: str                    # a table column (compile + predictor)
     program: dict                  # Program.to_dict() payload
     heur: FeedbackHeuristics = DEFAULT_HEURISTICS
     config_overrides: tuple = ()   # sorted (field, value) pairs
@@ -113,9 +101,23 @@ class CellSpec:
     strict: bool = False
     backend: str = "reference"     # "reference" | "fast" (repro.fastsim)
 
+    def __post_init__(self) -> None:
+        if schemes.get(self.scheme).predictor is None:
+            raise ValueError(f"scheme {self.scheme!r} is not a table column")
+
     def resolve_config(self) -> MachineConfig:
         """The fully resolved machine configuration of this cell."""
-        return r10k_config(self.predictor, **dict(self.config_overrides))
+        return r10k_config(schemes.get(self.scheme).predictor,
+                           **dict(self.config_overrides))
+
+
+def spec_key(spec: CellSpec, memo: Optional[KeyMemo] = None,
+             config: Optional[MachineConfig] = None) -> str:
+    """*spec*'s :func:`~repro.engine.keys.cell_key` (*config*: its
+    resolved config, when the caller holds it)."""
+    return cell_key(spec.program, spec.scheme, spec.heur,
+                    config if config is not None else spec.resolve_config(),
+                    spec.max_steps, backend=spec.backend, memo=memo)
 
 
 def overrides_as_items(config_overrides: Optional[dict]) -> tuple:
@@ -125,20 +127,19 @@ def overrides_as_items(config_overrides: Optional[dict]) -> tuple:
 
 def cell_grid(programs: dict[str, Program], heur: FeedbackHeuristics,
               config_overrides: Optional[dict], max_steps: int,
-              backend: str, *, schemes: tuple = SCHEME_PLAN,
+              backend: str, *, columns: Optional[tuple[str, ...]] = None,
               timeout: Optional[float] = None, strict: bool = False,
               broken: Optional[dict[str, BaseException]] = None
               ) -> list[tuple[str, str, CellSpec, str]]:
     """The ``(benchmark, scheme, spec, cache key)`` grid of a suite.
 
-    One cell per program and ``(scheme, kind, predictor)`` row of
-    *schemes*, in program then row order.  Each program is printed once,
+    One cell per program and table column (the *columns* named, else
+    all), in program then column order.  Each program is printed once,
     and that payload is both every spec's ``program`` and the key's
-    fingerprint; the keys equal :func:`~repro.engine.keys.cell_key`'s,
-    with each program, the heuristics and each resolved config encoded
-    once.  When *broken* is given, a program whose cells cannot be built
-    is recorded there (name → exception) and left out; otherwise the
-    exception propagates.
+    fingerprint; the keys are :func:`spec_key`'s, with each program, the
+    heuristics and each resolved config encoded once.  When *broken* is
+    given, a program whose cells cannot be built is recorded there
+    (name → exception) and left out; otherwise the exception propagates.
     """
     over_items = overrides_as_items(config_overrides)
     configs: dict[str, MachineConfig] = {}
@@ -148,16 +149,16 @@ def cell_grid(programs: dict[str, Program], heur: FeedbackHeuristics,
         try:
             payload = prog.to_dict()
             cells = []
-            for scheme, kind, predictor in schemes:
+            for scheme in columns or [s.name for s in schemes.columns()]:
                 spec = CellSpec(
-                    benchmark=name, scheme=scheme, kind=kind,
-                    predictor=predictor, program=payload, heur=heur,
-                    config_overrides=over_items, max_steps=max_steps,
-                    timeout=timeout, strict=strict, backend=backend)
-                config = configs.setdefault(predictor, spec.resolve_config())
-                cells.append((name, scheme, spec, cell_key(
-                    payload, scheme, heur, config, max_steps,
-                    backend=backend, memo=memo)))
+                    benchmark=name, scheme=scheme, program=payload,
+                    heur=heur, config_overrides=over_items,
+                    max_steps=max_steps, timeout=timeout, strict=strict,
+                    backend=backend)
+                config = configs.setdefault(schemes.get(scheme).predictor,
+                                            spec.resolve_config())
+                cells.append((name, scheme, spec,
+                              spec_key(spec, memo, config)))
         except Exception as exc:  # noqa: BLE001 - printing/keying crash
             if broken is None:
                 raise
@@ -167,38 +168,20 @@ def cell_grid(programs: dict[str, Program], heur: FeedbackHeuristics,
     return grid
 
 
-def kind_heuristics(kind: str,
-                    heur: FeedbackHeuristics) -> FeedbackHeuristics:
-    """The heuristics a proposed-pipeline compile *kind* runs with.
-
-    Kind ``"safe"`` is the proposed pipeline with the speculative-safety
-    guard forced on (the safe-speculative scheme); kind ``"meld"`` forces
-    branch melding in place of if-conversion (the melded scheme).
-    """
-    if kind == "safe":
-        return replace(heur, spectre_safe=True)
-    if kind == "meld":
-        return replace(heur, enable_meld=True)
-    return heur
-
-
-def counted_compile(kind: str, prog: Program, heur: FeedbackHeuristics,
+def counted_compile(scheme: str, prog: Program, heur: FeedbackHeuristics,
                     max_steps: int, backend: str = "reference",
                     profile: Optional[ProfileDB] = None) -> CompileResult:
-    """Compile *prog* for a pipeline *kind*, incrementing the counter.
+    """:func:`~repro.core.schemes.compile_scheme`, incrementing the
+    counter.
 
-    Proposed-pipeline kinds run with :func:`kind_heuristics`.  *profile*
-    skips their profiling run (:class:`BenchmarkMemo` shares one);
-    ``backend="fast"`` runs the profiling on the generated-step executor
-    (byte-identical profiles).
+    *profile* skips a proposed-pipeline compile's profiling run
+    (:class:`BenchmarkMemo` shares one); ``backend="fast"`` runs the
+    profiling on the generated-step executor (byte-identical profiles).
     """
     COUNTERS.compiles += 1
     REGISTRY.inc("engine.compiles")
-    if kind == "base":
-        return compile_baseline(prog)
-    return compile_proposed(prog, heur=kind_heuristics(kind, heur),
-                            max_steps=max_steps, backend=backend,
-                            profile=profile)
+    return schemes.compile_scheme(prog, scheme, heur, profile=profile,
+                                  max_steps=max_steps, backend=backend)
 
 
 def counted_simulate(prog: Program, config: MachineConfig,
@@ -227,13 +210,12 @@ def counted_simulate(prog: Program, config: MachineConfig,
 class BenchmarkMemo:
     """The work the cells of one benchmark share.
 
-    * **One profile per (input program, ``heur.classify``, step budget,
+    * **One profile per (input program, ``classify`` config, step budget,
       backend).**  The first proposed-pipeline compile profiles the input
-      program inside its own ``pass.profile`` span; the later
-      ``prop``/``safe``/``meld`` compiles receive that profile through
-      ``compile_proposed(profile=)``.
-    * **One compile per (input program, kind, heuristics, step budget,
-      backend).**
+      program inside its own ``pass.profile`` span; the later ones
+      receive that profile through ``compile_proposed(profile=)``.
+    * **One compile per (input program, compile, step budget,
+      backend)**: 2bitBP and PerfectBP share the baseline's.
     * **One simulation per (compiled-program digest, resolved machine
       config, step budget, backend).**  ``safe-speculative`` compiles to
       exactly the Proposed program whenever the Spectre guard fences
@@ -271,19 +253,20 @@ class BenchmarkMemo:
             prog = self._programs[key] = Program.from_dict(payload)
         return prog
 
-    def cell(self, kind: str, config: MachineConfig, prog: Program,
+    def cell(self, scheme: str, config: MachineConfig, prog: Program,
              heur: FeedbackHeuristics, max_steps: int,
              backend: str) -> tuple:
         """``(CompileResult, SimStats, ExecStats)`` of one cell, through
         :func:`counted_compile` and :func:`counted_simulate`."""
         src = self._id(prog)
-        ckey = (src, kind, heur, max_steps, backend)
+        compiled = schemes.get(scheme).heuristics(heur)
+        ckey = (src, compiled, max_steps, backend)
         hit = self._compiles.get(ckey)
         if hit is None:
-            pkey = (src, heur.classify, max_steps, backend)
-            profile = self._profiles.get(pkey) if kind != "base" else None
-            cr = counted_compile(kind, prog, heur, max_steps, backend,
-                                 profile=profile)
+            pkey = (src, compiled.classify if compiled else None,
+                    max_steps, backend)
+            cr = counted_compile(scheme, prog, heur, max_steps, backend,
+                                 profile=self._profiles.get(pkey))
             hit = self._compiles[ckey] = (cr, program_digest(cr.program))
             if cr.profile is not None:
                 self._profiles.setdefault(pkey, cr.profile)
@@ -404,7 +387,7 @@ def execute_cell(spec: CellSpec, program: Optional[Program] = None,
                     prog = program if program is not None \
                         else memo.program(spec.program)
                     cr, stats, exec_stats = memo.cell(
-                        spec.kind, spec.resolve_config(), prog, spec.heur,
+                        spec.scheme, spec.resolve_config(), prog, spec.heur,
                         spec.max_steps, spec.backend)
                 return SchemeResult(spec.benchmark, spec.scheme, stats,
                                     exec_stats, cr)
@@ -455,5 +438,5 @@ def cell_ok(payload: dict) -> bool:
 
 
 #: Evaluation cells as an executor runs them (see :class:`CellKind`).
-CELLS = CellKind("cells", run=execute_cells, ok=cell_ok,
+CELLS = CellKind("cells", run=execute_cells, ok=cell_ok, key=spec_key,
                  encode=_encode_cell, decode=_decode_cell)

@@ -55,14 +55,16 @@ class CellKind:
     returns one result per spec; *programs* optionally maps benchmark
     name to an already-built program.  ``encode``/``decode`` convert a
     result to its JSON payload and back, and ``ok(payload)`` is the
-    success test: only payloads that pass it are ever cached.  Every
-    field is a module-level function, so a kind pickles into pool
-    workers by reference.
+    success test: only payloads that pass it are ever cached.
+    ``key(spec)`` is a spec's cache key, which the serve front end
+    recomputes for every submitted cell.  Every field is a module-level
+    function, so a kind pickles into pool workers by reference.
     """
 
     name: str                  # the serve protocol's job kind
     run: Callable
     ok: Callable[[dict], bool]
+    key: Callable[..., str]
     encode: Callable = _identity
     decode: Callable = _identity
 

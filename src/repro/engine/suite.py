@@ -32,7 +32,7 @@ from ..isa.program import Program
 from ..obs.trace import span as obs_span
 from ..workloads import benchmark_programs
 from .cache import ArtifactCache
-from .cells import CELLS, SCHEME_PLAN, _short_reason, cell_grid
+from .cells import CELLS, _short_reason, cell_grid
 from .pool import LocalExecutor, run_cached
 
 #: Accepted forms of the ``cache`` argument.
@@ -79,6 +79,7 @@ def run_suite(scale: float = 1.0,
     Backends produce byte-identical payloads but key separately in the
     artifact cache.
     """
+    from ..core import schemes
     from ..eval.runner import BenchmarkRun, SchemeResult
     from ..fastsim.backend import resolve_backend
 
@@ -104,6 +105,6 @@ def run_suite(scale: float = 1.0,
         runs[name].results[scheme] = cell
     for name, exc in broken.items():
         runs[name].results = {
-            scheme: SchemeResult(name, scheme, failure=_short_reason(exc))
-            for scheme, _, _ in SCHEME_PLAN}
+            s.name: SchemeResult(name, s.name, failure=_short_reason(exc))
+            for s in schemes.columns()}
     return runs

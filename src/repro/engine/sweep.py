@@ -73,7 +73,7 @@ class SweepSpec:
                 if grid_name == "config_grid" and name == "predictor":
                     raise ValueError(
                         "config_grid: the predictor axis is fixed by the "
-                        "scheme plan; sweep other fields")
+                        "scheme table; sweep other fields")
                 if name in seen:
                     where = ("appears twice in " + grid_name
                              if seen[name] == grid_name else

@@ -1,7 +1,7 @@
-"""Experiment harness: the paper's three-scheme comparison and Tables 1-4."""
+"""Experiment harness: the paper's scheme comparison and Tables 1-4."""
 
 from .runner import (
-    SCHEMES, BenchmarkRun, SchemeResult, suite_failures, suite_from_dict,
+    BenchmarkRun, SchemeResult, suite_failures, suite_from_dict,
     suite_to_dict,
 )
 from .paper_data import (
@@ -18,7 +18,7 @@ __all__ = [
     "PAPER_TABLE1", "PAPER_TABLE3_BR", "PAPER_TABLE4_IPC",
     "format_shape_verdicts", "shape_verdicts",
     "render_report", "write_report",
-    "SCHEMES", "BenchmarkRun", "SchemeResult", "suite_failures",
+    "BenchmarkRun", "SchemeResult", "suite_failures",
     "suite_from_dict", "suite_to_dict",
     "PAPER_ORDER", "format_improvements", "format_table1", "format_table2",
     "format_table3", "format_table4", "table1", "table2", "table3", "table4",

@@ -2,14 +2,14 @@
 
 Transcribed from Srinivas & Nicolau (IPPS 1998) Tables 1, 3 and 4 so that
 benchmarks can print side-by-side comparisons and EXPERIMENTS.md stays
-checkable.  Scheme keys follow :data:`repro.eval.runner.SCHEMES`.
+checkable.  Scheme keys are table column names (:mod:`repro.core.schemes`).
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .runner import SCHEMES, BenchmarkRun
+from .runner import BenchmarkRun
 
 #: Table 1 — dynamic instructions (millions), branch %, predicted %.
 PAPER_TABLE1 = {
@@ -54,10 +54,10 @@ def shape_verdicts(runs: Mapping[str, BenchmarkRun]) -> list[dict]:
             continue
         if not run.ok:  # failed cells cannot be shape-compared
             continue
-        measured_ipc = {s: run[s].stats.ipc for s in SCHEMES}
         paper_ipc = PAPER_TABLE4_IPC[name]
-        measured_br = {s: run[s].stats.queue_full_pct("br") for s in SCHEMES}
+        measured_ipc = {s: run[s].stats.ipc for s in paper_ipc}
         paper_br = PAPER_TABLE3_BR[name]
+        measured_br = {s: run[s].stats.queue_full_pct("br") for s in paper_br}
 
         def ordered(d):
             return d["2bitBP"] <= d["Proposed"] * 1.01 \

@@ -10,10 +10,12 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping, Optional
 
+from ..core import schemes
 from ..sim.config import MachineConfig, R10K
-from .runner import SCHEMES, BenchmarkRun
+from .runner import BenchmarkRun
 from .tables import (
-    _ordered, format_improvements, table1, table2, table3, table4,
+    _TABLE3, _TABLE4, _ordered, format_improvements, table1, table2, table3,
+    table4,
 )
 
 
@@ -23,6 +25,23 @@ def _md_table(headers: list[str], rows: list[list[str]]) -> str:
     for row in rows:
         out.append("| " + " | ".join(row) + " |")
     return "\n".join(out)
+
+
+def _md_per_column(rows: list[dict], fields) -> str:
+    """Table 3 or 4 *rows* as markdown: one column per (scheme, field)."""
+    names = [s.name for s in schemes.columns()]
+    body = []
+    for r in rows:
+        row = [r["benchmark"]]
+        for s in names:
+            if "FAIL" in r[s]:
+                row += [f"FAIL({r[s]['FAIL']})"] + ["—"] * (len(fields) - 1)
+            else:
+                row += [format(r[s][f], spec) for f, _, spec, _ in fields]
+        body.append(row)
+    return _md_table(
+        ["benchmark"] + [f"{s} {f}" for s in names for f, *_ in fields],
+        body)
 
 
 def render_report(runs: Mapping[str, BenchmarkRun],
@@ -70,38 +89,12 @@ def render_report(runs: Mapping[str, BenchmarkRun],
 
     parts.append("## Table 3 — reservation-station usage (% cycles full)")
     parts.append("")
-    headers = ["benchmark"]
-    for s in SCHEMES:
-        headers += [f"{s} BR", f"{s} LDST", f"{s} ALU"]
-    rows = []
-    for r in table3(runs):
-        row = [r["benchmark"]]
-        for s in SCHEMES:
-            if "FAIL" in r[s]:
-                row += [f"FAIL({r[s]['FAIL']})", "—", "—"]
-            else:
-                row += [f"{r[s]['BR']:.2f}", f"{r[s]['LDST']:.2f}",
-                        f"{r[s]['ALU']:.2f}"]
-        rows.append(row)
-    parts.append(_md_table(headers, rows))
+    parts.append(_md_per_column(table3(runs), _TABLE3))
     parts.append("")
 
     parts.append("## Table 4 — functional-unit usage and IPC")
     parts.append("")
-    headers = ["benchmark"]
-    for s in SCHEMES:
-        headers += [f"{s} ALU", f"{s} LDST", f"{s} SFT", f"{s} IPC"]
-    rows = []
-    for r in table4(runs):
-        row = [r["benchmark"]]
-        for s in SCHEMES:
-            if "FAIL" in r[s]:
-                row += [f"FAIL({r[s]['FAIL']})", "—", "—", "—"]
-            else:
-                row += [f"{r[s]['ALU']:.2f}", f"{r[s]['LDST']:.2f}",
-                        f"{r[s]['SFT']:.2f}", f"{r[s]['IPC']:.3f}"]
-        rows.append(row)
-    parts.append(_md_table(headers, rows))
+    parts.append(_md_per_column(table4(runs), _TABLE4))
     parts.append("")
 
     parts.append("## Headline")

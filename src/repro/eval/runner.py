@@ -1,15 +1,11 @@
 """Scheme results: the cells of the paper's comparison and their serde.
 
-The paper's Tables 3 and 4 compare, per benchmark:
-
-1. ``2bitBP``      — native code, 512-entry 2-bit prediction;
-2. ``Proposed``    — the combined approach (branch splitting + guarded
-   execution + branch-likelies + prioritized speculation) *in addition to*
-   the same 2-bit prediction;
-3. ``PerfectBP``   — native code, perfect prediction (theoretical bound).
-
-One :class:`SchemeResult` is one (benchmark, scheme) cell and one
-:class:`BenchmarkRun` a benchmark's row of them.  Cells are run by
+Tables 3 and 4 compare, per benchmark, the columns of the scheme table
+(:func:`repro.core.schemes.columns`): the paper's ``2bitBP``,
+``Proposed`` and ``PerfectBP``, then Proposed's ``safe-speculative`` and
+``melded`` variants.  One :class:`SchemeResult` is one (benchmark,
+scheme) cell and one :class:`BenchmarkRun` a benchmark's row of them.
+Cells are run by
 :func:`repro.engine.cells.execute_cell` only, whatever the entry point
 (``Session.run_suite``/``run_benchmark``, ``repro.engine.run_suite``,
 pool and serve workers, tune).  A cell that raises is retried once, then
@@ -26,14 +22,8 @@ from typing import Optional
 
 from ..core import serde
 from ..core.pipeline import CompileResult
-from ..engine.cells import SCHEME_PLAN
 from ..sim.functional import ExecStats
 from ..sim.stats import SimStats
-
-#: Scheme names in the paper's column order, plus the speculative-safety
-#: and branch-melding variants, as declared by
-#: :data:`~repro.engine.cells.SCHEME_PLAN`.
-SCHEMES = tuple(scheme for scheme, _, _ in SCHEME_PLAN)
 
 
 @dataclass

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from ..core import schemes
 from ..sim.config import Latencies, MachineConfig, R10K
-from .runner import SCHEMES, BenchmarkRun
+from .runner import BenchmarkRun
 
 #: Paper benchmark order (Table 1).
 PAPER_ORDER = ("compress", "espresso", "xlisp", "grep")
@@ -105,109 +106,91 @@ def format_table2(config: MachineConfig = R10K) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Table 3: reservation-station usage
+# Tables 3 and 4: per-scheme occupancy, one column per scheme
 # ---------------------------------------------------------------------------
+
+#: Each column's fields in Table 3: (name, text width, number format,
+#: value from the cell's SimStats).
+_TABLE3 = (
+    ("BR", 7, ".2f", lambda st: st.queue_full_pct("br")),
+    ("LDST", 8, ".2f", lambda st: st.queue_full_pct("ldst")),
+    ("ALU", 8, ".2f", lambda st: st.queue_full_pct("alu")),
+)
+#: ... and in Table 4.
+_TABLE4 = (
+    ("ALU", 7, ".2f", lambda st: st.unit_full_pct("alu")),
+    ("LDST", 8, ".2f", lambda st: st.unit_full_pct("ldst")),
+    ("SFT", 8, ".2f", lambda st: st.unit_full_pct("sft")),
+    ("IPC", 7, ".3f", lambda st: st.ipc),
+)
+
+
+def _per_column(runs: Mapping[str, BenchmarkRun], fields) -> list[dict]:
+    """One row per benchmark: each column's *fields*, or ``{"FAIL":
+    reason}`` for a failed cell."""
+    rows = []
+    for name in _ordered(runs):
+        row: dict = {"benchmark": name}
+        for s in schemes.columns():
+            r = runs[name][s.name]
+            row[s.name] = ({f: value(r.stats) for f, _, _, value in fields}
+                           if r.ok else {"FAIL": r.failure or "unknown"})
+        rows.append(row)
+    return rows
+
+
+def _format_per_column(title: str, width: int, rows: list[dict],
+                       fields) -> str:
+    """Table 3 or 4 *rows* as aligned text, *width* per scheme heading."""
+    names = [s.name for s in schemes.columns()]
+    heads = "".join(f"{f:>{w}}" for f, w, _, _ in fields)
+    lines = [
+        title,
+        f"{'Benchmark':<12}" + "".join(f" | {s:^{width}}" for s in names),
+        f"{'':<12}" + " | ".join([""] + [heads for _ in names])[3:],
+    ]
+    for row in rows:
+        cells = [_fail_cell(row[s]["FAIL"], len(heads)) if "FAIL" in row[s]
+                 else "".join(f"{row[s][f]:>{w}{spec}}"
+                              for f, w, spec, _ in fields)
+                 for s in names]
+        lines.append(f"{row['benchmark']:<12} | " + " | ".join(cells))
+    return "\n".join(lines)
 
 
 def table3(runs: Mapping[str, BenchmarkRun]) -> list[dict]:
     """% of commit cycles each reservation buffer (BR / LDST / ALU) was
     full, per scheme."""
-    rows = []
-    for name in _ordered(runs):
-        row: dict = {"benchmark": name}
-        for scheme in SCHEMES:
-            r = runs[name][scheme]
-            if not r.ok:
-                row[scheme] = {"FAIL": r.failure or "unknown"}
-                continue
-            st = r.stats
-            row[scheme] = {
-                "BR": st.queue_full_pct("br"),
-                "LDST": st.queue_full_pct("ldst"),
-                "ALU": st.queue_full_pct("alu"),
-            }
-        rows.append(row)
-    return rows
+    return _per_column(runs, _TABLE3)
 
 
 def format_table3(runs: Mapping[str, BenchmarkRun]) -> str:
     """Render Table 3 as aligned text."""
-    lines = [
-        "Table 3: Reservation Station Usage Summary (% cycles full)",
-        f"{'Benchmark':<12}" + "".join(
-            f" | {s:^23}" for s in SCHEMES),
-        f"{'':<12}" + " | ".join([""] + [f"{'BR':>7}{'LDST':>8}{'ALU':>8}"
-                                         for _ in SCHEMES])[3:],
-    ]
-    for row in table3(runs):
-        cells = []
-        for scheme in SCHEMES:
-            c = row[scheme]
-            if "FAIL" in c:
-                cells.append(_fail_cell(c["FAIL"], 23))
-                continue
-            cells.append(f"{c['BR']:>7.2f}{c['LDST']:>8.2f}{c['ALU']:>8.2f}")
-        lines.append(f"{row['benchmark']:<12} | " + " | ".join(cells))
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Table 4: functional-unit usage and IPC
-# ---------------------------------------------------------------------------
+    return _format_per_column(
+        "Table 3: Reservation Station Usage Summary (% cycles full)", 23,
+        table3(runs), _TABLE3)
 
 
 def table4(runs: Mapping[str, BenchmarkRun]) -> list[dict]:
     """% of commit cycles each unit class (ALU / LDST / SFT) was saturated,
     plus IPC (excluding annulled), per scheme."""
-    rows = []
-    for name in _ordered(runs):
-        row: dict = {"benchmark": name}
-        for scheme in SCHEMES:
-            r = runs[name][scheme]
-            if not r.ok:
-                row[scheme] = {"FAIL": r.failure or "unknown"}
-                continue
-            st = r.stats
-            row[scheme] = {
-                "ALU": st.unit_full_pct("alu"),
-                "LDST": st.unit_full_pct("ldst"),
-                "SFT": st.unit_full_pct("sft"),
-                "IPC": st.ipc,
-            }
-        rows.append(row)
-    return rows
+    return _per_column(runs, _TABLE4)
 
 
 def format_table4(runs: Mapping[str, BenchmarkRun]) -> str:
     """Render Table 4 as aligned text."""
-    lines = [
-        "Table 4: Functional Unit Usage Summary and IPC",
-        f"{'Benchmark':<12}" + "".join(
-            f" | {s:^31}" for s in SCHEMES),
-        f"{'':<12}" + " | ".join([""] + [
-            f"{'ALU':>7}{'LDST':>8}{'SFT':>8}{'IPC':>7}" for _ in SCHEMES])[3:],
-    ]
-    for row in table4(runs):
-        cells = []
-        for scheme in SCHEMES:
-            c = row[scheme]
-            if "FAIL" in c:
-                cells.append(_fail_cell(c["FAIL"], 30))
-                continue
-            cells.append(f"{c['ALU']:>7.2f}{c['LDST']:>8.2f}"
-                         f"{c['SFT']:>8.2f}{c['IPC']:>7.3f}")
-        lines.append(f"{row['benchmark']:<12} | " + " | ".join(cells))
-    return "\n".join(lines)
+    return _format_per_column(
+        "Table 4: Functional Unit Usage Summary and IPC", 31, table4(runs),
+        _TABLE4)
 
 
 def format_improvements(runs: Mapping[str, BenchmarkRun]) -> str:
-    """Headline summary: Proposed/2bitBP, PerfectBP/2bitBP and (when the
-    schemes ran) safe-speculative/2bitBP and melded/2bitBP IPC ratios —
-    the safety cost of fencing Spectre-flagged hoists and the throughput
-    of replacing guarded execution with conditional-move melding."""
+    """Headline summary: each labelled column's IPC over 2bitBP's (``-``
+    where the column did not run), and the geomean of Proposed's."""
+    labelled = [s for s in schemes.columns() if s.label is not None]
     lines = ["IPC improvement over the 2-bit baseline",
-             f"{'Benchmark':<12} {'Proposed':>10} {'Perfect':>10}"
-             f" {'Safe':>10} {'Melded':>10}"]
+             f"{'Benchmark':<12}"
+             + "".join(f" {s.label:>10}" for s in labelled)]
     ratios = []
     failed = 0
     for name in _ordered(runs):
@@ -217,17 +200,12 @@ def format_improvements(runs: Mapping[str, BenchmarkRun]) -> str:
             lines.append(f"{name:<12} {_fail_cell(reason, 32)}")
             failed += 1
             continue
-        prop = r.improvement
-        perf = r["PerfectBP"].stats.ipc / r["2bitBP"].stats.ipc
-        safe = r.results.get("safe-speculative")
-        safe_txt = (f" {safe.stats.ipc / r['2bitBP'].stats.ipc:>9.2f}x"
-                    if safe is not None and safe.ok else f" {'-':>10}")
-        meld = r.results.get("melded")
-        meld_txt = (f" {meld.stats.ipc / r['2bitBP'].stats.ipc:>9.2f}x"
-                    if meld is not None and meld.ok else f" {'-':>10}")
-        ratios.append(prop)
-        lines.append(f"{name:<12} {prop:>9.2f}x {perf:>9.2f}x{safe_txt}"
-                     f"{meld_txt}")
+        base = r["2bitBP"].stats.ipc
+        cells = [r.results.get(s.name) for s in labelled]
+        ratios.append(r.improvement)
+        lines.append(f"{name:<12}" + "".join(
+            f" {cell.stats.ipc / base:>9.2f}x" if cell is not None
+            else f" {'-':>10}" for cell in cells))
     if ratios:
         lines.append(f"{'geo-mean':<12} "
                      f"{(_geomean(ratios)):>9.2f}x"

@@ -5,9 +5,9 @@ committed goldens next to it:
 
 * ``foo.golden.s`` — the canonical print of the lowered
   :class:`~repro.isa.program.Program`, byte-exact;
-* ``foo.stats.json`` — per-scheme ``stats``/``exec_stats`` of the full
-  six-scheme evaluation, byte-exact and backend-independent (the test
-  asserts reference == fast == committed).
+* ``foo.stats.json`` — per-scheme ``stats``/``exec_stats`` of every
+  table column (:func:`repro.core.schemes.columns`), byte-exact and
+  backend-independent (the test asserts reference == fast == committed).
 
 The CLI's ``repro ingest --check`` replays the cheap ``.golden.s`` half
 (CI gate); ``--update-goldens`` regenerates both after an intentional

@@ -7,9 +7,10 @@ that requirement into an executable, scalable campaign:
 * :mod:`~repro.qa.strategies` — a seeded strategy lattice expanding
   :class:`~repro.isa.randprog.RandProgConfig` into program populations
   (loops, memory, calls, guarded ops, adversarial branch patterns);
-* :mod:`~repro.qa.cells` — picklable fuzz cells (one program × all
-  schemes × diff-check) that ride :mod:`repro.engine`'s cached loop and
-  executors as the :data:`~repro.qa.cells.FUZZ` cell kind;
+* :mod:`~repro.qa.cells` — picklable fuzz cells (one program × the fuzz
+  compiles of :mod:`repro.core.schemes` × diff-check) that ride
+  :mod:`repro.engine`'s cached loop and executors as the
+  :data:`~repro.qa.cells.FUZZ` cell kind;
 * :mod:`~repro.qa.shrink` — delta-debugging minimizer for failing
   programs (blocks, then instructions, then stale labels);
 * :mod:`~repro.qa.triage` — bucket keys on (failing pass, divergence
@@ -24,8 +25,8 @@ from .campaign import (
     scheme_oracle,
 )
 from .cells import (
-    FUZZ, FUZZ_MAX_STEPS, FUZZ_SCHEMES, FuzzCellSpec, check_program,
-    compile_scheme, execute_fuzz_cell, fuzz_cell_key,
+    FUZZ, FUZZ_MAX_STEPS, FuzzCellSpec, check_program, execute_fuzz_cell,
+    fuzz_cell_key,
 )
 from .corpus import (
     iter_corpus, load_reproducer, replay_corpus, save_reproducer,
@@ -41,8 +42,8 @@ from .triage import (
 __all__ = [
     "CampaignConfig", "CampaignResult", "CampaignSummary", "run_campaign",
     "scheme_oracle",
-    "FUZZ", "FUZZ_MAX_STEPS", "FUZZ_SCHEMES", "FuzzCellSpec",
-    "check_program", "compile_scheme", "execute_fuzz_cell", "fuzz_cell_key",
+    "FUZZ", "FUZZ_MAX_STEPS", "FuzzCellSpec", "check_program",
+    "execute_fuzz_cell", "fuzz_cell_key",
     "iter_corpus", "load_reproducer", "replay_corpus", "save_reproducer",
     "DEFAULT_ORACLE_BUDGET", "ShrinkResult", "shrink_program",
     "LATTICE", "FuzzStrategy", "campaign_plan", "select_strategies",

@@ -1,11 +1,12 @@
 """Fuzz cells: the cacheable, picklable unit of campaign work.
 
-One cell = one generated program, compiled under every scheme in
-:data:`FUZZ_SCHEMES` and cross-checked against one functional-simulator
-run of the original (:func:`repro.robust.diffcheck.run_reference`).  The
-cell result is a plain JSON dict, so it rides the :mod:`repro.engine`
-machinery unchanged: :func:`fuzz_cell_key` derives a content-addressed
-cache key (strategy config + seed + scheme plan + schema version) and
+One cell = one generated program, compiled under every fuzz compile of
+the scheme table (:func:`repro.core.schemes.fuzz_plan`) and
+cross-checked against one functional-simulator run of the original
+(:func:`repro.robust.diffcheck.run_reference`).  The cell result is a
+plain JSON dict, so it rides the :mod:`repro.engine` machinery
+unchanged: :func:`fuzz_cell_key` derives a content-addressed cache key
+(strategy config + seed + fuzz scheme names + schema version) and
 :data:`FUZZ` is the cell kind every executor (the process pool, a serve
 worker) runs it as, cached only when no cell error occurred.
 
@@ -20,9 +21,8 @@ import traceback
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.pipeline import (
-    CompileResult, compile_baseline, compile_variant,
-)
+from ..core.pipeline import CompileResult
+from ..core.schemes import compile_scheme, fuzz_plan
 from ..engine.keys import SCHEMA_VERSION, digest
 from ..engine.pool import CellKind
 from ..isa.program import Program
@@ -30,24 +30,6 @@ from ..obs.trace import span as obs_span
 from ..profilefb.profiledb import ProfileDB
 from ..robust.diffcheck import run_reference
 from .strategies import BY_NAME, FuzzStrategy
-
-#: The campaign's scheme plan: (name, compile_variant toggles).  The
-#: baseline schedule, the paper's three transformation schemes, and two
-#: variants of them (spectre-fenced speculation and branch melding) — a
-#: divergence in *any* of them invalidates the corresponding results.
-FUZZ_SCHEMES: tuple[tuple[str, Optional[dict]], ...] = (
-    ("baseline", None),                       # local schedule only
-    ("speculative", {"ifconvert": False}),    # splitting + speculation
-    ("guarded", {"split": False, "speculation": False}),  # if-conversion
-    ("combined", {}),                         # the full proposed pipeline
-    # speculation behind the Spectre hoist guard: flagged hoists fenced —
-    # the certification that fences never change architectural results
-    ("safe-speculative", {"ifconvert": False, "spectre": True}),
-    # branch melding in place of guarding: both arms run unconditionally
-    # into scratch registers, native cmovt/cmovf select the results —
-    # renaming plus selects must preserve architectural state exactly
-    ("melded", {"split": False, "speculation": False, "meld": True}),
-)
 
 #: Default per-run functional step budget (campaign programs are tiny).
 FUZZ_MAX_STEPS = 5_000_000
@@ -85,19 +67,8 @@ def fuzz_cell_key(spec: FuzzCellSpec) -> str:
         "config": spec.resolve_strategy().config_dict(),
         "seed": spec.seed,
         "max_steps": spec.max_steps,
-        "schemes": [name for name, _ in FUZZ_SCHEMES],
+        "schemes": [scheme.name for scheme in fuzz_plan()],
     })
-
-
-def compile_scheme(prog: Program, scheme: str, *,
-                   profile: Optional[ProfileDB] = None,
-                   max_steps: int = FUZZ_MAX_STEPS) -> CompileResult:
-    """Compile *prog* under one named fuzz scheme."""
-    toggles = dict(FUZZ_SCHEMES)[scheme]
-    if toggles is None:
-        return compile_baseline(prog)
-    return compile_variant(prog, profile=profile, max_steps=max_steps,
-                           **toggles)
 
 
 def _failing_stage(result: CompileResult) -> Optional[str]:
@@ -122,7 +93,7 @@ def check_program(prog: Program, max_steps: int = FUZZ_MAX_STEPS) -> dict:
     reference = run_reference(prog, max_steps)
     schemes: dict[str, dict] = {}
     divergent: list[str] = []
-    for scheme, _ in FUZZ_SCHEMES:
+    for scheme in (s.name for s in fuzz_plan()):
         result = compile_scheme(prog, scheme, profile=profile,
                                 max_steps=max_steps)
         report = reference.check(result.program)
@@ -178,4 +149,4 @@ def fuzz_ok(payload: dict) -> bool:
 
 #: Fuzz cells as an executor runs them (see
 #: :class:`~repro.engine.pool.CellKind`); a verdict is its own payload.
-FUZZ = CellKind("fuzz", run=run_fuzz_cells, ok=fuzz_ok)
+FUZZ = CellKind("fuzz", run=run_fuzz_cells, ok=fuzz_ok, key=fuzz_cell_key)

@@ -14,7 +14,8 @@ Two codecs do the heavy lifting:
   fields) round-trips through :func:`heur_to_payload` /
   :func:`heur_from_payload`.  The round-trip is exact, so a cell key
   computed from the decoded spec equals the submitter's key — the
-  property the queue's fleet-wide dedup rests on.
+  property the queue's fleet-wide dedup rests on, and which
+  :func:`check_keys` enforces on every submission.
 * :func:`error_body` — structured errors.  Backpressure is data, not
   prose: a rate-limited tenant receives ``{"error": {"code":
   "rate_limited", "retry_after_s": ...}}`` and can schedule its retry
@@ -45,7 +46,10 @@ from ..profilefb.classify import ClassifyConfig
 #: and cell specs the ``"meld"`` kind (engine keys v5, result serde v4;
 #: legacy heuristics payloads without the knobs still decode, taking the
 #: defaults).
-PROTOCOL_VERSION = 3
+#: v4: cell specs carry no ``kind`` or ``predictor``: both follow from the
+#: scheme (repro.core.schemes), and a scheme that is not a table column
+#: is refused.  Keys and payloads are unchanged.
+PROTOCOL_VERSION = 4
 
 #: Accepted ``kind`` values of a submitted job.
 JOB_KINDS = ("cells", "fuzz")
@@ -131,8 +135,6 @@ def cellspec_to_payload(spec: CellSpec) -> dict:
     return {
         "benchmark": spec.benchmark,
         "scheme": spec.scheme,
-        "kind": spec.kind,
-        "predictor": spec.predictor,
         "program": spec.program,
         "heur": heur_to_payload(spec.heur),
         "config_overrides": [list(pair) for pair in spec.config_overrides],
@@ -144,13 +146,11 @@ def cellspec_to_payload(spec: CellSpec) -> dict:
 
 
 def cellspec_from_payload(payload: dict) -> CellSpec:
-    """Inverse of :func:`cellspec_to_payload` (shape-checked)."""
+    """Inverse of :func:`cellspec_to_payload` (shape- and scheme-checked)."""
     try:
         return CellSpec(
             benchmark=payload["benchmark"],
             scheme=payload["scheme"],
-            kind=payload["kind"],
-            predictor=payload["predictor"],
             program=payload["program"],
             heur=heur_from_payload(payload["heur"]),
             config_overrides=tuple(
@@ -160,7 +160,7 @@ def cellspec_from_payload(payload: dict) -> CellSpec:
             strict=bool(payload.get("strict", False)),
             backend=payload.get("backend", "reference"),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed cell spec: {exc}") from exc
 
 
@@ -219,6 +219,30 @@ def validate_submission(body: dict) -> tuple[str, str, list[dict]]:
                 f"cell key must be a sha256 hex digest, "
                 f"got {cell['key']!r}")
     return tenant, kind, cells
+
+
+def check_keys(kind: str, cells: list[dict]) -> None:
+    """Refuse cells whose key is not their spec's key.
+
+    The fleet stores each result under its submitted key, for every
+    subscribing tenant, so a key paired with another cell's spec would
+    answer later honest submissions with the wrong payload.  Each spec is
+    decoded and its key recomputed with the kind's key function (the one
+    the submitter's grid used); the first mismatch raises.
+    """
+    key_of = cell_kind(kind).key
+    for i, cell in enumerate(cells):
+        try:
+            key = key_of(spec_from_payload(kind, cell["spec"]))
+        except ProtocolError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - any undecodable spec
+            raise ProtocolError(
+                f"cell {i}: malformed {kind} spec: "
+                f"{type(exc).__name__}: {exc}") from exc
+        if key != cell["key"]:
+            raise ProtocolError(
+                f"cell {i}: key {cell['key']} is not its spec's key {key}")
 
 
 def job_to_dict(job: "Any") -> dict:

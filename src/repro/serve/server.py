@@ -12,9 +12,11 @@ Routes (all JSON unless noted)::
                                          per-namespace cache stats,
                                          rate-limiter balances
     POST /v1/jobs                        batch submission (tenant, kind,
-                                         cells=[{key, spec}]); 429 with
-                                         structured backpressure when the
-                                         tenant's token bucket is empty
+                                         cells=[{key, spec}]); 400 when a
+                                         key is not its spec's key; 429
+                                         with structured backpressure when
+                                         the tenant's token bucket is
+                                         empty
     GET  /v1/jobs?tenant=T               job listing
     GET  /v1/jobs/<id>                   one job's status
     GET  /v1/jobs/<id>/results?wait=S    JSONL result stream (one line
@@ -173,6 +175,7 @@ class _Handler(BaseHTTPRequestHandler):
         body = self._read_body()
         tenant, kind, cells = protocol.validate_submission(body)
         check_namespace(tenant)
+        protocol.check_keys(kind, cells)
 
         ok, retry_after = state.limiter.check(tenant)
         if not ok:

@@ -158,9 +158,11 @@ def speculate_from_successor(cfg: CFG, pred_bid: int, succ_bid: int,
         # or by a skipped instruction later in succ (we can't see later
         # uses of the OLD value once ins is gone, so any earlier skipped
         # use means the old value was needed up to here).  A skipped
-        # earlier write to dest also forces it: unrenamed, this write
-        # would land first and the skipped one would overwrite it.
-        needs_rename = (dest in other_live or dest in moved_map.values()
+        # earlier write to dest also forces it, as does an earlier hoist
+        # of dest: unrenamed, this write would land first and the skipped
+        # write, or the copy a renamed hoist left in succ, would
+        # overwrite it.
+        needs_rename = (dest in other_live or dest in moved_map
                         or dest in skipped_defs)
         if not needs_rename and dest in live.live_in[succ_bid]:
             # Old value of dest flows into succ (used before this def by a

@@ -27,10 +27,10 @@ from typing import Optional
 
 from ..engine.cells import CellSpec, cell_grid
 
-#: The scheme every candidate is scored on: the paper's combined
+#: The table column every candidate is scored on: the paper's combined
 #: speculative+guarded pipeline — the one whose decisions the heuristic
-#: vector actually steers.  (scheme, kind, predictor) as in SCHEME_PLAN.
-TUNE_SCHEME = ("Proposed", "prop", "twobit")
+#: vector actually steers.
+TUNE_SCHEME = "Proposed"
 
 
 def compile_cost(cr) -> int:
@@ -65,7 +65,7 @@ def candidate_cells(heur, config_overrides: dict, programs: dict,
     """
     return [(name, key, spec) for name, _, spec, key in cell_grid(
         programs, heur, config_overrides, max_steps, backend,
-        schemes=(TUNE_SCHEME,), timeout=timeout)]
+        columns=(TUNE_SCHEME,), timeout=timeout)]
 
 
 def measure(cell, original_len: int) -> dict:

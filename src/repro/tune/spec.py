@@ -30,7 +30,7 @@ from ..workloads import BENCHMARKS
 #: Bounds of the machine-configuration axes the tuner may sweep
 #: (``config.<field>`` names).  Mirrors the fetch-rate / queue-size axes
 #: of the design-space sweeps in PAPERS.md; the predictor axis is fixed
-#: by the scheme plan, exactly as in :class:`repro.engine.sweep.SweepSpec`.
+#: by the scheme table, exactly as in :class:`repro.engine.sweep.SweepSpec`.
 CONFIG_PARAMS: dict[str, ParamBound] = {
     "config.fetch_width": ParamBound(2, 8, "int"),
     "config.dispatch_width": ParamBound(2, 8, "int"),

@@ -6,8 +6,8 @@ import warnings
 import pytest
 
 from repro.api import Session
-from repro.engine import (ArtifactCache, CellSpec, SCHEME_PLAN, SweepSpec,
-                          execute_cell)
+from repro.core import schemes
+from repro.engine import ArtifactCache, CellSpec, SweepSpec, execute_cell
 from repro.eval import suite_to_dict
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -34,11 +34,10 @@ def test_run_benchmark_matches_legacy():
     prog = benchmark_programs(SCALE)["compress"]
     with Session() as s:
         via_session = s.run_benchmark("compress", prog)
-    alone = {scheme: execute_cell(CellSpec(
-        benchmark="compress", scheme=scheme, kind=kind,
-        predictor=predictor, program=prog.to_dict(),
+    alone = {sc.name: execute_cell(CellSpec(
+        benchmark="compress", scheme=sc.name, program=prog.to_dict(),
         backend=s.backend)).to_dict()
-        for scheme, kind, predictor in SCHEME_PLAN}
+        for sc in schemes.columns()}
     assert json.dumps(via_session.to_dict()["results"], sort_keys=True) \
         == json.dumps(alone, sort_keys=True)
 

@@ -8,9 +8,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core import schemes
 from repro.core.heuristics import DEFAULT_HEURISTICS
-from repro.engine.cells import (CELLS, COUNTERS, SCHEME_PLAN, BenchmarkMemo,
-                                CellSpec, execute_cell, execute_cells)
+from repro.engine.cells import (CELLS, COUNTERS, BenchmarkMemo, CellSpec,
+                                execute_cell, execute_cells)
 from repro.engine.pool import LocalExecutor
 from repro.engine.suite import run_suite
 from repro.fastsim.backend import resolve_backend
@@ -24,10 +25,10 @@ MAX_STEPS = 5_000_000
 
 def _specs(name, prog, heur):
     payload = prog.to_dict()
-    return [CellSpec(benchmark=name, scheme=scheme, kind=kind,
-                     predictor=predictor, program=payload, heur=heur,
-                     max_steps=MAX_STEPS, backend=resolve_backend())
-            for scheme, kind, predictor in SCHEME_PLAN]
+    return [CellSpec(benchmark=name, scheme=s.name, program=payload,
+                     heur=heur, max_steps=MAX_STEPS,
+                     backend=resolve_backend())
+            for s in schemes.columns()]
 
 
 def _via_runner(name, prog, heur):
@@ -35,7 +36,7 @@ def _via_runner(name, prog, heur):
     come this way) on the caller's built program."""
     run = run_suite(benchmarks={name: prog}, heur=heur, max_steps=MAX_STEPS,
                     backend=resolve_backend())[name]
-    return [run.results[scheme].to_dict() for scheme, _, _ in SCHEME_PLAN]
+    return [run.results[s.name].to_dict() for s in schemes.columns()]
 
 
 def _via_pool(name, prog, heur):
@@ -127,12 +128,12 @@ def test_failed_profile_fails_every_compile_as_before(monkeypatch, path):
     # A failure is never shared: prop, safe and meld each profile, fail
     # and fall back to the baseline schedule by themselves.
     assert len(runs) == 3
-    for (scheme, kind, _), cell in zip(SCHEME_PLAN, payloads):
+    for s, cell in zip(schemes.columns(), payloads):
         cr = cell["compile_result"]
-        if kind == "base":
+        if s.overrides is None:
             assert cr["failures"] == []
         else:
-            assert cr["fallback"] == "baseline", scheme
+            assert cr["fallback"] == "baseline", s.name
             assert cr["failures"][0]["stage"] == "profile"
             assert "profiler down" in cr["failures"][0]["reason"]
     assert json.dumps(payloads, sort_keys=True) == json.dumps(

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.engine import (ArtifactCache, COUNTERS, SCHEME_PLAN,
-                          LocalExecutor, run_suite)
+from repro.core import schemes
+from repro.engine import ArtifactCache, COUNTERS, LocalExecutor, run_suite
 from repro.eval.runner import suite_to_dict
 from repro.workloads import benchmark_programs
 
@@ -28,7 +28,7 @@ def test_warm_cache_does_zero_compile_or_simulate(tmp_path, programs):
     runs = run_suite(benchmarks=programs, max_steps=MAX_STEPS, cache=cache)
     assert COUNTERS.compiles == 0
     assert COUNTERS.simulates == 0
-    assert cache.counters.hits == len(programs) * len(SCHEME_PLAN)
+    assert cache.counters.hits == len(programs) * len(schemes.columns())
     assert cache.counters.misses == 0
     assert all(run.ok for run in runs.values())
 

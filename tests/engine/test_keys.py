@@ -120,3 +120,32 @@ def test_cell_key_stable_across_processes(tmp_path):
     keys.add(cell_key(parse(SRC, name="tiny"), "2bitBP",
                       DEFAULT_HEURISTICS, config, 1000))
     assert len(keys) == 1, f"key drift across processes: {keys}"
+
+
+def test_every_spec_field_but_benchmark_timeout_strict_is_keyed():
+    """A spec field outside the key would let two different cells share
+    one cached result; only the label and the execution limits may."""
+    from dataclasses import fields
+
+    import repro.engine as engine
+
+    prog = _prog()
+    keyed = {
+        "scheme": "PerfectBP",
+        "program": parse(SRC.replace("li r2, 2", "li r2, 3"),
+                         name="tiny").to_dict(),
+        "heur": replace(DEFAULT_HEURISTICS, speculation_bias=0.7),
+        "config_overrides": (("fetch_width", 8),),
+        "max_steps": 1,
+        "backend": "fast",
+    }
+    unkeyed = {"benchmark": "other", "timeout": 5.0, "strict": True}
+    assert {f.name for f in fields(engine.CellSpec)} == \
+        set(keyed) | set(unkeyed)
+    spec = engine.CellSpec(benchmark="tiny", scheme="Proposed",
+                           program=prog.to_dict())
+    key = engine.spec_key(spec)
+    for name, value in keyed.items():
+        assert engine.spec_key(replace(spec, **{name: value})) != key, name
+    for name, value in unkeyed.items():
+        assert engine.spec_key(replace(spec, **{name: value})) == key, name

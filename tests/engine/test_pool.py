@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from repro.engine import CELLS, SCHEME_PLAN, CellSpec, LocalExecutor
+from repro.core import schemes
+from repro.engine import CELLS, CellSpec, LocalExecutor
 from repro.engine import cells as cells_mod
 from repro.workloads import benchmark_programs
 
@@ -21,11 +22,9 @@ def _specs(programs, max_steps=2_000_000):
     specs = []
     for name, prog in programs.items():
         payload = prog.to_dict()
-        for scheme, kind, predictor in SCHEME_PLAN:
-            specs.append(CellSpec(
-                benchmark=name, scheme=scheme, kind=kind,
-                predictor=predictor, program=payload,
-                max_steps=max_steps))
+        for s in schemes.columns():
+            specs.append(CellSpec(benchmark=name, scheme=s.name,
+                                  program=payload, max_steps=max_steps))
     return specs
 
 
@@ -71,9 +70,8 @@ def test_fail_cells_propagate_from_workers(programs):
 def test_strict_spec_raises_in_serial(programs):
     spec = _specs({"compress": programs["compress"]}, max_steps=10)[0]
     strict_spec = CellSpec(
-        benchmark=spec.benchmark, scheme=spec.scheme, kind=spec.kind,
-        predictor=spec.predictor, program=spec.program, max_steps=10,
-        strict=True)
+        benchmark=spec.benchmark, scheme=spec.scheme, program=spec.program,
+        max_steps=10, strict=True)
     with pytest.raises(Exception):
         _run([strict_spec])
 

@@ -15,11 +15,11 @@ import pytest
 
 import repro.isa.parser as parser_mod
 import repro.isa.printer as printer_mod
+from repro.core import schemes
 from repro.core.heuristics import DEFAULT_HEURISTICS
 from repro.core.pipeline import CompileResult
-from repro.engine import (COUNTERS, SCHEME_PLAN, ArtifactCache, LocalExecutor,
-                          run_suite)
-from repro.engine.cells import cell_grid
+from repro.engine import COUNTERS, ArtifactCache, LocalExecutor, run_suite
+from repro.engine.cells import cell_grid, spec_key
 from repro.engine.keys import (
     SCHEMA_VERSION, cell_key, digest, program_fingerprint,
 )
@@ -80,7 +80,7 @@ def test_warm_replay_parses_nothing(stock, monkeypatch):
     assert len(prints) == len(programs)  # one per input program
     assert (COUNTERS.compiles, COUNTERS.simulates) == (0, 0)
     assert (cache.counters.hits, cache.counters.misses) == \
-        (len(programs) * len(SCHEME_PLAN), 0)
+        (len(programs) * len(schemes.columns()), 0)
     assert _as_json(suite_to_dict(warm)) == _as_json(suite_to_dict(cold))
 
 
@@ -104,7 +104,8 @@ def _compile_payloads(stock):
 def test_lazy_compile_result_serializes_like_the_eager_one(stock,
                                                            monkeypatch):
     payloads = list(_compile_payloads(stock))
-    assert len(payloads) == len(SEEDS) * len(BACKENDS) * 4 * len(SCHEME_PLAN)
+    assert len(payloads) == \
+        len(SEEDS) * len(BACKENDS) * 4 * len(schemes.columns())
     for d in payloads:
         expected = _as_json(d)
         parses = _count_calls(monkeypatch, parser_mod, "parse")
@@ -129,7 +130,8 @@ def test_lazy_compile_result_serializes_like_the_eager_one(stock,
 
 def test_grid_keys_equal_cell_key():
     """All 80 stock program x scheme x backend cells (two seeds) key
-    exactly as ``cell_key`` does, and as its direct digest did."""
+    exactly as ``cell_key`` and ``spec_key`` do, and as the direct digest
+    did."""
     checked = 0
     for seed in SEEDS:
         programs = benchmark_programs(SCALE, seed=seed)
@@ -137,11 +139,12 @@ def test_grid_keys_equal_cell_key():
             grid = cell_grid(programs, DEFAULT_HEURISTICS, None, MAX_STEPS,
                              backend)
             assert [(n, s) for n, s, _, _ in grid] == [
-                (n, s) for n in programs for s, _, _ in SCHEME_PLAN]
+                (n, s.name) for n in programs for s in schemes.columns()]
             for name, scheme, spec, key in grid:
                 prog, config = programs[name], spec.resolve_config()
                 assert key == cell_key(prog, scheme, DEFAULT_HEURISTICS,
                                        config, MAX_STEPS, backend=backend)
+                assert key == spec_key(spec)
                 assert key == digest({
                     "schema": SCHEMA_VERSION,
                     "program": program_fingerprint(prog),
@@ -152,7 +155,7 @@ def test_grid_keys_equal_cell_key():
             assert [k for _, _, k, _, _ in suite_cells(
                 programs, DEFAULT_HEURISTICS, None, MAX_STEPS,
                 backend=backend)] == [k for _, _, _, k in grid]
-            proposed = {n: k for n, s, _, k in grid if s == TUNE_SCHEME[0]}
+            proposed = {n: k for n, s, _, k in grid if s == TUNE_SCHEME}
             assert {n: k for n, k, _ in candidate_cells(
                 DEFAULT_HEURISTICS, {}, programs, MAX_STEPS, None,
                 backend)} == proposed

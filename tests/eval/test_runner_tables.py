@@ -7,12 +7,15 @@ both the plumbing and the paper's qualitative claims on the output.
 import pytest
 
 from repro.api import Session
+from repro.core import schemes
 from repro.engine import run_suite
 from repro.eval import (
-    SCHEMES, format_improvements, format_table1, format_table2,
-    format_table3, format_table4, table1, table2, table3, table4,
+    format_improvements, format_table1, format_table2, format_table3,
+    format_table4, table1, table2, table3, table4,
 )
 from repro.workloads import biased_loop_program
+
+COLUMNS = [s.name for s in schemes.columns()]
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +25,7 @@ def runs():
 
 def test_all_schemes_present(runs):
     for name, run in runs.items():
-        assert set(run.results) == set(SCHEMES)
+        assert set(run.results) == set(COLUMNS)
 
 
 def test_all_benchmarks_present(runs):
@@ -49,9 +52,9 @@ def test_table3_shape(runs):
     higher under better prediction — 2bitBP <= Proposed <= PerfectBP,
     summed across benchmarks."""
     rows = table3(runs)
-    totals = {s: 0.0 for s in SCHEMES}
+    totals = {s: 0.0 for s in COLUMNS}
     for row in rows:
-        for s in SCHEMES:
+        for s in COLUMNS:
             totals[s] += row[s]["BR"]
     assert totals["2bitBP"] <= totals["Proposed"] + 1e-9
     assert totals["Proposed"] <= totals["PerfectBP"] + 1e-9
@@ -62,7 +65,7 @@ def test_table4_ipc_ordering(runs):
     per benchmark (Proposed may tie the baseline on a benchmark where no
     transform fires, but must never lose)."""
     for name, run in runs.items():
-        ipc = {s: run[s].stats.ipc for s in SCHEMES}
+        ipc = {s: run[s].stats.ipc for s in COLUMNS}
         assert ipc["Proposed"] >= ipc["2bitBP"] * 0.99, name
         assert ipc["PerfectBP"] >= ipc["Proposed"] * 0.95, name
 

@@ -14,7 +14,9 @@ These tests pin the fix:
 * the three version numbers moved in lockstep (engine key schema 5,
   serde payload schema 4, serve protocol 3 since the melded scheme;
   the key schema alone went to 6 for the speculation fix, which
-  changed cached fuzz verdicts but no payload shape or wire field),
+  changed cached fuzz verdicts but no payload shape or wire field, and
+  the protocol alone to 4 when cell specs dropped ``kind`` and
+  ``predictor``, which changed no key or payload),
 * while the *payloads* under the distinct keys stay byte-identical —
   distinct keys are a safety property, not a result difference.
 """
@@ -56,9 +58,12 @@ def test_version_lockstep():
     # of one without the others reopens the poisoning hole.  The key
     # schema alone moved to 6 when the speculation fix changed cached
     # fuzz verdicts: payload shapes and the wire stayed as they were.
+    # The protocol alone moved to 4 when cell specs stopped carrying
+    # ``kind`` and ``predictor`` (both follow from the scheme): keys and
+    # payloads stayed as they were.
     assert SCHEMA_VERSION == 6      # engine cell-key/envelope schema
     assert serde.SCHEMA_VERSION == 4  # result payload schema
-    assert PROTOCOL_VERSION == 3    # serve wire protocol
+    assert PROTOCOL_VERSION == 4    # serve wire protocol
 
 
 def test_legacy_heuristics_payload_still_decodes():
@@ -91,9 +96,8 @@ def test_meld_knobs_change_cell_keys(prog):
 
 
 def test_protocol_round_trips_backend(prog):
-    spec = CellSpec(benchmark="compress", scheme="2bitBP", kind="base",
-                    predictor="twobit", program=prog.to_dict(),
-                    backend="fast")
+    spec = CellSpec(benchmark="compress", scheme="2bitBP",
+                    program=prog.to_dict(), backend="fast")
     payload = cellspec_to_payload(spec)
     assert payload["backend"] == "fast"
     assert json.loads(json.dumps(payload)) == payload
@@ -103,8 +107,8 @@ def test_protocol_round_trips_backend(prog):
 
 
 def test_protocol_decodes_legacy_payload_as_reference(prog):
-    spec = CellSpec(benchmark="compress", scheme="2bitBP", kind="base",
-                    predictor="twobit", program=prog.to_dict())
+    spec = CellSpec(benchmark="compress", scheme="2bitBP",
+                    program=prog.to_dict())
     payload = cellspec_to_payload(spec)
     del payload["backend"]  # a v1 client never sent the field
     assert cellspec_from_payload(payload).backend == "reference"

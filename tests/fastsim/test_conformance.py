@@ -10,8 +10,9 @@ Coverage matrix:
   that historically broke a compiler pass, i.e. the nastiest control
   flow we know of),
 
-each compiled under **all five** fuzz schemes
-(:data:`repro.qa.cells.FUZZ_SCHEMES`) and simulated on both backends.
+each compiled under **every declared compile** of the scheme table
+(:mod:`repro.core.schemes`: the fuzzer's and the table columns', one case
+per distinct compile) and simulated on both backends.
 Equality is asserted on serde *payload dicts* (``SimStats.to_dict()`` /
 ``ExecStats.to_dict()`` / ``DiffReport.to_dict()``), not on summary
 numbers: one flipped counter anywhere is a failure.
@@ -22,10 +23,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine.cells import SCHEME_PLAN, CellSpec, execute_cell, overrides_as_items
+from repro.core import schemes
+from repro.core.schemes import compile_scheme
+from repro.engine.cells import CellSpec, execute_cell, overrides_as_items
 from repro.fastsim import crosscheck, crosscheck_cell
 from repro.profilefb.profiledb import ProfileDB
-from repro.qa.cells import FUZZ_SCHEMES, compile_scheme
 from repro.qa.corpus import load_reproducer
 from repro.sim.config import r10k_config
 from repro.workloads import benchmark_programs
@@ -34,10 +36,16 @@ MAX_STEPS = 5_000_000
 SCALE = 0.05
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "qa" / "corpus"
 CORPUS = sorted(p.name for p in CORPUS_DIR.glob("*.s"))
-SCHEMES = [name for name, _ in FUZZ_SCHEMES]
+# One case per distinct compile, named by the fuzz row that declares it
+# if any (2bitBP and PerfectBP compile as ``baseline``, Proposed as
+# ``combined``).
+_COMPILES: dict = {}
+for _s in schemes.fuzz_plan() + schemes.SCHEMES:
+    _COMPILES.setdefault(_s.overrides, _s.name)
+SCHEMES = list(_COMPILES.values())
 
 # Programs and profiles are cached per module: the matrix below reuses
-# one parse/profile per program across its five scheme cells.
+# one parse/profile per program across its scheme cells.
 _programs: dict = {}
 _profiles: dict = {}
 
@@ -113,14 +121,13 @@ def test_profile_payloads_identical(name):
     assert ref.to_json() == fast.to_json()
 
 
-@pytest.mark.parametrize("scheme,kind,predictor", SCHEME_PLAN)
-def test_engine_cell_payloads_byte_identical(scheme, kind, predictor):
+@pytest.mark.parametrize("scheme", [s.name for s in schemes.columns()])
+def test_engine_cell_payloads_byte_identical(scheme):
     # The engine-level contract: the exact payload dict the artifact
     # cache stores (stats + exec_stats + compile_result + failure) is
-    # byte-identical across backends for every scheme in the plan.
+    # byte-identical across backends for every table column.
     prog = _program("grep")
-    spec = CellSpec(benchmark="grep", scheme=scheme, kind=kind,
-                    predictor=predictor, program=prog.to_dict(),
+    spec = CellSpec(benchmark="grep", scheme=scheme, program=prog.to_dict(),
                     config_overrides=overrides_as_items(None),
                     max_steps=MAX_STEPS, strict=True)
     ref = execute_cell(spec, program=prog).to_dict()

@@ -19,9 +19,8 @@ Melding renames arm defs onto scratch registers and reconverges through
 demands exact state equality.
 
 ``derandomize=True`` keeps tier-1 deterministic; the exhaustive per-zoo
-corpus coverage of the melded scheme lives in ``test_conformance.py``
-(which parametrizes over ``FUZZ_SCHEMES`` and picked up the sixth row
-automatically).
+corpus coverage of the melded compiles lives in ``test_conformance.py``
+(which parametrizes over every compile of :mod:`repro.core.schemes`).
 """
 
 from dataclasses import replace

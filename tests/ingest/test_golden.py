@@ -3,8 +3,9 @@
 Every fixture under ``fixtures/`` carries two committed goldens:
 
 * ``<stem>.golden.s``   — the lowered program, byte-exact;
-* ``<stem>.stats.json`` — full six-scheme stats, byte-exact on BOTH
-  execution backends (reference == fast == committed).
+* ``<stem>.stats.json`` — the stats of every table column
+  (:func:`repro.core.schemes.columns`), byte-exact on BOTH execution
+  backends (reference == fast == committed).
 
 The suite runs from a cold cache (the suite-wide ``REPRO_CACHE_DIR``
 fixture points at an empty temp dir, and nothing here passes a cache),
@@ -58,10 +59,10 @@ def test_stats_golden_byte_exact_on_both_backends(fixture, backend):
 
 @pytest.mark.parametrize("fixture", GOOD, ids=IDS)
 def test_stats_golden_covers_all_six_schemes(fixture):
-    from repro.eval.runner import SCHEMES
+    from repro.core.schemes import columns
 
     payload = json.loads(stats_path(fixture).read_text())
-    assert sorted(payload["schemes"]) == sorted(SCHEMES)
+    assert sorted(payload["schemes"]) == sorted(s.name for s in columns())
 
 
 def test_import_is_deterministic():

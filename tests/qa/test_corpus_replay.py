@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.qa.cells import FUZZ_SCHEMES
+from repro.core.schemes import fuzz_plan
 from repro.qa.corpus import iter_corpus, load_reproducer, replay_corpus
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -33,4 +33,4 @@ def test_replay_corpus_all_schemes_clean():
     for r in records:
         assert r["error"] is None, (r["name"], r["error"])
         assert r["divergent"] == [], (r["name"], r["divergent"])
-        assert set(r["schemes"]) == {name for name, _ in FUZZ_SCHEMES}
+        assert set(r["schemes"]) == {s.name for s in fuzz_plan()}

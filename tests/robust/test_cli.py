@@ -3,7 +3,7 @@
 import pytest
 
 from repro.__main__ import main
-from repro.engine import cells as cells_mod
+from repro.core import schemes as schemes_mod
 from repro.engine import suite as suite_mod
 from repro.isa import parse
 
@@ -51,7 +51,7 @@ def _tiny_suite(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic mid-pass crash")
 
-    monkeypatch.setattr(cells_mod, "compile_proposed", boom)
+    monkeypatch.setattr(schemes_mod, "compile_proposed", boom)
 
 
 def test_tables_with_failed_cell_exits_zero(_tiny_suite, capsys):

@@ -119,8 +119,7 @@ def test_engine_cell_survives_injected_fault(fault, prog):
     # Containment must hold one layer up too: a fast-backend cell under
     # an injected fastsim fault produces the same SUCCESS payload as a
     # reference cell — not a FAIL(...) record.
-    spec = CellSpec(benchmark="grep", scheme="2bitBP", kind="base",
-                    predictor="twobit", program=prog.to_dict(),
+    spec = CellSpec(benchmark="grep", scheme="2bitBP", program=prog.to_dict(),
                     max_steps=MAX_STEPS, strict=True)
     ref = execute_cell(spec, program=prog).to_dict()
     with inject_fastsim_fault(fault):
@@ -144,8 +143,7 @@ def test_unmodeled_opcode_fails_identically(prog):
         fb.simulate(bad, r10k_config("twobit"), max_steps=MAX_STEPS)
     assert fb.fallback_trail() == ()  # a raise is not a fallback
 
-    spec = dict(benchmark="grep", scheme="2bitBP", kind="base",
-                predictor="twobit", program=bad.to_dict(),
+    spec = dict(benchmark="grep", scheme="2bitBP", program=bad.to_dict(),
                 max_steps=MAX_STEPS)
     ref = execute_cell(CellSpec(**spec), program=bad).to_dict()
     fast = execute_cell(CellSpec(**spec, backend="fast"),

@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from repro.engine import SCHEME_PLAN, CellSpec, execute_cell, run_suite
-from repro.engine import cells as cells_mod
+from repro.core import schemes as schemes_mod
+from repro.engine import CellSpec, execute_cell, run_suite
 from repro.eval import (
-    SCHEMES, format_improvements, format_table1, format_table3,
+    format_improvements, format_table1, format_table3,
     format_table4, render_report, suite_failures,
 )
 from repro.eval.paper_data import shape_verdicts
@@ -35,7 +35,7 @@ def _boom(*args, **kwargs):
 
 
 def test_proposed_cell_failure_is_contained(monkeypatch):
-    monkeypatch.setattr(cells_mod, "compile_proposed", _boom)
+    monkeypatch.setattr(schemes_mod, "compile_proposed", _boom)
     runs = run_suite(benchmarks=_bench())
     run = runs["tiny"]
     assert run["2bitBP"].ok and run["PerfectBP"].ok
@@ -50,7 +50,7 @@ def test_proposed_cell_failure_is_contained(monkeypatch):
 
 
 def test_tables_render_fail_cells(monkeypatch):
-    monkeypatch.setattr(cells_mod, "compile_proposed", _boom)
+    monkeypatch.setattr(schemes_mod, "compile_proposed", _boom)
     runs = run_suite(benchmarks=_bench())
     for text in (format_table3(runs), format_table4(runs),
                  format_improvements(runs)):
@@ -63,14 +63,14 @@ def test_tables_render_fail_cells(monkeypatch):
 
 
 def test_strict_mode_fails_fast(monkeypatch):
-    monkeypatch.setattr(cells_mod, "compile_proposed", _boom)
+    monkeypatch.setattr(schemes_mod, "compile_proposed", _boom)
     with pytest.raises(RuntimeError, match="synthetic mid-pass crash"):
         run_suite(benchmarks=_bench(), strict=True)
 
 
 def test_cell_retry_once_absorbs_transient_failure(monkeypatch):
     calls = {"n": 0}
-    real = cells_mod.compile_baseline
+    real = schemes_mod.compile_baseline
 
     def flaky(prog):
         calls["n"] += 1
@@ -78,12 +78,11 @@ def test_cell_retry_once_absorbs_transient_failure(monkeypatch):
             raise RuntimeError("transient")
         return real(prog)
 
-    monkeypatch.setattr(cells_mod, "compile_baseline", flaky)
+    monkeypatch.setattr(schemes_mod, "compile_baseline", flaky)
     prog = _bench()["tiny"]
-    scheme, kind, predictor = SCHEME_PLAN[0]
     result = execute_cell(CellSpec(
-        benchmark="tiny", scheme=scheme, kind=kind, predictor=predictor,
-        program=prog.to_dict()), program=prog)
+        benchmark="tiny", scheme="2bitBP", program=prog.to_dict()),
+        program=prog)
     assert result.ok
     assert calls["n"] == 2
 
@@ -92,7 +91,8 @@ def test_benchmark_construction_failure_fails_all_cells(monkeypatch):
     bench = _bench()
     monkeypatch.setattr(bench["tiny"], "to_dict", _boom)
     runs = run_suite(benchmarks=bench)
-    assert {c.scheme for c in runs["tiny"].failures} == set(SCHEMES)
+    assert {c.scheme for c in runs["tiny"].failures} == \
+        {s.name for s in schemes_mod.columns()}
     assert all("RuntimeError" in c.failure for c in runs["tiny"].failures)
 
 

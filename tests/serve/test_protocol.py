@@ -1,5 +1,6 @@
 """Wire-protocol codecs: exact round-trips and shape validation."""
 
+import dataclasses
 from dataclasses import replace
 
 import pytest
@@ -33,8 +34,7 @@ def test_heur_unknown_field_rejected():
 def test_cellspec_round_trip_preserves_cell_key():
     prog = benchmark_programs(0.02, seed=5)["compress"]
     spec = CellSpec(
-        benchmark="compress", scheme="Proposed", kind="prop",
-        predictor="twobit", program=prog.to_dict(),
+        benchmark="compress", scheme="Proposed", program=prog.to_dict(),
         heur=DEFAULT_HEURISTICS,
         config_overrides=overrides_as_items({"fetch_width": 8}),
         max_steps=100_000)
@@ -52,6 +52,30 @@ def test_cellspec_round_trip_preserves_cell_key():
 def test_cellspec_malformed_payload_raises():
     with pytest.raises(protocol.ProtocolError):
         protocol.cellspec_from_payload({"benchmark": "x"})
+
+
+@pytest.mark.parametrize("scheme", ["no-such-scheme", "combined"])
+def test_cellspec_refuses_schemes_that_are_not_table_columns(scheme):
+    prog = benchmark_programs(0.02, seed=5)["compress"]
+    payload = protocol.cellspec_to_payload(CellSpec(
+        benchmark="compress", scheme="Proposed", program=prog.to_dict()))
+    assert "kind" not in payload and "predictor" not in payload
+    with pytest.raises(protocol.ProtocolError, match=scheme):
+        protocol.cellspec_from_payload({**payload, "scheme": scheme})
+
+
+def test_check_keys_names_the_first_mismatch():
+    from repro.qa.cells import FuzzCellSpec, fuzz_cell_key
+
+    specs = [FuzzCellSpec("diamonds", seed) for seed in (1, 2)]
+    cells = [{"key": fuzz_cell_key(s), "spec": dataclasses.asdict(s)}
+             for s in specs]
+    protocol.check_keys("fuzz", cells)
+    cells[1]["key"] = cells[0]["key"]
+    with pytest.raises(protocol.ProtocolError, match="cell 1: key"):
+        protocol.check_keys("fuzz", cells)
+    with pytest.raises(protocol.ProtocolError, match="cell 0: malformed"):
+        protocol.check_keys("fuzz", [{"key": "a" * 64, "spec": {}}])
 
 
 def test_validate_submission_happy_path():

@@ -11,6 +11,7 @@
 * Results stream back as JSONL in submission order.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -19,9 +20,10 @@ from repro.api import Session
 from repro.core.heuristics import DEFAULT_HEURISTICS
 from repro.engine.cells import COUNTERS
 from repro.serve import (
-    Backpressure, EvalServer, ServeClient, ServeConfig,
+    Backpressure, EvalServer, ServeClient, ServeConfig, ServeError,
 )
 from repro.serve import worker as worker_mod
+from repro.qa.cells import FuzzCellSpec, fuzz_cell_key
 from repro.serve.client import suite_cells
 from repro.workloads import benchmark_programs
 
@@ -110,8 +112,8 @@ def test_rate_limited_tenant_gets_structured_backpressure(tmp_path):
         sleeps = []
         client = ServeClient(server.url, tenant="greedy", timeout=30.0,
                              sleep=sleeps.append)
-        cells = [("d" * 64, {"strategy": "diamonds", "seed": 1,
-                             "max_steps": 1000})]
+        spec = FuzzCellSpec("diamonds", 1, max_steps=1000)
+        cells = [(fuzz_cell_key(spec), dataclasses.asdict(spec))]
         client.submit_cells(cells, kind="fuzz")
         client.submit_cells(cells, kind="fuzz")  # burst spent
         with pytest.raises(Backpressure) as exc_info:
@@ -122,6 +124,48 @@ def test_rate_limited_tenant_gets_structured_backpressure(tmp_path):
         assert err.details["retry_after_s"] > 0
         # The client honored the advertised (capped) retry delay.
         assert sleeps and all(s > 0 for s in sleeps)
+
+
+def _forged_and_honest(seed):
+    """Proposed's key paired with 2bitBP's spec, and Proposed's own cell."""
+    by_scheme = {scheme: (key, payload)
+                 for _, scheme, key, _, payload in _grid(seed=seed)}
+    forged = (by_scheme["Proposed"][0], by_scheme["2bitBP"][1])
+    return forged, by_scheme["Proposed"]
+
+
+def test_forged_key_cannot_poison_the_honest_cell(server):
+    forged, honest = _forged_and_honest(seed=18)
+    client = ServeClient(server.url, tenant="mallory", timeout=120.0)
+    with pytest.raises(ServeError) as exc_info:
+        client.submit_cells([forged])
+    assert exc_info.value.code == "bad_request"
+    assert forged[0] in str(exc_info.value)
+    # Nothing was stored under Proposed's key: the honest cell runs and
+    # gets Proposed's own result.
+    job = client.submit_cells([honest])
+    assert job["n_cache_hits"] == 0
+    [(key, payload)] = client.results(job["job_id"])
+    assert key == honest[0]
+    assert payload["scheme"] == "Proposed"
+    assert payload["failure"] is None
+
+
+def test_forged_key_is_refused_before_the_rate_limiter(tmp_path):
+    forged, honest = _forged_and_honest(seed=18)
+    config = ServeConfig(port=0, workers=1, cache_dir=tmp_path / "c",
+                         rate=0.001, burst=1)
+    with EvalServer(config) as server:
+        client = ServeClient(server.url, tenant="mallory", timeout=120.0,
+                             sleep=lambda s: None)
+        with pytest.raises(ServeError) as exc_info:
+            client.submit_cells([forged])
+        assert exc_info.value.code == "bad_request"
+        # The refusal spent no token: the burst of one admits the honest
+        # cell, and only then is the tenant out of budget.
+        client.submit_cells([honest])
+        with pytest.raises(Backpressure):
+            client.submit_cells([honest])
 
 
 def test_session_remote_results_byte_identical_to_local(server, tmp_path):

@@ -124,12 +124,12 @@ def test_engine_retry_runs_inside_the_service_loop(tmp_path, monkeypatch):
     real_compile = engine_cells.counted_compile
     failures = []
 
-    def compile_flaky_once(kind, prog, heur, max_steps, backend,
+    def compile_flaky_once(scheme, prog, heur, max_steps, backend,
                            profile=None):
         if not failures:
-            failures.append(kind)
+            failures.append(scheme)
             raise RuntimeError("transient compile fault")
-        return real_compile(kind, prog, heur, max_steps, backend,
+        return real_compile(scheme, prog, heur, max_steps, backend,
                             profile=profile)
 
     monkeypatch.setattr(engine_cells, "counted_compile",
@@ -145,7 +145,7 @@ def test_engine_retry_runs_inside_the_service_loop(tmp_path, monkeypatch):
     try:
         assert _wait(lambda: job.done, timeout=60.0)
         result = job.results[key]
-        assert failures == ["base"]                 # the fault did fire
+        assert failures == ["2bitBP"]               # the fault did fire
         assert result.get("failure") is None        # ...and was retried
         assert result["stats"] is not None
     finally:

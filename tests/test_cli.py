@@ -13,7 +13,8 @@ def test_run_benchmark(capsys):
 
 
 def test_run_proposed(capsys):
-    assert main(["run", "espresso", "--scale", "0.1", "--proposed"]) == 0
+    assert main(["run", "espresso", "--scale", "0.1",
+                 "--scheme", "proposed"]) == 0
     assert "proposed" in capsys.readouterr().out
 
 
@@ -22,9 +23,11 @@ def test_run_proposed(capsys):
                                     "melded"])
 def test_run_profiles_on_the_chosen_backend(monkeypatch, capsys, scheme,
                                             backend):
-    """``run --scheme <proposed kind>`` profiles on the same backend it
-    simulates on; ``compile`` and ``verify`` profile on the default."""
+    """``run --scheme <proposed-pipeline compile>`` profiles on the same
+    backend it simulates on; ``compile`` and ``verify`` profile on the
+    default."""
     import repro.__main__ as cli
+    from repro.core import schemes as schemes_mod
 
     seen = []
     real = cli.compile_proposed
@@ -35,6 +38,7 @@ def test_run_profiles_on_the_chosen_backend(monkeypatch, capsys, scheme,
 
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.setattr(cli, "compile_proposed", spy)
+    monkeypatch.setattr(schemes_mod, "compile_proposed", spy)
     assert main(["run", "grep", "--scale", "0.02", "--scheme", scheme,
                  "--backend", backend]) == 0
     assert main(["compile", "grep", "--scale", "0.02"]) == 0
