@@ -25,7 +25,8 @@ SUITE_SCALE = 0.3
 
 @pytest.fixture(scope="session")
 def suite_runs():
-    """The full Tables-3/4 sweep: 4 benchmarks x 3 schemes, cached."""
+    """The full Tables-3/4 sweep: every benchmark under every table
+    column of :mod:`repro.core.schemes`, cached."""
     jobs = int(os.environ.get("REPRO_JOBS", "1"))
     return run_suite(scale=SUITE_SCALE, cache=ArtifactCache(),
                      executor=LocalExecutor(jobs))

@@ -26,9 +26,8 @@ successes; the serve worker reads the same declarations.
 Oversubscription guard: more workers than CPUs is a slowdown (process
 startup and imports per worker, time-sliced), so :func:`execution_mode`
 clamps the worker count to ``min(jobs, n_items, cpu_count)`` and runs
-in-process when that leaves one worker, recording the decision in
-:data:`LAST_DECISION`.  ``REPRO_POOL_FORCE=1`` bypasses the CPU clamp
-(e.g. for pool testing on small boxes).
+in-process when that leaves one worker.  ``REPRO_POOL_FORCE=1`` bypasses
+the CPU clamp (e.g. for pool testing on small boxes).
 """
 
 from __future__ import annotations
@@ -84,17 +83,6 @@ class PoolDecision:
     n_items: int   # size of the work list
     cpus: int      # os.cpu_count() at decision time
 
-    def to_dict(self) -> dict:
-        """JSON-serializable form (bench reports record this)."""
-        return {"mode": self.mode, "workers": self.workers,
-                "jobs": self.jobs, "n_items": self.n_items,
-                "cpus": self.cpus}
-
-
-#: The most recent :class:`PoolDecision` made in this process, or None.
-#: Benchmarks read this right after a run to record which mode executed.
-LAST_DECISION: Optional[PoolDecision] = None
-
 
 def execution_mode(jobs: int, n_items: int) -> PoolDecision:
     """Decide serial vs. parallel for a *jobs* request over *n_items*.
@@ -104,10 +92,8 @@ def execution_mode(jobs: int, n_items: int) -> PoolDecision:
     ``"serial-oversubscribed"`` when the caller asked for parallelism
     (``jobs > 1``) but the machine cannot provide it, so the condition is
     visible rather than silently absorbed.  ``REPRO_POOL_FORCE=1``
-    disables the CPU clamp (item count still bounds the pool).  The
-    decision is stored in :data:`LAST_DECISION` as a side effect.
+    disables the CPU clamp (item count still bounds the pool).
     """
-    global LAST_DECISION
     cpus = os.cpu_count() or 1
     workers = min(jobs, n_items)
     if not os.environ.get("REPRO_POOL_FORCE"):
@@ -118,7 +104,6 @@ def execution_mode(jobs: int, n_items: int) -> PoolDecision:
         decision = PoolDecision(mode, 1, jobs, n_items, cpus)
     else:
         decision = PoolDecision("parallel", workers, jobs, n_items, cpus)
-    LAST_DECISION = decision
     REGISTRY.inc(f"engine.pool.{decision.mode}")
     return decision
 

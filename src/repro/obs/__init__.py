@@ -10,8 +10,7 @@ perturbing the measurements it observes:
   installed, :func:`span` returns a shared no-op span, so instrumented
   code pays one global load and an attribute check per span;
 * :mod:`~repro.obs.metrics` — named **counters and histograms** in a
-  process-global registry with a disabled-by-default no-op fast path
-  (``tools/bench_suite.py`` measures the overhead into ``BENCH_obs.json``);
+  process-global registry with a disabled-by-default no-op fast path;
 * :mod:`~repro.obs.pipeline_obs` — an opt-in **observer** for the cycle
   simulator deriving fetch/issue/retire rates, mispredict intervals,
   per-branch outcome entropy, and sampled hot-PC histograms from the

@@ -4,8 +4,7 @@ The registry is process-global and **disabled by default**: every
 recording call (:meth:`MetricsRegistry.inc`,
 :meth:`MetricsRegistry.observe`) starts with one boolean check and
 returns immediately when metrics are off, so instrumented code paths pay
-effectively nothing in normal runs — ``tools/bench_suite.py`` measures
-the residual overhead on the cycle simulator into ``BENCH_obs.json``.
+effectively nothing in normal runs.
 
 Naming convention (see docs/OBSERVABILITY.md): dot-separated
 ``<layer>.<event>`` — e.g. ``engine.cache.hits``,

@@ -8,8 +8,7 @@ simulator's hot loop*.  It attaches by rebinding the sim's ``_issue``
 and ``_dispatch`` bound methods as instance attributes (shadowing the
 class methods for that one instance) and wrapping the trace iterator;
 an unobserved ``TimingSim`` executes byte-identical code to one built
-before this module existed, which is what lets ``BENCH_obs.json``
-honestly report a near-zero disabled overhead.
+before this module existed, so observation costs nothing when it is off.
 
 All derived figures come from deltas of counters the simulator already
 maintains:

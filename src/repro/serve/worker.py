@@ -24,7 +24,7 @@ an untimed submission).
 
 Utilization accounting: each worker tracks busy nanoseconds against its
 lifetime; :meth:`WorkerFleet.stats` reports per-worker and fleet-level
-utilization for the ``/v1/stats`` endpoint and BENCH_serve.json.
+utilization for the ``/v1/stats`` endpoint.
 """
 
 from __future__ import annotations

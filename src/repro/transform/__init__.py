@@ -24,9 +24,6 @@ from .hyperblock import (
 from .reverse_ifconvert import (
     ReverseIfConvertReport, fully_lower, reverse_if_convert,
 )
-from .regalloc import (
-    RegAllocReport, build_interference, compact_registers, register_pressure,
-)
 from .dce import eliminate_dead_code
 from .copyprop import propagate_copies, propagate_copies_block
 
@@ -44,7 +41,5 @@ __all__ = [
     "split_from_profile",
     "HyperblockReport", "form_hyperblocks", "merge_straightline_blocks",
     "ReverseIfConvertReport", "fully_lower", "reverse_if_convert",
-    "RegAllocReport", "build_interference", "compact_registers",
-    "register_pressure",
     "eliminate_dead_code", "propagate_copies", "propagate_copies_block",
 ]

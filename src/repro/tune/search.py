@@ -22,9 +22,10 @@ long the search takes, not where it goes; that is what makes
 ``same seed + budget → identical front`` and ``resumed search executes
 zero cells`` simultaneously true.
 
-Results additionally land in the artifact cache under a spec-level key
-(:func:`tune_result_key`), so re-running an identical search returns the
-stored :class:`TuneResult` without touching a single cell.
+A search whose every cell succeeded additionally lands in the artifact
+cache under a spec-level key (:func:`tune_result_key`), so re-running an
+identical search returns the stored :class:`TuneResult` without touching
+a single cell.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .pareto import pareto_front
 from .spec import TuneSpec, apply_params
 
 #: Code-growth slack a per-workload winner may spend over the default
-#: vector's growth (the bench gate's "≤5% regression" budget).
+#: vector's growth (at most 5% more).
 GROWTH_SLACK = 1.05
 
 
@@ -247,8 +248,7 @@ def _pick_winners(finalists: list, spec: TuneSpec) -> dict:
     has IPC >= the default's by construction; candidates whose growth
     exceeds ``default_growth * GROWTH_SLACK`` are not eligible — beating
     the paper's thresholds by paying unbounded code size is exactly the
-    trade the 1998 hardware could not afford, and the bench gate
-    rejects it.
+    trade the 1998 hardware could not afford.
     """
     top = _rung_label(spec.fidelities[-1])
     default = finalists[0]
@@ -391,6 +391,11 @@ def run_tune(spec: TuneSpec, cache=None, executor=None,
                         pareto=front, per_workload=per_workload,
                         evaluations=evaluations, cells_hit=hits,
                         cells_executed=executed)
-    if cache is not None:
+    # Stored only when every cell it measured succeeded: the key leaves
+    # out the timeout, so a search of timed-out cells would otherwise
+    # answer a later untimed one.
+    if cache is not None and all(
+            m["ok"] for cand in candidates for rung in cand["rungs"].values()
+            for m in rung["per_workload"].values()):
         cache.put(result_key, result.to_dict())
     return result

@@ -170,16 +170,6 @@ class TestExecutionMode:
         assert decision.mode == "parallel"
         assert decision.workers == 2
 
-    def test_last_decision_recorded_for_bench(self, monkeypatch):
-        from repro.engine import execution_mode
-        from repro.engine import pool
-
-        decision = execution_mode(jobs=1, n_items=5)
-        assert pool.LAST_DECISION is decision
-        d = decision.to_dict()
-        assert d["mode"] == "serial"
-        assert set(d) == {"mode", "workers", "jobs", "n_items", "cpus"}
-
     def test_oversubscribed_fallback_counted_when_metrics_on(
             self, monkeypatch):
         import os

@@ -65,6 +65,17 @@ def test_stats_golden_covers_all_six_schemes(fixture):
     assert sorted(payload["schemes"]) == sorted(s.name for s in columns())
 
 
+def test_some_fixture_melds():
+    # Otherwise the melded column of every imported workload would
+    # measure plain Proposed.
+    from repro.core.schemes import compile_scheme
+
+    melds = {f.name: compile_scheme(import_path(f), "melded",
+                                    max_steps=50_000_000).melds_applied
+             for f in GOOD if f.suffix == ".bril"}
+    assert any(melds.values()), melds
+
+
 def test_import_is_deterministic():
     # Same bytes -> same Program dict (the engine cache fingerprint).
     f = FIXTURES / "gcd.bril"

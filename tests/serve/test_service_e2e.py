@@ -35,11 +35,17 @@ def _grid(seed=11):
     return suite_cells(programs, DEFAULT_HEURISTICS, None, MAX_STEPS)
 
 
+def _stock_grid(seed):
+    """Every stock program at scale 0.05 under the default step budget."""
+    return suite_cells(benchmark_programs(0.05, seed=seed),
+                       DEFAULT_HEURISTICS, None, 50_000_000)
+
+
 def _cells(grid):
     return [(key, payload) for _, _, key, _, payload in grid]
 
 
-def test_two_tenants_execute_each_unique_cell_once(server, monkeypatch):
+def _assert_each_unique_cell_runs_once(server, monkeypatch, grid):
     # Hold the fleet at the gate until both tenants have submitted, so
     # the overlap is guaranteed rather than won by racing the workers.
     import threading
@@ -53,7 +59,6 @@ def test_two_tenants_execute_each_unique_cell_once(server, monkeypatch):
 
     monkeypatch.setattr(worker_mod, "execute_payload", gated)
 
-    grid = _grid()
     alice = ServeClient(server.url, tenant="alice", timeout=120.0)
     bob = ServeClient(server.url, tenant="bob", timeout=120.0)
     job_a = alice.submit_cells(_cells(grid))
@@ -76,8 +81,16 @@ def test_two_tenants_execute_each_unique_cell_once(server, monkeypatch):
     assert all(r["failure"] is None for r in results_a.values())
 
 
-def test_warm_replay_does_zero_work(server):
-    grid = _grid(seed=12)
+def test_two_tenants_execute_each_unique_cell_once(server, monkeypatch):
+    _assert_each_unique_cell_runs_once(server, monkeypatch, _grid())
+
+
+def test_two_tenants_execute_each_stock_cell_once(server, monkeypatch):
+    _assert_each_unique_cell_runs_once(server, monkeypatch,
+                                       _stock_grid(seed=202))
+
+
+def _assert_warm_replay_does_zero_work(server, grid):
     client = ServeClient(server.url, tenant="alice", timeout=120.0)
     client.run_cells(_cells(grid))               # cold fill
 
@@ -91,6 +104,14 @@ def test_warm_replay_does_zero_work(server):
     assert COUNTERS.compiles == 0
     assert COUNTERS.simulates == 0
     assert server.queue.depth() == 0
+
+
+def test_warm_replay_does_zero_work(server):
+    _assert_warm_replay_does_zero_work(server, _grid(seed=12))
+
+
+def test_stock_warm_replay_does_zero_work(server):
+    _assert_warm_replay_does_zero_work(server, _stock_grid(seed=101))
 
 
 def test_tenant_namespaces_stay_isolated(server):

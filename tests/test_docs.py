@@ -59,3 +59,30 @@ def test_design_lists_every_bench():
         # Every bench is referenced from DESIGN.md or EXPERIMENTS.md.
         exp = (ROOT / "EXPERIMENTS.md").read_text()
         assert bench.name in text or bench.name in exp, bench.name
+
+
+#: A repo path the prose may name: a bench record at the root, or a file
+#: under one of the top-level directories.
+REPO_PATH = re.compile(
+    r"(?<![\w./-])(?:BENCH_[A-Za-z]+\.json"
+    r"|(?:tools|docs|benchmarks|tests|perfbench|examples|src)/[\w./-]*?"
+    r"\.(?:jsonl|json|bril|py|md|sh|s))\b")
+
+
+def _path_naming_files():
+    for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+                 ".claude/skills/verify/SKILL.md"):
+        if (ROOT / name).exists():
+            yield ROOT / name
+    yield from sorted((ROOT / "docs").glob("*.md"))
+    yield from sorted((ROOT / "src").rglob("*.py"))
+
+
+def test_named_repo_paths_exist():
+    """Every repo file the docs and docstrings name is there, so no
+    sentence quotes a record or points at a test that is gone."""
+    missing = sorted({f"{path.relative_to(ROOT)} names {name}"
+                      for path in _path_naming_files()
+                      for name in REPO_PATH.findall(path.read_text())
+                      if not (ROOT / name).exists()})
+    assert not missing, "\n".join(missing)

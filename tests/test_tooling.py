@@ -19,8 +19,7 @@ SCRIPTS = sorted((ROOT / "benchmarks").glob("*.py")) \
 
 def test_scripts_found():
     names = {f"{p.parent.name}/{p.name}" for p in SCRIPTS}
-    assert {"benchmarks/conftest.py", "tools/bench_suite.py",
-            "tools/inject_faults.py"} <= names
+    assert {"benchmarks/conftest.py", "tools/inject_faults.py"} <= names
 
 
 @pytest.mark.parametrize("path", SCRIPTS,

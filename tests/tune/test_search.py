@@ -1,9 +1,11 @@
 """The closed-loop search: determinism, resume, winners.
 
-Every test runs at tiny scale over a two-benchmark zoo so the whole file
-stays in tier-1 time; the full-zoo, full-scale behavior is exercised by
-``tools/bench_suite.py --skip``-gated phases and the CI ``tune`` job, and
-a search through a live server by ``tests/serve/test_remote_parity.py``.
+Most tests run at tiny scale over a two-benchmark zoo so the whole file
+stays in tier-1 time.  One full-zoo search (scale 0.1, budget 24) checks
+that tuning beats the paper's thresholds somewhere and resumes for free;
+the CI ``tune`` job checks that a CLI search is deterministic and resumes
+with zero cells, and ``tests/serve/test_remote_parity.py`` a search
+through a live server.
 """
 
 import json
@@ -14,8 +16,8 @@ from repro.engine import CELLS, ArtifactCache, run_cached
 from repro.engine.cells import COUNTERS
 from repro.obs import metrics as _metrics
 from repro.tune import (
-    ParamSpec, TuneResult, TuneSpec, apply_params, format_tune_result,
-    run_tune, tune_result_key,
+    DEFAULT_PARAM_NAMES, ParamSpec, TuneResult, TuneSpec, apply_params,
+    format_tune_result, run_tune, tune_result_key,
 )
 from repro.tune.evaluate import candidate_cells
 
@@ -73,7 +75,7 @@ def test_pareto_front_nonempty_and_valid(first_result):
 def test_winner_ipc_never_below_default(first_result):
     """Candidate 0 competes, so the per-workload winner is structurally
     at least as good as the paper's global thresholds — with bounded
-    code growth (the <=5% slack of the bench gate)."""
+    code growth (the <=5% slack of ``GROWTH_SLACK``)."""
     _, result = first_result
     assert result.per_workload  # both benchmarks finished
     for bench, w in result.per_workload.items():
@@ -137,6 +139,47 @@ def test_warm_rerun_zero_compiles(first_result):
     assert COUNTERS.compiles == 0
     assert COUNTERS.simulates == 0
     assert again.to_dict() == result.to_dict()
+
+
+def test_full_zoo_search_beats_the_defaults_and_resumes_for_free(tmp_path):
+    """The paper's four thresholds over every stock workload: some
+    workload's winner has a higher IPC than the default vector within 5%
+    more code growth, and a rerun executes nothing and returns the same
+    result."""
+    spec = TuneSpec(params=tuple(ParamSpec(n) for n in DEFAULT_PARAM_NAMES),
+                    scale=0.1, budget=24, seed=0)
+    cache = ArtifactCache(tmp_path / "cache")
+    result = run_tune(spec, cache=cache)
+    improved = [
+        bench for bench, w in result.per_workload.items()
+        if w["ipc"] > w["default_ipc"] and 100.0 * (
+            w["code_growth"] / w["default_code_growth"] - 1.0) <= 5.0]
+    assert improved, result.per_workload
+
+    COUNTERS.reset()
+    resumed = run_tune(spec, cache=cache)
+    assert (COUNTERS.compiles, COUNTERS.simulates) == (0, 0)
+    assert resumed.to_dict() == result.to_dict()
+
+
+def test_failed_search_is_not_stored(tmp_path, monkeypatch):
+    """A search whose cells failed answers no later search: its key
+    leaves out the timeout, so a stored failure would poison an untimed
+    rerun."""
+    from repro.engine import cells as engine_cells
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("simulator down")
+
+    cache = ArtifactCache(tmp_path / "cache")
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_cells, "counted_simulate", broken)
+        failed = run_tune(SPEC, cache=cache)
+    assert failed.per_workload == {}
+
+    again = run_tune(SPEC, cache=cache)
+    assert again.cells_executed > 0
+    assert sorted(again.per_workload) == sorted(SPEC.benchmarks)
 
 
 def test_result_key_depends_on_spec_and_backend():
