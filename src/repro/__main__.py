@@ -44,7 +44,11 @@ Commands:
 Program arguments (``profile``/``compile``/``run``/``verify``) accept a
 benchmark name, a ``.s`` assembly file, or any ``repro ingest`` input
 file; ``tables --import FILE`` evaluates imported workloads alongside
-the synthetic suite.
+the synthetic suite.  Table cells, ``run`` and the profiling runs of
+``profile``/``compile``/``verify`` use the fast simulator
+(:mod:`repro.fastsim`); the reference simulators are the oracle of
+``verify``'s equivalence check and of ``fuzz``, and ``run --sample``
+attaches its observer to the reference cycle loop (docs/FASTSIM.md).
 
 Every experiment command (``tables``, ``sweep``, ``fuzz``, ``verify``)
 constructs exactly one :class:`repro.api.Session` from the shared engine
@@ -73,7 +77,7 @@ from .eval import (
 from .isa import format_program, parse
 from .isa.program import Program
 from .profilefb import ProfileDB
-from .sim import FunctionalSim, TimingSim, r10k_config
+from .sim import r10k_config
 from .workloads import BENCHMARKS
 
 
@@ -106,9 +110,9 @@ def _session_from(args: argparse.Namespace, *, cache=None,
 
     Every subcommand translates its engine flags through the one shared
     :func:`repro.api.options_from_args` helper, so ``--jobs`` /
-    ``--no-cache`` / ``--backend`` / ``--trace`` behave identically
-    everywhere.  Explicit *cache*/*trace_path* arguments override the
-    flag-derived values (``trace run`` routes its ``--out`` here).
+    ``--no-cache`` / ``--trace`` behave identically everywhere.
+    Explicit *cache*/*trace_path* arguments override the flag-derived
+    values (``trace run`` routes its ``--out`` here).
     """
     from dataclasses import replace
 
@@ -237,12 +241,9 @@ def cmd_submit(args: argparse.Namespace) -> int:
             from .core.heuristics import DEFAULT_HEURISTICS
             from .workloads import benchmark_programs
 
-            from .fastsim.backend import resolve_backend
-
             grid = suite_cells(benchmark_programs(args.scale,
                                                   seed=args.seed),
-                               DEFAULT_HEURISTICS, None, args.max_steps,
-                               backend=resolve_backend(args.backend))
+                               DEFAULT_HEURISTICS, None, args.max_steps)
             job = client.submit_cells(
                 [(key, payload) for _, _, key, _, payload in grid])
             print(f"submitted {job['job_id']} ({job['n_cells']} cells, "
@@ -255,8 +256,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         print(f"submitting the suite to {client.base_url} as tenant "
               f"{client.tenant!r}", file=sys.stderr)
         runs = run_suite(scale=args.scale, seed=args.seed,
-                         max_steps=args.max_steps, backend=args.backend,
-                         executor=client)
+                         max_steps=args.max_steps, executor=client)
     except (Backpressure, ServeError, OSError) as exc:
         print(f"submit failed: {exc}", file=sys.stderr)
         return 2
@@ -446,20 +446,15 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    from .fastsim.backend import resolve_backend
-
     prog = _load_program(args.program, args.scale)
-    db = ProfileDB.from_run(prog, backend=resolve_backend(
-        getattr(args, "backend", None)))
+    db = ProfileDB.from_run(prog, backend="fast")
     print(db.summary())
     return 0
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    from .fastsim.backend import resolve_backend
-
     prog = _load_program(args.program, args.scale)
-    result = compile_proposed(prog, backend=resolve_backend())
+    result = compile_proposed(prog, backend="fast")
     print(result.summary())
     if args.emit:
         print()
@@ -514,8 +509,7 @@ def _verify_in_session(args: argparse.Namespace, session: Session) -> int:
     for name in names:
         prog = _load_program(name, args.scale)
         results = (("baseline", compile_baseline(prog)),
-                   ("proposed", compile_proposed(
-                       prog, backend=session.backend)))
+                   ("proposed", compile_proposed(prog, backend="fast")))
         # Both pipelines are checked against one run of the original.
         reference = run_reference(prog, args.max_steps)
         for tag, result in results:
@@ -544,28 +538,23 @@ def _verify_in_session(args: argparse.Namespace, session: Session) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .fastsim.backend import resolve_backend
+    from .fastsim.backend import simulate
 
-    backend = resolve_backend(getattr(args, "backend", None))
-    prog = _load_program(args.program, args.scale)
+    source = _load_program(args.program, args.scale)
+    prog = source
     if args.scheme != "raw":  # raw: simulate the program untouched
         prog = schemes.compile_scheme(
-            prog, schemes.compile_names()[args.scheme],
-            backend=backend).program
+            source, schemes.compile_names()[args.scheme],
+            backend="fast").program
     observer = None
     if args.sample:
         from .obs import PipelineObserver
 
         observer = PipelineObserver(sample_interval=args.sample)
-    if backend == "fast" and observer is None:
-        from .fastsim.backend import simulate as fast_simulate
-
-        stats, _ = fast_simulate(prog, r10k_config(args.predictor))
-    else:
-        fsim = FunctionalSim(prog, record_outcomes=False)
-        stats = TimingSim(r10k_config(args.predictor),
-                          observer=observer).run(fsim.trace())
-    print(f"program    : {prog.name}")
+    stats, _ = simulate(prog, r10k_config(args.predictor),
+                        observer=observer)
+    print(f"program    : {source.name}")
+    print(f"scheme     : {args.scheme}")
     print(f"predictor  : {args.predictor}")
     print(stats.summary())
     if observer is not None:
@@ -648,7 +637,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser: one subparser per command."""
     ap = argparse.ArgumentParser(
         prog="python -m repro",
         description="Srinivas & Nicolau (IPPS 1998) reproduction toolkit")
@@ -672,14 +662,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--tenant", default="default", metavar="NAME",
                        help="tenant namespace on the remote service "
                             "(default 'default')")
-        p.add_argument("--backend", default=None,
-                       choices=["reference", "fast"],
-                       help="execution backend: 'fast' uses the "
-                            "decode-once generated-step simulators of "
-                            "repro.fastsim, 'reference' the readable "
-                            "interpreters of repro.sim (byte-identical "
-                            "results; see docs/FASTSIM.md). Default: "
-                            "$REPRO_BACKEND or 'fast'")
 
     p = sub.add_parser("tables", help="regenerate Tables 1-4")
     p.add_argument("--scale", type=float, default=1.0,
@@ -755,10 +737,6 @@ def main(argv: list[str] | None = None) -> int:
                         "for results")
     p.add_argument("--json", metavar="FILE",
                    help="also write machine-readable results to FILE")
-    p.add_argument("--backend", default=None,
-                   choices=["reference", "fast"],
-                   help="execution backend for the submitted cells "
-                        "(default: $REPRO_BACKEND or 'fast')")
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser(
@@ -824,10 +802,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("profile", help="print a program's feedback metrics")
     p.add_argument("program", help="benchmark name or .s file")
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--backend", default=None,
-                   choices=["reference", "fast"],
-                   help="profiling-run execution backend "
-                        "(default: $REPRO_BACKEND or 'fast')")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("compile", help="run the proposed pipeline")
@@ -958,14 +932,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--sample", type=int, default=0, metavar="N",
                    help="sample every N-th retired instruction and print "
                         "a per-basic-block heat report")
-    p.add_argument("--backend", default=None,
-                   choices=["reference", "fast"],
-                   help="execution backend of the profiling run and "
-                        "the simulation (the simulation ignores it with "
-                        "--sample; default: $REPRO_BACKEND or 'fast')")
     p.set_defaults(func=cmd_run)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

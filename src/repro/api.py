@@ -3,10 +3,10 @@
 :class:`Session` is the one supported way to run an experiment
 (``run_benchmark`` / ``run_suite`` / ``sweep`` / ``fuzz`` / ``tune`` /
 ``spectre``).  Every *execution* knob — worker count, artifact cache,
-execution backend, observability sinks, remote routing, step budget,
-per-cell timeout — lives in one frozen :class:`RunOptions` value held
-once per session, and every experiment method resolves its knobs
-through it with three precedence levels::
+observability sinks, remote routing, step budget, per-cell timeout —
+lives in one frozen :class:`RunOptions` value held once per session,
+and every experiment method resolves its knobs through it with three
+precedence levels::
 
     session default  <  per-call options=RunOptions(...)  <  explicit kwarg
 
@@ -25,7 +25,7 @@ The constructor also takes each knob as a keyword (``Session(jobs=4,
 cache=True)`` maps onto the options value, byte-identically), and the
 CLI builds its per-invocation options through one shared
 :func:`options_from_args` helper so ``--jobs`` / ``--no-cache`` /
-``--backend`` / ``--trace`` behave identically across every subcommand.
+``--trace`` behave identically across every subcommand.
 
 Every experiment runs its cells through
 :func:`repro.engine.pool.run_cached` with the session's cache and one
@@ -69,16 +69,14 @@ class RunOptions:
     ``cache`` accepts the same forms as before (None/False = off, True =
     the default store, a path, or an :class:`~repro.engine.ArtifactCache`
     instance); ``cache_dir`` names the directory used when ``cache`` is
-    True (None = ``.repro-cache/`` or ``$REPRO_CACHE_DIR``).  ``backend``
-    is the execution backend (``"fast"``/``"reference"``; None defers to
-    ``$REPRO_BACKEND``, then ``"fast"``).  ``jobs`` or, when set,
-    ``remote``/``tenant`` choose the executor (:meth:`resolve_executor`).
+    True (None = ``.repro-cache/`` or ``$REPRO_CACHE_DIR``).  ``jobs``
+    or, when set, ``remote``/``tenant`` choose the executor
+    (:meth:`resolve_executor`).
     """
 
     jobs: int = 1
     cache: CacheLike = None
     cache_dir: Optional[Union[str, Path]] = None
-    backend: Optional[str] = None
     trace: Optional[Union[str, Path]] = None
     metrics: bool = False
     remote: Optional[str] = None
@@ -96,12 +94,6 @@ class RunOptions:
             return ArtifactCache(self.cache_dir)
         return coerce_cache(self.cache)
 
-    def resolve_backend(self) -> str:
-        """The options' execution backend with the env default applied."""
-        from .fastsim.backend import resolve_backend
-
-        return resolve_backend(self.backend)
-
     def resolve_executor(self):
         """The options' executor: a :class:`~repro.serve.ServeClient` for
         ``remote``/``tenant`` when ``remote`` is set, else a
@@ -117,7 +109,7 @@ def options_from_args(args) -> RunOptions:
     """Build :class:`RunOptions` from a CLI argparse namespace.
 
     The one shared translation of the engine flags (``--jobs``,
-    ``--no-cache``, ``--cache-dir``, ``--backend``, ``--trace``,
+    ``--no-cache``, ``--cache-dir``, ``--trace``,
     ``--remote``, ``--tenant``) every subcommand routes through, so the
     flags behave identically everywhere.  Flags a subcommand does not
     declare fall back to the option defaults (with the CLI-wide default
@@ -127,7 +119,6 @@ def options_from_args(args) -> RunOptions:
         jobs=getattr(args, "jobs", 1),
         cache=not getattr(args, "no_cache", False),
         cache_dir=getattr(args, "cache_dir", None),
-        backend=getattr(args, "backend", None),
         trace=getattr(args, "trace", None),
         metrics=getattr(args, "metrics", False),
         remote=getattr(args, "remote", None),
@@ -164,21 +155,16 @@ class Session:
                  metrics: bool = _UNSET,
                  remote: Optional[str] = _UNSET,
                  tenant: str = _UNSET,
-                 backend: Optional[str] = _UNSET,
                  options: Optional[RunOptions] = None):
         self.heur = heur
         self.config_overrides = dict(config_overrides or {})
         opts = options if options is not None else RunOptions()
         legacy = {"cache": cache, "jobs": jobs, "max_steps": max_steps,
                   "strict": strict, "timeout": timeout, "trace": trace_path,
-                  "metrics": metrics, "remote": remote, "tenant": tenant,
-                  "backend": backend}
+                  "metrics": metrics, "remote": remote, "tenant": tenant}
         overrides = {k: v for k, v in legacy.items() if v is not _UNSET}
         if overrides:
             opts = dc_replace(opts, **overrides)
-        # The session's backend is pinned at construction (environment
-        # lookup happens once, here — not per experiment).
-        opts = dc_replace(opts, backend=opts.resolve_backend())
         #: The session's default :class:`RunOptions`.
         self.options = opts
         # The cache store and the executor are made once, so the store's
@@ -266,12 +252,6 @@ class Session:
         """Tenant namespace on the remote service (``options.tenant``)."""
         return self.options.tenant
 
-    @property
-    def backend(self) -> str:
-        """Execution backend of every experiment this session runs:
-        "reference" or "fast" (:mod:`repro.fastsim`)."""
-        return self.options.backend
-
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "Session":
@@ -315,7 +295,7 @@ class Session:
             benchmarks={name: prog}, heur=self.heur,
             config_overrides=self.config_overrides or None,
             max_steps=opts.max_steps, strict=opts.strict,
-            timeout=opts.timeout, backend=opts.resolve_backend())[name]
+            timeout=opts.timeout)[name]
 
     def run_suite(self, scale: float = 1.0, *,
                   benchmarks: Optional[dict] = None,
@@ -336,7 +316,7 @@ class Session:
             progress=progress, max_steps=opts.max_steps,
             strict=opts.strict, executor=self._executor_of(opts),
             cache=self._cache_of(opts), timeout=opts.timeout,
-            seed=seed, backend=opts.resolve_backend())
+            seed=seed)
 
     def sweep(self, spec, *,
               progress: Optional[Callable[[str], None]] = None,
@@ -351,8 +331,7 @@ class Session:
 
         return _sweep.run_sweep(spec, executor=self._executor_of(opts),
                                 cache=self._cache_of(opts),
-                                progress=progress, timeout=opts.timeout,
-                                backend=opts.resolve_backend())
+                                progress=progress, timeout=opts.timeout)
 
     def fuzz(self, cfg=None, *,
              progress: Optional[Callable[[str], None]] = None,
@@ -387,7 +366,6 @@ class Session:
         opts = self._resolve(options)
         return run_tune(spec, cache=self._cache_of(opts),
                         executor=self._executor_of(opts),
-                        backend=opts.resolve_backend(),
                         timeout=opts.timeout, progress=progress)
 
     def spectre(self, prog, *, sew: Optional[int] = None,

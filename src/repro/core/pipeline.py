@@ -234,10 +234,12 @@ def compile_proposed(prog: Program,
     Pass a pre-built *profile* to skip the profiling run (e.g. to reuse one
     run across ablation variants).  *verify* runs the IR verifier after
     every pass (rolling back passes that break an invariant); disable it
-    only for trusted perf-measurement loops.  *backend* selects the
-    execution backend of the profiling run (``"fast"`` uses the
-    :mod:`repro.fastsim` generated-step executor; the profile — and
-    therefore the compile output — is byte-identical either way).
+    only for trusted perf-measurement loops.  *backend* picks the
+    simulator of the profiling run: ``"fast"`` (the engine and the CLI)
+    uses the :mod:`repro.fastsim` generated-step executor, the
+    ``"reference"`` default (the qa fuzzer) the interpreter of
+    :mod:`repro.sim`; the profile — and therefore the compile output —
+    is byte-identical either way.
     """
     with obs_span("compile.proposed", program=prog.name) as sp:
         result = _compile_proposed_inner(prog, heur, model, profile,

@@ -29,6 +29,8 @@ from typing import Any, Sequence
 #: that produced them (repro.fastsim; engine keys v4, serve protocol v2).
 #: v4: ``melds_applied`` in CompileResult payloads and the melded scheme
 #: in suite records (engine keys v5, serve protocol v3).
+#: (Still v4 after TuneResult payloads lost their ``backend``: an older
+#: payload still decodes, and the tune result key changed with it.)
 SCHEMA_VERSION = 4
 
 #: The key carrying the version inside every payload.

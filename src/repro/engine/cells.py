@@ -23,7 +23,14 @@ where the former ``SIGALRM`` scheme was a silent no-op), and a fired
 watchdog is just another contained failure.  :class:`CellTimeout` is a
 ``BaseException``, so the compiler's and the fast simulator's own
 ``except Exception`` containment cannot turn a timeout into a baseline
-fallback or a reference rerun that reports ok.
+fallback or a reference rerun that reports ok.  Every module a cell
+needs is imported before the watchdog is armed: a timeout that lands
+inside a first import leaves that module's import lock held, and the
+next thread to import the module blocks forever.
+
+Cells simulate on :mod:`repro.fastsim` (:func:`counted_simulate`) and
+profile on it (:func:`counted_compile`); nothing in a spec or a key
+names a simulator.
 
 :data:`COUNTERS` counts every *actual* compile and simulation performed
 in this process — the engine's warm-cache acceptance test asserts these
@@ -44,12 +51,10 @@ from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
 from ..core.pipeline import CompileResult
 from ..isa.program import Program
 from ..obs.metrics import REGISTRY
-from ..obs.pipeline_obs import maybe_observer
 from ..obs.trace import span as obs_span
 from ..profilefb.profiledb import ProfileDB
 from ..sim.config import MachineConfig, r10k_config
-from ..sim.functional import ExecStats, FunctionalSim
-from ..sim.pipeline import TimingSim
+from ..sim.functional import ExecStats
 from ..sim.stats import SimStats
 from .keys import KeyMemo, cell_key, program_digest
 from .pool import CellKind
@@ -99,7 +104,6 @@ class CellSpec:
     max_steps: int = 50_000_000
     timeout: Optional[float] = None
     strict: bool = False
-    backend: str = "reference"     # "reference" | "fast" (repro.fastsim)
 
     def __post_init__(self) -> None:
         if schemes.get(self.scheme).predictor is None:
@@ -117,7 +121,7 @@ def spec_key(spec: CellSpec, memo: Optional[KeyMemo] = None,
     resolved config, when the caller holds it)."""
     return cell_key(spec.program, spec.scheme, spec.heur,
                     config if config is not None else spec.resolve_config(),
-                    spec.max_steps, backend=spec.backend, memo=memo)
+                    spec.max_steps, memo=memo)
 
 
 def overrides_as_items(config_overrides: Optional[dict]) -> tuple:
@@ -126,8 +130,8 @@ def overrides_as_items(config_overrides: Optional[dict]) -> tuple:
 
 
 def cell_grid(programs: dict[str, Program], heur: FeedbackHeuristics,
-              config_overrides: Optional[dict], max_steps: int,
-              backend: str, *, columns: Optional[tuple[str, ...]] = None,
+              config_overrides: Optional[dict], max_steps: int, *,
+              columns: Optional[tuple[str, ...]] = None,
               timeout: Optional[float] = None, strict: bool = False,
               broken: Optional[dict[str, BaseException]] = None
               ) -> list[tuple[str, str, CellSpec, str]]:
@@ -153,8 +157,7 @@ def cell_grid(programs: dict[str, Program], heur: FeedbackHeuristics,
                 spec = CellSpec(
                     benchmark=name, scheme=scheme, program=payload,
                     heur=heur, config_overrides=over_items,
-                    max_steps=max_steps, timeout=timeout, strict=strict,
-                    backend=backend)
+                    max_steps=max_steps, timeout=timeout, strict=strict)
                 config = configs.setdefault(schemes.get(scheme).predictor,
                                             spec.resolve_config())
                 cells.append((name, scheme, spec,
@@ -169,55 +172,48 @@ def cell_grid(programs: dict[str, Program], heur: FeedbackHeuristics,
 
 
 def counted_compile(scheme: str, prog: Program, heur: FeedbackHeuristics,
-                    max_steps: int, backend: str = "reference",
+                    max_steps: int,
                     profile: Optional[ProfileDB] = None) -> CompileResult:
     """:func:`~repro.core.schemes.compile_scheme`, incrementing the
     counter.
 
     *profile* skips a proposed-pipeline compile's profiling run
-    (:class:`BenchmarkMemo` shares one); ``backend="fast"`` runs the
-    profiling on the generated-step executor (byte-identical profiles).
+    (:class:`BenchmarkMemo` shares one); a profiling run that happens
+    uses the generated-step executor (byte-identical profiles).
     """
     COUNTERS.compiles += 1
     REGISTRY.inc("engine.compiles")
     return schemes.compile_scheme(prog, scheme, heur, profile=profile,
-                                  max_steps=max_steps, backend=backend)
+                                  max_steps=max_steps, backend="fast")
 
 
 def counted_simulate(prog: Program, config: MachineConfig,
-                     max_steps: int,
-                     backend: str = "reference") -> tuple[SimStats,
-                                                          ExecStats]:
+                     max_steps: int) -> tuple[SimStats, ExecStats]:
     """Functional + timing simulation, incrementing the counter.
 
-    ``backend="fast"`` routes through :func:`repro.fastsim.backend.simulate`
-    (decode-once + generated-step functional + event-bucket timing);
-    results are byte-identical and fastsim-internal failures fall back to
-    the reference path transparently.
+    Runs :func:`repro.fastsim.backend.simulate` (decode-once +
+    generated-step functional + event-bucket timing), which falls back
+    to the reference simulators on a fastsim-internal failure or an
+    attached observer, with byte-identical results.
     """
+    from ..fastsim.backend import simulate
+
     COUNTERS.simulates += 1
     REGISTRY.inc("engine.simulates")
-    if backend == "fast":
-        from ..fastsim.backend import simulate as fast_simulate
-
-        return fast_simulate(prog, config, max_steps=max_steps)
-    fsim = FunctionalSim(prog, max_steps=max_steps, record_outcomes=False)
-    tsim = TimingSim(config, observer=maybe_observer())
-    stats = tsim.run(fsim.trace())
-    return stats, fsim.stats
+    return simulate(prog, config, max_steps=max_steps)
 
 
 class BenchmarkMemo:
     """The work the cells of one benchmark share.
 
-    * **One profile per (input program, ``classify`` config, step budget,
-      backend).**  The first proposed-pipeline compile profiles the input
+    * **One profile per (input program, ``classify`` config, step
+      budget).**  The first proposed-pipeline compile profiles the input
       program inside its own ``pass.profile`` span; the later ones
       receive that profile through ``compile_proposed(profile=)``.
-    * **One compile per (input program, compile, step budget,
-      backend)**: 2bitBP and PerfectBP share the baseline's.
+    * **One compile per (input program, compile, step budget)**: 2bitBP
+      and PerfectBP share the baseline's.
     * **One simulation per (compiled-program digest, resolved machine
-      config, step budget, backend).**  ``safe-speculative`` compiles to
+      config, step budget).**  ``safe-speculative`` compiles to
       exactly the Proposed program whenever the Spectre guard fences
       nothing, so its cell replays nothing.
 
@@ -254,28 +250,26 @@ class BenchmarkMemo:
         return prog
 
     def cell(self, scheme: str, config: MachineConfig, prog: Program,
-             heur: FeedbackHeuristics, max_steps: int,
-             backend: str) -> tuple:
+             heur: FeedbackHeuristics, max_steps: int) -> tuple:
         """``(CompileResult, SimStats, ExecStats)`` of one cell, through
         :func:`counted_compile` and :func:`counted_simulate`."""
         src = self._id(prog)
         compiled = schemes.get(scheme).heuristics(heur)
-        ckey = (src, compiled, max_steps, backend)
+        ckey = (src, compiled, max_steps)
         hit = self._compiles.get(ckey)
         if hit is None:
-            pkey = (src, compiled.classify if compiled else None,
-                    max_steps, backend)
-            cr = counted_compile(scheme, prog, heur, max_steps, backend,
+            pkey = (src, compiled.classify if compiled else None, max_steps)
+            cr = counted_compile(scheme, prog, heur, max_steps,
                                  profile=self._profiles.get(pkey))
             hit = self._compiles[ckey] = (cr, program_digest(cr.program))
             if cr.profile is not None:
                 self._profiles.setdefault(pkey, cr.profile)
         cr, digest = hit
-        skey = (digest, config, max_steps, backend)
+        skey = (digest, config, max_steps)
         sim = self._sims.get(skey)
         if sim is None:
             sim = self._sims[skey] = counted_simulate(cr.program, config,
-                                                      max_steps, backend)
+                                                      max_steps)
         return (cr, *sim)
 
 
@@ -375,7 +369,11 @@ def execute_cell(spec: CellSpec, program: Optional[Program] = None,
     cell is retried once and then recorded as a failed result.  A
     :class:`CellTimeout` is contained like any other failure.
     """
+    # Imported here, before any watchdog is armed (module docstring), and
+    # not at module level: a fuzz campaign imports this module and never
+    # simulates on the fast path.
     from ..eval.runner import SchemeResult
+    from ..fastsim import backend as _fastsim  # noqa: F401
 
     with obs_span(f"cell.{spec.scheme}", benchmark=spec.benchmark,
                   scheme=spec.scheme) as sp:
@@ -388,7 +386,7 @@ def execute_cell(spec: CellSpec, program: Optional[Program] = None,
                         else memo.program(spec.program)
                     cr, stats, exec_stats = memo.cell(
                         spec.scheme, spec.resolve_config(), prog, spec.heur,
-                        spec.max_steps, spec.backend)
+                        spec.max_steps)
                 return SchemeResult(spec.benchmark, spec.scheme, stats,
                                     exec_stats, cr)
             except (Exception, CellTimeout) as exc:  # noqa: BLE001

@@ -17,9 +17,11 @@ A cache key must satisfy two properties:
 
 The full key of one evaluation cell is
 ``sha256(canonical_json({schema, program, scheme, heur, config,
-max_steps, extra, backend}))`` — see :func:`cell_key`.  The cells of one
-grid share a program, heuristics and machine configs: a :class:`KeyMemo`
-passed to their ``cell_key`` calls encodes each of those once.
+max_steps}))`` — see :func:`cell_key`.  No simulator is named: every
+cell runs on the fast path, whose payloads equal the reference
+simulators' (``tests/fastsim``).  The cells of one grid share a program,
+heuristics and machine configs: a :class:`KeyMemo` passed to their
+``cell_key`` calls encodes each of those once.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ from ..sim.config import MachineConfig
 #: left-behind instruction also writes.  Fuzz verdicts cached under v5
 #: recorded the miscompile; no payload shape or wire field changed, so
 #: serde stays at v4 and the serve protocol at v3.
+#: (Still v6 after cell keys lost their ``extra`` and ``backend`` fields:
+#: every cell key's hashed text changed with them, so no stale entry can
+#: match, and fuzz keys never carried either.)
 SCHEMA_VERSION = 6
 
 
@@ -138,21 +143,15 @@ def _encoded_digest(fields: dict[str, str]) -> str:
 def cell_key(prog: Union[Program, dict], scheme: str,
              heur: FeedbackHeuristics, config: MachineConfig,
              max_steps: int, schema_version: int = SCHEMA_VERSION,
-             extra: Optional[dict] = None, backend: str = "reference",
              memo: Optional[KeyMemo] = None) -> str:
     """Cache key of one (program, scheme) evaluation cell.
 
     *prog* is a :class:`Program` or its ``to_dict`` payload (the same
     key either way).  *config* is the fully resolved
     :class:`MachineConfig` (predictor and overrides applied), so any
-    machine-parameter sweep point keys distinctly.  *extra* lets callers
-    fold additional discriminators in (it must be canonicalizable).
-    *backend* names the execution backend (``"reference"`` or
-    ``"fast"``); backends are required to produce byte-identical
-    payloads, but they key separately so a fastsim bug can never poison
-    reference results (and the conformance suite can hold both results
-    side by side in one cache).  *memo* shares the encoding of *prog*,
-    *heur* and *config* with other calls; the key does not depend on it.
+    machine-parameter sweep point keys distinctly.  *memo* shares the
+    encoding of *prog*, *heur* and *config* with other calls; the key
+    does not depend on it.
     """
     memo = memo if memo is not None else KeyMemo()
     return _encoded_digest({
@@ -162,6 +161,4 @@ def cell_key(prog: Union[Program, dict], scheme: str,
         "heur": memo.encode(heur),
         "config": memo.encode(config),
         "max_steps": canonical_json(max_steps),
-        "extra": canonical_json(extra),
-        "backend": canonical_json(backend),
     })

@@ -61,8 +61,7 @@ def run_suite(scale: float = 1.0,
               executor=None,
               cache: CacheLike = None,
               timeout: Optional[float] = None,
-              seed: Optional[int] = None,
-              backend: Optional[str] = None):
+              seed: Optional[int] = None):
     """Run the full suite through the cache and the cell executor.
 
     Returns ``{benchmark: BenchmarkRun}`` in benchmark order.  A
@@ -73,20 +72,14 @@ def run_suite(scale: float = 1.0,
     enables the artifact store (see :func:`coerce_cache`); *timeout*
     bounds each cell attempt in seconds, on every executor; *seed*
     re-seeds the synthetic workload generators (identical inputs hash
-    identically, so reruns hit the cache).  *backend* selects the
-    execution backend (``"fast"`` or ``"reference"``); None defers to
-    the ``REPRO_BACKEND`` environment variable, then ``"fast"``.
-    Backends produce byte-identical payloads but key separately in the
-    artifact cache.
+    identically, so reruns hit the cache).
     """
     from ..core import schemes
     from ..eval.runner import BenchmarkRun, SchemeResult
-    from ..fastsim.backend import resolve_backend
 
-    backend = resolve_backend(backend)
     executor = executor if executor is not None else LocalExecutor()
     with obs_span("suite.run", scale=scale, executor=repr(executor),
-                  cached=cache is not None, backend=backend):
+                  cached=cache is not None):
         programs = benchmarks if benchmarks is not None \
             else benchmark_programs(scale, seed=seed)
         if progress:
@@ -94,7 +87,7 @@ def run_suite(scale: float = 1.0,
                 progress(name)
         broken: dict[str, BaseException] = {}
         grid = cell_grid(programs, heur, config_overrides, max_steps,
-                         backend, timeout=timeout, strict=strict,
+                         timeout=timeout, strict=strict,
                          broken=None if strict else broken)
         results, _, _ = run_cached(
             CELLS, [(key, spec) for _, _, spec, key in grid], executor,

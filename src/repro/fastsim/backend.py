@@ -1,50 +1,44 @@
-"""Backend selection and the contained fast-simulation entry point.
+"""The production simulator's entry point, contained by the reference.
 
-Two execution backends exist for every cell:
+Every cell, profile and CLI simulation runs on :mod:`repro.fastsim`:
+the decode-once + generated-step functional executor feeding the
+batched-event timing model.  The readable interpreters of
+:mod:`repro.sim` are the executable spec, and no option selects them.
+They run only where the code picks them:
 
-* ``"fast"`` — :mod:`repro.fastsim`'s decode-once + generated-step
-  functional executor feeding the batched-event timing model (the
-  default);
-* ``"reference"`` — the readable interpreters in :mod:`repro.sim`, the
-  arbiter of correctness (the conformance oracle).
-
-Selection is per-run: the ``backend=`` parameter on
-:class:`repro.api.Session` / ``run_suite`` / ``execute_cell``, the
-``--backend`` CLI flag, or the ``REPRO_BACKEND`` environment variable
-(:func:`resolve_backend` arbitrates, explicit argument first).  Engine
-cache keys and the serve protocol carry the identifier, so results from
-one backend are never served to a request for the other.
+* the conformance oracle (:mod:`repro.fastsim.check`, ``tests/fastsim``),
+  ``robust.diffcheck`` and the qa fuzzer;
+* an observed run: an attached ``PipelineObserver`` (``repro run
+  --sample``, or the metrics registry enabled) hooks the reference
+  cycle loop, so :func:`simulate` runs the reference pair;
+* the fallback below.
 
 Containment contract of :func:`simulate` (the entry point
 ``engine.cells.counted_simulate`` routes through):
 
 * **Program-semantic failures** — ``SimulationError`` subclasses
   (step budget, divergence, unmodeled opcode), alignment faults, float
-  conversion errors — propagate unchanged: both backends fail a cell
-  with the same exception, so a FAIL(...) cell payload is
-  backend-independent.
+  conversion errors — propagate unchanged: both simulators fail a cell
+  with the same exception, so a FAIL(...) cell payload is the same
+  whichever of them ran.
 * **Fastsim-internal failures** — decode rejection, codegen syntax
   errors (e.g. the ``fastsim-bad-codegen`` fault), stale decode tables,
   or an unexpected crash inside generated code — are *not* the
   program's fault: the run transparently restarts on the reference
-  backend (deterministic, so a semantic failure would reproduce there)
-  and the decision is recorded on :func:`fallback_trail` plus the
+  simulators (deterministic, so a semantic failure would reproduce
+  there) and the decision is recorded on :func:`fallback_trail` plus the
   ``fastsim.fallbacks`` metric.
-
-Observer-instrumented runs (``repro.obs`` pipeline observer) always use
-the reference pipeline — the observer hooks the reference cycle loop.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from typing import Optional
 
 from ..isa.program import Program
 from ..obs.metrics import REGISTRY
-from ..obs.pipeline_obs import maybe_observer
+from ..obs.pipeline_obs import PipelineObserver, maybe_observer
 from ..sim.config import MachineConfig
 from ..sim.functional import ExecStats, FunctionalSim
 from ..sim.memory import AlignmentError
@@ -55,19 +49,8 @@ from .decode import decode_program
 from .functional import FastFunctionalSim
 from .timing import FastTimingSim
 
-#: Valid backend identifiers, in documentation order.
-BACKENDS = ("reference", "fast")
-#: What :func:`resolve_backend` falls back to: the backend of every entry
-#: point (CLI, ``api.Session``/``RunOptions``, ``engine.run_suite`` and
-#: ``run_sweep``).  The library functions beneath them take the backend
-#: as an argument and default to ``"reference"``, the conformance oracle,
-#: so direct calls, the fuzzer and legacy payloads keep their meaning.
-DEFAULT_BACKEND = "fast"
-#: Environment variable consulted when no explicit backend is given.
-ENV_BACKEND = "REPRO_BACKEND"
-
 #: Exceptions that are the *program's* fault: identical on both
-#: backends, so they propagate instead of triggering a fallback.
+#: simulators, so they propagate instead of triggering a fallback.
 #: RuntimeError covers SimulationError.  The cell watchdog's
 #: ``CellTimeout`` is a BaseException and passes every handler here.
 _SEMANTIC = (RuntimeError, AlignmentError, ValueError, OverflowError,
@@ -77,7 +60,7 @@ _TRAIL_CAP = 64
 
 
 class FastsimError(RuntimeError):
-    """An internal fast-backend failure (not a program-semantic one)."""
+    """An internal fast-path failure (not a program-semantic one)."""
 
 
 @dataclass(frozen=True)
@@ -115,34 +98,37 @@ def _short(exc: BaseException) -> str:
     return f"{name}: {text}"[:120] if text else name
 
 
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Arbitrate the backend: explicit argument > env var > default."""
-    if backend is None:
-        backend = os.environ.get(ENV_BACKEND) or DEFAULT_BACKEND
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}: expected one of {BACKENDS}")
-    return backend
+def resolve_backend() -> str:
+    """The simulator every run uses: always ``"fast"`` (benchmark
+    reports record it)."""
+    return "fast"
 
 
 def _reference_simulate(prog: Program, config: MachineConfig,
-                        max_steps: int) -> tuple:
+                        max_steps: int,
+                        observer: Optional[PipelineObserver] = None
+                        ) -> tuple:
     fsim = FunctionalSim(prog, max_steps=max_steps, record_outcomes=False)
-    tsim = TimingSim(config, observer=maybe_observer())
+    tsim = TimingSim(config, observer=observer)
     stats = tsim.run(fsim.trace())
     return stats, fsim.stats
 
 
 def simulate(prog: Program, config: MachineConfig,
-             max_steps: int = 20_000_000) -> tuple:
+             max_steps: int = 20_000_000,
+             observer: Optional[PipelineObserver] = None) -> tuple:
     """Fast functional + timing simulation with reference fallback.
 
-    Returns ``(SimStats, ExecStats)`` exactly like the reference pair in
-    ``engine.cells.counted_simulate``.
+    Returns ``(SimStats, ExecStats)``.  With *observer* given (or the
+    one :func:`~repro.obs.pipeline_obs.maybe_observer` makes when
+    metrics are on), the run is the reference pair with the observer
+    attached to its cycle loop.
     """
-    if maybe_observer() is not None:
+    if observer is None:
+        observer = maybe_observer()
+    if observer is not None:
         _fallback("observer", "pipeline observer active")
-        return _reference_simulate(prog, config, max_steps)
+        return _reference_simulate(prog, config, max_steps, observer)
     try:
         dec = decode_program(prog)
     except Exception as exc:
@@ -171,11 +157,10 @@ def simulate(prog: Program, config: MachineConfig,
 
 def functional_sim(prog: Program, max_steps: int = 20_000_000,
                    record_outcomes: bool = True):
-    """A functional simulator on the fast backend (reference fallback).
+    """A generated-step functional simulator (reference fallback).
 
-    Used by profile collection (``ProfileDB.from_run``) when the run is
-    on the fast backend; exposes the reference surface (``run``,
-    ``stats``, ``index_counts``).
+    Used by profile collection (``ProfileDB.from_run(backend="fast")``);
+    exposes the reference surface (``run``, ``stats``, ``index_counts``).
     """
     try:
         dec = decode_program(prog)

@@ -1,11 +1,12 @@
-"""Cross-backend conformance checks built on :mod:`repro.robust.diffcheck`.
+"""Fast-vs-reference conformance checks built on :mod:`repro.robust.diffcheck`.
 
 The robustness layer already knows how to compare two executions of "the
 same program" architecturally (final memory image, halt behavior,
 registers) and report divergences as a structured
 :class:`~repro.robust.diffcheck.DiffReport`.  This module points that
-machinery *across backends*: the same program, the same inputs, once on
-the reference interpreter and once on the generated-step executor.
+machinery at the production simulator: the same program, the same
+inputs, once on the reference interpreter (the oracle) and once on the
+generated-step executor every run uses.
 
 Two granularities:
 
@@ -107,7 +108,8 @@ def crosscheck_cell(prog: Program, config: MachineConfig, *,
     """Reference vs fast full-cell simulation of *prog* under *config*.
 
     Compares the ``(SimStats, ExecStats)`` pair the engine caches — the
-    payload-equality contract of :data:`repro.engine.keys` backend keys.
+    payload-equality contract that lets an observed or fallen-back run
+    stand in for a fast one.
     """
     def _ref():
         fsim = FunctionalSim(prog, max_steps=max_steps,

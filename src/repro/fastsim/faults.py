@@ -1,6 +1,6 @@
-"""Fastsim fault injection: prove the backend containment ladder holds.
+"""Fastsim fault injection: prove the fast path's containment ladder holds.
 
-The fast backend's contract (:mod:`repro.fastsim.backend`) is that
+The fast path's contract (:mod:`repro.fastsim.backend`) is that
 *internal* fastsim failures never change results — the run transparently
 restarts on the reference interpreter and the decision lands on the
 fallback trail.  These injectors corrupt the fast path at each of its
@@ -19,7 +19,7 @@ claim end to end:
   **execute** stage after codegen succeeded.
 
 Program-semantic failures (``UnmodeledOpcode``, alignment traps, step
-budgets) are deliberately NOT injectable here: both backends must raise
+budgets) are deliberately NOT injectable here: both simulators must raise
 them identically, producing the same ``FAIL(...)`` cell — that half of
 the contract is asserted directly by the containment tests.
 

@@ -6,8 +6,9 @@ committed goldens next to it:
 * ``foo.golden.s`` — the canonical print of the lowered
   :class:`~repro.isa.program.Program`, byte-exact;
 * ``foo.stats.json`` — per-scheme ``stats``/``exec_stats`` of every
-  table column (:func:`repro.core.schemes.columns`), byte-exact and
-  backend-independent (the test asserts reference == fast == committed).
+  table column (:func:`repro.core.schemes.columns`), byte-exact; the
+  test asserts the suite's cells (the fast path) and the reference
+  simulators, run on each cell's compiled program, both reproduce it.
 
 The CLI's ``repro ingest --check`` replays the cheap ``.golden.s`` half
 (CI gate); ``--update-goldens`` regenerates both after an intentional
@@ -54,13 +55,12 @@ def lowered_text(path: Union[str, Path]) -> str:
     return f"# {prog.name}\n" + format_program(prog) + "\n"
 
 
-def stats_text(prog: Program, *, backend: str = "reference",
-               max_steps: int = STATS_MAX_STEPS) -> str:
+def stats_text(prog: Program, *, max_steps: int = STATS_MAX_STEPS) -> str:
     """The byte-exact ``.stats.json`` content for one lowered program."""
     from ..engine.suite import run_suite
 
     run = run_suite(benchmarks={prog.name: prog}, max_steps=max_steps,
-                    strict=True, backend=backend)[prog.name]
+                    strict=True)[prog.name]
     schemes = {
         scheme: {"stats": r.stats.to_dict(),
                  "exec_stats": r.exec_stats.to_dict()}

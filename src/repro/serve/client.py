@@ -201,8 +201,7 @@ class ServeClient:
 
 def suite_cells(programs: dict, heur: FeedbackHeuristics,
                 config_overrides: Optional[dict], max_steps: int,
-                timeout: Optional[float] = None,
-                backend: str = "reference"
+                timeout: Optional[float] = None
                 ) -> list[tuple[str, str, str, CellSpec, dict]]:
     """The suite's cell grid: (name, scheme, key, spec, spec-payload).
 
@@ -213,5 +212,5 @@ def suite_cells(programs: dict, heur: FeedbackHeuristics,
     """
     return [(name, scheme, key, spec, protocol.cellspec_to_payload(spec))
             for name, scheme, spec, key in cell_grid(
-                programs, heur, config_overrides, max_steps, backend,
+                programs, heur, config_overrides, max_steps,
                 timeout=timeout)]

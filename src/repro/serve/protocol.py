@@ -49,7 +49,10 @@ from ..profilefb.classify import ClassifyConfig
 #: v4: cell specs carry no ``kind`` or ``predictor``: both follow from the
 #: scheme (repro.core.schemes), and a scheme that is not a table column
 #: is refused.  Keys and payloads are unchanged.
-PROTOCOL_VERSION = 4
+#: v5: cell specs carry no ``backend``: every cell runs on the fast path,
+#: and cell keys no longer hash a simulator name, so a v4 peer (whose
+#: specs and keys carry it) is refused rather than sent mismatched keys.
+PROTOCOL_VERSION = 5
 
 #: Accepted ``kind`` values of a submitted job.
 JOB_KINDS = ("cells", "fuzz")
@@ -141,7 +144,6 @@ def cellspec_to_payload(spec: CellSpec) -> dict:
         "max_steps": spec.max_steps,
         "timeout": spec.timeout,
         "strict": spec.strict,
-        "backend": spec.backend,
     }
 
 
@@ -158,7 +160,6 @@ def cellspec_from_payload(payload: dict) -> CellSpec:
             max_steps=payload["max_steps"],
             timeout=payload.get("timeout"),
             strict=bool(payload.get("strict", False)),
-            backend=payload.get("backend", "reference"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed cell spec: {exc}") from exc

@@ -21,9 +21,6 @@ from .branch_split import (
 from .hyperblock import (
     HyperblockReport, form_hyperblocks, merge_straightline_blocks,
 )
-from .reverse_ifconvert import (
-    ReverseIfConvertReport, fully_lower, reverse_if_convert,
-)
 from .dce import eliminate_dead_code
 from .copyprop import propagate_copies, propagate_copies_block
 
@@ -40,6 +37,5 @@ __all__ = [
     "split_branch", "split_branch_inline", "split_branch_sectioned",
     "split_from_profile",
     "HyperblockReport", "form_hyperblocks", "merge_straightline_blocks",
-    "ReverseIfConvertReport", "fully_lower", "reverse_if_convert",
     "eliminate_dead_code", "propagate_copies", "propagate_copies_block",
 ]

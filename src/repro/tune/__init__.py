@@ -4,7 +4,7 @@ The paper fixes the Figure 6 decision algorithm's thresholds globally
 (0.95/0.65 classification cut-offs, cost-model weights) because in 1998
 every extra configuration evaluation was unaffordable.  This package
 closes the loop the content-addressed engine, the serve fleet, and the
-fastsim backend make cheap: a :class:`TuneSpec` declares a bounded
+fast simulator make cheap: a :class:`TuneSpec` declares a bounded
 search space over :class:`~repro.core.heuristics.FeedbackHeuristics`
 and :class:`~repro.sim.config.MachineConfig` vectors, and
 :func:`run_tune` drives a successive-halving + mutation search whose

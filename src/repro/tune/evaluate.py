@@ -53,8 +53,8 @@ def compile_cost(cr) -> int:
 
 
 def candidate_cells(heur, config_overrides: dict, programs: dict,
-                    max_steps: int, timeout: Optional[float],
-                    backend: str) -> list[tuple[str, str, CellSpec]]:
+                    max_steps: int, timeout: Optional[float]
+                    ) -> list[tuple[str, str, CellSpec]]:
     """The (benchmark, key, spec) grid of one candidate vector.
 
     One Proposed-scheme cell per workload, keyed exactly like the suite
@@ -64,7 +64,7 @@ def candidate_cells(heur, config_overrides: dict, programs: dict,
     ``tables`` run at the same scale.
     """
     return [(name, key, spec) for name, _, spec, key in cell_grid(
-        programs, heur, config_overrides, max_steps, backend,
+        programs, heur, config_overrides, max_steps,
         columns=(TUNE_SCHEME,), timeout=timeout)]
 
 

@@ -30,8 +30,7 @@ def format_pareto(result: TuneResult) -> str:
     by_index = {c["index"]: c for c in result.candidates}
     lines = [f"Pareto front ({len(result.pareto)} of "
              f"{len(result.candidates)} candidates, "
-             f"{result.evaluations} evaluations, backend "
-             f"{result.backend}):",
+             f"{result.evaluations} evaluations):",
              f"{'cand':>5} {'ipc':>7} {'growth':>7} {'cost':>6}  params"]
     for idx in result.pareto:
         cand = by_index[idx]

@@ -17,7 +17,7 @@
 Budget accounting is *structural*: every (candidate, rung) evaluation
 costs one unit whether or not its cells hit the artifact cache — so the
 search trajectory (and therefore the Pareto front) depends only on
-``(spec, backend)``, never on cache state.  A warm cache changes how
+the spec, never on cache state.  A warm cache changes how
 long the search takes, not where it goes; that is what makes
 ``same seed + budget → identical front`` and ``resumed search executes
 zero cells`` simultaneously true.
@@ -39,7 +39,6 @@ from ..core.heuristics import DEFAULT_HEURISTICS
 from ..engine.cells import CELLS
 from ..engine.keys import SCHEMA_VERSION as KEYS_SCHEMA_VERSION, digest
 from ..engine.pool import run_cached
-from ..fastsim.backend import resolve_backend
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span as obs_span
 from ..sim.config import r10k_config
@@ -62,15 +61,15 @@ def default_value(name: str):
     return getattr(DEFAULT_HEURISTICS, name)
 
 
-def tune_result_key(spec: TuneSpec, backend: str) -> str:
-    """Result-level cache key of one search: ``(spec, backend)`` content.
+def tune_result_key(spec: TuneSpec) -> str:
+    """Result-level cache key of one search: the spec's content.
 
     Salted with the engine's key schema version so compiler or simulator
     changes invalidate stored searches exactly like they invalidate
     cells.
     """
     return digest({"kind": "tune-result", "schema": KEYS_SCHEMA_VERSION,
-                   "spec": spec, "backend": backend})
+                   "spec": spec})
 
 
 @dataclass
@@ -85,7 +84,6 @@ class TuneResult:
     """
 
     spec: TuneSpec
-    backend: str = "reference"
     candidates: list = field(default_factory=list)
     pareto: list = field(default_factory=list)
     per_workload: dict = field(default_factory=dict)
@@ -96,7 +94,7 @@ class TuneResult:
     def to_dict(self) -> dict:
         """Schema-stamped JSON form (CLI ``--out`` and result cache)."""
         return serde.stamp({
-            "spec": self.spec.to_dict(), "backend": self.backend,
+            "spec": self.spec.to_dict(),
             "candidates": self.candidates, "pareto": self.pareto,
             "per_workload": self.per_workload,
             "evaluations": self.evaluations,
@@ -106,10 +104,11 @@ class TuneResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TuneResult":
-        """Inverse of :meth:`to_dict` (schema-version checked)."""
+        """Inverse of :meth:`to_dict` (schema-version checked; the
+        ``backend`` field older payloads carry is ignored)."""
         serde.check(d, "TuneResult")
         return cls(spec=TuneSpec.from_dict(d["spec"]),
-                   backend=d["backend"], candidates=d["candidates"],
+                   candidates=d["candidates"],
                    pareto=d["pareto"], per_workload=d["per_workload"],
                    evaluations=d["evaluations"],
                    cells_hit=d["cells_hit"],
@@ -193,7 +192,7 @@ def _initial_population(spec: TuneSpec) -> int:
 
 
 def _evaluate_round(cands: list, frac: float, spec: TuneSpec, cache,
-                    executor, backend, timeout, round_no: int,
+                    executor, timeout, round_no: int,
                     progress) -> tuple[int, int]:
     """Score *cands* at rung *frac* as one cached batch; returns (cache
     hits, executed), counted over distinct cells."""
@@ -211,7 +210,7 @@ def _evaluate_round(cands: list, frac: float, spec: TuneSpec, cache,
         for cand in cands:
             heur, overrides = apply_params(cand["params"])
             cc = candidate_cells(heur, overrides, programs,
-                                 spec.max_steps, timeout, backend)
+                                 spec.max_steps, timeout)
             grid.append((cand, cc))
             cells.extend(cc)
         results, hits, executed = run_cached(
@@ -282,7 +281,6 @@ def _pick_winners(finalists: list, spec: TuneSpec) -> dict:
 
 
 def run_tune(spec: TuneSpec, cache=None, executor=None,
-             backend: Optional[str] = None,
              timeout: Optional[float] = None,
              progress: Optional[Callable[[str], None]] = None
              ) -> TuneResult:
@@ -291,12 +289,11 @@ def run_tune(spec: TuneSpec, cache=None, executor=None,
     *cache*/*executor* mirror the suite runner: each round's cell batch
     runs through the cache and the executor (None = in-process; a
     :class:`~repro.serve.ServeClient` sends it to the evaluation service
-    as one job).  An identical ``(spec, backend)`` search found in the
-    cache is returned directly — resumption without executing anything.
+    as one job).  An identical search found in the cache is returned
+    directly — resumption without executing anything.
     """
     spec.validate()
-    backend = resolve_backend(backend)
-    result_key = tune_result_key(spec, backend)
+    result_key = tune_result_key(spec)
     if cache is not None:
         stored = cache.get(result_key)
         if stored is not None:
@@ -327,7 +324,7 @@ def run_tune(spec: TuneSpec, cache=None, executor=None,
         admit(_sample(spec, rng), "sample")
 
     with obs_span("tune.search", budget=spec.budget, seed=spec.seed,
-                  backend=backend, params=len(spec.params)):
+                  params=len(spec.params)):
         evaluations = hits = executed = 0
         round_no = 0
         # Stage 1: successive halving up the fidelity rungs.
@@ -339,7 +336,7 @@ def run_tune(spec: TuneSpec, cache=None, executor=None,
             if not wave:
                 break
             h, x = _evaluate_round(wave, frac, spec, cache, executor,
-                                   backend, timeout, round_no, progress)
+                                   timeout, round_no, progress)
             evaluations += len(wave)
             hits += h
             executed += x
@@ -372,8 +369,7 @@ def run_tune(spec: TuneSpec, cache=None, executor=None,
             if not wave:
                 break
             h, x = _evaluate_round(wave, spec.fidelities[-1], spec, cache,
-                                   executor, backend, timeout, round_no,
-                                   progress)
+                                   executor, timeout, round_no, progress)
             evaluations += len(wave)
             hits += h
             executed += x
@@ -387,7 +383,7 @@ def run_tune(spec: TuneSpec, cache=None, executor=None,
         per_workload = (_pick_winners(finalists, spec)
                         if finalists and finalists[0]["index"] == 0 else {})
 
-    result = TuneResult(spec=spec, backend=backend, candidates=candidates,
+    result = TuneResult(spec=spec, candidates=candidates,
                         pareto=front, per_workload=per_workload,
                         evaluations=evaluations, cells_hit=hits,
                         cells_executed=executed)

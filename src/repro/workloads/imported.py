@@ -2,7 +2,7 @@
 
 :func:`load_imported` turns files accepted by :mod:`repro.ingest` into
 the same ``name -> Program`` mapping :func:`benchmark_programs` produces,
-so the profiler, every scheme, the engine cache, and both backends
+so the profiler, every scheme, the engine cache, and the simulators
 consume them unchanged (``Session.run_suite(benchmarks=...)``).
 
 The mapping is keyed by the program's content-hashed name

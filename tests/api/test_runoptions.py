@@ -18,7 +18,6 @@ def test_session_defaults_match_runoptions_defaults():
     assert s.cache is None
     assert s.max_steps == RunOptions.max_steps
     assert s.strict is False
-    assert s.backend == "fast"
 
 
 def test_legacy_kwargs_map_onto_options():
@@ -129,32 +128,6 @@ def test_per_call_explicit_kwarg_beats_per_call_options(monkeypatch):
     assert seen["max_steps"] == 333
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
-def test_session_backend_reaches_sweep_and_benchmark_runs(monkeypatch,
-                                                          backend):
-    """Every experiment of a session runs on the session's backend, also
-    the one that is not the default."""
-    from repro.engine import suite as _suite
-    from repro.engine import sweep as _sweep
-
-    seen = {}
-
-    def fake_sweep(spec, **kw):
-        seen["sweep"] = kw["backend"]
-        return []
-
-    def fake_run_suite(benchmarks, **kw):
-        seen["benchmark"] = kw["backend"]
-        return dict.fromkeys(benchmarks)
-
-    monkeypatch.setattr(_sweep, "run_sweep", fake_sweep)
-    monkeypatch.setattr(_suite, "run_suite", fake_run_suite)
-    s = Session(backend=backend, cache=False)
-    s.sweep(_sweep.SweepSpec(scales=(0.01,)))
-    s.run_benchmark("x", object())
-    assert seen == {"sweep": backend, "benchmark": backend}
-
-
 def test_per_call_cache_override_uses_fresh_store(tmp_path):
     """Overriding the cache knobs resolves a fresh store; leaving them
     untouched reuses the session's coerced instance (counters intact)."""
@@ -221,11 +194,11 @@ def _ns(**kw):
 
 def test_options_from_args_full_namespace():
     opts = options_from_args(_ns(
-        jobs=7, no_cache=False, cache_dir="/tmp/c", backend="fast",
+        jobs=7, no_cache=False, cache_dir="/tmp/c",
         trace="t.jsonl", metrics=True, remote="http://h:1", tenant="bob",
         max_steps=99, strict=True, timeout=1.5))
     assert opts == RunOptions(
-        jobs=7, cache=True, cache_dir="/tmp/c", backend="fast",
+        jobs=7, cache=True, cache_dir="/tmp/c",
         trace="t.jsonl", metrics=True, remote="http://h:1", tenant="bob",
         max_steps=99, strict=True, timeout=1.5)
 
@@ -239,6 +212,5 @@ def test_options_from_args_missing_flags_fall_back():
     opts = options_from_args(_ns())
     assert opts.jobs == 1
     assert opts.cache is True   # CLI-wide default: caching on
-    assert opts.backend is None
     assert opts.tenant == "default"
     assert opts.max_steps == RunOptions.max_steps

@@ -35,8 +35,8 @@ def test_run_benchmark_matches_legacy():
     with Session() as s:
         via_session = s.run_benchmark("compress", prog)
     alone = {sc.name: execute_cell(CellSpec(
-        benchmark="compress", scheme=sc.name, program=prog.to_dict(),
-        backend=s.backend)).to_dict()
+        benchmark="compress", scheme=sc.name,
+        program=prog.to_dict())).to_dict()
         for sc in schemes.columns()}
     assert json.dumps(via_session.to_dict()["results"], sort_keys=True) \
         == json.dumps(alone, sort_keys=True)

@@ -14,7 +14,6 @@ from repro.engine.cells import (CELLS, COUNTERS, BenchmarkMemo, CellSpec,
                                 execute_cell, execute_cells)
 from repro.engine.pool import LocalExecutor
 from repro.engine.suite import run_suite
-from repro.fastsim.backend import resolve_backend
 from repro.isa import parse
 from repro.profilefb.profiledb import ProfileDB
 from repro.workloads import benchmark_programs
@@ -26,16 +25,15 @@ MAX_STEPS = 5_000_000
 def _specs(name, prog, heur):
     payload = prog.to_dict()
     return [CellSpec(benchmark=name, scheme=s.name, program=payload,
-                     heur=heur, max_steps=MAX_STEPS,
-                     backend=resolve_backend())
+                     heur=heur, max_steps=MAX_STEPS)
             for s in schemes.columns()]
 
 
 def _via_runner(name, prog, heur):
     """The suite runner (``Session.run_benchmark`` and the ingest goldens
     come this way) on the caller's built program."""
-    run = run_suite(benchmarks={name: prog}, heur=heur, max_steps=MAX_STEPS,
-                    backend=resolve_backend())[name]
+    run = run_suite(benchmarks={name: prog}, heur=heur,
+                    max_steps=MAX_STEPS)[name]
     return [run.results[s.name].to_dict() for s in schemes.columns()]
 
 

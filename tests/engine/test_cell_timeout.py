@@ -48,28 +48,35 @@ def test_cell_timeout_escapes_exception_handlers():
     assert not issubclass(CellTimeout, Exception)
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
+@pytest.mark.parametrize("simulator", ["reference", "fast"])
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_timed_cells_are_exact_or_timed_out(tmp_path, backend, jobs):
-    clean = _results(run_suite(benchmarks=_compress(), backend=backend))
-    fired = 0
-    for i, timeout in enumerate((0.002, 0.01, 0.05)):
-        cache = ArtifactCache(tmp_path / str(i))
-        clear_fallback_trail()
-        timed = run_suite(benchmarks=_compress(), backend=backend,
-                          executor=LocalExecutor(jobs), timeout=timeout,
-                          cache=cache)
-        assert fallback_trail() == ()
-        for scheme, cell in timed["compress"].results.items():
-            if cell.ok:
-                assert json.dumps(cell.to_dict(), sort_keys=True) \
-                    == clean[scheme], (timeout, scheme)
-            else:
-                assert cell.failure.startswith("CellTimeout"), cell.failure
-                fired += 1
-        warm = run_suite(benchmarks=_compress(), backend=backend,
-                         executor=LocalExecutor(jobs), cache=cache)
-        assert _results(warm) == clean, timeout
+def test_timed_cells_are_exact_or_timed_out(tmp_path, simulator, jobs):
+    """On the fast path, and on the reference cycle loop that an enabled
+    metrics registry sends every simulation to (its pipeline observer
+    hooks that loop)."""
+    observed = Session(metrics=simulator == "reference")
+    with observed:
+        clean = _results(run_suite(benchmarks=_compress()))
+        fired = 0
+        for i, timeout in enumerate((0.002, 0.01, 0.05)):
+            cache = ArtifactCache(tmp_path / str(i))
+            clear_fallback_trail()
+            timed = run_suite(benchmarks=_compress(),
+                              executor=LocalExecutor(jobs), timeout=timeout,
+                              cache=cache)
+            stages = {record.stage for record in fallback_trail()}
+            assert stages <= ({"observer"} if observed.metrics else set())
+            for scheme, cell in timed["compress"].results.items():
+                if cell.ok:
+                    assert json.dumps(cell.to_dict(), sort_keys=True) \
+                        == clean[scheme], (timeout, scheme)
+                else:
+                    assert cell.failure.startswith("CellTimeout"), \
+                        cell.failure
+                    fired += 1
+            warm = run_suite(benchmarks=_compress(),
+                             executor=LocalExecutor(jobs), cache=cache)
+            assert _results(warm) == clean, timeout
     assert fired  # the watchdog did fire on this path
 
 
@@ -95,3 +102,54 @@ def test_session_timeout_bounds_cells_at_jobs_1(monkeypatch):
         assert [c.failure for c in cells.values()] \
             == ["CellTimeout"] * len(cells)
     assert elapsed < 3.0
+
+
+WATCHDOG_IMPORTS = r"""
+import json
+import sys
+
+sys.path.insert(0, {src_path!r})
+from repro.core import schemes
+from repro.engine import cells
+from repro.workloads import benchmark_programs
+
+imported = []
+
+
+class Recording(cells._watchdog):
+    def __enter__(self):
+        self.before = set(sys.modules)
+        return super().__enter__()
+
+    def __exit__(self, *exc_info):
+        imported.extend(m for m in set(sys.modules) - self.before
+                        if m.startswith("repro"))
+        return super().__exit__(*exc_info)
+
+
+cells._watchdog = Recording
+payload = benchmark_programs(0.02)["grep"].to_dict()
+for column in schemes.columns():
+    result = cells.execute_cell(cells.CellSpec(
+        benchmark="grep", scheme=column.name, program=payload,
+        timeout=600.0, strict=True))
+    assert result.ok, column.name
+print(json.dumps(sorted(set(imported))))
+"""
+
+
+def test_no_module_is_first_imported_under_a_watchdog():
+    """A timeout that lands inside a first import leaves that module's
+    import lock held, and the next thread to import it (another serve
+    worker) blocks forever.  So a fresh process must have imported every
+    module a cell needs before the watchdog is armed."""
+    import subprocess
+    import sys
+
+    import repro
+
+    script = WATCHDOG_IMPORTS.format(
+        src_path=str(next(iter(repro.__path__)) + "/.."))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert json.loads(out.stdout) == []

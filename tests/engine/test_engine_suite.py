@@ -101,15 +101,13 @@ def test_one_missing_cell_recomputes_only_that_cell(tmp_path, programs):
     (one compile, one simulation) and matches the cold results."""
     from repro.core.heuristics import DEFAULT_HEURISTICS
     from repro.engine.keys import cell_key
-    from repro.fastsim.backend import resolve_backend
     from repro.sim.config import r10k_config
 
     one = {"compress": programs["compress"]}
     cache = ArtifactCache(tmp_path)
     cold = run_suite(benchmarks=one, max_steps=MAX_STEPS, cache=cache)
     key = cell_key(programs["compress"], "Proposed", DEFAULT_HEURISTICS,
-                   r10k_config("twobit"), MAX_STEPS,
-                   backend=resolve_backend())
+                   r10k_config("twobit"), MAX_STEPS)
     cache._path(key).unlink()
     COUNTERS.reset()
     warm = run_suite(benchmarks=one, max_steps=MAX_STEPS, cache=cache)

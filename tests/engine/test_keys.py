@@ -137,7 +137,6 @@ def test_every_spec_field_but_benchmark_timeout_strict_is_keyed():
         "heur": replace(DEFAULT_HEURISTICS, speculation_bias=0.7),
         "config_overrides": (("fetch_width", 8),),
         "max_steps": 1,
-        "backend": "fast",
     }
     unkeyed = {"benchmark": "other", "timeout": 5.0, "strict": True}
     assert {f.name for f in fields(engine.CellSpec)} == \

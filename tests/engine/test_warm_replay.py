@@ -32,7 +32,6 @@ from repro.workloads import benchmark_programs
 SCALE = 0.1
 MAX_STEPS = 50_000_000
 SEEDS = (None, 7)
-BACKENDS = ("fast", "reference")
 
 
 def _as_json(obj) -> str:
@@ -54,28 +53,25 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 @pytest.fixture(scope="module")
 def stock(tmp_path_factory):
-    """Cold-filled stock suites: ``{(seed, backend): (programs, cache,
-    runs)}``, each with its own artifact cache."""
+    """Cold-filled stock suites: ``{seed: (programs, cache, runs)}``,
+    each with its own artifact cache."""
     out = {}
     for seed in SEEDS:
-        for backend in BACKENDS:
-            programs = benchmark_programs(SCALE, seed=seed)
-            cache = ArtifactCache(tmp_path_factory.mktemp("cache"))
-            runs = run_suite(SCALE, benchmarks=programs, cache=cache,
-                             backend=backend)
-            assert all(run.ok for run in runs.values())
-            out[(seed, backend)] = (programs, cache, runs)
+        programs = benchmark_programs(SCALE, seed=seed)
+        cache = ArtifactCache(tmp_path_factory.mktemp("cache"))
+        runs = run_suite(SCALE, benchmarks=programs, cache=cache)
+        assert all(run.ok for run in runs.values())
+        out[seed] = (programs, cache, runs)
     return out
 
 
 def test_warm_replay_parses_nothing(stock, monkeypatch):
-    programs, cache, cold = stock[(None, "fast")]
+    programs, cache, cold = stock[None]
     parses = _count_calls(monkeypatch, parser_mod, "parse")
     prints = _count_calls(monkeypatch, printer_mod, "format_program")
     COUNTERS.reset()
     cache.counters.reset()
-    warm = run_suite(SCALE, benchmarks=programs, cache=cache,
-                     backend="fast")
+    warm = run_suite(SCALE, benchmarks=programs, cache=cache)
     assert len(parses) == 0
     assert len(prints) == len(programs)  # one per input program
     assert (COUNTERS.compiles, COUNTERS.simulates) == (0, 0)
@@ -86,10 +82,10 @@ def test_warm_replay_parses_nothing(stock, monkeypatch):
 
 def test_pool_results_are_not_parsed_in_the_parent(stock, monkeypatch):
     monkeypatch.setenv("REPRO_POOL_FORCE", "1")
-    programs, _, serial = stock[(None, "fast")]
+    programs, _, serial = stock[None]
     parses = _count_calls(monkeypatch, parser_mod, "parse")
     pooled = run_suite(SCALE, benchmarks=programs,
-                       executor=LocalExecutor(2), backend="fast")
+                       executor=LocalExecutor(2))
     assert len(parses) == 0
     assert _as_json(suite_to_dict(pooled)) == _as_json(suite_to_dict(serial))
 
@@ -104,8 +100,7 @@ def _compile_payloads(stock):
 def test_lazy_compile_result_serializes_like_the_eager_one(stock,
                                                            monkeypatch):
     payloads = list(_compile_payloads(stock))
-    assert len(payloads) == \
-        len(SEEDS) * len(BACKENDS) * 4 * len(schemes.columns())
+    assert len(payloads) == len(SEEDS) * 4 * len(schemes.columns())
     for d in payloads:
         expected = _as_json(d)
         parses = _count_calls(monkeypatch, parser_mod, "parse")
@@ -129,37 +124,32 @@ def test_lazy_compile_result_serializes_like_the_eager_one(stock,
 
 
 def test_grid_keys_equal_cell_key():
-    """All 80 stock program x scheme x backend cells (two seeds) key
-    exactly as ``cell_key`` and ``spec_key`` do, and as the direct digest
-    did."""
+    """All 40 stock program x scheme cells (two seeds) key exactly as
+    ``cell_key`` and ``spec_key`` do, and as the direct digest does."""
     checked = 0
     for seed in SEEDS:
         programs = benchmark_programs(SCALE, seed=seed)
-        for backend in BACKENDS:
-            grid = cell_grid(programs, DEFAULT_HEURISTICS, None, MAX_STEPS,
-                             backend)
-            assert [(n, s) for n, s, _, _ in grid] == [
-                (n, s.name) for n in programs for s in schemes.columns()]
-            for name, scheme, spec, key in grid:
-                prog, config = programs[name], spec.resolve_config()
-                assert key == cell_key(prog, scheme, DEFAULT_HEURISTICS,
-                                       config, MAX_STEPS, backend=backend)
-                assert key == spec_key(spec)
-                assert key == digest({
-                    "schema": SCHEMA_VERSION,
-                    "program": program_fingerprint(prog),
-                    "scheme": scheme, "heur": DEFAULT_HEURISTICS,
-                    "config": config, "max_steps": MAX_STEPS,
-                    "extra": None, "backend": backend})
-                checked += 1
-            assert [k for _, _, k, _, _ in suite_cells(
-                programs, DEFAULT_HEURISTICS, None, MAX_STEPS,
-                backend=backend)] == [k for _, _, _, k in grid]
-            proposed = {n: k for n, s, _, k in grid if s == TUNE_SCHEME}
-            assert {n: k for n, k, _ in candidate_cells(
-                DEFAULT_HEURISTICS, {}, programs, MAX_STEPS, None,
-                backend)} == proposed
-    assert checked == 80
+        grid = cell_grid(programs, DEFAULT_HEURISTICS, None, MAX_STEPS)
+        assert [(n, s) for n, s, _, _ in grid] == [
+            (n, s.name) for n in programs for s in schemes.columns()]
+        for name, scheme, spec, key in grid:
+            prog, config = programs[name], spec.resolve_config()
+            assert key == cell_key(prog, scheme, DEFAULT_HEURISTICS,
+                                   config, MAX_STEPS)
+            assert key == spec_key(spec)
+            assert key == digest({
+                "schema": SCHEMA_VERSION,
+                "program": program_fingerprint(prog),
+                "scheme": scheme, "heur": DEFAULT_HEURISTICS,
+                "config": config, "max_steps": MAX_STEPS})
+            checked += 1
+        assert [k for _, _, k, _, _ in suite_cells(
+            programs, DEFAULT_HEURISTICS, None, MAX_STEPS)] \
+            == [k for _, _, _, k in grid]
+        proposed = {n: k for n, s, _, k in grid if s == TUNE_SCHEME}
+        assert {n: k for n, k, _ in candidate_cells(
+            DEFAULT_HEURISTICS, {}, programs, MAX_STEPS, None)} == proposed
+    assert checked == 40
 
 
 def test_unprintable_program_is_recorded_not_raised(monkeypatch):
@@ -170,9 +160,9 @@ def test_unprintable_program_is_recorded_not_raised(monkeypatch):
 
     monkeypatch.setattr(programs["compress"], "to_dict", boom)
     broken = {}
-    grid = cell_grid(programs, DEFAULT_HEURISTICS, None, MAX_STEPS, "fast",
+    grid = cell_grid(programs, DEFAULT_HEURISTICS, None, MAX_STEPS,
                      broken=broken)
     assert list(broken) == ["compress"]
     assert {name for name, _, _, _ in grid} == set(programs) - {"compress"}
     with pytest.raises(RuntimeError, match="cannot print"):
-        cell_grid(programs, DEFAULT_HEURISTICS, None, MAX_STEPS, "fast")
+        cell_grid(programs, DEFAULT_HEURISTICS, None, MAX_STEPS)

@@ -90,7 +90,7 @@ def test_formatters_render(runs):
 
 def test_run_benchmark_single():
     prog = biased_loop_program(iterations=200, period=8)
-    run = Session(backend="reference").run_benchmark("synth", prog)
+    run = Session().run_benchmark("synth", prog)
     assert run.name == "synth"
     assert run["2bitBP"].stats.cycles > 0
     assert run.improvement > 0
@@ -98,8 +98,8 @@ def test_run_benchmark_single():
 
 def test_config_overrides():
     prog = biased_loop_program(iterations=200, period=8)
-    small = Session(config_overrides={"bht_entries": 4},
-                    backend="reference").run_benchmark("synth", prog)
-    big = Session(backend="reference").run_benchmark("synth", prog)
+    small = Session(config_overrides={"bht_entries": 4}).run_benchmark(
+        "synth", prog)
+    big = Session().run_benchmark("synth", prog)
     # Tiny BHT can only hurt (or tie) the 2-bit baseline.
     assert small["2bitBP"].stats.ipc <= big["2bitBP"].stats.ipc + 1e-9

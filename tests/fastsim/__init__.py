@@ -1,1 +1,1 @@
-"""Cross-backend conformance suite for :mod:`repro.fastsim` (ISSUE 8)."""
+"""Conformance of :mod:`repro.fastsim` against the reference simulators."""

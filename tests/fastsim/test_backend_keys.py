@@ -1,38 +1,41 @@
-"""Backend identity in cache keys and on the wire (ISSUE 8 fix).
+"""One production simulator: nothing left chooses between the two.
 
-Before the execution-backend layer existed, a cell's cache key and its
-serve payload identified only (program, scheme, heuristics, config,
-budget).  A fast-backend run would therefore have *shared cache lines*
-with reference runs — a fastsim bug could poison reference results, and
-a service worker could silently execute a cell on the wrong backend.
-These tests pin the fix:
+Every cell, profile and CLI simulation runs on :mod:`repro.fastsim`; the
+reference simulators of :mod:`repro.sim` are the oracle the conformance
+suite checks it against.  These tests pin that:
 
-* engine cell keys carry the backend (distinct keys per backend,
-  reference unchanged semantics via the default),
-* the serve protocol round-trips the backend and decodes legacy
-  payloads (no ``backend`` field) as ``"reference"``,
-* the three version numbers moved in lockstep (engine key schema 5,
-  serde payload schema 4, serve protocol 3 since the melded scheme;
-  the key schema alone went to 6 for the speculation fix, which
-  changed cached fuzz verdicts but no payload shape or wire field, and
-  the protocol alone to 4 when cell specs dropped ``kind`` and
-  ``predictor``, which changed no key or payload),
-* while the *payloads* under the distinct keys stay byte-identical —
-  distinct keys are a safety property, not a result difference.
+* no flag, environment variable, option, spec field or wire field
+  selects a simulator, and a cell that names none runs on the fast path
+  (the reference never runs unless an observer or an internal fault
+  sends it there);
+* cell keys hash only the program, scheme, heuristics, machine and step
+  budget (see ``tests/engine/test_warm_replay.py``), with the meld knobs
+  keyed like every other heuristic;
+* the version numbers moved as recorded (engine key schema 5, serde
+  payload schema 4 and serve protocol 3 together for the melded scheme;
+  the key schema alone to 6 for the speculation fix, which changed
+  cached fuzz verdicts but no payload shape or wire field; the protocol
+  alone to 4 when cell specs dropped ``kind`` and ``predictor``, and to
+  5 when they dropped ``backend``).
 """
 
 import json
 
 import pytest
 
+from repro.api import RunOptions, Session
+from repro.core import schemes, serde
 from repro.core.heuristics import DEFAULT_HEURISTICS
-from repro.core import serde
-from repro.engine.cells import CellSpec
+from repro.engine import CELLS, LocalExecutor
+from repro.engine.cells import CellSpec, execute_cell
 from repro.engine.keys import SCHEMA_VERSION, cell_key
-from repro.fastsim.backend import resolve_backend
+from repro.fastsim.backend import (clear_fallback_trail, fallback_trail,
+                                   resolve_backend)
+from repro.serve.client import suite_cells
 from repro.serve.protocol import (PROTOCOL_VERSION, cellspec_from_payload,
                                   cellspec_to_payload)
 from repro.sim.config import r10k_config
+from repro.sim.pipeline import TimingSim
 from repro.workloads import benchmark_programs
 
 
@@ -41,29 +44,20 @@ def prog():
     return benchmark_programs(scale=0.05)["compress"]
 
 
-def test_cell_keys_distinct_per_backend(prog):
-    cfg = r10k_config("twobit")
-    ref = cell_key(prog, "Proposed", DEFAULT_HEURISTICS, cfg, 1000)
-    fast = cell_key(prog, "Proposed", DEFAULT_HEURISTICS, cfg, 1000,
-                    backend="fast")
-    explicit_ref = cell_key(prog, "Proposed", DEFAULT_HEURISTICS, cfg,
-                            1000, backend="reference")
-    assert ref != fast
-    assert ref == explicit_ref  # default is spelled "reference"
-
-
 def test_version_lockstep():
-    # The melded scheme (ISSUE 10) bumped all three in the same change,
-    # exactly as the backend layer (ISSUE 8) did before it; a future bump
-    # of one without the others reopens the poisoning hole.  The key
-    # schema alone moved to 6 when the speculation fix changed cached
+    # The melded scheme bumped all three in the same change; a future
+    # bump of one without the others reopens the poisoning hole.  The
+    # key schema alone moved to 6 when the speculation fix changed cached
     # fuzz verdicts: payload shapes and the wire stayed as they were.
     # The protocol alone moved to 4 when cell specs stopped carrying
-    # ``kind`` and ``predictor`` (both follow from the scheme): keys and
-    # payloads stayed as they were.
+    # ``kind`` and ``predictor`` (both follow from the scheme), and to 5
+    # when they stopped carrying ``backend``: a peer that still sends it
+    # also hashes it into its keys, so it is refused as a protocol
+    # mismatch.  Dropping ``backend`` (and the unused ``extra``) changed
+    # every cell key's hashed text, so the key schema did not move.
     assert SCHEMA_VERSION == 6      # engine cell-key/envelope schema
     assert serde.SCHEMA_VERSION == 4  # result payload schema
-    assert PROTOCOL_VERSION == 4    # serve wire protocol
+    assert PROTOCOL_VERSION == 5    # serve wire protocol
 
 
 def test_legacy_heuristics_payload_still_decodes():
@@ -95,34 +89,55 @@ def test_meld_knobs_change_cell_keys(prog):
     assert base != meld
 
 
-def test_protocol_round_trips_backend(prog):
-    spec = CellSpec(benchmark="compress", scheme="2bitBP",
-                    program=prog.to_dict(), backend="fast")
-    payload = cellspec_to_payload(spec)
-    assert payload["backend"] == "fast"
-    assert json.loads(json.dumps(payload)) == payload
-    back = cellspec_from_payload(json.loads(json.dumps(payload)))
-    assert back.backend == "fast"
-    assert back == spec
+@pytest.mark.parametrize("command", [
+    ["tables"], ["sweep"], ["tune"], ["verify", "grep"],
+    ["submit", "--remote", "http://127.0.0.1:9"], ["profile", "grep"],
+    ["run", "grep"]])
+def test_backend_flag_is_gone(command, capsys):
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--backend", "fast"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
-def test_protocol_decodes_legacy_payload_as_reference(prog):
+def test_no_option_field_or_wire_field_names_a_simulator(prog,
+                                                         monkeypatch):
+    monkeypatch.setenv("REPRO_BACKEND", "reference")
+    assert resolve_backend() == "fast"
+    assert "backend" not in RunOptions.__dataclass_fields__
+    assert "backend" not in CellSpec.__dataclass_fields__
+    with pytest.raises(TypeError):
+        Session(backend="reference")
     spec = CellSpec(benchmark="compress", scheme="2bitBP",
                     program=prog.to_dict())
     payload = cellspec_to_payload(spec)
-    del payload["backend"]  # a v1 client never sent the field
-    assert cellspec_from_payload(payload).backend == "reference"
+    assert "backend" not in payload
+    assert cellspec_from_payload(json.loads(json.dumps(payload))) == spec
 
 
-def test_resolve_backend_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    assert resolve_backend(None) == "fast"
-    assert resolve_backend("reference") == "reference"
+def test_unnamed_cells_run_on_the_fast_path(monkeypatch):
+    """A cell that names no simulator never reaches the reference cycle
+    loop, through ``execute_cell``, a ``suite_cells`` grid on the local
+    executor, or a session started with ``$REPRO_BACKEND=reference``."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the reference TimingSim ran")
+
+    monkeypatch.setattr(TimingSim, "run", refuse)
     monkeypatch.setenv("REPRO_BACKEND", "reference")
-    assert resolve_backend(None) == "reference"
-    assert resolve_backend("fast") == "fast"  # arg beats env
-    with pytest.raises(ValueError, match="unknown backend"):
-        resolve_backend("warp")
-    monkeypatch.setenv("REPRO_BACKEND", "warp")
-    with pytest.raises(ValueError, match="unknown backend"):
-        resolve_backend(None)
+    programs = {"grep": benchmark_programs(0.02)["grep"]}
+    payload = programs["grep"].to_dict()
+    clear_fallback_trail()
+
+    alone = [execute_cell(CellSpec(benchmark="grep", scheme=s.name,
+                                   program=payload))
+             for s in schemes.columns()]
+    grid = suite_cells(programs, DEFAULT_HEURISTICS, None, 50_000_000)
+    pooled = LocalExecutor().run(
+        CELLS, [(key, spec) for _, _, key, spec, _ in grid])
+    session = Session().run_suite(benchmarks=programs)["grep"]
+    for cells in (alone, pooled, list(session.results.values())):
+        assert len(cells) == len(schemes.columns())
+        assert [c.failure for c in cells] == [None] * len(cells)
+    assert fallback_trail() == ()

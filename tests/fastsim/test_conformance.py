@@ -1,5 +1,6 @@
-"""Cross-backend conformance: the fast backend equals the reference, byte
-for byte, over the entire corpus the project already trusts.
+"""Conformance: the fast path every run uses equals the reference
+simulators, byte for byte, over the entire corpus the project already
+trusts.
 
 Coverage matrix:
 
@@ -12,7 +13,8 @@ Coverage matrix:
 
 each compiled under **every declared compile** of the scheme table
 (:mod:`repro.core.schemes`: the fuzzer's and the table columns', one case
-per distinct compile) and simulated on both backends.
+per distinct compile) and simulated on both the fast path and the
+reference simulators.
 Equality is asserted on serde *payload dicts* (``SimStats.to_dict()`` /
 ``ExecStats.to_dict()`` / ``DiffReport.to_dict()``), not on summary
 numbers: one flipped counter anywhere is a failure.
@@ -26,9 +28,11 @@ import pytest
 from repro.core import schemes
 from repro.core.schemes import compile_scheme
 from repro.engine.cells import CellSpec, execute_cell, overrides_as_items
+from repro.eval.runner import SchemeResult
 from repro.fastsim import crosscheck, crosscheck_cell
 from repro.profilefb.profiledb import ProfileDB
 from repro.qa.corpus import load_reproducer
+from repro.sim import FunctionalSim, TimingSim
 from repro.sim.config import r10k_config
 from repro.workloads import benchmark_programs
 
@@ -112,9 +116,9 @@ def test_functional_crosscheck_with_outcomes(name):
 
 @pytest.mark.parametrize("name", _zoo_names())
 def test_profile_payloads_identical(name):
-    # Profiling on the fast backend must produce the same feedback the
+    # Profiling on the fast path must produce the same feedback the
     # compiler sees from the reference run — otherwise "identical
-    # compiles" silently stops being true under backend="fast".
+    # compiles" silently stops being true for every engine cell.
     prog = _program(name)
     ref = ProfileDB.from_run(prog, max_steps=MAX_STEPS)
     fast = ProfileDB.from_run(prog, max_steps=MAX_STEPS, backend="fast")
@@ -124,15 +128,18 @@ def test_profile_payloads_identical(name):
 @pytest.mark.parametrize("scheme", [s.name for s in schemes.columns()])
 def test_engine_cell_payloads_byte_identical(scheme):
     # The engine-level contract: the exact payload dict the artifact
-    # cache stores (stats + exec_stats + compile_result + failure) is
-    # byte-identical across backends for every table column.
+    # cache stores (stats + exec_stats + compile_result + failure) for
+    # every table column equals the reference simulators' result: a
+    # compile profiled on the reference, then simulated on it.
     prog = _program("grep")
     spec = CellSpec(benchmark="grep", scheme=scheme, program=prog.to_dict(),
                     config_overrides=overrides_as_items(None),
                     max_steps=MAX_STEPS, strict=True)
-    ref = execute_cell(spec, program=prog).to_dict()
-    fast = execute_cell(
-        CellSpec(**{**spec.__dict__, "backend": "fast"}),
-        program=prog).to_dict()
+    fast = execute_cell(spec, program=prog).to_dict()
+    cr = compile_scheme(prog, scheme, max_steps=MAX_STEPS)
+    fsim = FunctionalSim(cr.program, max_steps=MAX_STEPS,
+                         record_outcomes=False)
+    stats = TimingSim(spec.resolve_config()).run(fsim.trace())
+    ref = SchemeResult("grep", scheme, stats, fsim.stats, cr).to_dict()
     assert json.dumps(ref, sort_keys=True) == \
         json.dumps(fast, sort_keys=True)

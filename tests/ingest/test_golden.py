@@ -4,8 +4,9 @@ Every fixture under ``fixtures/`` carries two committed goldens:
 
 * ``<stem>.golden.s``   — the lowered program, byte-exact;
 * ``<stem>.stats.json`` — the stats of every table column
-  (:func:`repro.core.schemes.columns`), byte-exact on BOTH execution
-  backends (reference == fast == committed).
+  (:func:`repro.core.schemes.columns`), byte-exact from the suite's
+  cells (the fast path) and from the reference simulators run on each
+  cell's compile (reference == fast == committed).
 
 The suite runs from a cold cache (the suite-wide ``REPRO_CACHE_DIR``
 fixture points at an empty temp dir, and nothing here passes a cache),
@@ -21,9 +22,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import schemes
+from repro.engine.suite import run_suite
 from repro.ingest import (expand_fixtures, golden_path, import_path,
                           lowered_text, stats_path, stats_text)
 from repro.ingest.golden import STATS_MAX_STEPS
+from repro.sim import FunctionalSim, TimingSim, r10k_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOOD = expand_fixtures([FIXTURES])
@@ -48,13 +52,35 @@ def test_lowered_golden_byte_exact(fixture):
     assert lowered_text(fixture) == golden_path(fixture).read_text()
 
 
+def _reference_stats(prog) -> dict:
+    """Each column's stats from the reference simulators, run on the
+    program the suite's cell compiled under the cell's machine."""
+    run = run_suite(benchmarks={prog.name: prog}, max_steps=STATS_MAX_STEPS,
+                    strict=True)[prog.name]
+    out = {}
+    for scheme, cell in run.results.items():
+        fsim = FunctionalSim(cell.compile_result.program,
+                             max_steps=STATS_MAX_STEPS, record_outcomes=False)
+        config = r10k_config(schemes.get(scheme).predictor)
+        stats = TimingSim(config).run(fsim.trace())
+        out[scheme] = {"stats": stats.to_dict(),
+                       "exec_stats": fsim.stats.to_dict()}
+    return out
+
+
 @pytest.mark.parametrize("fixture", GOOD, ids=IDS)
-@pytest.mark.parametrize("backend", ["reference", "fast"])
-def test_stats_golden_byte_exact_on_both_backends(fixture, backend):
+@pytest.mark.parametrize("simulator", ["reference", "fast"])
+def test_stats_golden_byte_exact_on_both_backends(fixture, simulator):
     prog = import_path(fixture)
-    got = stats_text(prog, backend=backend, max_steps=STATS_MAX_STEPS)
-    assert got == stats_path(fixture).read_text(), (
-        f"{stats_path(fixture).name} drifted on the {backend} backend")
+    committed = stats_path(fixture).read_text()
+    if simulator == "fast":
+        got = stats_text(prog, max_steps=STATS_MAX_STEPS)
+        assert got == committed, f"{stats_path(fixture).name} drifted"
+        return
+    expected = json.loads(committed)["schemes"]
+    assert json.dumps(_reference_stats(prog), sort_keys=True) == \
+        json.dumps(expected, sort_keys=True), (
+            f"{stats_path(fixture).name}: the reference simulators differ")
 
 
 @pytest.mark.parametrize("fixture", GOOD, ids=IDS)
@@ -88,7 +114,6 @@ def test_content_hash_isolates_cache_cells(tmp_path):
     # never poison another import's (or a synthetic benchmark's) cells.
     from repro.core.heuristics import DEFAULT_HEURISTICS
     from repro.engine.keys import cell_key
-    from repro.sim.config import r10k_config
 
     a = tmp_path / "a.bril"
     b = tmp_path / "b.bril"

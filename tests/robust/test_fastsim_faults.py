@@ -1,6 +1,6 @@
 """Fastsim containment: internal faults fall back, semantic faults agree.
 
-The fast backend's contract has two halves (``docs/FASTSIM.md``):
+The fast path's contract has two halves (``docs/FASTSIM.md``):
 
 1. An *internal* fastsim failure (broken codegen, stale decode tables, a
    non-semantic crash inside generated code) must never change results —
@@ -8,18 +8,20 @@ The fast backend's contract has two halves (``docs/FASTSIM.md``):
    decision lands on the fallback trail with the stage that contained
    it, and the payload is byte-identical to a pure reference run.
 2. A *program-semantic* failure (``UnmodeledOpcode``, step budgets,
-   alignment traps) must NOT be repaired — both backends raise the same
-   exception and the engine records the same ``FAIL(...)`` cell.
+   alignment traps) must NOT be repaired — both simulators raise the
+   same exception and the engine records the same ``FAIL(...)`` cell.
 
 Injection uses :mod:`repro.fastsim.faults` — the same fault classes
 ``tools/inject_faults.py --fastsim`` sweeps from the command line.
 """
 
 import json
+import traceback
 
 import pytest
 
-from repro.engine.cells import CellSpec, execute_cell
+from repro.core.schemes import compile_scheme
+from repro.engine.cells import CellSpec, _short_reason, execute_cell
 from repro.fastsim import backend as fb
 from repro.fastsim.faults import FASTSIM_FAULTS, inject_fastsim_fault
 from repro.obs.metrics import REGISTRY
@@ -116,19 +118,19 @@ def test_injection_restores_pristine_fast_path(prog, reference):
 
 @pytest.mark.parametrize("fault", sorted(FASTSIM_FAULTS))
 def test_engine_cell_survives_injected_fault(fault, prog):
-    # Containment must hold one layer up too: a fast-backend cell under
-    # an injected fastsim fault produces the same SUCCESS payload as a
-    # reference cell — not a FAIL(...) record.
+    # Containment must hold one layer up too: a cell under an injected
+    # fastsim fault falls back to the reference simulators and produces
+    # the same SUCCESS payload as the clean fast-path cell — not a
+    # FAIL(...) record.
     spec = CellSpec(benchmark="grep", scheme="2bitBP", program=prog.to_dict(),
                     max_steps=MAX_STEPS, strict=True)
-    ref = execute_cell(spec, program=prog).to_dict()
+    clean = execute_cell(spec, program=prog).to_dict()
+    assert fb.fallback_trail() == ()
     with inject_fastsim_fault(fault):
-        fast = execute_cell(
-            CellSpec(**{**spec.__dict__, "backend": "fast"}),
-            program=prog).to_dict()
-    assert json.dumps(ref, sort_keys=True) == \
-        json.dumps(fast, sort_keys=True)
-    assert fast["failure"] is None
+        faulted = execute_cell(spec, program=prog).to_dict()
+    assert json.dumps(clean, sort_keys=True) == \
+        json.dumps(faulted, sort_keys=True)
+    assert faulted["failure"] is None
     assert fb.fallback_trail()
 
 
@@ -143,18 +145,18 @@ def test_unmodeled_opcode_fails_identically(prog):
         fb.simulate(bad, r10k_config("twobit"), max_steps=MAX_STEPS)
     assert fb.fallback_trail() == ()  # a raise is not a fallback
 
-    spec = dict(benchmark="grep", scheme="2bitBP", program=bad.to_dict(),
-                max_steps=MAX_STEPS)
-    ref = execute_cell(CellSpec(**spec), program=bad).to_dict()
-    fast = execute_cell(CellSpec(**spec, backend="fast"),
-                        program=bad).to_dict()
-    assert ref["failure"] == fast["failure"]
-    assert ref["failure"].startswith("UnmodeledOpcode")
-    assert ref["stats"] is None and fast["stats"] is None
-    # Tracebacks differ in the outermost frame (different call paths by
-    # construction); the classified failure and the payload proper agree.
-    a = {k: v for k, v in ref.items() if k != "failure_detail"}
-    b = {k: v for k, v in fast.items() if k != "failure_detail"}
-    assert a == b
-    last = ref["failure_detail"].strip().splitlines()[-1]
-    assert last == fast["failure_detail"].strip().splitlines()[-1]
+    spec = CellSpec(benchmark="grep", scheme="2bitBP", program=bad.to_dict(),
+                    max_steps=MAX_STEPS)
+    cell = execute_cell(spec, program=bad).to_dict()
+    assert cell["failure"].startswith("UnmodeledOpcode")
+    assert cell["stats"] is None
+    # The reference simulators fail the cell's compile with the same
+    # exception, so the classified failure is the same either way.
+    compiled = compile_scheme(bad, "2bitBP", max_steps=MAX_STEPS).program
+    fsim = FunctionalSim(compiled, max_steps=MAX_STEPS, record_outcomes=False)
+    with pytest.raises(UnmodeledOpcode) as info:
+        TimingSim(r10k_config("twobit")).run(fsim.trace())
+    assert cell["failure"] == _short_reason(info.value)
+    last = cell["failure_detail"].strip().splitlines()[-1]
+    assert last == "".join(traceback.format_exception_only(
+        info.type, info.value)).strip()

@@ -89,7 +89,7 @@ def test_failures_are_delivered_but_never_stored(server, client):
     def grid(timeout):
         return [(key, payload) for _, _, key, _, payload in suite_cells(
             programs, DEFAULT_HEURISTICS, None, 50_000_000,
-            timeout=timeout, backend="reference")]
+            timeout=timeout)]
 
     timed, untimed = grid(0.002), grid(None)
     assert [k for k, _ in timed] == [k for k, _ in untimed]

@@ -124,13 +124,11 @@ def test_engine_retry_runs_inside_the_service_loop(tmp_path, monkeypatch):
     real_compile = engine_cells.counted_compile
     failures = []
 
-    def compile_flaky_once(scheme, prog, heur, max_steps, backend,
-                           profile=None):
+    def compile_flaky_once(scheme, prog, heur, max_steps, profile=None):
         if not failures:
             failures.append(scheme)
             raise RuntimeError("transient compile fault")
-        return real_compile(scheme, prog, heur, max_steps, backend,
-                            profile=profile)
+        return real_compile(scheme, prog, heur, max_steps, profile=profile)
 
     monkeypatch.setattr(engine_cells, "counted_compile",
                         compile_flaky_once)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from repro.core import schemes
 
 
 def test_run_benchmark(capsys):
@@ -18,33 +19,55 @@ def test_run_proposed(capsys):
     assert "proposed" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
+@pytest.mark.parametrize("timing_sim", ["fast", "reference"])
 @pytest.mark.parametrize("scheme", ["proposed", "safe-speculative",
                                     "melded"])
-def test_run_profiles_on_the_chosen_backend(monkeypatch, capsys, scheme,
-                                            backend):
-    """``run --scheme <proposed-pipeline compile>`` profiles on the same
-    backend it simulates on; ``compile`` and ``verify`` profile on the
-    default."""
+def test_run_compile_verify_profile_on_the_fast_path(monkeypatch, capsys,
+                                                     scheme, timing_sim):
+    """``run --scheme <proposed-pipeline compile>``, ``compile``,
+    ``verify`` and ``profile`` take their profiling run on the fast
+    path, also when ``run --sample`` observes the timing run, which
+    then takes the reference simulators (*timing_sim* ``reference``)."""
     import repro.__main__ as cli
-    from repro.core import schemes as schemes_mod
+    from repro.fastsim.backend import clear_fallback_trail, fallback_trail
+    from repro.profilefb.profiledb import ProfileDB
 
+    sample = ["--sample", "50"] if timing_sim == "reference" else []
     seen = []
     real = cli.compile_proposed
+    real_profile = ProfileDB.from_run.__func__
 
     def spy(prog, **kw):
         seen.append(kw.get("backend"))
         return real(prog, **kw)
 
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def profile_spy(cls, prog, **kw):
+        seen.append(("profile", kw.get("backend")))
+        return real_profile(cls, prog, **kw)
+
     monkeypatch.setattr(cli, "compile_proposed", spy)
-    monkeypatch.setattr(schemes_mod, "compile_proposed", spy)
+    monkeypatch.setattr(schemes, "compile_proposed", spy)
+    clear_fallback_trail()
     assert main(["run", "grep", "--scale", "0.02", "--scheme", scheme,
-                 "--backend", backend]) == 0
+                 *sample]) == 0
+    stages = [record.stage for record in fallback_trail()]
+    assert stages == (["observer"] if sample else [])
     assert main(["compile", "grep", "--scale", "0.02"]) == 0
     assert main(["verify", "grep", "--scale", "0.02", "--no-cache"]) == 0
-    assert seen == [backend, "fast", "fast"]
+    monkeypatch.setattr(ProfileDB, "from_run", classmethod(profile_spy))
+    assert main(["profile", "grep", "--scale", "0.02"]) == 0
+    assert seen == ["fast", "fast", "fast", ("profile", "fast")]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("scheme", ["raw", *schemes.compile_names()])
+def test_run_labels_the_input_program_and_the_scheme(capsys, scheme):
+    """The report names the program that was given and the scheme that
+    compiled it, not the compile's internal name."""
+    assert main(["run", "grep", "--scale", "0.02", "--scheme", scheme]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["program", ":", "grep"]
+    assert lines[1].split() == ["scheme", ":", scheme]
 
 
 def test_run_predictor_choice(capsys):

@@ -86,3 +86,43 @@ def test_named_repo_paths_exist():
                       for name in REPO_PATH.findall(path.read_text())
                       if not (ROOT / name).exists()})
     assert not missing, "\n".join(missing)
+
+
+#: A CLI invocation in prose or a code block: the subcommand and the rest
+#: of its line.
+CLI_CALL = re.compile(r"(?:python -m repro|(?<![\w./-])repro) ([a-z]+)"
+                      r"([^`\n]*)")
+
+
+def _declared_flags() -> dict[str, set[str]]:
+    """Subcommand -> the option strings its parser declares."""
+    import argparse
+
+    from repro.__main__ import build_parser
+
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {name: {flag for action in parser._actions
+                   for flag in action.option_strings}
+            for name, parser in sub.choices.items()}
+
+
+def test_documented_cli_flags_are_declared():
+    """Every ``repro <cmd> ... --flag`` the docs show is accepted by that
+    subcommand, so no doc keeps a flag the CLI no longer has."""
+    declared = _declared_flags()
+    named = ["README.md", "DESIGN.md", "EXPERIMENTS.md",
+             ".claude/skills/verify/SKILL.md"]
+    paths = [ROOT / name for name in named if (ROOT / name).exists()]
+    undeclared = set()
+    for path in paths + sorted((ROOT / "docs").glob("*.md")):
+        for command, rest in CLI_CALL.findall(path.read_text()):
+            if command not in declared:
+                continue
+            # The line may go on to a pipe or another command.
+            rest = re.split(r"\||;|&&|\brepro ", rest)[0]
+            for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", rest):
+                if flag not in declared[command]:
+                    undeclared.add(f"{path.relative_to(ROOT)}: "
+                                   f"repro {command} {flag}")
+    assert not undeclared, "\n".join(sorted(undeclared))

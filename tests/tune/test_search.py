@@ -99,6 +99,10 @@ def test_result_roundtrip_through_json(first_result):
     restored = TuneResult.from_dict(
         json.loads(json.dumps(result.to_dict())))
     assert restored.to_dict() == result.to_dict()
+    # A payload written when results still named a simulator decodes to
+    # the same values.
+    legacy = {**result.to_dict(), "backend": "fast"}
+    assert TuneResult.from_dict(legacy).to_dict() == result.to_dict()
 
 
 def test_result_schema_checked(first_result):
@@ -182,14 +186,12 @@ def test_failed_search_is_not_stored(tmp_path, monkeypatch):
     assert sorted(again.per_workload) == sorted(SPEC.benchmarks)
 
 
-def test_result_key_depends_on_spec_and_backend():
+def test_result_key_depends_on_spec():
     import dataclasses
 
-    k = tune_result_key(SPEC, "reference")
-    assert k != tune_result_key(SPEC, "fast")
-    assert k != tune_result_key(
-        dataclasses.replace(SPEC, seed=SPEC.seed + 1), "reference")
-    assert k == tune_result_key(dataclasses.replace(SPEC), "reference")
+    k = tune_result_key(SPEC)
+    assert k != tune_result_key(dataclasses.replace(SPEC, seed=SPEC.seed + 1))
+    assert k == tune_result_key(dataclasses.replace(SPEC))
 
 
 def test_cell_level_resume_zero_work(tmp_path):
@@ -201,8 +203,7 @@ def test_cell_level_resume_zero_work(tmp_path):
                 if n == "compress"}
     heur, overrides = apply_params({"speculation_bias": 0.7})
     cells = candidate_cells(heur, overrides, programs,
-                            max_steps=50_000_000, timeout=None,
-                            backend="reference")
+                            max_steps=50_000_000, timeout=None)
     cache = ArtifactCache(tmp_path / "cells")
     batch = [(key, spec) for _, key, spec in cells]
     run_cached(CELLS, batch, store=cache, programs=programs)
@@ -217,7 +218,6 @@ def test_tune_cells_shared_with_suite_cache(tmp_path):
     """The default candidate's cell is *the same artifact* the suite
     runner computes: a tables run pre-warms the search."""
     from repro.engine.suite import run_suite
-    from repro.fastsim.backend import resolve_backend
     from repro.workloads import benchmark_programs
 
     cache = ArtifactCache(tmp_path / "shared")
@@ -227,8 +227,7 @@ def test_tune_cells_shared_with_suite_cache(tmp_path):
                 if n == "compress"}
     heur, overrides = apply_params({})  # the default vector
     cells = candidate_cells(heur, overrides, programs,
-                            max_steps=50_000_000, timeout=None,
-                            backend=resolve_backend())
+                            max_steps=50_000_000, timeout=None)
     COUNTERS.reset()
     _, hits, executed = run_cached(
         CELLS, [(key, spec) for _, key, spec in cells], store=cache,

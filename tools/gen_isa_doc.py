@@ -55,8 +55,7 @@ def render() -> str:
         "Any instruction may carry a guard prefix `(ccN)` / `(!ccN)`: it"
         " executes only when the predicate holds and is *annulled*"
         " otherwise (the paper's fully-predicated \"fictional\" form;"
-        " lower with `repro.transform.lower_guards` or"
-        " `reverse_if_convert`).",
+        " lower with `repro.transform.lower_guards`).",
         "",
         "| opcode | syntax | unit | latency class | flags |",
         "|---|---|---|---|---|",
