@@ -561,7 +561,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         from .obs import heat_report
 
         print()
-        print(heat_report(observer.pc_samples, prog))
+        print(heat_report(observer.pc_samples, prog, source.name))
     return 0
 
 
@@ -841,8 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 100)")
     p.add_argument("--seed", type=int, default=0,
                    help="campaign master seed (default 0)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes for fuzz cells (default 1)")
     p.add_argument("--strategies", metavar="S1,S2",
                    help="restrict to these lattice strategies "
                         "(default: all; see docs/QA.md)")
@@ -855,18 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip delta-debug minimization of failures")
     p.add_argument("--max-steps", type=int, default=5_000_000,
                    help="per-run functional step budget (default 5M)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the artifact cache for this run")
-    p.add_argument("--cache-dir", metavar="DIR",
-                   help="artifact cache directory (default .repro-cache/ "
-                        "or $REPRO_CACHE_DIR)")
-    p.add_argument("--trace", metavar="FILE",
-                   help="write a JSONL span trace of this run to FILE")
-    p.add_argument("--remote", metavar="URL",
-                   help="execute fuzz cells on a running 'repro serve' "
-                        "instance")
-    p.add_argument("--tenant", default="default", metavar="NAME",
-                   help="tenant namespace on the remote service")
+    _engine_flags(p)
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser(

@@ -3,7 +3,7 @@
 :class:`Session` is the one supported way to run an experiment
 (``run_benchmark`` / ``run_suite`` / ``sweep`` / ``fuzz`` / ``tune`` /
 ``spectre``).  Every *execution* knob — worker count, artifact cache,
-observability sinks, remote routing, step budget, per-cell timeout —
+observability sinks, remote routing, step budget, fail-fast —
 lives in one frozen :class:`RunOptions` value held once per session,
 and every experiment method resolves its knobs through it with three
 precedence levels::
@@ -83,7 +83,6 @@ class RunOptions:
     tenant: str = "default"
     max_steps: int = 50_000_000
     strict: bool = False
-    timeout: Optional[float] = None
 
     def resolve_cache(self):
         """The options' artifact store (or None): ``cache`` coerced, with
@@ -125,7 +124,6 @@ def options_from_args(args) -> RunOptions:
         tenant=getattr(args, "tenant", "default"),
         max_steps=getattr(args, "max_steps", RunOptions.max_steps),
         strict=getattr(args, "strict", False),
-        timeout=getattr(args, "timeout", None),
     )
 
 
@@ -150,7 +148,6 @@ class Session:
                  jobs: int = _UNSET,
                  max_steps: int = _UNSET,
                  strict: bool = _UNSET,
-                 timeout: Optional[float] = _UNSET,
                  trace_path: Optional[Union[str, Path]] = _UNSET,
                  metrics: bool = _UNSET,
                  remote: Optional[str] = _UNSET,
@@ -160,8 +157,8 @@ class Session:
         self.config_overrides = dict(config_overrides or {})
         opts = options if options is not None else RunOptions()
         legacy = {"cache": cache, "jobs": jobs, "max_steps": max_steps,
-                  "strict": strict, "timeout": timeout, "trace": trace_path,
-                  "metrics": metrics, "remote": remote, "tenant": tenant}
+                  "strict": strict, "trace": trace_path, "metrics": metrics,
+                  "remote": remote, "tenant": tenant}
         overrides = {k: v for k, v in legacy.items() if v is not _UNSET}
         if overrides:
             opts = dc_replace(opts, **overrides)
@@ -228,11 +225,6 @@ class Session:
         return self.options.strict
 
     @property
-    def timeout(self) -> Optional[float]:
-        """Per-cell wall-clock budget in seconds (``options.timeout``)."""
-        return self.options.timeout
-
-    @property
     def trace_path(self):
         """JSONL span-trace destination (``options.trace``)."""
         return self.options.trace
@@ -294,8 +286,7 @@ class Session:
         return _suite.run_suite(
             benchmarks={name: prog}, heur=self.heur,
             config_overrides=self.config_overrides or None,
-            max_steps=opts.max_steps, strict=opts.strict,
-            timeout=opts.timeout)[name]
+            max_steps=opts.max_steps, strict=opts.strict)[name]
 
     def run_suite(self, scale: float = 1.0, *,
                   benchmarks: Optional[dict] = None,
@@ -315,8 +306,7 @@ class Session:
             config_overrides=self.config_overrides or None,
             progress=progress, max_steps=opts.max_steps,
             strict=opts.strict, executor=self._executor_of(opts),
-            cache=self._cache_of(opts), timeout=opts.timeout,
-            seed=seed)
+            cache=self._cache_of(opts), seed=seed)
 
     def sweep(self, spec, *,
               progress: Optional[Callable[[str], None]] = None,
@@ -331,7 +321,7 @@ class Session:
 
         return _sweep.run_sweep(spec, executor=self._executor_of(opts),
                                 cache=self._cache_of(opts),
-                                progress=progress, timeout=opts.timeout)
+                                progress=progress)
 
     def fuzz(self, cfg=None, *,
              progress: Optional[Callable[[str], None]] = None,
@@ -365,8 +355,7 @@ class Session:
 
         opts = self._resolve(options)
         return run_tune(spec, cache=self._cache_of(opts),
-                        executor=self._executor_of(opts),
-                        timeout=opts.timeout, progress=progress)
+                        executor=self._executor_of(opts), progress=progress)
 
     def spectre(self, prog, *, sew: Optional[int] = None,
                 untrusted: Optional[tuple] = None):

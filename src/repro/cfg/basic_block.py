@@ -53,16 +53,6 @@ class BasicBlock:
         t = self.terminator
         return self.instructions[:-1] if t is not None else list(self.instructions)
 
-    @property
-    def falls_through(self) -> bool:
-        """True when control may continue to the next block in layout order."""
-        t = self.terminator
-        if t is None:
-            return True
-        if t.is_branch:  # conditional: not-taken path falls through
-            return True
-        return False  # jumps and halt do not fall through
-
     def defs(self) -> set[str]:
         out: set[str] = set()
         for ins in self.instructions:

@@ -70,27 +70,6 @@ class Dominators:
                 return True
         return False
 
-    def strictly_dominates(self, a: int, b: int) -> bool:
-        return a != b and self.dominates(a, b)
-
-    def dominators_of(self, b: int) -> list[int]:
-        """All dominators of *b*, from *b* up to the entry."""
-        out = [b]
-        x = self.idom.get(b)
-        while x is not None:
-            out.append(x)
-            x = self.idom.get(x)
-        return out
-
-    def dom_tree_children(self) -> dict[int, list[int]]:
-        children: dict[int, list[int]] = {b: [] for b in self.idom}
-        for b, d in self.idom.items():
-            if d is not None:
-                children[d].append(b)
-        for v in children.values():
-            v.sort()
-        return children
-
 
 class PostDominators:
     """Post-dominators, computed on the reversed CFG.

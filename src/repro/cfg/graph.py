@@ -87,10 +87,6 @@ class CFG:
                 return i
         raise KeyError(bid)
 
-    def layout_next(self, bid: int) -> Optional[BasicBlock]:
-        i = self.layout_index(bid)
-        return self.blocks[i + 1] if i + 1 < len(self.blocks) else None
-
     # -- edges --------------------------------------------------------------------
 
     def add_edge(self, src: int, dst: int, kind: str, freq: float = 0.0) -> Edge:

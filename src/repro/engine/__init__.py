@@ -10,8 +10,8 @@ run, turned into a proper execution engine:
   corrupted-entry recovery, and size-capped LRU eviction;
 * :mod:`~repro.engine.cells` — the picklable unit of work (one
   benchmark × scheme cell) and :func:`~repro.engine.cells.execute_cell`,
-  the only code that runs one, with crash containment, retry, and an
-  optional per-attempt timeout;
+  the only code that runs one, with crash containment and retry, each
+  cell bounded by its step budget;
 * :mod:`~repro.engine.pool` — :func:`~repro.engine.pool.run_cached`,
   the one cached loop every batch of cells runs through, and
   :class:`~repro.engine.pool.LocalExecutor` (in-process at ``jobs=1``,
@@ -29,8 +29,8 @@ docs/ENGINE.md for the cache layout and invalidation rules.
 
 from .cache import ArtifactCache, CacheCounters, default_cache_dir
 from .cells import (
-    CELL_RETRIES, CELLS, COUNTERS, CellSpec, CellTimeout, EngineCounters,
-    execute_cell, spec_key,
+    CELL_RETRIES, CELLS, COUNTERS, CellSpec, EngineCounters, execute_cell,
+    spec_key,
 )
 from .keys import (
     SCHEMA_VERSION, canonical, canonical_json, cell_key, digest,
@@ -44,8 +44,8 @@ from .sweep import SweepSpec, grid_from_dict, run_sweep
 
 __all__ = [
     "ArtifactCache", "CacheCounters", "default_cache_dir",
-    "CELL_RETRIES", "CELLS", "COUNTERS", "CellSpec", "CellTimeout",
-    "EngineCounters", "execute_cell", "spec_key",
+    "CELL_RETRIES", "CELLS", "COUNTERS", "CellSpec", "EngineCounters",
+    "execute_cell", "spec_key",
     "SCHEMA_VERSION", "canonical", "canonical_json", "cell_key", "digest",
     "program_digest", "program_fingerprint",
     "CellKind", "LocalExecutor", "PoolDecision", "execution_mode",

@@ -15,18 +15,11 @@ cell kind every executor runs them as (:mod:`repro.engine.pool`).
 
 Containment: a cell that raises is retried once, then reported as a
 failed :class:`~repro.eval.runner.SchemeResult` the tables render as
-``FAIL(<reason>)``.  When ``timeout`` is set, each attempt is
-additionally bounded by a :class:`_watchdog` timer that raises
-:class:`CellTimeout` inside the executing thread — it works in *any*
-thread (the service workers of :mod:`repro.serve` run cells on threads,
-where the former ``SIGALRM`` scheme was a silent no-op), and a fired
-watchdog is just another contained failure.  :class:`CellTimeout` is a
-``BaseException``, so the compiler's and the fast simulator's own
-``except Exception`` containment cannot turn a timeout into a baseline
-fallback or a reference rerun that reports ok.  Every module a cell
-needs is imported before the watchdog is armed: a timeout that lands
-inside a first import leaves that module's import lock held, and the
-next thread to import the module blocks forever.
+``FAIL(<reason>)``.  The one bound on a cell is its step budget
+(``max_steps``, part of its key): the profiling run and the simulation
+both stop there with ``StepBudgetExceeded``, a contained failure like
+any other, so a program that never halts fails its cells
+deterministically on every executor.
 
 Cells simulate on :mod:`repro.fastsim` (:func:`counted_simulate`) and
 profile on it (:func:`counted_compile`); nothing in a spec or a key
@@ -39,8 +32,6 @@ stay at zero when every cell hits the artifact cache.
 
 from __future__ import annotations
 
-import ctypes
-import threading
 import traceback
 from collections import defaultdict
 from dataclasses import dataclass
@@ -82,19 +73,10 @@ class EngineCounters:
 COUNTERS = EngineCounters()
 
 
-class CellTimeout(BaseException):
-    """A cell attempt exceeded its wall-clock budget.
-
-    A ``BaseException`` so that no ``except Exception`` between the
-    watchdog and :func:`execute_cell` (pass sandbox, profiling,
-    fast-simulator fallback) can absorb it into a result.
-    """
-
-
 @dataclass(frozen=True)
 class CellSpec:
     """Picklable description of one evaluation cell; every field but
-    ``benchmark``, ``timeout`` and ``strict`` is in its key."""
+    ``benchmark`` and ``strict`` is in its key."""
 
     benchmark: str
     scheme: str                    # a table column (compile + predictor)
@@ -102,7 +84,6 @@ class CellSpec:
     heur: FeedbackHeuristics = DEFAULT_HEURISTICS
     config_overrides: tuple = ()   # sorted (field, value) pairs
     max_steps: int = 50_000_000
-    timeout: Optional[float] = None
     strict: bool = False
 
     def __post_init__(self) -> None:
@@ -132,7 +113,7 @@ def overrides_as_items(config_overrides: Optional[dict]) -> tuple:
 def cell_grid(programs: dict[str, Program], heur: FeedbackHeuristics,
               config_overrides: Optional[dict], max_steps: int, *,
               columns: Optional[tuple[str, ...]] = None,
-              timeout: Optional[float] = None, strict: bool = False,
+              strict: bool = False,
               broken: Optional[dict[str, BaseException]] = None
               ) -> list[tuple[str, str, CellSpec, str]]:
     """The ``(benchmark, scheme, spec, cache key)`` grid of a suite.
@@ -157,7 +138,7 @@ def cell_grid(programs: dict[str, Program], heur: FeedbackHeuristics,
                 spec = CellSpec(
                     benchmark=name, scheme=scheme, program=payload,
                     heur=heur, config_overrides=over_items,
-                    max_steps=max_steps, timeout=timeout, strict=strict)
+                    max_steps=max_steps, strict=strict)
                 config = configs.setdefault(schemes.get(scheme).predictor,
                                             spec.resolve_config())
                 cells.append((name, scheme, spec,
@@ -280,81 +261,6 @@ def _short_reason(exc: BaseException) -> str:
     return f"{name}: {text}"[:80] if text else name
 
 
-def _async_raise(thread_id: int, exc_type: type) -> bool:
-    """Schedule *exc_type* to be raised inside the thread *thread_id*.
-
-    Uses ``PyThreadState_SetAsyncExc``: the exception surfaces at the
-    target thread's next bytecode boundary, which is exactly how the old
-    ``SIGALRM`` handler behaved for the main thread — except this works
-    for *any* Python thread.  Returns False when the interpreter refused
-    (unknown thread id, or a restricted runtime without ``ctypes``
-    access), in which case the attempt simply runs unbounded, matching
-    the previous no-op fallback semantics.
-    """
-    try:
-        n = ctypes.pythonapi.PyThreadState_SetAsyncExc(
-            ctypes.c_ulong(thread_id), ctypes.py_object(exc_type))
-    except (AttributeError, ValueError):
-        return False
-    if n > 1:  # somehow hit several states: undo rather than spray
-        ctypes.pythonapi.PyThreadState_SetAsyncExc(
-            ctypes.c_ulong(thread_id), None)
-        return False
-    return n == 1
-
-
-class _watchdog:
-    """Context manager bounding one cell attempt in any thread.
-
-    Arms a :class:`threading.Timer` that raises :class:`CellTimeout`
-    inside the *executing* thread when the budget elapses.  Unlike the
-    former ``SIGALRM`` scheme this works off the main thread (service
-    workers, pool shims) and on non-POSIX hosts.  A no-op when *seconds*
-    is falsy.
-
-    Disarming takes a lock shared with the timer callback, so once
-    ``__exit__`` holds it no late timeout can fire.  A timeout scheduled
-    just as the attempt ended — the thread had not reached a bytecode
-    boundary yet — is withdrawn there, so it never surfaces in the
-    caller's code after the attempt's result or exception.
-    """
-
-    def __init__(self, seconds: Optional[float]):
-        self.seconds = float(seconds) if seconds else 0.0
-        self._timer: Optional[threading.Timer] = None
-        self._lock = threading.Lock()
-        self._armed = False
-        self._thread_id = 0
-        self.fired = False
-
-    def __enter__(self) -> "_watchdog":
-        if not self.seconds:
-            return self
-        self._thread_id = threading.get_ident()
-
-        def _fire() -> None:
-            with self._lock:
-                if not self._armed:
-                    return
-                self.fired = _async_raise(self._thread_id, CellTimeout)
-
-        self._armed = True
-        self._timer = threading.Timer(self.seconds, _fire)
-        self._timer.daemon = True
-        self._timer.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        with self._lock:
-            self._armed = False
-            if self.fired:  # no-op unless still pending
-                ctypes.pythonapi.PyThreadState_SetAsyncExc(
-                    ctypes.c_ulong(self._thread_id), None)
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-
 def execute_cell(spec: CellSpec, program: Optional[Program] = None,
                  memo: Optional[BenchmarkMemo] = None):
     """Run one cell; returns its :class:`~repro.eval.runner.SchemeResult`.
@@ -366,14 +272,9 @@ def execute_cell(spec: CellSpec, program: Optional[Program] = None,
     result with ``to_dict``; in-process callers use it as is.
 
     With ``spec.strict`` the first exception propagates; otherwise the
-    cell is retried once and then recorded as a failed result.  A
-    :class:`CellTimeout` is contained like any other failure.
+    cell is retried once and then recorded as a failed result.
     """
-    # Imported here, before any watchdog is armed (module docstring), and
-    # not at module level: a fuzz campaign imports this module and never
-    # simulates on the fast path.
     from ..eval.runner import SchemeResult
-    from ..fastsim import backend as _fastsim  # noqa: F401
 
     with obs_span(f"cell.{spec.scheme}", benchmark=spec.benchmark,
                   scheme=spec.scheme) as sp:
@@ -381,15 +282,14 @@ def execute_cell(spec: CellSpec, program: Optional[Program] = None,
         memo = memo if memo is not None else BenchmarkMemo()
         for _ in range(CELL_RETRIES + 1):
             try:
-                with _watchdog(spec.timeout):
-                    prog = program if program is not None \
-                        else memo.program(spec.program)
-                    cr, stats, exec_stats = memo.cell(
-                        spec.scheme, spec.resolve_config(), prog, spec.heur,
-                        spec.max_steps)
+                prog = program if program is not None \
+                    else memo.program(spec.program)
+                cr, stats, exec_stats = memo.cell(
+                    spec.scheme, spec.resolve_config(), prog, spec.heur,
+                    spec.max_steps)
                 return SchemeResult(spec.benchmark, spec.scheme, stats,
                                     exec_stats, cr)
-            except (Exception, CellTimeout) as exc:  # noqa: BLE001
+            except Exception as exc:  # noqa: BLE001
                 if spec.strict:
                     raise
                 last = exc

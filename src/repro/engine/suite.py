@@ -4,7 +4,7 @@
 ``Session.run_suite``/``run_benchmark``, the sweep driver, ``repro
 submit`` and the ingest goldens all come through here, and every cell
 runs through :func:`~repro.engine.cells.execute_cell` (retry-once
-containment, an optional per-attempt timeout), locally or on a serve
+containment, bounded by the step budget), locally or on a serve
 worker:
 
 * **artifact caching** — each cell is keyed by a content digest of
@@ -60,7 +60,6 @@ def run_suite(scale: float = 1.0,
               strict: bool = False,
               executor=None,
               cache: CacheLike = None,
-              timeout: Optional[float] = None,
               seed: Optional[int] = None):
     """Run the full suite through the cache and the cell executor.
 
@@ -69,8 +68,7 @@ def run_suite(scale: float = 1.0,
     serialize or key) is recorded as a run whose cells all failed,
     unless *strict*.  *executor* runs the cache misses (None = a
     :class:`~repro.engine.pool.LocalExecutor` at ``jobs=1``); *cache*
-    enables the artifact store (see :func:`coerce_cache`); *timeout*
-    bounds each cell attempt in seconds, on every executor; *seed*
+    enables the artifact store (see :func:`coerce_cache`); *seed*
     re-seeds the synthetic workload generators (identical inputs hash
     identically, so reruns hit the cache).
     """
@@ -87,8 +85,7 @@ def run_suite(scale: float = 1.0,
                 progress(name)
         broken: dict[str, BaseException] = {}
         grid = cell_grid(programs, heur, config_overrides, max_steps,
-                         timeout=timeout, strict=strict,
-                         broken=None if strict else broken)
+                         strict=strict, broken=None if strict else broken)
         results, _, _ = run_cached(
             CELLS, [(key, spec) for _, _, spec, key in grid], executor,
             coerce_cache(cache), programs)

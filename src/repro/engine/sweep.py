@@ -140,8 +140,8 @@ def _cell_record(point: dict, name: str, cell) -> dict:
 
 
 def run_sweep(spec: SweepSpec, executor=None, cache: CacheLike = None,
-              progress: Optional[Callable[[str], None]] = None,
-              timeout: Optional[float] = None) -> list[dict]:
+              progress: Optional[Callable[[str], None]] = None
+              ) -> list[dict]:
     """Evaluate every point of *spec*; returns one record per cell.
 
     Each point reuses the suite engine, so the artifact cache deduplicates
@@ -171,7 +171,7 @@ def run_sweep(spec: SweepSpec, executor=None, cache: CacheLike = None,
             runs = run_suite(benchmarks=programs, heur=heur,
                              config_overrides=point["config"],
                              max_steps=spec.max_steps, executor=executor,
-                             cache=cache, timeout=timeout)
+                             cache=cache)
         for name, run in runs.items():
             for cell in run.results.values():
                 records.append(_cell_record(point, name, cell))

@@ -51,8 +51,7 @@ from .timing import FastTimingSim
 
 #: Exceptions that are the *program's* fault: identical on both
 #: simulators, so they propagate instead of triggering a fallback.
-#: RuntimeError covers SimulationError.  The cell watchdog's
-#: ``CellTimeout`` is a BaseException and passes every handler here.
+#: RuntimeError covers SimulationError.
 _SEMANTIC = (RuntimeError, AlignmentError, ValueError, OverflowError,
              struct.error)
 

@@ -91,10 +91,6 @@ class OpInfo:
         return self.is_branch or self.is_jump or self.is_halt
 
     @property
-    def is_conditional_branch(self) -> bool:
-        return self.is_branch
-
-    @property
     def has_btb_entry(self) -> bool:
         """Whether the branch can live in the branch target buffer.
 

@@ -70,13 +70,6 @@ class Program:
             raise ValueError(f"duplicate label {name!r}")
         self.labels[name] = len(self.instructions) if index is None else index
 
-    def fresh_label(self, prefix: str = "L") -> str:
-        """Return a label name not yet present in the program."""
-        while True:
-            name = f".{prefix}{next(self._label_counter)}"
-            if name not in self.labels:
-                return name
-
     def add_data_word(self, symbol: Optional[str], values: Iterable[int],
                       addr: Optional[int] = None) -> int:
         """Append 32-bit words to the data segment; returns the start address."""
@@ -120,10 +113,6 @@ class Program:
         except KeyError:
             raise KeyError(f"undefined label {label!r}") from None
 
-    def labels_at(self, index: int) -> list[str]:
-        """All labels attached to instruction index *index* (sorted)."""
-        return sorted(name for name, i in self.labels.items() if i == index)
-
     def branch_targets(self) -> dict[int, int]:
         """Map from branch/jump instruction index to its target index."""
         out: dict[int, int] = {}
@@ -131,20 +120,6 @@ class Program:
             if ins.target is not None:
                 out[i] = self.target_index(ins.target)
         return out
-
-    def find_label_of_uid(self, uid: int) -> Optional[int]:
-        """Index of the instruction with the given uid, or None."""
-        for i, ins in enumerate(self.instructions):
-            if ins.uid == uid:
-                return i
-        return None
-
-    def registers_used(self) -> set[str]:
-        """Every register mentioned anywhere in the program."""
-        regs: set[str] = set()
-        for ins in self.instructions:
-            regs.update(ins.registers())
-        return regs
 
     # -- validation -------------------------------------------------------------------
 

@@ -24,7 +24,6 @@ ZERO_REG = "r0"
 
 #: Conventional stack pointer / return address registers (MIPS o32 style).
 SP_REG = "r29"
-FP_REG = "r30"
 RA_REG = "r31"
 
 INT_REGS: tuple[str, ...] = tuple(f"r{i}" for i in range(NUM_INT_REGS))
@@ -149,14 +148,6 @@ class RegisterPool:
             raise IndexError("register pool exhausted")
         return self._free.pop(0)
 
-    def take_specific(self, reg: str) -> str:
-        """Remove and return *reg*; raises KeyError if it is not free."""
-        try:
-            self._free.remove(reg)
-        except ValueError:
-            raise KeyError(f"register not free: {reg!r}") from None
-        return reg
-
     def release(self, reg: str) -> None:
         """Return a register to the pool (idempotent)."""
         if not is_register(reg):
@@ -164,10 +155,6 @@ class RegisterPool:
         if reg not in self._free:
             self._free.append(reg)
             self._free.sort(key=_reg_sort_key)
-
-    def peek(self) -> str | None:
-        """Return the register :meth:`take` would hand out, or None."""
-        return self._free[0] if self._free else None
 
 
 def _reg_sort_key(name: str) -> tuple[int, int]:

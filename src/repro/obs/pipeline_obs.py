@@ -174,14 +174,15 @@ def maybe_observer(sample_interval: int = 0) -> Optional[PipelineObserver]:
     return None
 
 
-def heat_report(samples: dict[int, int], prog) -> str:
+def heat_report(samples: dict[int, int], prog, name: str) -> str:
     """Render a hot-PC sample histogram as a per-basic-block heat table.
 
     *samples* maps static instruction indices (as collected by
     :class:`PipelineObserver` with ``sample_interval > 0``) to sample
     counts; blocks come from :func:`repro.cfg.graph.build_cfg` of the
     simulated program, whose blocks partition the instruction indices in
-    layout order.  Blocks with no samples are omitted.
+    layout order.  Blocks with no samples are omitted.  The heading
+    names *name*: the input program, when *prog* is one of its compiles.
     """
     from ..cfg.graph import build_cfg
 
@@ -196,7 +197,7 @@ def heat_report(samples: dict[int, int], prog) -> str:
             rows.append((count, bb.label or f"bb{bb.bid}", start, end - 1))
         start = end
     rows.sort(key=lambda r: (-r[0], r[2]))
-    lines = [f"heat report: {prog.name} "
+    lines = [f"heat report: {name} "
              f"({total} samples, {len(rows)} hot blocks)"]
     if not rows:
         lines.append("  (no samples)")

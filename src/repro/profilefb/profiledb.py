@@ -96,9 +96,6 @@ class ProfileDB:
             bp = self.branches.get(ins.ann["cloned_from_uid"])
         return bp
 
-    def count_at(self, index: int) -> int:
-        return self.index_counts[index]
-
     # -- CFG frequency annotation -----------------------------------------------------
 
     def block_freqs(self, cfg: CFG) -> dict[int, float]:

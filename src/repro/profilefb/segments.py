@@ -38,9 +38,6 @@ class Segment:
     def length(self) -> int:
         return self.end - self.start
 
-    def fraction_of(self, total: int) -> float:
-        return self.length / total if total else 0.0
-
     def __repr__(self) -> str:
         return (f"<Seg [{self.start},{self.end}) {self.kind} "
                 f"freq={self.freq:.2f}>")

@@ -127,11 +127,6 @@ class PassSandbox:
 
     # -- recording -------------------------------------------------------------
 
-    def record_skip(self, stage: str, reason: str, detail: str = "") -> None:
-        """Record a pass that declined to run (not a rollback)."""
-        self._record(PassFailure(stage=stage, kind="skip", reason=reason,
-                                 detail=detail, rolled_back=False))
-
     def _record(self, failure: PassFailure) -> None:
         if len(self.failures) < self.max_failures:
             self.failures.append(failure)

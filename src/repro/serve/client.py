@@ -200,8 +200,7 @@ class ServeClient:
 # -- suite grid ------------------------------------------------------------
 
 def suite_cells(programs: dict, heur: FeedbackHeuristics,
-                config_overrides: Optional[dict], max_steps: int,
-                timeout: Optional[float] = None
+                config_overrides: Optional[dict], max_steps: int
                 ) -> list[tuple[str, str, str, CellSpec, dict]]:
     """The suite's cell grid: (name, scheme, key, spec, spec-payload).
 
@@ -212,5 +211,4 @@ def suite_cells(programs: dict, heur: FeedbackHeuristics,
     """
     return [(name, scheme, key, spec, protocol.cellspec_to_payload(spec))
             for name, scheme, spec, key in cell_grid(
-                programs, heur, config_overrides, max_steps,
-                timeout=timeout)]
+                programs, heur, config_overrides, max_steps)]

@@ -52,14 +52,13 @@ from ..profilefb.classify import ClassifyConfig
 #: v5: cell specs carry no ``backend``: every cell runs on the fast path,
 #: and cell keys no longer hash a simulator name, so a v4 peer (whose
 #: specs and keys carry it) is refused rather than sent mismatched keys.
-PROTOCOL_VERSION = 5
+#: v6: cell specs carry no ``timeout``: the step budget is a cell's one
+#: bound, so a v5 peer (which may send a wall-clock timeout this side
+#: would silently ignore) is refused.  Keys and payloads are unchanged.
+PROTOCOL_VERSION = 6
 
 #: Accepted ``kind`` values of a submitted job.
 JOB_KINDS = ("cells", "fuzz")
-
-#: Lifecycle of a job: queued (cells waiting), running (at least one
-#: cell claimed), done (every cell has a result).
-JOB_STATES = ("queued", "running", "done")
 
 #: Machine-readable error codes carried in :func:`error_body` envelopes.
 ERROR_CODES = (
@@ -142,7 +141,6 @@ def cellspec_to_payload(spec: CellSpec) -> dict:
         "heur": heur_to_payload(spec.heur),
         "config_overrides": [list(pair) for pair in spec.config_overrides],
         "max_steps": spec.max_steps,
-        "timeout": spec.timeout,
         "strict": spec.strict,
     }
 
@@ -158,7 +156,6 @@ def cellspec_from_payload(payload: dict) -> CellSpec:
             config_overrides=tuple(
                 tuple(pair) for pair in payload["config_overrides"]),
             max_steps=payload["max_steps"],
-            timeout=payload.get("timeout"),
             strict=bool(payload.get("strict", False)),
         )
     except (KeyError, TypeError, ValueError) as exc:

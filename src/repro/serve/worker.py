@@ -5,8 +5,7 @@ Each worker loops claim → execute → store → complete against one
 :class:`~repro.serve.store.TieredStore`.  Execution is the job kind's
 own :class:`~repro.engine.pool.CellKind` code, exactly as a local pool
 worker runs it — :func:`~repro.engine.cells.execute_cell` for
-evaluation cells (retry + the thread-portable watchdog timeout; workers
-are threads, which is exactly why the watchdog replaced ``SIGALRM``) and
+evaluation cells (retry, bounded by the step budget) and
 :func:`~repro.qa.cells.execute_fuzz_cell` for fuzz cells.  Both contain
 failures instead of raising, so a cell can only take a worker down
 through interpreter-level faults — and even then the dispatch loop
@@ -18,9 +17,9 @@ success test (``CellKind.ok``) is also written through to **every
 subscribing tenant's cache namespace** before completion: execution is
 deduplicated fleet-wide, but each tenant's artifact store stays
 isolated — the next identical submission from any of them replays from
-cache without queueing at all.  Failures are never stored (cell keys
-leave out the timeout, so a stored ``FAIL(CellTimeout)`` would answer
-an untimed submission).
+cache without queueing at all.  Failures are never stored: a failure
+can be transient (a dead worker, a ``MemoryError``), and a stored one
+would answer every later submission of the same cell.
 
 Utilization accounting: each worker tracks busy nanoseconds against its
 lifetime; :meth:`WorkerFleet.stats` reports per-worker and fleet-level

@@ -19,10 +19,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return 1.0 - self.misses / self.accesses if self.accesses else 1.0
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
     def to_dict(self) -> dict:
         """JSON-serializable form (engine artifact-cache payload)."""
         return {"accesses": self.accesses, "misses": self.misses}

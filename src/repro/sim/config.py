@@ -91,12 +91,6 @@ class MachineConfig:
 
     latencies: Latencies = field(default_factory=Latencies)
 
-    def with_predictor(self, predictor: str) -> "MachineConfig":
-        """Return a copy using a different branch-prediction scheme."""
-        if predictor not in ("twobit", "twolevel", "perfect", "static-taken"):
-            raise ValueError(f"unknown predictor {predictor!r}")
-        return replace(self, predictor=predictor)
-
 
 #: The configuration used throughout the paper's evaluation.
 R10K = MachineConfig()

@@ -111,6 +111,3 @@ class Memory:
                 break
             out.append(b)
         return bytes(out)
-
-    def touched_pages(self) -> int:
-        return len(self._pages)

@@ -73,12 +73,6 @@ class SimStats:
             return 0.0
         return 100.0 * self.unit_full_cycles.get(name, 0) / self.cycles
 
-    def unit_utilization(self, name: str, num_units: int) -> float:
-        """Fraction of unit-cycles actually used (ablation metric)."""
-        if not self.cycles or not num_units:
-            return 0.0
-        return self.unit_issues.get(name, 0) / (self.cycles * num_units)
-
     def to_dict(self) -> dict:
         """JSON-serializable form: exact round-trip via :meth:`from_dict`.
 

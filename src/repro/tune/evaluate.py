@@ -23,8 +23,6 @@ Objectives extracted per (candidate, workload) cell:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..engine.cells import CellSpec, cell_grid
 
 #: The table column every candidate is scored on: the paper's combined
@@ -53,8 +51,7 @@ def compile_cost(cr) -> int:
 
 
 def candidate_cells(heur, config_overrides: dict, programs: dict,
-                    max_steps: int, timeout: Optional[float]
-                    ) -> list[tuple[str, str, CellSpec]]:
+                    max_steps: int) -> list[tuple[str, str, CellSpec]]:
     """The (benchmark, key, spec) grid of one candidate vector.
 
     One Proposed-scheme cell per workload, keyed exactly like the suite
@@ -65,7 +62,7 @@ def candidate_cells(heur, config_overrides: dict, programs: dict,
     """
     return [(name, key, spec) for name, _, spec, key in cell_grid(
         programs, heur, config_overrides, max_steps,
-        columns=(TUNE_SCHEME,), timeout=timeout)]
+        columns=(TUNE_SCHEME,))]
 
 
 def measure(cell, original_len: int) -> dict:

@@ -192,8 +192,7 @@ def _initial_population(spec: TuneSpec) -> int:
 
 
 def _evaluate_round(cands: list, frac: float, spec: TuneSpec, cache,
-                    executor, timeout, round_no: int,
-                    progress) -> tuple[int, int]:
+                    executor, round_no: int, progress) -> tuple[int, int]:
     """Score *cands* at rung *frac* as one cached batch; returns (cache
     hits, executed), counted over distinct cells."""
     scale = spec.scale if frac == 1.0 else spec.scale * frac
@@ -209,8 +208,7 @@ def _evaluate_round(cands: list, frac: float, spec: TuneSpec, cache,
         cells = []
         for cand in cands:
             heur, overrides = apply_params(cand["params"])
-            cc = candidate_cells(heur, overrides, programs,
-                                 spec.max_steps, timeout)
+            cc = candidate_cells(heur, overrides, programs, spec.max_steps)
             grid.append((cand, cc))
             cells.extend(cc)
         results, hits, executed = run_cached(
@@ -281,7 +279,6 @@ def _pick_winners(finalists: list, spec: TuneSpec) -> dict:
 
 
 def run_tune(spec: TuneSpec, cache=None, executor=None,
-             timeout: Optional[float] = None,
              progress: Optional[Callable[[str], None]] = None
              ) -> TuneResult:
     """Run one closed-loop search (the engine behind ``Session.tune``).
@@ -336,7 +333,7 @@ def run_tune(spec: TuneSpec, cache=None, executor=None,
             if not wave:
                 break
             h, x = _evaluate_round(wave, frac, spec, cache, executor,
-                                   timeout, round_no, progress)
+                                   round_no, progress)
             evaluations += len(wave)
             hits += h
             executed += x
@@ -369,7 +366,7 @@ def run_tune(spec: TuneSpec, cache=None, executor=None,
             if not wave:
                 break
             h, x = _evaluate_round(wave, spec.fidelities[-1], spec, cache,
-                                   executor, timeout, round_no, progress)
+                                   executor, round_no, progress)
             evaluations += len(wave)
             hits += h
             executed += x
@@ -387,9 +384,9 @@ def run_tune(spec: TuneSpec, cache=None, executor=None,
                         pareto=front, per_workload=per_workload,
                         evaluations=evaluations, cells_hit=hits,
                         cells_executed=executed)
-    # Stored only when every cell it measured succeeded: the key leaves
-    # out the timeout, so a search of timed-out cells would otherwise
-    # answer a later untimed one.
+    # Stored only when every cell it measured succeeded: a failure can
+    # be transient (a dead worker, a MemoryError), and a stored search
+    # built on one would answer every later identical search.
     if cache is not None and all(
             m["ok"] for cand in candidates for rung in cand["rungs"].values()
             for m in rung["per_workload"].values()):

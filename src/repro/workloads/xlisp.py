@@ -23,7 +23,6 @@ from .common import AUX_BASE, MASK32, SRC_BASE
 # VM opcodes.
 OP_HALT, OP_PUSHI, OP_ADD, OP_SUB, OP_MUL = 0, 1, 2, 3, 4
 OP_DUP, OP_JGZ, OP_JMP, OP_LOAD, OP_STORE = 5, 6, 7, 8, 9
-NUM_OPS = 10
 
 
 def vm_bytecode(k: int) -> list[tuple[int, int]]:

@@ -179,11 +179,11 @@ def test_monkeypatched_legacy_impl_still_reached(monkeypatch):
 
     monkeypatch.setattr(_suite, "run_suite", fake)
     out = Session().run_benchmark(
-        "x", prog, options=RunOptions(max_steps=42, timeout=7.5))
+        "x", prog, options=RunOptions(max_steps=42, strict=True))
     assert out == "sentinel"
     assert calls["benchmarks"] == {"x": prog}
     assert calls["max_steps"] == 42
-    assert calls["timeout"] == 7.5
+    assert calls["strict"] is True
 
 
 # -- options_from_args (the one shared CLI translation) ---------------------
@@ -196,11 +196,11 @@ def test_options_from_args_full_namespace():
     opts = options_from_args(_ns(
         jobs=7, no_cache=False, cache_dir="/tmp/c",
         trace="t.jsonl", metrics=True, remote="http://h:1", tenant="bob",
-        max_steps=99, strict=True, timeout=1.5))
+        max_steps=99, strict=True))
     assert opts == RunOptions(
         jobs=7, cache=True, cache_dir="/tmp/c",
         trace="t.jsonl", metrics=True, remote="http://h:1", tenant="bob",
-        max_steps=99, strict=True, timeout=1.5)
+        max_steps=99, strict=True)
 
 
 def test_options_from_args_no_cache_flag():

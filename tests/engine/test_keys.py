@@ -122,9 +122,9 @@ def test_cell_key_stable_across_processes(tmp_path):
     assert len(keys) == 1, f"key drift across processes: {keys}"
 
 
-def test_every_spec_field_but_benchmark_timeout_strict_is_keyed():
+def test_every_spec_field_but_benchmark_strict_is_keyed():
     """A spec field outside the key would let two different cells share
-    one cached result; only the label and the execution limits may."""
+    one cached result; only the label and the fail-fast flag may."""
     from dataclasses import fields
 
     import repro.engine as engine
@@ -138,7 +138,7 @@ def test_every_spec_field_but_benchmark_timeout_strict_is_keyed():
         "config_overrides": (("fetch_width", 8),),
         "max_steps": 1,
     }
-    unkeyed = {"benchmark": "other", "timeout": 5.0, "strict": True}
+    unkeyed = {"benchmark": "other", "strict": True}
     assert {f.name for f in fields(engine.CellSpec)} == \
         set(keyed) | set(unkeyed)
     spec = engine.CellSpec(benchmark="tiny", scheme="Proposed",

@@ -148,7 +148,7 @@ def test_grid_keys_equal_cell_key():
             == [k for _, _, _, k in grid]
         proposed = {n: k for n, s, _, k in grid if s == TUNE_SCHEME}
         assert {n: k for n, k, _ in candidate_cells(
-            DEFAULT_HEURISTICS, {}, programs, MAX_STEPS, None)} == proposed
+            DEFAULT_HEURISTICS, {}, programs, MAX_STEPS)} == proposed
     assert checked == 40
 
 

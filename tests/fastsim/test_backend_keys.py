@@ -54,10 +54,13 @@ def test_version_lockstep():
     # when they stopped carrying ``backend``: a peer that still sends it
     # also hashes it into its keys, so it is refused as a protocol
     # mismatch.  Dropping ``backend`` (and the unused ``extra``) changed
-    # every cell key's hashed text, so the key schema did not move.
+    # every cell key's hashed text, so the key schema did not move.  The
+    # protocol alone moved to 6 when cell specs stopped carrying
+    # ``timeout``: a v5 peer may send one this side would silently ignore.
+    # Keys never hashed it, so keys and payloads stayed byte-identical.
     assert SCHEMA_VERSION == 6      # engine cell-key/envelope schema
     assert serde.SCHEMA_VERSION == 4  # result payload schema
-    assert PROTOCOL_VERSION == 5    # serve wire protocol
+    assert PROTOCOL_VERSION == 6    # serve wire protocol
 
 
 def test_legacy_heuristics_payload_still_decodes():

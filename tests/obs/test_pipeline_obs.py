@@ -75,14 +75,14 @@ def test_sampling_and_heat_report(loop_prog):
     obs = PipelineObserver(MetricsRegistry(), sample_interval=1)
     _run(loop_prog, observer=obs)
     assert sum(obs.pc_samples.values()) == obs.trace_entries
-    report = heat_report(obs.pc_samples, loop_prog)
-    assert "heat report" in report
+    report = heat_report(obs.pc_samples, loop_prog, loop_prog.name)
+    assert report.startswith(f"heat report: {loop_prog.name} (")
     assert f"{obs.trace_entries} samples" in report
     assert "#" in report  # at least one heat bar
 
 
 def test_heat_report_empty_samples(loop_prog):
-    report = heat_report({}, loop_prog)
+    report = heat_report({}, loop_prog, loop_prog.name)
     assert "(no samples)" in report
 
 

@@ -12,6 +12,7 @@ import json
 from repro.api import Session
 from repro.core.heuristics import DEFAULT_HEURISTICS
 from repro.engine import SweepSpec, grid_from_dict
+from repro.engine import cells as engine_cells
 from repro.eval import suite_to_dict
 from repro.serve import ServeClient
 from repro.serve.client import suite_cells
@@ -81,23 +82,35 @@ def test_remote_session_matches_local(server, tmp_path):
         == remote_tune.cells_executed
 
 
-def test_failures_are_delivered_but_never_stored(server, client):
-    """Cell keys leave out the timeout, so a stored timeout failure would
-    answer a later untimed submission of the same cells."""
+def test_failures_are_delivered_but_never_stored(server, client,
+                                                 monkeypatch):
+    """A failure can be transient, so a stored one would answer every
+    later submission of the same cells.  The fleet runs on threads in
+    this process, so a patched simulator fails its PerfectBP cell once;
+    the resubmission recomputes exactly that cell and replays the rest."""
     programs = {"grep": benchmark_programs(0.05)["grep"]}
+    cells = [(key, payload) for _, _, key, _, payload in suite_cells(
+        programs, DEFAULT_HEURISTICS, None, 50_000_000)]
+    real = engine_cells.counted_simulate
 
-    def grid(timeout):
-        return [(key, payload) for _, _, key, _, payload in suite_cells(
-            programs, DEFAULT_HEURISTICS, None, 50_000_000,
-            timeout=timeout)]
+    def flaky(prog, config, max_steps):
+        if config.predictor == "perfect":
+            raise RuntimeError("simulator down")
+        return real(prog, config, max_steps)
 
-    timed, untimed = grid(0.002), grid(None)
-    assert [k for k, _ in timed] == [k for k, _ in untimed]
-    first = client.run_cells(timed)
-    failed = [p["failure"] for p in first.values() if p["failure"]]
-    assert failed and all(f.startswith("CellTimeout") for f in failed)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_cells, "counted_simulate", flaky)
+        first = client.run_cells(cells)
+    assert [(p["scheme"], p["failure"]) for p in first.values()
+            if p["failure"]] == [("PerfectBP", "RuntimeError: simulator down")]
+    failed = {key for key, p in first.items() if p["failure"]}
 
-    job = client.submit_cells(untimed)
+    engine_cells.COUNTERS.reset()
+    job = client.submit_cells(cells)
     second = dict(client.results(job["job_id"]))
-    assert job["n_cache_hits"] == len(first) - len(failed)
+    assert job["n_cache_hits"] == len(cells) - len(failed)
+    assert (engine_cells.COUNTERS.compiles,
+            engine_cells.COUNTERS.simulates) == (1, 1)
     assert all(p["failure"] is None for p in second.values())
+    assert all(second[key] == first[key] for key in first
+               if key not in failed)

@@ -1,5 +1,7 @@
 """Command-line interface tests (in-process: fast, no subprocess)."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main
@@ -220,8 +222,11 @@ def test_tables_trace_flag(tmp_path, capsys):
 
 
 def test_run_sample_heat_report(capsys):
+    """The heat report names the input program, as the header lines do,
+    not the compile it sampled (``compress.base``)."""
     assert main(["run", "compress", "--scale", "0.01",
                  "--sample", "7"]) == 0
     out = capsys.readouterr().out
-    assert "heat report" in out
-    assert "samples" in out
+    assert "program    : compress\n" in out
+    assert re.search(r"^heat report: compress \(\d+ samples, \d+ hot "
+                     r"blocks\)$", out, re.MULTILINE), out

@@ -167,9 +167,9 @@ def test_full_zoo_search_beats_the_defaults_and_resumes_for_free(tmp_path):
 
 
 def test_failed_search_is_not_stored(tmp_path, monkeypatch):
-    """A search whose cells failed answers no later search: its key
-    leaves out the timeout, so a stored failure would poison an untimed
-    rerun."""
+    """A search whose cells failed answers no later search: a failure can
+    be transient (here a simulator fault that clears), so a stored one
+    would poison every rerun."""
     from repro.engine import cells as engine_cells
 
     def broken(*args, **kwargs):
@@ -202,8 +202,7 @@ def test_cell_level_resume_zero_work(tmp_path):
     programs = {n: p for n, p in benchmark_programs(0.01).items()
                 if n == "compress"}
     heur, overrides = apply_params({"speculation_bias": 0.7})
-    cells = candidate_cells(heur, overrides, programs,
-                            max_steps=50_000_000, timeout=None)
+    cells = candidate_cells(heur, overrides, programs, max_steps=50_000_000)
     cache = ArtifactCache(tmp_path / "cells")
     batch = [(key, spec) for _, key, spec in cells]
     run_cached(CELLS, batch, store=cache, programs=programs)
@@ -226,8 +225,7 @@ def test_tune_cells_shared_with_suite_cache(tmp_path):
     programs = {n: p for n, p in benchmark_programs(0.01).items()
                 if n == "compress"}
     heur, overrides = apply_params({})  # the default vector
-    cells = candidate_cells(heur, overrides, programs,
-                            max_steps=50_000_000, timeout=None)
+    cells = candidate_cells(heur, overrides, programs, max_steps=50_000_000)
     COUNTERS.reset()
     _, hits, executed = run_cached(
         CELLS, [(key, spec) for _, key, spec in cells], store=cache,
