@@ -50,13 +50,15 @@ the synthetic suite.  Table cells, ``run`` and the profiling runs of
 ``verify``'s equivalence check and of ``fuzz``, and ``run --sample``
 attaches its observer to the reference cycle loop (docs/FASTSIM.md).
 
-Every experiment command (``tables``, ``sweep``, ``fuzz``, ``verify``)
-constructs exactly one :class:`repro.api.Session` from the shared engine
-flags, so ``--jobs``, ``--no-cache``, ``--cache-dir``, and ``--trace``
-behave identically everywhere: results are cached in ``.repro-cache/``
-(override with ``--cache-dir`` or ``$REPRO_CACHE_DIR``, disable with
-``--no-cache``), cache misses fan out over ``--jobs N`` worker
-processes, and ``--trace FILE`` writes a JSONL span trace of the run.
+Every experiment command (``tables``, ``sweep``, ``tune``, ``fuzz``,
+``trace run``) constructs exactly one :class:`repro.api.Session` from
+its engine flags, so ``--jobs``, ``--no-cache``, ``--cache-dir`` and
+``--trace`` behave identically everywhere: results are cached in
+``.repro-cache/`` (override with ``--cache-dir`` or
+``$REPRO_CACHE_DIR``, disable with ``--no-cache``), cache misses fan out
+over ``--jobs N`` worker processes, and ``--trace FILE`` writes a JSONL
+span trace of the run (``verify`` takes ``--trace`` alone: it never
+runs a cached cell).
 ``--remote URL`` (with ``--tenant NAME``) sends the cache misses to a
 running ``repro serve`` instance instead of the local pool (with
 ``--no-cache``, every cell).
@@ -104,26 +106,19 @@ def _load_program(name: str, scale: float) -> Program:
         f"({', '.join(sorted(BENCHMARKS))}) and not a file")
 
 
-def _session_from(args: argparse.Namespace, *, cache=None,
-                  trace_path=None, **kw) -> Session:
-    """One :class:`Session` per CLI invocation, from the shared flags.
+def _session_from(args: argparse.Namespace) -> Session:
+    """One :class:`Session` per CLI invocation, from its engine flags.
 
-    Every subcommand translates its engine flags through the one shared
-    :func:`repro.api.options_from_args` helper, so ``--jobs`` /
-    ``--no-cache`` / ``--trace`` behave identically everywhere.
-    Explicit *cache*/*trace_path* arguments override the flag-derived
-    values (``trace run`` routes its ``--out`` here).
+    Caching is on unless ``--no-cache``, at ``--cache-dir`` when given.
+    A flag the subcommand does not declare keeps the session default.
     """
-    from dataclasses import replace
-
-    from .api import options_from_args
-
-    opts = options_from_args(args)
-    if cache is not None:
-        opts = replace(opts, cache=cache)
-    if trace_path is not None:
-        opts = replace(opts, trace=trace_path)
-    return Session(options=opts, **kw)
+    return Session(
+        cache=not args.no_cache and (args.cache_dir or True),
+        jobs=args.jobs, trace_path=args.trace,
+        strict=getattr(args, "strict", False),
+        metrics=getattr(args, "metrics", False),
+        remote=getattr(args, "remote", None),
+        tenant=getattr(args, "tenant", "default"))
 
 
 def _report_cache(store) -> None:
@@ -463,7 +458,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    with _session_from(args) as session:
+    with Session(trace_path=args.trace) as session:
         if args.spectre:
             return _spectre_in_session(args, session)
         return _verify_in_session(args, session)
@@ -498,9 +493,8 @@ def _verify_in_session(args: argparse.Namespace, session: Session) -> int:
     """Body of ``verify``, run inside the session's observability scope.
 
     Verification always recompiles (the point is to check the compiler
-    that exists *now*, not a cached artifact), so the session's cache is
-    deliberately not consulted; the engine flags still matter for
-    ``--trace`` and flag uniformity across subcommands.
+    that exists *now*, not a cached artifact), so the session has no
+    cache; it only scopes the ``--trace`` sink.
     """
     from .robust import run_reference, verify_program
 
@@ -619,12 +613,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
     # action == "run": a traced (and optionally metric-counted) suite run.
     # Spans are process-local, so the traced suite runs with the session's
     # default jobs=1 unless the caller insists on a pool.
-    with _session_from(args, trace_path=args.out) as session:
+    with _session_from(args) as session:
         session.run_suite(
             scale=args.scale,
             progress=lambda b: print(f"running {b} ...", file=sys.stderr))
         emitted = session._tracer.emitted if session._tracer else 0
-        print(f"{emitted} spans written to {args.out}", file=sys.stderr)
+        print(f"{emitted} spans written to {args.trace}", file=sys.stderr)
     if args.metrics:
         import json
 
@@ -632,7 +626,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
         print(json.dumps(metrics_snapshot(), indent=2, sort_keys=True))
     if args.summarize:
-        print(summarize_trace(read_trace(args.out)))
+        print(summarize_trace(read_trace(args.trace)))
     _report_cache(session.cache)
     return 0
 
@@ -644,6 +638,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Srinivas & Nicolau (IPPS 1998) reproduction toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def _trace_flag(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--trace", metavar="FILE",
+                       help="write a JSONL span trace of this run to FILE "
+                            "(see docs/OBSERVABILITY.md)")
+
     def _engine_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes for cache misses (default 1 "
@@ -653,9 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", metavar="DIR",
                        help="artifact cache directory (default "
                             ".repro-cache/ or $REPRO_CACHE_DIR)")
-        p.add_argument("--trace", metavar="FILE",
-                       help="write a JSONL span trace of this run to FILE "
-                            "(see docs/OBSERVABILITY.md)")
+        _trace_flag(p)
         p.add_argument("--remote", metavar="URL",
                        help="route execution through a running "
                             "'repro serve' instance (see docs/SERVICE.md)")
@@ -814,8 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify",
         help="IR-verify + differentially check compiled benchmarks "
-             "(always recompiles; the cache flags exist for flag "
-             "uniformity and --trace)")
+             "(always recompiles, never cached)")
     p.add_argument("program", help="benchmark name, .s file, or 'all'")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--max-steps", type=int, default=20_000_000,
@@ -830,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--untrusted", metavar="R1,R2",
                    help="registers treated as attacker-controlled at "
                         "entry (default r4,r5,r6,r7)")
-    _engine_flags(p)
+    _trace_flag(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
@@ -866,7 +862,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace file to summarize (summarize only)")
     p.add_argument("--scale", type=float, default=0.3,
                    help="workload scale factor for trace run (default 0.3)")
-    p.add_argument("--out", metavar="FILE", default="trace.jsonl",
+    p.add_argument("--out", dest="trace", metavar="FILE",
+                   default="trace.jsonl",
                    help="trace output path for trace run "
                         "(default trace.jsonl)")
     p.add_argument("--summarize", action="store_true",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..isa.instruction import Instruction
 from .basic_block import BasicBlock
 
 

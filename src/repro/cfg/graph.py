@@ -9,9 +9,9 @@ computed jump) and ``halt`` are exits with no static successors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from ..isa.instruction import Instruction, make
+from ..isa.instruction import make
 from ..isa.program import Program
 from .basic_block import BasicBlock
 

@@ -37,7 +37,6 @@ from ..cfg.loops import LoopForest
 from ..profilefb.classify import BranchClass
 from ..profilefb.profiledb import ProfileDB
 from ..sched.machine_model import DEFAULT_MODEL, MachineModel
-from .cost_model import diamond_from_cfg
 from .heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics, split_benefit_estimate
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..cfg.graph import CFG, build_cfg
+from ..cfg.graph import build_cfg
 from ..cfg.loops import LoopForest
 from ..isa.program import Program
 from ..obs.metrics import REGISTRY
@@ -227,14 +227,13 @@ def compile_proposed(prog: Program,
                      model: MachineModel = DEFAULT_MODEL,
                      profile: Optional[ProfileDB] = None,
                      max_steps: int = 20_000_000,
-                     verify: bool = True,
                      backend: str = "reference") -> CompileResult:
     """The paper's proposed scheme, end to end, with crash containment.
 
     Pass a pre-built *profile* to skip the profiling run (e.g. to reuse one
-    run across ablation variants).  *verify* runs the IR verifier after
-    every pass (rolling back passes that break an invariant); disable it
-    only for trusted perf-measurement loops.  *backend* picks the
+    run across ablation variants).  The IR verifier runs after every pass
+    (rolling back passes that break an invariant) and on the emitted
+    program (degrading to the baseline on a violation).  *backend* picks the
     simulator of the profiling run: ``"fast"`` (the engine and the CLI)
     uses the :mod:`repro.fastsim` generated-step executor, the
     ``"reference"`` default (the qa fuzzer) the interpreter of
@@ -243,7 +242,7 @@ def compile_proposed(prog: Program,
     """
     with obs_span("compile.proposed", program=prog.name) as sp:
         result = _compile_proposed_inner(prog, heur, model, profile,
-                                         max_steps, verify, backend)
+                                         max_steps, backend)
         sp.set("fallback", result.fallback)
         sp.set("failures", len(result.failures))
     if REGISTRY.enabled:
@@ -267,7 +266,7 @@ def compile_proposed(prog: Program,
 def _compile_proposed_inner(prog: Program, heur: FeedbackHeuristics,
                             model: MachineModel,
                             profile: Optional[ProfileDB],
-                            max_steps: int, verify: bool,
+                            max_steps: int,
                             backend: str = "reference") -> CompileResult:
     result = CompileResult(program=prog)
 
@@ -294,7 +293,7 @@ def _compile_proposed_inner(prog: Program, heur: FeedbackHeuristics,
             reason=f"{type(exc).__name__}: {exc}"))
         return _fallback_result(prog, model, result)
 
-    box = PassSandbox(cfg, verify=verify)
+    box = PassSandbox(cfg)
     box.run("annotate", lambda: profile.annotate(cfg))
     forest = LoopForest(cfg)
 
@@ -373,10 +372,9 @@ def _compile_proposed_inner(prog: Program, heur: FeedbackHeuristics,
     # 5. Emission + final whole-program verification; degrade on failure.
     try:
         out = cfg.to_program(prog.name + ".proposed")
-        if verify:
-            violations = verify_program(out)
-            if violations:
-                raise VerificationError(violations, name=out.name)
+        violations = verify_program(out)
+        if violations:
+            raise VerificationError(violations, name=out.name)
     except Exception as exc:  # noqa: BLE001
         result.failures.append(PassFailure(
             stage="emit", kind="exception" if not isinstance(

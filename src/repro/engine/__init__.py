@@ -17,7 +17,7 @@ run, turned into a proper execution engine:
   :class:`~repro.engine.pool.LocalExecutor` (in-process at ``jobs=1``,
   a process pool with worker-death recovery above);
 * :mod:`~repro.engine.suite` — the cached suite runner behind
-  ``Session.run_suite``/``run_benchmark``;
+  ``Session.run_suite``;
 * :mod:`~repro.engine.sweep` — declarative cartesian design-space sweeps
   through the suite runner.
 
@@ -39,7 +39,7 @@ from .keys import (
 from .pool import (
     CellKind, LocalExecutor, PoolDecision, execution_mode, run_cached,
 )
-from .suite import coerce_cache, run_suite
+from .suite import run_suite
 from .sweep import SweepSpec, grid_from_dict, run_sweep
 
 __all__ = [
@@ -49,6 +49,6 @@ __all__ = [
     "SCHEMA_VERSION", "canonical", "canonical_json", "cell_key", "digest",
     "program_digest", "program_fingerprint",
     "CellKind", "LocalExecutor", "PoolDecision", "execution_mode",
-    "run_cached", "coerce_cache", "run_suite",
+    "run_cached", "run_suite",
     "SweepSpec", "grid_from_dict", "run_sweep",
 ]

@@ -7,8 +7,8 @@ a fully picklable description of a cell (the program travels as printed
 assembly + data tables, because
 :class:`~repro.isa.program.Program` objects are not picklable), and
 :func:`execute_cell` is the only code that runs one: in-process for the
-suite at every ``jobs`` value, ``Session.run_benchmark`` and the ingest
-goldens, and inside pool workers, serve workers and tune.
+suite at every ``jobs`` value (one-program suites and the ingest goldens
+included), and inside pool workers, serve workers and tune.
 :func:`cell_grid` builds a suite's specs and their cache keys for the
 suite runner, the serve client and tune alike, and :data:`CELLS` is the
 cell kind every executor runs them as (:mod:`repro.engine.pool`).

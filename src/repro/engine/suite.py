@@ -1,11 +1,10 @@
 """Cached suite execution: the one way a suite's cells run.
 
 :func:`run_suite` runs the (benchmark, scheme) grid behind every table.
-``Session.run_suite``/``run_benchmark``, the sweep driver, ``repro
-submit`` and the ingest goldens all come through here, and every cell
-runs through :func:`~repro.engine.cells.execute_cell` (retry-once
-containment, bounded by the step budget), locally or on a serve
-worker:
+``Session.run_suite``, the sweep driver, ``repro submit`` and the
+ingest goldens all come through here, and every cell runs through
+:func:`~repro.engine.cells.execute_cell` (retry-once containment,
+bounded by the step budget), locally or on a serve worker:
 
 * **artifact caching** — each cell is keyed by a content digest of
   (program, scheme, heuristics, machine config, step budget, schema
@@ -25,7 +24,7 @@ worker:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
 from ..isa.program import Program
@@ -35,22 +34,6 @@ from .cache import ArtifactCache
 from .cells import CELLS, _short_reason, cell_grid
 from .pool import LocalExecutor, run_cached
 
-#: Accepted forms of the ``cache`` argument.
-CacheLike = Union[None, bool, str, ArtifactCache]
-
-
-def coerce_cache(cache: CacheLike) -> Optional[ArtifactCache]:
-    """Normalize the ``cache`` argument: None/False off, True default dir,
-    a path makes a store there, an :class:`ArtifactCache` passes through."""
-    if cache is None or cache is False:
-        return None
-    if cache is True:
-        return ArtifactCache()
-    if isinstance(cache, ArtifactCache):
-        return cache
-    return ArtifactCache(cache)
-
-
 def run_suite(scale: float = 1.0,
               heur: FeedbackHeuristics = DEFAULT_HEURISTICS,
               benchmarks: Optional[dict[str, Program]] = None,
@@ -59,7 +42,7 @@ def run_suite(scale: float = 1.0,
               max_steps: int = 50_000_000,
               strict: bool = False,
               executor=None,
-              cache: CacheLike = None,
+              cache: Optional[ArtifactCache] = None,
               seed: Optional[int] = None):
     """Run the full suite through the cache and the cell executor.
 
@@ -68,9 +51,9 @@ def run_suite(scale: float = 1.0,
     serialize or key) is recorded as a run whose cells all failed,
     unless *strict*.  *executor* runs the cache misses (None = a
     :class:`~repro.engine.pool.LocalExecutor` at ``jobs=1``); *cache*
-    enables the artifact store (see :func:`coerce_cache`); *seed*
-    re-seeds the synthetic workload generators (identical inputs hash
-    identically, so reruns hit the cache).
+    is the artifact store (None = uncached); *seed* re-seeds the
+    synthetic workload generators (identical inputs hash identically,
+    so reruns hit the cache).
     """
     from ..core import schemes
     from ..eval.runner import BenchmarkRun, SchemeResult
@@ -88,7 +71,7 @@ def run_suite(scale: float = 1.0,
                          strict=strict, broken=None if strict else broken)
         results, _, _ = run_cached(
             CELLS, [(key, spec) for _, _, spec, key in grid], executor,
-            coerce_cache(cache), programs)
+            cache, programs)
 
     runs = {name: BenchmarkRun(name=name) for name in programs}
     for (name, scheme, _, _), cell in zip(grid, results):

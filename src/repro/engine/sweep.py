@@ -15,7 +15,8 @@ Example::
     spec = SweepSpec(scales=(0.1, 0.3),
                      config_grid={"fetch_width": (2, 4, 8)},
                      heur_grid={"speculation_bias": (0.5, 0.65, 0.8)})
-    records = run_sweep(spec, executor=LocalExecutor(jobs=4), cache=True)
+    records = run_sweep(spec, executor=LocalExecutor(jobs=4),
+                        cache=ArtifactCache())
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
 from ..obs.trace import span as obs_span
 from ..sim.config import MachineConfig
 from ..workloads import benchmark_programs
-from .suite import CacheLike, run_suite
+from .cache import ArtifactCache
+from .suite import run_suite
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,8 @@ def _cell_record(point: dict, name: str, cell) -> dict:
     return rec
 
 
-def run_sweep(spec: SweepSpec, executor=None, cache: CacheLike = None,
+def run_sweep(spec: SweepSpec, executor=None,
+              cache: Optional[ArtifactCache] = None,
               progress: Optional[Callable[[str], None]] = None
               ) -> list[dict]:
     """Evaluate every point of *spec*; returns one record per cell.

@@ -7,8 +7,8 @@ Tables 3 and 4 compare, per benchmark, the columns of the scheme table
 scheme) cell and one :class:`BenchmarkRun` a benchmark's row of them.
 Cells are run by
 :func:`repro.engine.cells.execute_cell` only, whatever the entry point
-(``Session.run_suite``/``run_benchmark``, ``repro.engine.run_suite``,
-pool and serve workers, tune).  A cell that raises is retried once, then
+(``Session.run_suite``, ``repro.engine.run_suite``, pool and serve
+workers, tune).  A cell that raises is retried once, then
 recorded as a *failed cell*: ``SchemeResult.failure`` holds the
 classified reason and the tables render ``FAIL(<reason>)`` instead of
 the whole run aborting.  ``strict=True`` restores fail-fast for

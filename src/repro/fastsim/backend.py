@@ -40,10 +40,9 @@ from ..isa.program import Program
 from ..obs.metrics import REGISTRY
 from ..obs.pipeline_obs import PipelineObserver, maybe_observer
 from ..sim.config import MachineConfig
-from ..sim.functional import ExecStats, FunctionalSim
+from ..sim.functional import FunctionalSim
 from ..sim.memory import AlignmentError
 from ..sim.pipeline import TimingSim
-from ..sim.stats import SimStats
 from .codegen import get_compiled
 from .decode import decode_program
 from .functional import FastFunctionalSim

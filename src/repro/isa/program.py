@@ -15,7 +15,6 @@ consume them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -42,8 +41,6 @@ class Program:
     #: load time, so re-linearized programs keep working.
     code_refs: dict[int, str] = field(default_factory=dict)
     name: str = "program"
-    _label_counter: itertools.count = field(
-        default_factory=lambda: itertools.count(), repr=False)
 
     # -- basic container protocol ------------------------------------------------
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .instruction import make
 from .program import Program
 
 #: Registers the generator plays with (leaving the rest as a rename pool).

@@ -28,7 +28,6 @@ that must capture every cell span should run with ``jobs=1``.
 
 from __future__ import annotations
 
-import io
 import json
 import time
 from contextlib import contextmanager

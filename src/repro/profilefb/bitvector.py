@@ -11,7 +11,6 @@ toggle factor, run-length encoding, and windowed frequencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from ..core import serde
 from ..engine.pool import run_cached
-from ..engine.suite import CacheLike, coerce_cache
+from ..engine.cache import ArtifactCache
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span as obs_span
 from ..isa.printer import format_program
@@ -47,7 +47,7 @@ class CampaignConfig:
     strategies: Optional[Sequence[str]] = None   # lattice names; None = all
     max_steps: int = FUZZ_MAX_STEPS
     corpus_dir: Optional[str] = None             # None = don't persist
-    cache: CacheLike = None
+    cache: Optional[ArtifactCache] = None
     oracle_budget: int = DEFAULT_ORACLE_BUDGET
 
 
@@ -212,7 +212,7 @@ def _run_campaign_inner(cfg: CampaignConfig,
     specs = [FuzzCellSpec(s.name, seed, cfg.max_steps) for s, seed in plan]
     payloads, _, _ = run_cached(
         FUZZ, [(fuzz_cell_key(spec), spec) for spec in specs], executor,
-        coerce_cache(cfg.cache), progress=progress)
+        cfg.cache, progress=progress)
 
     summary = CampaignSummary(budget=cfg.budget, seed=cfg.seed,
                               strategies=[s.name for s in strategies])

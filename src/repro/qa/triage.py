@@ -19,7 +19,7 @@ cause therefore land in the same directory under ``corpus/``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 #: Filesystem-safe bucket characters; everything else becomes ``-``.

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from ..core import serde
 from ..isa.program import Program
-from ..sim.functional import ExecStats, FunctionalSim, SimulationError
+from ..sim.functional import FunctionalSim, SimulationError
 from ..sim.memory import Memory
 
 #: Minimum transformed-run step budget, regardless of original length.

@@ -17,13 +17,13 @@ contain, diagnose, fall back.
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from ..cfg.basic_block import BasicBlock
 from ..cfg.graph import CFG, Edge
 from ..obs.trace import span as obs_span
-from .verifier import Violation, verify_cfg
+from .verifier import verify_cfg
 
 #: Failure kinds, in the order the containment ladder encounters them.
 FAILURE_KINDS = ("exception", "verify", "diffcheck", "skip")
@@ -117,10 +117,8 @@ class PassSandbox:
     that legitimately returned ``None`` from one that was rolled back.
     """
 
-    def __init__(self, cfg: CFG, *, verify: bool = True,
-                 max_failures: int = 64):
+    def __init__(self, cfg: CFG, *, max_failures: int = 64):
         self.cfg = cfg
-        self.verify = verify
         self.max_failures = max_failures
         self.failures: list[PassFailure] = []
         self.last_ok: bool = True
@@ -168,18 +166,17 @@ class PassSandbox:
                     detail=traceback.format_exc(limit=6)))
                 sp.set("outcome", "exception")
                 return None
-            if self.verify:
-                violations = verify_cfg(self.cfg)
-                if violations:
-                    restore_cfg(self.cfg, snap)
-                    self.last_ok = False
-                    self._record(PassFailure(
-                        stage=stage, kind="verify",
-                        reason=f"{len(violations)} IR invariant "
-                               f"violation(s); first: {violations[0]}",
-                        detail="\n".join(str(v) for v in violations[:20])))
-                    sp.set("outcome", "verify")
-                    return None
+            violations = verify_cfg(self.cfg)
+            if violations:
+                restore_cfg(self.cfg, snap)
+                self.last_ok = False
+                self._record(PassFailure(
+                    stage=stage, kind="verify",
+                    reason=f"{len(violations)} IR invariant "
+                           f"violation(s); first: {violations[0]}",
+                    detail="\n".join(str(v) for v in violations[:20])))
+                sp.set("outcome", "verify")
+                return None
             self.last_ok = True
             sp.set("outcome", "ok")
             return result

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..isa.instruction import Instruction
-from ..isa.opcodes import Unit, opinfo
+from ..isa.opcodes import Unit
 from ..sim.config import Latencies, MachineConfig, R10K
 
 #: unit-class key used for slot accounting

@@ -32,7 +32,7 @@ maps it to the :class:`~repro.engine.pool.CellKind` that executes it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional
+from typing import Any
 
 from ..core.heuristics import FeedbackHeuristics
 from ..engine.cells import CellSpec

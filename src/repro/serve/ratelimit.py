@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 from ..obs.metrics import REGISTRY
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 import threading
 import time
 import traceback
-from typing import Optional
 
 from ..core import serde
 from ..obs.metrics import REGISTRY

@@ -17,7 +17,7 @@ The three schemes of the paper's evaluation (Section 6, Tables 3/4):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..isa.instruction import Instruction
 

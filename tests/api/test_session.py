@@ -1,5 +1,6 @@
 """Session facade: delegation equivalence, lifecycle, cache plumbing."""
 
+import inspect
 import json
 import warnings
 
@@ -16,6 +17,37 @@ from repro.workloads import benchmark_programs
 SCALE = 0.01
 
 
+def test_session_defaults():
+    s = Session()
+    assert s.executor.jobs == 1
+    assert s.cache is None
+    assert s.max_steps == 50_000_000
+    assert s.strict is False
+    assert s.trace_path is None
+    assert s.metrics is False
+
+
+def test_session_keywords_are_the_one_way_to_configure_a_run():
+    """No second spelling of the constructor, no per-call override of
+    a session keyword, and one decoder of the cache forms."""
+    import repro.api as api
+    import repro.engine as engine
+
+    assert not hasattr(api, "RunOptions")
+    assert not hasattr(api, "options_from_args")
+    assert set(inspect.signature(Session).parameters) == {
+        "cache", "jobs", "max_steps", "strict", "trace_path", "metrics",
+        "remote", "tenant"}
+    for method in (Session.run_suite, Session.sweep, Session.fuzz,
+                   Session.tune):
+        params = inspect.signature(method).parameters
+        for knob in ("options", "max_steps", "strict"):
+            assert knob not in params, f"{method.__name__}({knob}=)"
+    assert not hasattr(Session, "run_benchmark")
+    assert not hasattr(Session, "cache_stats")
+    assert not hasattr(engine, "coerce_cache")
+
+
 def test_run_suite_matches_legacy_byte_for_byte():
     """The session's suite equals the engine's free function with the
     session's defaults (no cache, one job)."""
@@ -29,11 +61,11 @@ def test_run_suite_matches_legacy_byte_for_byte():
 
 
 def test_run_benchmark_matches_legacy():
-    """Each cell of ``run_benchmark`` equals that cell executed alone,
-    with no benchmark memo, on a payload-built program."""
+    """Each cell of a one-benchmark suite equals that cell executed
+    alone, with no benchmark memo, on a payload-built program."""
     prog = benchmark_programs(SCALE)["compress"]
     with Session() as s:
-        via_session = s.run_benchmark("compress", prog)
+        via_session = s.run_suite(benchmarks={"compress": prog})["compress"]
     alone = {sc.name: execute_cell(CellSpec(
         benchmark="compress", scheme=sc.name,
         program=prog.to_dict())).to_dict()
@@ -76,7 +108,6 @@ def test_session_methods_do_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         with Session() as s:
-            s.run_benchmark("compress", prog)
             s.run_suite(scale=SCALE, benchmarks={"compress": prog})
 
 
@@ -123,10 +154,10 @@ def test_traced_suite_covers_passes_and_cells(tmp_path):
 
 def test_cache_plumbing(tmp_path):
     assert Session().cache is None
-    assert Session().cache_stats() is None
+    assert Session(cache=False).cache is None
     s = Session(cache=tmp_path / "store")
     assert isinstance(s.cache, ArtifactCache)
-    assert s.cache_stats() is not None
+    assert s.cache.root == tmp_path / "store"
     existing = ArtifactCache(tmp_path / "other")
     assert Session(cache=existing).cache is existing
 

@@ -30,7 +30,7 @@ def _specs(name, prog, heur):
 
 
 def _via_runner(name, prog, heur):
-    """The suite runner (``Session.run_benchmark`` and the ingest goldens
+    """The suite runner (``Session.run_suite`` and the ingest goldens
     come this way) on the caller's built program."""
     run = run_suite(benchmarks={name: prog}, heur=heur,
                     max_steps=MAX_STEPS)[name]

@@ -123,9 +123,8 @@ def test_metrics_count_compiles_and_simulations_at_jobs_1(programs):
     REGISTRY.reset()
     COUNTERS.reset()
     try:
-        with Session(metrics=True, jobs=1) as s:
-            s.run_suite(benchmarks={"compress": programs["compress"]},
-                        max_steps=MAX_STEPS)
+        with Session(metrics=True, jobs=1, max_steps=MAX_STEPS) as s:
+            s.run_suite(benchmarks={"compress": programs["compress"]})
         counters = REGISTRY.snapshot()["counters"]
     finally:
         REGISTRY.reset()

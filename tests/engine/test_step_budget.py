@@ -13,7 +13,7 @@ import inspect
 import pytest
 
 import repro.engine as engine
-from repro.api import RunOptions, Session
+from repro.api import Session
 from repro.engine import CellSpec, LocalExecutor, run_suite, run_sweep
 from repro.engine.cells import cell_grid
 from repro.isa import parse
@@ -39,7 +39,6 @@ def _spin():
 
 def test_no_wall_clock_bound_is_left():
     assert "timeout" not in {f.name for f in dataclasses.fields(CellSpec)}
-    assert "timeout" not in {f.name for f in dataclasses.fields(RunOptions)}
     spec = CellSpec(benchmark="spin", scheme="Proposed",
                     program=_spin().to_dict())
     assert "timeout" not in protocol.cellspec_to_payload(spec)

@@ -17,7 +17,8 @@ from repro.workloads import benchmark_programs
 def run():
     """One real benchmark run to serialize (module-scoped: expensive)."""
     prog = benchmark_programs(0.01)["compress"]
-    return Session().run_benchmark("compress", prog, max_steps=2_000_000)
+    return Session(max_steps=2_000_000).run_suite(
+        benchmarks={"compress": prog})["compress"]
 
 
 def _json_round_trip(d):

@@ -23,7 +23,7 @@ import json
 
 import pytest
 
-from repro.api import RunOptions, Session
+from repro.api import Session
 from repro.core import schemes, serde
 from repro.core.heuristics import DEFAULT_HEURISTICS
 from repro.engine import CELLS, LocalExecutor
@@ -109,7 +109,6 @@ def test_no_option_field_or_wire_field_names_a_simulator(prog,
                                                          monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", "reference")
     assert resolve_backend() == "fast"
-    assert "backend" not in RunOptions.__dataclass_fields__
     assert "backend" not in CellSpec.__dataclass_fields__
     with pytest.raises(TypeError):
         Session(backend="reference")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.engine import ArtifactCache
 from repro.qa import cells
 from repro.qa.campaign import CampaignConfig, run_campaign
 from repro.qa.corpus import load_reproducer, replay_corpus
@@ -31,13 +32,13 @@ def test_clean_campaign_is_deterministic():
 
 def test_warm_cache_skips_execution(tmp_path, monkeypatch):
     cache_dir = tmp_path / "cache"
-    cold = run_campaign(_cfg(cache=str(cache_dir)))
+    cold = run_campaign(_cfg(cache=ArtifactCache(cache_dir)))
 
     def boom(spec):
         raise AssertionError("cell executed despite warm cache")
 
     monkeypatch.setattr(cells, "execute_fuzz_cell", boom)
-    warm = run_campaign(_cfg(cache=str(cache_dir)))
+    warm = run_campaign(_cfg(cache=ArtifactCache(cache_dir)))
     assert warm.summary.to_dict() == cold.summary.to_dict()
 
 
@@ -111,10 +112,10 @@ def test_cell_errors_are_not_cached(tmp_path, monkeypatch):
     cache_dir = tmp_path / "cache"
     with monkeypatch.context() as m:
         m.setattr(cells, "check_program", broken)
-        failed = run_campaign(_cfg(budget=2, cache=str(cache_dir)))
+        failed = run_campaign(_cfg(budget=2, cache=ArtifactCache(cache_dir)))
     assert failed.summary.cell_errors == 2
     # The fixed tooling reruns both cells instead of replaying the errors.
-    again = run_campaign(_cfg(budget=2, cache=str(cache_dir)))
+    again = run_campaign(_cfg(budget=2, cache=ArtifactCache(cache_dir)))
     assert again.summary.clean and again.summary.cell_errors == 0
 
 

@@ -55,7 +55,7 @@ def test_run_compile_verify_profile_on_the_fast_path(monkeypatch, capsys,
     stages = [record.stage for record in fallback_trail()]
     assert stages == (["observer"] if sample else [])
     assert main(["compile", "grep", "--scale", "0.02"]) == 0
-    assert main(["verify", "grep", "--scale", "0.02", "--no-cache"]) == 0
+    assert main(["verify", "grep", "--scale", "0.02"]) == 0
     monkeypatch.setattr(ProfileDB, "from_run", classmethod(profile_spy))
     assert main(["profile", "grep", "--scale", "0.02"]) == 0
     assert seen == ["fast", "fast", "fast", ("profile", "fast")]
@@ -170,6 +170,19 @@ def test_sweep_rejects_unknown_axis():
     with pytest.raises(SystemExit):
         main(["sweep", "--scales", "0.01", "--no-cache",
               "--config", "no_such_field=1,2"])
+
+
+@pytest.mark.parametrize("flag", [
+    ["--jobs", "2"], ["--no-cache"], ["--cache-dir", "d"],
+    ["--remote", "http://127.0.0.1:1"], ["--tenant", "t"],
+], ids=lambda flag: flag[0].lstrip("-"))
+def test_verify_declares_no_engine_flag(capsys, flag):
+    """``verify`` always recompiles and never runs a cell, so it takes
+    no cache, worker or remote flag."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "grep", "--scale", "0.02", *flag])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 def test_trace_run_and_summarize(tmp_path, capsys):

@@ -126,3 +126,35 @@ def test_documented_cli_flags_are_declared():
                     undeclared.add(f"{path.relative_to(ROOT)}: "
                                    f"repro {command} {flag}")
     assert not undeclared, "\n".join(sorted(undeclared))
+
+
+#: A python code block of a document, and a ``from repro... import``
+#: statement in one (parenthesized across lines, or to the line's end).
+PY_BLOCK = re.compile(r"```python\n(.*?)```", re.S)
+FROM_IMPORT = re.compile(
+    r"^[ \t]*from (repro[\w.]*) import (?:\(([^)]*)\)|([^\n#]+))", re.M)
+
+
+def test_documented_python_imports_resolve():
+    """Every ``from repro... import name`` a python example in the docs
+    shows imports a name that exists, so no example keeps an API the
+    package no longer has."""
+    import importlib
+
+    docs = [ROOT / name for name in ("README.md", "DESIGN.md",
+                                     "EXPERIMENTS.md")]
+    unresolved, seen = set(), 0
+    for path in docs + sorted((ROOT / "docs").glob("*.md")):
+        for block in PY_BLOCK.findall(path.read_text()):
+            for module, paren, plain in FROM_IMPORT.findall(block):
+                mod = importlib.import_module(module)
+                for part in (paren or plain).split(","):
+                    if not part.strip():
+                        continue
+                    name = part.split()[0]
+                    seen += 1
+                    if not hasattr(mod, name):
+                        unresolved.add(f"{path.relative_to(ROOT)}: "
+                                       f"from {module} import {name}")
+    assert seen, "no documented imports found: the pattern is stale"
+    assert not unresolved, "\n".join(sorted(unresolved))

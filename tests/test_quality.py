@@ -1,8 +1,10 @@
 """Repository-quality checks: public API documentation and exports."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -61,3 +63,41 @@ def test_all_submodules_importable():
 
 def test_version():
     assert repro.__version__
+
+
+def _unused_imports(path: Path) -> list[tuple[int, str]]:
+    """Names *path* imports but never reads (``__future__`` aside); a
+    name listed in the module's ``__all__`` counts as read."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = \
+                    node.lineno
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read |= {elt.value for elt in node.value.elts
+                     if isinstance(elt, ast.Constant)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_no_unused_imports_in_src():
+    """No module imports a name it never reads (package ``__init__``
+    modules, which import to re-export, are exempt)."""
+    root = Path(repro.__file__).parent
+    unused = [f"{path.relative_to(root)}:{line} {name}"
+              for path in sorted(root.rglob("*.py"))
+              if path.name != "__init__.py"
+              for line, name in _unused_imports(path)]
+    assert not unused, "\n".join(unused)
