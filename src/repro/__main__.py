@@ -216,8 +216,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the distributed evaluation service until interrupted."""
     from .serve import ServeConfig, serve_forever
 
-    if args.workers < 1:
-        return _usage_error(f"--workers must be >= 1 (got {args.workers})")
     return serve_forever(ServeConfig(
         host=args.host, port=args.port, workers=args.workers,
         cache_dir=args.cache_dir, remote_cache=args.remote_cache,
@@ -400,14 +398,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     """Run a differential fuzzing campaign (or replay a corpus)."""
     from .qa import replay_corpus
-
-    if args.jobs < 1:
-        return _usage_error(f"--jobs must be >= 1 (got {args.jobs})")
-    if args.budget < 1:
-        return _usage_error(f"--budget must be >= 1 (got {args.budget})")
-    if args.cache_dir and Path(args.cache_dir).is_file():
-        return _usage_error(
-            f"--cache-dir {args.cache_dir!r} exists and is not a directory")
 
     if args.replay:
         if not Path(args.replay).is_dir():
@@ -631,6 +621,27 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type of a count flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1 (got {value})")
+    return value
+
+
+def _cache_dir(text: str) -> str:
+    """Argparse type of a ``--cache-dir`` flag: a path that is not an
+    existing regular file (the store creates the directory)."""
+    if Path(text).is_file():
+        raise argparse.ArgumentTypeError(
+            f"{text!r} exists and is not a directory")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser: one subparser per command."""
     ap = argparse.ArgumentParser(
@@ -644,12 +655,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "(see docs/OBSERVABILITY.md)")
 
     def _engine_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
+        p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                        help="worker processes for cache misses (default 1 "
                             "= in-process)")
         p.add_argument("--no-cache", action="store_true",
                        help="disable the artifact cache for this run")
-        p.add_argument("--cache-dir", metavar="DIR",
+        p.add_argument("--cache-dir", type=_cache_dir, metavar="DIR",
                        help="artifact cache directory (default "
                             ".repro-cache/ or $REPRO_CACHE_DIR)")
         _trace_flag(p)
@@ -683,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["stats", "clear"],
                    help="stats: print cache size/contents (with "
                         "per-namespace breakdown); clear: wipe it")
-    p.add_argument("--cache-dir", metavar="DIR",
+    p.add_argument("--cache-dir", type=_cache_dir, metavar="DIR",
                    help="artifact cache directory (default .repro-cache/ "
                         "or $REPRO_CACHE_DIR)")
     p.add_argument("--namespace", metavar="NAME",
@@ -700,9 +711,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind address (default 127.0.0.1)")
     p.add_argument("--port", type=int, default=8732,
                    help="bind port (default 8732; 0 = ephemeral)")
-    p.add_argument("--workers", type=int, default=2, metavar="N",
+    p.add_argument("--workers", type=_positive_int, default=2,
+                   metavar="N",
                    help="worker threads executing cells (default 2)")
-    p.add_argument("--cache-dir", metavar="DIR",
+    p.add_argument("--cache-dir", type=_cache_dir, metavar="DIR",
                    help="artifact store root (default .repro-cache/ "
                         "or $REPRO_CACHE_DIR)")
     p.add_argument("--remote-cache", metavar="URL",
@@ -832,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fuzz",
         help="differential fuzzing campaign over generated programs")
-    p.add_argument("--budget", type=int, default=100, metavar="N",
+    p.add_argument("--budget", type=_positive_int, default=100, metavar="N",
                    help="number of programs to generate and cross-check "
                         "(default 100)")
     p.add_argument("--seed", type=int, default=0,
@@ -871,13 +883,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", action="store_true",
                    help="enable the metrics registry during trace run and "
                         "print its JSON snapshot")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                    help="worker processes (spans are process-local: "
                         "workers do not contribute spans, so the default "
                         "is serial)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the artifact cache for this run")
-    p.add_argument("--cache-dir", metavar="DIR",
+    p.add_argument("--cache-dir", type=_cache_dir, metavar="DIR",
                    help="artifact cache directory (default .repro-cache/ "
                         "or $REPRO_CACHE_DIR)")
     p.set_defaults(func=cmd_trace)

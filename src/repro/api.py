@@ -149,18 +149,17 @@ class Session:
         return _sweep.run_sweep(spec, executor=self.executor,
                                 cache=self.cache, progress=progress)
 
-    def fuzz(self, cfg=None, *,
-             progress: Optional[Callable[[str], None]] = None, **kw):
+    def fuzz(self, *, progress: Optional[Callable[[str], None]] = None,
+             **fields):
         """Run a differential fuzzing campaign.
 
-        Pass a full :class:`~repro.qa.campaign.CampaignConfig` as *cfg*,
-        or its fields other than ``cache`` as keywords, the session
-        supplying its cache.  The misses run on the session's executor.
+        *fields* are the :class:`~repro.qa.campaign.CampaignConfig`
+        fields other than ``cache``; the campaign reads and fills the
+        session's cache, and its misses run on the session's executor.
         """
         from .qa import campaign as _campaign
 
-        if cfg is None:
-            cfg = _campaign.CampaignConfig(cache=self.cache, **kw)
+        cfg = _campaign.CampaignConfig(cache=self.cache, **fields)
         return _campaign.run_campaign(cfg, progress=progress,
                                       executor=self.executor)
 

@@ -53,33 +53,6 @@ def analyze_block(bb: BasicBlock) -> DefUse:
     return du
 
 
-def is_redefined_between(bb: BasicBlock, reg: str, start: int, end: int) -> bool:
-    """True if *reg* is written by any instruction in ``(start, end)``
-    (exclusive bounds), counting partial writes."""
-    for ins in bb.instructions[start + 1:end]:
-        if reg in ins.defs():
-            return True
-    return False
-
-
-def is_used_between(bb: BasicBlock, reg: str, start: int, end: int) -> bool:
-    """True if *reg* is read by any instruction in ``(start, end)``."""
-    for ins in bb.instructions[start + 1:end]:
-        if reg in ins.uses():
-            return True
-    return False
-
-
-def instructions_reading(bb: BasicBlock, reg: str) -> list[int]:
-    """Indices of instructions in *bb* that read *reg*."""
-    return [i for i, ins in enumerate(bb.instructions) if reg in ins.uses()]
-
-
-def instructions_writing(bb: BasicBlock, reg: str) -> list[int]:
-    """Indices of instructions in *bb* that write *reg*."""
-    return [i for i, ins in enumerate(bb.instructions) if reg in ins.defs()]
-
-
 def single_use(bb: BasicBlock, def_index: int) -> int | None:
     """If the value defined at *def_index* has exactly one in-block use and
     is killed before block exit, return that use's index; else None."""

@@ -73,12 +73,6 @@ def liveness(cfg: CFG, live_at_exit: set[str] | None = None) -> LivenessInfo:
     return info
 
 
-def live_at_block_entry(cfg: CFG, bid: int,
-                        live_at_exit: set[str] | None = None) -> set[str]:
-    """Registers live on entry to block *bid*."""
-    return liveness(cfg, live_at_exit).live_in[bid]
-
-
 def live_after_index(cfg: CFG, bid: int, index: int,
                      info: LivenessInfo | None = None,
                      live_at_exit: set[str] | None = None) -> set[str]:

@@ -173,9 +173,9 @@ def counted_simulate(prog: Program, config: MachineConfig,
     """Functional + timing simulation, incrementing the counter.
 
     Runs :func:`repro.fastsim.backend.simulate` (decode-once +
-    generated-step functional + event-bucket timing), which falls back
-    to the reference simulators on a fastsim-internal failure or an
-    attached observer, with byte-identical results.
+    generated-step functional + event-bucket timing; the reference
+    simulators only for an attached observer, with byte-identical
+    results).  Whatever it raises fails the cell by name.
     """
     from ..fastsim.backend import simulate
 

@@ -23,10 +23,10 @@ uses, with the reference simulators kept as its oracle:
   restructuring of the per-cycle loop that skips cycles with no pipeline
   activity (mispredict recovery, fence drains, icache refills, the final
   ROB drain);
-* :mod:`repro.fastsim.backend` — the contained entry point used by
-  :mod:`repro.engine.cells`: internal fastsim faults and observed runs
-  go to the reference interpreter (faults also record a decision
-  trail), while program-semantic failures propagate byte-identically;
+* :mod:`repro.fastsim.backend` — the entry point used by
+  :mod:`repro.engine.cells`: observed runs go to the reference
+  interpreter (recorded on a decision trail), and every exception the
+  fast path raises propagates, to fail its cell by name;
 * :mod:`repro.fastsim.check` — fast-vs-reference diffcheck helpers built
   on :mod:`repro.robust.diffcheck`.
 
@@ -35,14 +35,14 @@ path produces ``SimStats``/``ExecStats`` payloads whose serde dicts
 equal the reference simulators' — enforced by ``tests/fastsim``.
 """
 
-from .backend import FastsimError, fallback_trail, simulate
+from .backend import fallback_trail, simulate
 from .check import crosscheck, crosscheck_cell
 from .decode import DecodedProgram, decode_program
 from .functional import FastFunctionalSim
 from .timing import FastTimingSim
 
 __all__ = [
-    "FastsimError", "DecodedProgram", "decode_program", "FastFunctionalSim",
+    "DecodedProgram", "decode_program", "FastFunctionalSim",
     "FastTimingSim", "simulate", "fallback_trail",
     "crosscheck", "crosscheck_cell",
 ]

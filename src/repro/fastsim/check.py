@@ -19,9 +19,9 @@ Two granularities:
   serde dicts must be equal — the exact payload-equality contract the
   engine's cache and the conformance suite assert.
 
-Both run the *raw* fast path (no transparent reference fallback), so a
-fastsim bug shows up as a divergence here instead of being silently
-repaired by :func:`repro.fastsim.backend.simulate`.
+Both run the fast path exactly as :func:`repro.fastsim.backend.simulate`
+does, so a fastsim bug shows up here as a divergence or a failure
+mismatch.
 """
 
 from __future__ import annotations
@@ -108,8 +108,8 @@ def crosscheck_cell(prog: Program, config: MachineConfig, *,
     """Reference vs fast full-cell simulation of *prog* under *config*.
 
     Compares the ``(SimStats, ExecStats)`` pair the engine caches — the
-    payload-equality contract that lets an observed or fallen-back run
-    stand in for a fast one.
+    payload-equality contract that lets an observed run stand in for a
+    fast one.
     """
     def _ref():
         fsim = FunctionalSim(prog, max_steps=max_steps,

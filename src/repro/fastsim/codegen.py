@@ -60,17 +60,12 @@ interpreter at ``bail_pc``.  ``drive()`` returns 0 halt, 1 batch full,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .decode import (F_BRANCH, F_HALT, F_JUMP, DecodedProgram, DecodeError,
                      reg_id)
 
 M32 = "4294967295"
-
-#: Test/fault-injection hook: when set, applied to the generated source
-#: before compilation (and the compile cache is bypassed so corrupted
-#: code never outlives the hook).  See repro.fastsim.faults.
-_SOURCE_TRANSFORM: Optional[Callable[[str], str]] = None
 
 
 class _Unsupported(Exception):
@@ -803,16 +798,12 @@ def get_compiled(dec: DecodedProgram, *, record: bool,
                  trace: bool) -> CompiledFunctional:
     """Compile (or fetch the cached) codegen variant of *dec*."""
     key = (bool(record), bool(trace))
-    if _SOURCE_TRANSFORM is None:
-        hit = dec._compiled.get(key)
-        if hit is not None:
-            return hit
+    hit = dec._compiled.get(key)
+    if hit is not None:
+        return hit
     src, n_bailed = generate_source(dec, record=record, trace=trace)
-    if _SOURCE_TRANSFORM is not None:
-        src = _SOURCE_TRANSFORM(src)
     tag = ("r" if record else "") + ("t" if trace else "s")
     code = compile(src, f"<fastsim:{dec.name}:{tag}>", "exec")
     compiled = CompiledFunctional(src, code, n_bailed, record, trace)
-    if _SOURCE_TRANSFORM is None:
-        dec._compiled[key] = compiled
+    dec._compiled[key] = compiled
     return compiled

@@ -29,10 +29,9 @@ Decoded tables are cached per program *identity* (``id`` + weakref, the
 Program dataclass is unhashable) and carry a staleness signature
 (program identity, instruction count and label layout) so a table
 decoded from another program object, or from a program that was later
-mutated in place, is rejected instead of mis-executed — see
-``fastsim-stale-decode`` in :mod:`repro.fastsim.faults`.  The tables
-refer to their program only weakly: the cache must never keep a
-program alive.
+mutated in place, is rejected with a :class:`DecodeError` instead of
+mis-executed.  The tables refer to their program only weakly: the cache
+must never keep a program alive.
 """
 
 from __future__ import annotations
@@ -172,8 +171,6 @@ class DecodedProgram:
 def _decode(prog: Program, prog_ref: weakref.ref) -> DecodedProgram:
     instrs = prog.instructions
     n = len(instrs)
-    if n == 0:
-        raise DecodeError("cannot decode an empty program")
     ops, flags, targets = [], [], []
     queue_ids, unit_ids, lat_classes = [], [], []
     use_ids, def_ids, rename_ids, guards = [], [], [], []

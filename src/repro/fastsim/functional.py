@@ -23,13 +23,14 @@ Exactness around the edges:
   executed block so ``self.pc``, ``stats.steps`` and ``index_counts``
   match what the reference interpreter would report, then re-raises.
 * **Bail-out** paths — step-budget expiry mid-block, a ``jr`` into the
-  middle of a block, a pc walking off a block boundary out of range, or
-  a block the emitter refused to specialize (unknown opcode, odd
-  operands) — hand off to a real :class:`FunctionalSim` seeded with the
-  current architectural state *sharing this sim's Memory and ExecStats
-  objects*, so ``StepBudgetExceeded`` / ``SimulationDiverged`` /
-  ``UnmodeledOpcode`` are raised by the original code paths with
-  identical messages and coordinates.
+  middle of a block, a pc walking off a block boundary out of range, a
+  block the emitter refused to specialize (unknown opcode, odd
+  operands), or an empty program — hand off to a real
+  :class:`FunctionalSim` seeded with the current architectural state
+  *sharing this sim's Memory and ExecStats objects*, so
+  ``StepBudgetExceeded`` / ``SimulationDiverged`` / ``UnmodeledOpcode``
+  are raised by the original code paths with identical messages and
+  coordinates.
 """
 
 from __future__ import annotations
@@ -136,6 +137,9 @@ class FastFunctionalSim:
 
     def _drive(self, trace: bool) -> Iterator[tuple]:
         dec = self.decoded
+        if not dec.n:            # no block to run: the reference reports it
+            yield from self._slow_drive(0, trace, [], [], [], [])
+            return
         compiled = get_compiled(dec, record=self.record_outcomes,
                                 trace=trace)
         ns: dict = {}

@@ -34,8 +34,9 @@ from ``repro.sim`` — their stats land in ``SimStats`` byte-identical by
 construction.  (Within one cycle every data-cache access comes from the
 load/store queue, so age ordering preserves the reference's access
 order and therefore LRU state.)  Wrong-path modeling and observer hooks
-are not supported here; :func:`repro.fastsim.backend.simulate` falls
-back to the reference for those runs.
+are not supported here: the wrong-path ablation drives the reference
+``TimingSim`` itself, and :func:`repro.fastsim.backend.simulate` runs
+the reference pair for an observed run.
 """
 
 from __future__ import annotations

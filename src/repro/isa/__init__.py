@@ -8,13 +8,11 @@ code, Section 6).
 
 from .registers import (
     ALL_REGS, CC_REGS, FP_REGS, INT_REGS, NUM_CC_REGS, NUM_FP_REGS,
-    NUM_INT_REGS, RA_REG, SP_REG, ZERO_REG, RegisterPool, cc_reg, fp_reg,
-    int_reg, is_cc_reg, is_fp_reg, is_int_reg, is_register, reg_index,
-    register_class,
+    NUM_INT_REGS, ZERO_REG, RegisterPool, is_cc_reg, is_fp_reg, is_int_reg,
+    is_register, reg_index, register_class,
 )
 from .opcodes import (
-    BRANCH_TO_CMP, LIKELY_OF, NEGATED_BRANCH, OPCODES, PLAIN_OF, Fmt, OpInfo,
-    Unit, is_opcode, opinfo,
+    LIKELY_OF, NEGATED_BRANCH, OPCODES, Fmt, OpInfo, Unit, is_opcode, opinfo,
 )
 from .instruction import Guard, Instruction, make
 from .program import DATA_BASE, Program
@@ -23,10 +21,10 @@ from .printer import format_instruction, format_program
 
 __all__ = [
     "ALL_REGS", "CC_REGS", "FP_REGS", "INT_REGS", "NUM_CC_REGS",
-    "NUM_FP_REGS", "NUM_INT_REGS", "RA_REG", "SP_REG", "ZERO_REG",
-    "RegisterPool", "cc_reg", "fp_reg", "int_reg", "is_cc_reg", "is_fp_reg",
+    "NUM_FP_REGS", "NUM_INT_REGS", "ZERO_REG",
+    "RegisterPool", "is_cc_reg", "is_fp_reg",
     "is_int_reg", "is_register", "reg_index", "register_class",
-    "BRANCH_TO_CMP", "LIKELY_OF", "NEGATED_BRANCH", "OPCODES", "PLAIN_OF",
+    "LIKELY_OF", "NEGATED_BRANCH", "OPCODES",
     "Fmt", "OpInfo", "Unit", "is_opcode", "opinfo",
     "Guard", "Instruction", "make",
     "DATA_BASE", "Program",

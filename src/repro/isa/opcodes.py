@@ -228,9 +228,6 @@ LIKELY_OF: dict[str, str] = {
 LIKELY_OF["bct"] = "bctl"
 LIKELY_OF["bcf"] = "bcfl"
 
-#: Inverse: branch-likely opcode -> plain opcode.
-PLAIN_OF: dict[str, str] = {v: k for k, v in LIKELY_OF.items()}
-
 #: Map a conditional branch to the branch with the opposite condition.
 NEGATED_BRANCH: dict[str, str] = {
     "beq": "bne", "bne": "beq",
@@ -241,10 +238,3 @@ NEGATED_BRANCH: dict[str, str] = {
 }
 NEGATED_BRANCH.update({LIKELY_OF[k]: LIKELY_OF[v] for k, v in NEGATED_BRANCH.items()
                        if k in LIKELY_OF and v in LIKELY_OF})
-
-#: Map a conditional branch opcode to the compare opcode computing its
-#: condition into a cc register (used by if-conversion).
-BRANCH_TO_CMP: dict[str, str] = {
-    "beq": "cmpeq", "bne": "cmpne",
-    "beql": "cmpeq", "bnel": "cmpne",
-}

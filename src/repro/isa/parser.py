@@ -36,7 +36,7 @@ from typing import Optional
 from .instruction import Guard, Instruction, make
 from .opcodes import is_opcode
 from .program import Program
-from .registers import is_register
+from .registers import is_cc_reg, is_register
 
 
 class ParseError(ValueError):
@@ -256,6 +256,9 @@ def _parse_instruction(prog: Program, line: str, lineno: int,
     guard: Optional[Guard] = None
     m = _GUARD_RE.match(line)
     if m:
+        if not is_cc_reg(m.group(2)):
+            raise ParseError(f"bad guard register {m.group(2)!r}", lineno,
+                             raw)
         guard = Guard(m.group(2), sense=(m.group(1) != "!"))
         line = m.group(3).strip()
         if not line:

@@ -22,10 +22,6 @@ NUM_CC_REGS = 8
 #: The integer register that always reads as zero (MIPS convention).
 ZERO_REG = "r0"
 
-#: Conventional stack pointer / return address registers (MIPS o32 style).
-SP_REG = "r29"
-RA_REG = "r31"
-
 INT_REGS: tuple[str, ...] = tuple(f"r{i}" for i in range(NUM_INT_REGS))
 FP_REGS: tuple[str, ...] = tuple(f"f{i}" for i in range(NUM_FP_REGS))
 CC_REGS: tuple[str, ...] = tuple(f"cc{i}" for i in range(NUM_CC_REGS))
@@ -70,27 +66,6 @@ def reg_index(name: str) -> int:
     if name in _INT_SET or name in _FP_SET:
         return int(name[1:])
     raise ValueError(f"not a register: {name!r}")
-
-
-def int_reg(index: int) -> str:
-    """Return the integer register with the given index (bounds-checked)."""
-    if not 0 <= index < NUM_INT_REGS:
-        raise ValueError(f"integer register index out of range: {index}")
-    return INT_REGS[index]
-
-
-def fp_reg(index: int) -> str:
-    """Return the FP register with the given index (bounds-checked)."""
-    if not 0 <= index < NUM_FP_REGS:
-        raise ValueError(f"fp register index out of range: {index}")
-    return FP_REGS[index]
-
-
-def cc_reg(index: int) -> str:
-    """Return the condition-code register with the given index."""
-    if not 0 <= index < NUM_CC_REGS:
-        raise ValueError(f"cc register index out of range: {index}")
-    return CC_REGS[index]
 
 
 def register_class(name: str) -> str:

@@ -181,8 +181,3 @@ def metrics_enabled() -> bool:
 def metrics_snapshot() -> dict:
     """Snapshot of the global registry."""
     return REGISTRY.snapshot()
-
-
-def metrics_reset() -> None:
-    """Clear the global registry's metrics."""
-    REGISTRY.reset()

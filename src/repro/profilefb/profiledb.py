@@ -58,15 +58,15 @@ class ProfileDB:
 
         ``backend="fast"`` routes the run through the generated-step
         executor of :mod:`repro.fastsim` (byte-identical counters,
-        outcome vectors and index counts; transparent reference fallback
-        on fastsim-internal failures).
+        outcome vectors and index counts); whatever it raises
+        propagates.
         """
         config = config or ClassifyConfig()
         if backend == "fast":
-            from ..fastsim.backend import functional_sim
+            from ..fastsim.functional import FastFunctionalSim
 
-            sim = functional_sim(prog, max_steps=max_steps,
-                                 record_outcomes=True)
+            sim = FastFunctionalSim(prog, max_steps=max_steps,
+                                    record_outcomes=True)
         else:
             sim = FunctionalSim(prog, max_steps=max_steps,
                                 record_outcomes=True)

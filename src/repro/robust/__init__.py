@@ -25,8 +25,8 @@ from .diffcheck import (
     check_equivalence, run_reference,
 )
 from .faults import (
-    ALL_FAULTS, CLOBBER_VALUE, FaultClass, PASS_FAULTS, PROFILE_FAULTS,
-    PROGRAM_FAULTS, buggy_pass, corrupt_profile, inject_program_fault,
+    CLOBBER_VALUE, FaultClass, PASS_FAULTS, PROFILE_FAULTS, PROGRAM_FAULTS,
+    buggy_pass, corrupt_profile, inject_program_fault,
 )
 from .spectre import (
     FINDING_KINDS, SpectreConfig, SpectreFinding, SpectreHoistGuard,
@@ -41,7 +41,7 @@ __all__ = [
     "snapshot_cfg",
     "DIVERGENCE_KINDS", "DiffReport", "EquivalenceError", "Reference",
     "certify", "check_equivalence", "run_reference",
-    "ALL_FAULTS", "CLOBBER_VALUE", "FaultClass", "PASS_FAULTS",
+    "CLOBBER_VALUE", "FaultClass", "PASS_FAULTS",
     "PROFILE_FAULTS", "PROGRAM_FAULTS", "buggy_pass", "corrupt_profile",
     "inject_program_fault",
     "FINDING_KINDS", "SpectreConfig", "SpectreFinding", "SpectreHoistGuard",

@@ -340,11 +340,3 @@ PASS_FAULTS: dict[str, tuple[FaultClass, Callable[[CFG], None]]] = {
 def buggy_pass(name: str) -> Callable[[CFG], None]:
     """Return the synthetic buggy pass for fault class *name*."""
     return PASS_FAULTS[name][1]
-
-
-#: Every fault class across all targets, keyed by name.
-ALL_FAULTS: dict[str, FaultClass] = {
-    **{k: v[0] for k, v in PROGRAM_FAULTS.items()},
-    **{k: v[0] for k, v in PROFILE_FAULTS.items()},
-    **{k: v[0] for k, v in PASS_FAULTS.items()},
-}

@@ -144,10 +144,6 @@ def build_ddg(instructions: list[Instruction],
         if barrier is not None:
             ddg.add_edge(barrier, i, "ctrl", 1)
         if ins.info.is_call:
-            for j in range(i):
-                # Cheap over-approximation: order every prior memory op and
-                # def before the call (register args/side effects).
-                pass
             barrier = i
         if ins.info.is_fence:
             # A speculation barrier pins the surrounding order completely:

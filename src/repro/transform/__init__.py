@@ -1,7 +1,7 @@
 """Compiler transformations: speculation, guarded execution, branch-likely
 conversion, and the paper's split-branch transformation."""
 
-from .renaming import RESERVED, free_registers, free_registers_program, used_registers
+from .renaming import RESERVED, free_registers, used_registers
 from .forward_subst import forward_substitute_at, forward_substitute_block, is_copy
 from .speculation import (
     SpeculationReport, duplicate_into_predecessors, is_speculatable,
@@ -25,7 +25,7 @@ from .dce import eliminate_dead_code
 from .copyprop import propagate_copies, propagate_copies_block
 
 __all__ = [
-    "RESERVED", "free_registers", "free_registers_program", "used_registers",
+    "RESERVED", "free_registers", "used_registers",
     "forward_substitute_at", "forward_substitute_block", "is_copy",
     "SpeculationReport", "duplicate_into_predecessors", "is_speculatable",
     "speculate_from_successor",

@@ -49,18 +49,3 @@ def free_registers(cfg: CFG, reg_class: str = "int") -> RegisterPool:
     else:
         raise ValueError(f"unknown register class {reg_class!r}")
     return RegisterPool(r for r in universe if r not in used and r not in RESERVED)
-
-
-def free_registers_program(instructions: Iterable[Instruction],
-                           reg_class: str = "int") -> RegisterPool:
-    """Like :func:`free_registers` but over a flat instruction sequence."""
-    used = used_registers(instructions)
-    if reg_class == "int":
-        universe: Iterable[str] = INT_REGS
-    elif reg_class == "fp":
-        universe = FP_REGS
-    elif reg_class == "cc":
-        universe = CC_REGS
-    else:
-        raise ValueError(f"unknown register class {reg_class!r}")
-    return RegisterPool(r for r in universe if r not in used and r not in RESERVED)

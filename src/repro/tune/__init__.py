@@ -20,7 +20,7 @@ See docs/TUNE.md for the search loop, objectives, and resume semantics;
 """
 
 from .evaluate import compile_cost
-from .pareto import OBJECTIVES, dominates, pareto_front
+from .pareto import dominates, pareto_front
 from .render import format_tune_result
 from .search import TuneResult, default_value, run_tune, tune_result_key
 from .spec import (
@@ -29,7 +29,7 @@ from .spec import (
 )
 
 __all__ = [
-    "CONFIG_PARAMS", "DEFAULT_PARAM_NAMES", "OBJECTIVES", "ParamSpec",
+    "CONFIG_PARAMS", "DEFAULT_PARAM_NAMES", "ParamSpec",
     "TuneResult", "TuneSpec", "apply_params", "compile_cost",
     "default_value", "dominates", "format_tune_result", "known_bound",
     "pareto_front", "run_tune", "tune_result_key",

@@ -15,10 +15,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-#: Objective names in report order, with their optimization direction.
-OBJECTIVES = (("ipc", "max"), ("code_growth", "min"),
-              ("compile_cost", "min"))
-
 
 def dominates(a: dict, b: dict) -> bool:
     """True when objective vector *a* Pareto-dominates *b*.

@@ -4,7 +4,7 @@ the substitution rationale.  Each module carries a bit-exact Python
 reference implementation used by the test suite.
 """
 
-from .common import AUX_BASE, OUT_BASE, SRC_BASE, lcg_next, lcg_stream
+from .common import AUX_BASE, OUT_BASE, SRC_BASE, lcg_next
 from .compress import compress_program, compress_reference, compress_source
 from .espresso import espresso_program, espresso_reference, espresso_source
 from .xlisp import xlisp_program, xlisp_reference, xlisp_source
@@ -59,7 +59,7 @@ def benchmark_programs(scale: float = 1.0, seed=None):
 
 
 __all__ = [
-    "AUX_BASE", "OUT_BASE", "SRC_BASE", "lcg_next", "lcg_stream",
+    "AUX_BASE", "OUT_BASE", "SRC_BASE", "lcg_next",
     "compress_program", "compress_reference", "compress_source",
     "espresso_program", "espresso_reference", "espresso_source",
     "xlisp_program", "xlisp_reference", "xlisp_source",

@@ -25,17 +25,6 @@ def lcg_next(x: int) -> int:
     return (x * LCG_A + LCG_C) & MASK32
 
 
-def lcg_stream(seed: int, n: int) -> list[int]:
-    """First *n* LCG states after *seed* (the state sequence the assembly
-    observes in its generation loops)."""
-    out = []
-    x = seed
-    for _ in range(n):
-        x = lcg_next(x)
-        out.append(x)
-    return out
-
-
 #: The assembly idiom for one LCG step on register `reg` (clobbers nothing).
 def lcg_asm(reg: str) -> str:
     return f"    muli {reg}, {reg}, {LCG_A}\n    addi {reg}, {reg}, {LCG_C}"

@@ -88,12 +88,25 @@ def test_sweep_matches_legacy():
 def test_fuzz_matches_legacy():
     from repro.qa import CampaignConfig, run_campaign
 
-    cfg = CampaignConfig(budget=3, seed=0, shrink=False)
-    with Session() as s:
-        via_session = s.fuzz(cfg)
-    legacy = run_campaign(cfg)
+    with Session(cache=None) as s:
+        via_session = s.fuzz(budget=3, seed=0, shrink=False)
+    legacy = run_campaign(CampaignConfig(budget=3, seed=0, shrink=False))
     assert json.dumps(via_session.summary.to_dict(), sort_keys=True) \
         == json.dumps(legacy.summary.to_dict(), sort_keys=True)
+
+
+def test_fuzz_reads_and_fills_the_session_cache(tmp_path):
+    """A campaign always runs through the session's cache; there is no
+    second spelling that carries a cache of its own."""
+    from repro.qa import CampaignConfig
+
+    store = ArtifactCache(tmp_path / "store")
+    with Session(cache=store) as s:
+        s.fuzz(budget=2, seed=0, shrink=False)
+        with pytest.raises(TypeError):
+            s.fuzz(CampaignConfig(budget=2, seed=0, shrink=False))
+    assert (store.counters.hits, store.counters.misses) == (0, 2)
+    assert store.stats()["entries"] == 2
 
 
 def test_fuzz_accepts_keyword_config():

@@ -29,11 +29,13 @@ from repro.core import schemes
 from repro.core.schemes import compile_scheme
 from repro.engine.cells import CellSpec, execute_cell, overrides_as_items
 from repro.eval.runner import SchemeResult
-from repro.fastsim import crosscheck, crosscheck_cell
+from repro.fastsim import crosscheck, crosscheck_cell, simulate
+from repro.isa import parse
 from repro.profilefb.profiledb import ProfileDB
 from repro.qa.corpus import load_reproducer
 from repro.sim import FunctionalSim, TimingSim
 from repro.sim.config import r10k_config
+from repro.sim.functional import SimulationDiverged
 from repro.workloads import benchmark_programs
 
 MAX_STEPS = 5_000_000
@@ -112,6 +114,16 @@ def test_functional_crosscheck_with_outcomes(name):
     report = crosscheck(_program(name), max_steps=MAX_STEPS,
                         record_outcomes=True)
     assert report.equivalent, (report.reason, report.mismatches[:3])
+
+
+def test_empty_program_fails_identically():
+    # The one program the decoder cannot split into blocks: the fast
+    # path hands it to the reference interpreter, which reports it.
+    empty = parse("", name="empty")
+    assert crosscheck(empty).equivalent
+    assert crosscheck_cell(empty, r10k_config("twobit")).equivalent
+    with pytest.raises(SimulationDiverged, match="pc out of range: 0"):
+        simulate(empty, r10k_config("twobit"))
 
 
 @pytest.mark.parametrize("name", _zoo_names())

@@ -6,6 +6,7 @@ import weakref
 
 from repro.fastsim import backend as fb
 from repro.fastsim.decode import _DECODE_CACHE
+from repro.fastsim.functional import FastFunctionalSim
 from repro.sim.config import r10k_config
 from repro.workloads import benchmark_programs
 
@@ -18,7 +19,7 @@ def test_dropped_programs_leave_the_decode_cache():
     for seed in range(5):
         for prog in benchmark_programs(0.01, seed=seed).values():
             fb.simulate(prog, r10k_config("twobit"), max_steps=5_000_000)
-            fb.functional_sim(prog, max_steps=5_000_000).run()
+            FastFunctionalSim(prog, max_steps=5_000_000).run()
             refs.append(weakref.ref(prog))
         assert len(_DECODE_CACHE) > len(before)
     del prog

@@ -87,6 +87,16 @@ def test_unknown_opcode_rejected():
         parse(".text\nfrobnicate r1\nhalt\n")
 
 
+def test_guard_must_name_a_cc_register():
+    # cc0..cc7 exist; a guard on any other name is the same parse error
+    # as that name in an operand, not a KeyError in the simulator.
+    prog = parse(".text\n(cc7) add r2, r2, r1\nhalt\n")
+    assert prog[0].guard == Guard("cc7", True)
+    for reg in ("cc8", "cc9"):
+        with pytest.raises(ParseError, match=f"bad guard register '{reg}'"):
+            parse(f".text\n(!{reg}) add r2, r2, r1\nhalt\n")
+
+
 def test_program_must_terminate():
     with pytest.raises(ValueError):
         parse(".text\nadd r1, r2, r3\n")

@@ -12,21 +12,29 @@ def test_unknown_subcommand_exits_nonzero(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def _usage_error(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 def test_fuzz_rejects_zero_jobs(capsys):
-    assert main(["fuzz", "--jobs", "0", "--budget", "1"]) == 2
-    assert "--jobs must be >= 1" in capsys.readouterr().err
+    err = _usage_error(["fuzz", "--jobs", "0", "--budget", "1"], capsys)
+    assert "argument --jobs: must be >= 1" in err
 
 
 def test_fuzz_rejects_zero_budget(capsys):
-    assert main(["fuzz", "--budget", "0"]) == 2
-    assert "--budget must be >= 1" in capsys.readouterr().err
+    err = _usage_error(["fuzz", "--budget", "0"], capsys)
+    assert "argument --budget: must be >= 1" in err
 
 
 def test_fuzz_rejects_file_as_cache_dir(tmp_path, capsys):
     f = tmp_path / "not-a-dir"
     f.write_text("occupied\n")
-    assert main(["fuzz", "--budget", "1", "--cache-dir", str(f)]) == 2
-    assert "not a directory" in capsys.readouterr().err
+    err = _usage_error(["fuzz", "--budget", "1", "--cache-dir", str(f)],
+                       capsys)
+    assert "not a directory" in err
 
 
 def test_fuzz_rejects_missing_replay_dir(tmp_path, capsys):

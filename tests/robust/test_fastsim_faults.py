@@ -1,43 +1,70 @@
-"""Fastsim containment: internal faults fall back, semantic faults agree.
+"""Fastsim failure containment: a fast-path fault is a named FAIL cell.
 
-The fast path's contract has two halves (``docs/FASTSIM.md``):
+The fast path's contract (``docs/FASTSIM.md``) is that whatever it
+raises propagates out of :func:`repro.fastsim.backend.simulate`:
 
-1. An *internal* fastsim failure (broken codegen, stale decode tables, a
-   non-semantic crash inside generated code) must never change results —
-   the run transparently restarts on the reference interpreter, the
-   decision lands on the fallback trail with the stage that contained
-   it, and the payload is byte-identical to a pure reference run.
+1. A *fast-path* fault (a crash inside the fast simulators, generated
+   code that does not compile, stale decode tables) is never rerun on
+   the reference interpreter. The engine's containment records it as a
+   named ``FAIL(<Exception>: ...)`` cell on every executor, and no such
+   cell is cached.
 2. A *program-semantic* failure (``UnmodeledOpcode``, step budgets,
-   alignment traps) must NOT be repaired — both simulators raise the
-   same exception and the engine records the same ``FAIL(...)`` cell.
+   alignment traps) is the reference's own exception, so the engine
+   records the same ``FAIL(...)`` cell either simulator would.
 
-Injection uses :mod:`repro.fastsim.faults` — the same fault classes
-``tools/inject_faults.py --fastsim`` sweeps from the command line.
+Only an attached pipeline observer runs the reference pair, and that
+decision is the one entry the fallback trail records.
 """
 
-import json
 import traceback
 
 import pytest
 
 from repro.core.schemes import compile_scheme
+from repro.engine import ArtifactCache, LocalExecutor, run_suite
 from repro.engine.cells import CellSpec, _short_reason, execute_cell
 from repro.fastsim import backend as fb
-from repro.fastsim.faults import FASTSIM_FAULTS, inject_fastsim_fault
+from repro.fastsim import codegen
+from repro.fastsim.decode import DecodeError
+from repro.fastsim.timing import FastTimingSim
 from repro.obs.metrics import REGISTRY
+from repro.serve import ServeClient
 from repro.sim.config import r10k_config
 from repro.sim.functional import FunctionalSim, UnmodeledOpcode
 from repro.sim.pipeline import TimingSim
 from repro.workloads import benchmark_programs
+from tests.serve.conftest import server  # noqa: F401 - fixture
 
 MAX_STEPS = 5_000_000
 
-#: fault name -> stage that must appear on the fallback trail
-EXPECTED_STAGE = {
-    "fastsim-bad-codegen": "codegen",
-    "fastsim-stale-decode": "codegen",
-    "fastsim-runtime-crash": "execute",
-}
+
+def _runtime_crash(monkeypatch):
+    def run(self, batches):
+        raise KeyError("injected fast-path fault")
+
+    monkeypatch.setattr(FastTimingSim, "run", run)
+    return KeyError
+
+
+def _bad_codegen(monkeypatch):
+    monkeypatch.setattr(codegen, "generate_source",
+                        lambda dec, *, record, trace:
+                        ("this is ( not python\n", 0))
+    return SyntaxError
+
+
+def _stale_decode(monkeypatch):
+    real = fb.decode_program
+    # Tables of an equal-content copy: the identity half of the
+    # staleness signature trips.
+    monkeypatch.setattr(fb, "decode_program", lambda prog: real(prog.copy()))
+    return DecodeError
+
+
+#: fault name -> installer (monkeypatches the fast path, returns the
+#: exception type the fault raises)
+FAULTS = {"runtime-crash": _runtime_crash, "bad-codegen": _bad_codegen,
+          "stale-decode": _stale_decode}
 
 
 @pytest.fixture(scope="module")
@@ -63,23 +90,39 @@ def _count(name):
     return REGISTRY.snapshot()["counters"].get(name, 0)
 
 
-def test_fault_table_matches_expected_stages():
-    assert sorted(FASTSIM_FAULTS) == sorted(EXPECTED_STAGE)
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_fast_path_fault_propagates(fault, prog, monkeypatch):
+    exc_type = FAULTS[fault](monkeypatch)
+    # A copy: its decode tables and generated code are built afresh.
+    with pytest.raises(exc_type):
+        fb.simulate(prog.copy(), r10k_config("twobit"), max_steps=MAX_STEPS)
+    assert fb.fallback_trail() == ()
 
 
-@pytest.mark.parametrize("fault", sorted(FASTSIM_FAULTS))
-def test_internal_fault_contained_with_trail(fault, prog, reference):
-    with inject_fastsim_fault(fault):
-        stats, exec_stats = fb.simulate(prog, r10k_config("twobit"),
-                                        max_steps=MAX_STEPS)
-    # Result repaired: byte-identical to the reference interpreter.
-    assert (stats.to_dict(), exec_stats.to_dict()) == reference
-    # Decision recorded: right stage, classified reason.
-    trail = fb.fallback_trail()
-    assert trail, f"{fault}: no fallback recorded"
-    rec = trail[-1]
-    assert rec.stage == EXPECTED_STAGE[fault]
-    assert rec.reason  # one-line classification, never empty
+@pytest.mark.parametrize("where", [1, 2, "serve"],
+                         ids=["jobs=1", "jobs=2", "serve"])
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_fast_path_fault_fails_every_cell(fault, where, prog, monkeypatch,
+                                          request, tmp_path):
+    exc_type = FAULTS[fault](monkeypatch)
+    # Forked pool workers inherit the patch; force the pool on one CPU.
+    monkeypatch.setenv("REPRO_POOL_FORCE", "1")
+    store = ArtifactCache(tmp_path / "local")
+    if where == "serve":
+        srv = request.getfixturevalue("server")
+        executor = ServeClient(srv.url, tenant="faulty", timeout=60.0)
+    else:
+        executor = LocalExecutor(where)
+    runs = run_suite(benchmarks={"grep": prog.copy()}, max_steps=MAX_STEPS,
+                     executor=executor, cache=store)
+    failures = [cell.failure for cell in runs["grep"].results.values()]
+    assert len(failures) == 5
+    assert all(f is not None and f.startswith(f"{exc_type.__name__}: ")
+               for f in failures), failures
+    assert store.stats()["entries"] == 0
+    if where == "serve":
+        assert executor.stats()["cache"]["entries"] == 0
+    assert fb.fallback_trail() == ()
 
 
 def test_observer_runs_fall_back_and_are_counted(prog, reference):
@@ -107,35 +150,8 @@ def test_clean_run_leaves_no_trail(prog, reference):
     assert fb.fallback_trail() == ()
 
 
-def test_injection_restores_pristine_fast_path(prog, reference):
-    with inject_fastsim_fault("fastsim-bad-codegen"):
-        pass
-    stats, exec_stats = fb.simulate(prog, r10k_config("twobit"),
-                                    max_steps=MAX_STEPS)
-    assert (stats.to_dict(), exec_stats.to_dict()) == reference
-    assert fb.fallback_trail() == ()
-
-
-@pytest.mark.parametrize("fault", sorted(FASTSIM_FAULTS))
-def test_engine_cell_survives_injected_fault(fault, prog):
-    # Containment must hold one layer up too: a cell under an injected
-    # fastsim fault falls back to the reference simulators and produces
-    # the same SUCCESS payload as the clean fast-path cell — not a
-    # FAIL(...) record.
-    spec = CellSpec(benchmark="grep", scheme="2bitBP", program=prog.to_dict(),
-                    max_steps=MAX_STEPS, strict=True)
-    clean = execute_cell(spec, program=prog).to_dict()
-    assert fb.fallback_trail() == ()
-    with inject_fastsim_fault(fault):
-        faulted = execute_cell(spec, program=prog).to_dict()
-    assert json.dumps(clean, sort_keys=True) == \
-        json.dumps(faulted, sort_keys=True)
-    assert faulted["failure"] is None
-    assert fb.fallback_trail()
-
-
 def test_unmodeled_opcode_fails_identically(prog):
-    # The other half of the contract: semantic faults are NOT repaired.
+    # Semantic faults are the reference's own exception.
     bad = prog.copy()
     idx = next(i for i, ins in enumerate(bad.instructions)
                if not ins.is_control and not ins.info.is_call)

@@ -139,6 +139,24 @@ def test_tables_cache_warm_run(tmp_path, capsys):
     assert warm.out == cold.out
 
 
+@pytest.mark.parametrize("flag", ["--cache-dir", "--jobs"])
+def test_tables_rejects_bad_flag_values_before_running(tmp_path, capsys,
+                                                       flag):
+    """A regular file as the cache dir and a zero worker count are usage
+    errors (exit 2), not a traceback after the first benchmark ran or a
+    quietly serial run."""
+    occupied = tmp_path / "occupied"
+    occupied.write_text("not a cache\n")
+    value = {"--cache-dir": str(occupied), "--jobs": "0"}[flag]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["tables", "--scale", "0.02", flag, value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"error: argument {flag}:" in err
+    assert "Traceback" not in err
+
+
 def test_cache_stats_and_clear(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     assert main(["tables", "--scale", "0.01", "--cache-dir", cache]) == 0

@@ -4,6 +4,8 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -101,3 +103,55 @@ def test_no_unused_imports_in_src():
               if path.name != "__init__.py"
               for line, name in _unused_imports(path)]
     assert not unused, "\n".join(unused)
+
+
+#: Where a name of ``src/repro`` may be read: every Python file of the
+#: repository's code, tests, tools, benchmarks and examples, and the CI
+#: workflows.
+READER_GLOBS = ["src/**/*.py", "tests/**/*.py", "tools/**/*.py",
+                "benchmarks/**/*.py", "examples/**/*.py",
+                "perfbench/**/*.py", ".github/workflows/*.yml"]
+
+
+def _top_level_names(tree: ast.Module):
+    """``(line, name)`` of each public def, class and assignment at the
+    top level of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) \
+                and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield node.lineno, name
+
+
+def test_no_unread_public_names_in_src():
+    """Every public top-level name of a module is read somewhere other
+    than its defining line: a name only a package ``__init__`` re-exports
+    is dead code."""
+    repo = Path(repro.__file__).parents[2]
+    words = re.compile(r"\w+")
+    reads = Counter()
+    for pattern in READER_GLOBS:
+        for path in repo.glob(pattern):
+            if path.name != "__init__.py":
+                reads.update(words.findall(path.read_text()))
+    root = Path(repro.__file__).parent
+    unread = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        for line, name in _top_level_names(ast.parse(text)):
+            own = words.findall(lines[line - 1]).count(name)
+            if reads[name] == own:
+                unread.append(f"{path.relative_to(root)}:{line} {name}")
+    assert not unread, "\n".join(unread)

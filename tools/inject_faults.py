@@ -22,16 +22,8 @@ the equivalence oracle, (2) shrunk to a minimal reproducer (<= 25
 instructions), and (3) triaged into a stable bucket — the executable
 claim behind docs/QA.md.
 
-``--fastsim`` sweeps the :mod:`repro.fastsim.faults` classes instead:
-each one corrupts the fast execution backend internally (broken codegen,
-stale decode tables, a crash inside generated code), and the contained
-verdict requires that (1) the run transparently fell back to the
-reference interpreter at the documented stage and (2) the resulting
-``SimStats``/``ExecStats`` payloads are byte-identical to a pure
-reference run — the executable claim behind docs/FASTSIM.md.
-
 Run:  python tools/inject_faults.py [--scale 0.1] [--benchmarks a,b]
-                                    [--fuzz] [--fuzz-seed N] [--fastsim]
+                                    [--fuzz] [--fuzz-seed N]
 """
 
 from __future__ import annotations
@@ -54,7 +46,6 @@ from repro.robust.faults import (  # noqa: E402
 )
 from repro.robust.sandbox import PassSandbox  # noqa: E402
 from repro.robust.verifier import verify_program  # noqa: E402
-from repro.sim.functional import FunctionalSim  # noqa: E402
 from repro.workloads import benchmark_programs  # noqa: E402
 
 #: Step budget for co-simulation runs (benchmarks here are small-scale).
@@ -195,48 +186,6 @@ def check_fuzz_pipeline(seed: int) -> int:
     return failures
 
 
-def check_fastsim_faults(programs: dict) -> int:
-    """Sweep the fastsim fault classes; returns the UNCAUGHT count."""
-    from repro.fastsim import backend as fast_backend
-    from repro.fastsim.faults import FASTSIM_FAULTS, inject_fastsim_fault
-    from repro.sim.config import r10k_config
-    from repro.sim.pipeline import TimingSim
-
-    cfg = r10k_config("twobit")
-    failures = 0
-    for bench, prog in programs.items():
-        fsim = FunctionalSim(prog, max_steps=MAX_STEPS,
-                             record_outcomes=False)
-        want = (TimingSim(cfg).run(fsim.trace()).to_dict(),
-                fsim.stats.to_dict())
-        print(f"{bench} (fastsim backend):")
-        for name in FASTSIM_FAULTS:
-            fast_backend.clear_fallback_trail()
-            try:
-                with inject_fastsim_fault(name):
-                    stats, exec_stats = fast_backend.simulate(
-                        prog, cfg, max_steps=MAX_STEPS)
-            except Exception as exc:  # noqa: BLE001 - escaped = uncaught
-                failures += 1
-                print(f"  {name:<26} UNCAUGHT  [escaped: "
-                      f"{type(exc).__name__}: {exc}]")
-                continue
-            trail = fast_backend.fallback_trail()
-            identical = (stats.to_dict(), exec_stats.to_dict()) == want
-            if not trail:
-                failures += 1
-                print(f"  {name:<26} UNCAUGHT  [no fallback recorded]")
-            elif not identical:
-                failures += 1
-                print(f"  {name:<26} UNCAUGHT  [payload diverged after "
-                      f"fallback]")
-            else:
-                rec = trail[-1]
-                print(f"  {name:<26} caught    [{rec.stage}-stage "
-                      f"fallback, byte-identical]")
-    return failures
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run the taxonomy; exit 0 iff every fault class was caught."""
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -250,9 +199,6 @@ def main(argv: list[str] | None = None) -> int:
                          "against injected miscompiles")
     ap.add_argument("--fuzz-seed", type=int, default=0,
                     help="base program seed for --fuzz (default 0)")
-    ap.add_argument("--fastsim", action="store_true",
-                    help="only sweep the fast-backend fault classes "
-                         "(containment + byte-identical fallback)")
     args = ap.parse_args(argv)
 
     if args.fuzz:
@@ -266,14 +212,6 @@ def main(argv: list[str] | None = None) -> int:
             ap.error(f"unknown benchmark(s): {', '.join(unknown)} "
                      f"(available: {', '.join(sorted(programs))})")
         programs = {k: programs[k] for k in wanted}
-
-    if args.fastsim:
-        failures = check_fastsim_faults(programs)
-        total = len(programs) * 3
-        print(f"\n{total - failures}/{total} fastsim fault injections "
-              f"caught" + ("" if not failures
-                           else f" — {failures} UNCAUGHT"))
-        return 1 if failures else 0
 
     uncaught = 0
     total = 0
