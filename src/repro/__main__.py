@@ -67,6 +67,7 @@ running ``repro serve`` instance instead of the local pool (with
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -218,8 +219,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     return serve_forever(ServeConfig(
         host=args.host, port=args.port, workers=args.workers,
-        cache_dir=args.cache_dir, remote_cache=args.remote_cache,
-        rate=args.rate, burst=args.burst))
+        cache_dir=args.cache_dir, rate=args.rate, burst=args.burst))
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
@@ -323,7 +323,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return text
 
     spec = SweepSpec(
-        scales=tuple(float(s) for s in args.scales.split(",")),
+        scales=args.scales,
         config_grid=grid_from_dict(_parse_axes(args.config)),
         heur_grid=grid_from_dict(_parse_axes(args.heur)),
         benchmarks=(tuple(args.benchmarks.split(","))
@@ -633,6 +633,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """Argparse type of a scale or rate flag: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a number: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and > 0 (got {text})")
+    return value
+
+
+def _positive_floats(text: str) -> tuple[float, ...]:
+    """Argparse type of ``sweep --scales``: comma-separated scales."""
+    return tuple(_positive_float(item) for item in text.split(","))
+
+
 def _cache_dir(text: str) -> str:
     """Argparse type of a ``--cache-dir`` flag: a path that is not an
     existing regular file (the store creates the directory)."""
@@ -672,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 'default')")
 
     p = sub.add_parser("tables", help="regenerate Tables 1-4")
-    p.add_argument("--scale", type=float, default=1.0,
+    p.add_argument("--scale", type=_positive_float, default=1.0,
                    help="workload scale factor (default 1.0)")
     p.add_argument("--report", metavar="FILE",
                    help="also write a markdown report to FILE")
@@ -717,12 +735,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", type=_cache_dir, metavar="DIR",
                    help="artifact store root (default .repro-cache/ "
                         "or $REPRO_CACHE_DIR)")
-    p.add_argument("--remote-cache", metavar="URL",
-                   help="upstream serve instance used as a shared "
-                        "second-tier cache")
-    p.add_argument("--rate", type=float, default=10.0, metavar="R",
+    p.add_argument("--rate", type=_positive_float, default=10.0, metavar="R",
                    help="per-tenant submissions/second (default 10)")
-    p.add_argument("--burst", type=int, default=20, metavar="N",
+    p.add_argument("--burst", type=_positive_int, default=20, metavar="N",
                    help="per-tenant burst capacity (default 20)")
     p.set_defaults(func=cmd_serve)
 
@@ -733,11 +748,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base URL of the serve instance")
     p.add_argument("--tenant", default="default", metavar="NAME",
                    help="tenant namespace (default 'default')")
-    p.add_argument("--scale", type=float, default=1.0,
+    p.add_argument("--scale", type=_positive_float, default=1.0,
                    help="workload scale factor (default 1.0)")
     p.add_argument("--seed", type=int, default=None,
                    help="master seed for the synthetic workload inputs")
-    p.add_argument("--max-steps", type=int, default=50_000_000,
+    p.add_argument("--max-steps", type=_positive_int, default=50_000_000,
                    help="per-cell functional step budget")
     p.add_argument("--timeout", type=float, default=600.0,
                    help="HTTP timeout per request (default 600s)")
@@ -760,7 +775,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep", help="run a design-space sweep, one JSON record per cell")
-    p.add_argument("--scales", default="1.0", metavar="S1,S2",
+    p.add_argument("--scales", type=_positive_floats, default="1.0",
+                   metavar="S1,S2",
                    help="comma-separated workload scale factors")
     p.add_argument("--config", action="append", metavar="FIELD=V1,V2",
                    help="MachineConfig axis (repeatable), e.g. "
@@ -770,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "--heur speculation_bias=0.5,0.65,0.8")
     p.add_argument("--benchmarks", metavar="B1,B2",
                    help="restrict to these benchmarks (default: all)")
-    p.add_argument("--max-steps", type=int, default=50_000_000,
+    p.add_argument("--max-steps", type=_positive_int, default=50_000_000,
                    help="per-cell functional step budget")
     p.add_argument("--seed", type=int, default=None,
                    help="master seed for the synthetic workload inputs")
@@ -797,11 +813,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="search seed (same seed + budget => identical "
                         "Pareto front; default 0)")
-    p.add_argument("--scale", type=float, default=1.0,
+    p.add_argument("--scale", type=_positive_float, default=1.0,
                    help="full-fidelity workload scale factor (default 1.0)")
     p.add_argument("--benchmarks", metavar="B1,B2",
                    help="restrict to these benchmarks (default: all)")
-    p.add_argument("--max-steps", type=int, default=50_000_000,
+    p.add_argument("--max-steps", type=_positive_int, default=50_000_000,
                    help="per-cell functional step budget")
     p.add_argument("--out", metavar="FILE",
                    help="also write the serialized TuneResult JSON to FILE")
@@ -810,12 +826,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="print a program's feedback metrics")
     p.add_argument("program", help="benchmark name or .s file")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("compile", help="run the proposed pipeline")
     p.add_argument("program", help="benchmark name or .s file")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_positive_float, default=1.0)
     p.add_argument("--emit", action="store_true",
                    help="also print the transformed assembly")
     p.set_defaults(func=cmd_compile)
@@ -825,8 +841,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="IR-verify + differentially check compiled benchmarks "
              "(always recompiles, never cached)")
     p.add_argument("program", help="benchmark name, .s file, or 'all'")
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--max-steps", type=int, default=20_000_000,
+    p.add_argument("--scale", type=_positive_float, default=1.0)
+    p.add_argument("--max-steps", type=_positive_int, default=20_000_000,
                    help="step budget for the reference run")
     p.add_argument("--spectre", action="store_true",
                    help="run the speculative-safety (Spectre-v1) taint "
@@ -859,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "schemes instead of fuzzing")
     p.add_argument("--no-shrink", dest="shrink", action="store_false",
                    help="skip delta-debug minimization of failures")
-    p.add_argument("--max-steps", type=int, default=5_000_000,
+    p.add_argument("--max-steps", type=_positive_int, default=5_000_000,
                    help="per-run functional step budget (default 5M)")
     _engine_flags(p)
     p.set_defaults(func=cmd_fuzz)
@@ -872,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "timing table of FILE")
     p.add_argument("file", nargs="?",
                    help="trace file to summarize (summarize only)")
-    p.add_argument("--scale", type=float, default=0.3,
+    p.add_argument("--scale", type=_positive_float, default=0.3,
                    help="workload scale factor for trace run (default 0.3)")
     p.add_argument("--out", dest="trace", metavar="FILE",
                    default="trace.jsonl",
@@ -910,14 +926,14 @@ def build_parser() -> argparse.ArgumentParser:
                         ".stats.json golden of every table column")
     p.add_argument("--emit", action="store_true",
                    help="print the lowered assembly of each file")
-    p.add_argument("--max-steps", type=int, default=200_000,
+    p.add_argument("--max-steps", type=_positive_int, default=200_000,
                    help="step budget for .stats.json goldens "
                         "(default 200000)")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("run", help="simulate a program")
     p.add_argument("program", help="benchmark name or .s file")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_positive_float, default=1.0)
     p.add_argument("--predictor", default="twobit",
                    choices=["twobit", "twolevel", "perfect", "static-taken"])
     p.add_argument("--scheme", default="baseline",

@@ -1,7 +1,7 @@
 """repro.serve — the distributed evaluation service.
 
-A multi-tenant job queue, a worker fleet, and a namespaced
-remote-capable artifact store behind a stdlib HTTP/JSON front end.
+A multi-tenant job queue, a worker fleet, and a namespaced artifact
+store behind a stdlib HTTP/JSON front end.
 Tenants submit batches of content-addressed cells (the same keys
 :mod:`repro.engine` caches locally); the service executes each unique
 cell exactly once fleet-wide and streams results back as JSONL.
@@ -34,16 +34,14 @@ from .queue import MAX_CELL_ATTEMPTS, Job, JobQueue
 from .ratelimit import RateLimiter, TokenBucket
 from .server import DEFAULT_BURST, DEFAULT_RATE, EvalServer, ServeConfig, \
     serve_forever
-from .store import (DEFAULT_NAMESPACE, Backend, LocalBackend, RemoteBackend,
-                    TieredStore, check_namespace, namespace_stats)
+from .store import DEFAULT_NAMESPACE, LocalBackend, check_namespace
 from .worker import Worker, WorkerFleet
 
 __all__ = [
     "PROTOCOL_VERSION", "ProtocolError",
     "Job", "JobQueue", "MAX_CELL_ATTEMPTS",
     "RateLimiter", "TokenBucket",
-    "Backend", "LocalBackend", "RemoteBackend", "TieredStore",
-    "DEFAULT_NAMESPACE", "check_namespace", "namespace_stats",
+    "LocalBackend", "DEFAULT_NAMESPACE", "check_namespace",
     "Worker", "WorkerFleet",
     "EvalServer", "ServeConfig", "DEFAULT_RATE", "DEFAULT_BURST",
     "serve_forever",

@@ -26,14 +26,20 @@ DEFAULT_RATE = 10.0
 DEFAULT_BURST = 20
 
 
+def _check_limits(rate: float, burst: int) -> None:
+    """Refuse limits a bucket cannot run on: it must refill (``rate``
+    > 0) and hold at least one submission's token (``burst`` >= 1)."""
+    if not rate > 0 or burst < 1:
+        raise ValueError("rate must be > 0 and burst >= 1")
+
+
 class TokenBucket:
     """One tenant's refillable budget; thread-safe."""
 
     def __init__(self, rate: float = DEFAULT_RATE,
                  burst: int = DEFAULT_BURST,
                  clock: Callable[[], float] = time.monotonic):
-        if rate <= 0 or burst < 1:
-            raise ValueError("rate must be > 0 and burst >= 1")
+        _check_limits(rate, burst)
         self.rate = float(rate)
         self.burst = float(burst)
         self._clock = clock
@@ -75,6 +81,7 @@ class RateLimiter:
     def __init__(self, rate: float = DEFAULT_RATE,
                  burst: int = DEFAULT_BURST,
                  clock: Callable[[], float] = time.monotonic):
+        _check_limits(rate, burst)
         self.rate = rate
         self.burst = burst
         self._clock = clock

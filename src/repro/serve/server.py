@@ -1,6 +1,6 @@
 """The stdlib HTTP/JSON front end: ``python -m repro serve``.
 
-One :class:`EvalServer` owns the whole service stack — tiered store,
+One :class:`EvalServer` owns the whole service stack — namespaced store,
 dedup queue, worker fleet, per-tenant rate limiter — and exposes it over
 a :class:`ThreadingHTTPServer` (each request handled on its own thread;
 all shared state is lock-guarded in the queue/fleet/limiter layers).
@@ -22,34 +22,27 @@ Routes (all JSON unless noted)::
     GET  /v1/jobs/<id>/results?wait=S    JSONL result stream (one line
                                          per cell, submission order);
                                          202 + status while not done
-    GET  /v1/cache/<ns>/<key>            remote-cache read (the on-disk
-                                         envelope, schema-checked)
-    PUT  /v1/cache/<ns>/<key>            remote-cache write
 
-The cache endpoints are what :class:`~repro.serve.store.RemoteBackend`
-talks to: pointing a worker host's store at another serve instance
-turns that instance into the fleet's shared artifact tier.
+No route writes the store: only the worker fleet does, with the
+successes it computed itself.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Union
 from urllib.parse import parse_qs, urlparse
 
-from ..engine.keys import SCHEMA_VERSION
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span as obs_span
 from . import protocol
 from .queue import JobQueue
 from .ratelimit import DEFAULT_BURST, DEFAULT_RATE, RateLimiter
-from .store import (
-    Backend, LocalBackend, RemoteBackend, TieredStore, check_namespace,
-)
+from .store import LocalBackend, check_namespace
 from .worker import WorkerFleet
 
 
@@ -61,23 +54,23 @@ class ServeConfig:
     port: int = 8732                      # 0 = ephemeral (tests)
     workers: int = 2
     cache_dir: Union[None, str, Path] = None
-    remote_cache: Optional[str] = None    # upstream serve URL, or None
     rate: float = DEFAULT_RATE            # submissions/second per tenant
     burst: int = DEFAULT_BURST            # burst capacity per tenant
-    results_wait_s: float = 300.0         # max long-poll on /results
+
+
+#: Longest long-poll a ``/results?wait=S`` request may ask for (seconds).
+MAX_RESULTS_WAIT_S = 300.0
 
 
 @dataclass
 class _ServerState:
     """The live subsystems one handler instance reaches through."""
 
-    config: ServeConfig
-    store: TieredStore
+    store: LocalBackend
     queue: JobQueue
     fleet: WorkerFleet
     limiter: RateLimiter
-    started_ns: int = 0
-    submissions: int = field(default=0)
+    submissions: int = 0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -136,8 +129,6 @@ class _Handler(BaseHTTPRequestHandler):
             elif len(parts) == 4 and parts[:2] == ["v1", "jobs"] \
                     and parts[3] == "results":
                 self._get_results(parts[2], parse_qs(url.query))
-            elif len(parts) == 4 and parts[:2] == ["v1", "cache"]:
-                self._get_cache(parts[2], parts[3])
             else:
                 self._send_error_body(404, "not_found",
                                       f"no route {url.path!r}")
@@ -149,19 +140,6 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if parts == ["v1", "jobs"]:
                 self._post_job()
-            else:
-                self._send_error_body(404, "not_found",
-                                      f"no route {self.path!r}")
-        except protocol.ProtocolError as exc:
-            self._send_error_body(400, "bad_request", str(exc))
-        except Exception as exc:  # noqa: BLE001 - handler must answer
-            self._send_error_body(400, "bad_request", str(exc))
-
-    def do_PUT(self) -> None:  # noqa: N802 - http.server API
-        parts = [p for p in urlparse(self.path).path.split("/") if p]
-        try:
-            if len(parts) == 4 and parts[:2] == ["v1", "cache"]:
-                self._put_cache(parts[2], parts[3])
             else:
                 self._send_error_body(404, "not_found",
                                       f"no route {self.path!r}")
@@ -230,8 +208,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_body(404, "not_found",
                                   f"no such job {job_id!r}")
             return
-        wait = min(float((query.get("wait") or ["0"])[0]),
-                   state.config.results_wait_s)
+        wait = min(float((query.get("wait") or ["0"])[0]), MAX_RESULTS_WAIT_S)
         if wait > 0:
             state.queue.wait_job(job_id, timeout=wait)
         if not job.done:
@@ -248,33 +225,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
-
-    # -- cache endpoints ---------------------------------------------------
-
-    def _get_cache(self, namespace: str, key: str) -> None:
-        check_namespace(namespace)
-        payload = self.state.store.local.get(namespace, key)
-        if payload is None:
-            self._send_error_body(
-                404, "not_found", f"no artifact {key[:12]}… "
-                f"in namespace {namespace!r}")
-            return
-        self._send_json(200, {"schema": SCHEMA_VERSION, "key": key,
-                              "payload": payload})
-
-    def _put_cache(self, namespace: str, key: str) -> None:
-        check_namespace(namespace)
-        entry = self._read_body()
-        if (entry.get("schema") != SCHEMA_VERSION
-                or entry.get("key") != key
-                or "payload" not in entry):
-            self._send_error_body(
-                400, "bad_request",
-                "cache entry must carry the current schema envelope",
-                expected_schema=SCHEMA_VERSION)
-            return
-        self.state.store.local.put(namespace, key, entry["payload"])
-        self._send_json(200, protocol.ok_body(stored=True))
 
     # -- stats -------------------------------------------------------------
 
@@ -300,11 +250,7 @@ class EvalServer:
 
     def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config or ServeConfig()
-        local = LocalBackend(self.config.cache_dir)
-        remote: Optional[Backend] = None
-        if self.config.remote_cache:
-            remote = RemoteBackend(self.config.remote_cache)
-        self.store = TieredStore(local, remote)
+        self.store = LocalBackend(self.config.cache_dir)
         self.queue = JobQueue()
         self.fleet = WorkerFleet(self.queue, self.store,
                                  workers=self.config.workers)
@@ -313,8 +259,8 @@ class EvalServer:
             (self.config.host, self.config.port), _Handler)
         self._http.daemon_threads = True
         self._http.state = _ServerState(  # type: ignore[attr-defined]
-            config=self.config, store=self.store, queue=self.queue,
-            fleet=self.fleet, limiter=self.limiter)
+            store=self.store, queue=self.queue, fleet=self.fleet,
+            limiter=self.limiter)
         self._serve_thread: Optional[threading.Thread] = None
 
     @property

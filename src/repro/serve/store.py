@@ -1,41 +1,29 @@
-"""Namespaced, remote-capable artifact storage for the service tier.
+"""Namespaced artifact storage for the service tier.
 
-Layers, bottom to top:
+:class:`LocalBackend` keeps per-tenant namespaces on one root, one
+:class:`~repro.engine.cache.ArtifactCache` (atomic, LRU-capped,
+schema-versioned) per namespace at
+``<root>/ns/<namespace>/<shard>/<key>.json``.  The root's own top-level
+entries read as the ``default`` namespace, so a plain ``.repro-cache/``
+keeps working verbatim.
 
-* :class:`~repro.engine.cache.ArtifactCache` — the existing atomic,
-  LRU-capped on-disk store (unchanged; one instance per namespace);
-* :class:`LocalBackend` — per-tenant namespaces on one root:
-  ``<root>/ns/<namespace>/<shard>/<key>.json``, with the root's own
-  top-level entries readable as the ``default`` namespace, so a plain
-  ``.repro-cache/`` keeps working verbatim;
-* :class:`RemoteBackend` — the same get/put surface over HTTP against a
-  serve host's ``/v1/cache/<namespace>/<key>`` endpoints (stdlib
-  ``urllib``).  All the local store's degradation rules carry over: a
-  network fault, a 404, a corrupt body, or a schema mismatch is a miss,
-  never an error — the worker then simply recomputes the cell;
-* :class:`TieredStore` — local in front of an optional remote:
-  read-through (remote hits are replicated into the local tier) and
-  write-through (puts go to both), which is how one shared cache host
-  backs a fleet of workers without becoming a point of failure.
-
-Namespaces are tenant names sanitized by :func:`check_namespace`
-(``[A-Za-z0-9._-]``, no traversal).  Cross-tenant *execution* dedup
-happens in the queue; the artifact namespaces stay isolated so one
-tenant's eviction pressure or corrupted entries never touch another's.
+The worker fleet is the store's only writer, and it writes only the
+successful results it computed itself.  No HTTP route writes an entry;
+the one read is a submission's warm-hit probe, of keys the server has
+recomputed from their specs.  Namespaces are tenant names sanitized by
+:func:`check_namespace` (``[A-Za-z0-9._-]``, no traversal).
+Cross-tenant *execution* dedup happens in the queue; the artifact
+namespaces stay isolated so one tenant's eviction pressure or corrupted
+entries never touch another's.
 """
 
 from __future__ import annotations
 
-import json
 import re
-import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import Optional, Union
 
 from ..engine.cache import ArtifactCache, default_cache_dir
-from ..engine.keys import SCHEMA_VERSION
-from ..obs.metrics import REGISTRY
 
 #: The implicit namespace of a store root's top-level entries (the
 #: layout every pre-service cache already has).
@@ -51,7 +39,7 @@ def check_namespace(namespace: str) -> str:
     """Validate a namespace token; returns it for chaining.
 
     Rejects path traversal and shell-hostile names outright — tenant
-    names become directory names and URL path segments.
+    names become directory names.
     """
     if not _NAMESPACE_RE.match(namespace) or namespace in (".", ".."):
         raise ValueError(f"invalid namespace {namespace!r} "
@@ -59,25 +47,11 @@ def check_namespace(namespace: str) -> str:
     return namespace
 
 
-class Backend:
-    """The storage surface the service tier programs against."""
-
-    def get(self, namespace: str, key: str) -> Optional[dict]:
-        """The payload under (namespace, key), or None on any miss."""
-        raise NotImplementedError
-
-    def put(self, namespace: str, key: str, payload: dict) -> None:
-        """Store *payload*; failures degrade silently (cache semantics)."""
-        raise NotImplementedError
-
-
-class LocalBackend(Backend):
+class LocalBackend:
     """Per-namespace :class:`ArtifactCache` instances on one root."""
 
-    def __init__(self, root: Union[None, str, Path] = None,
-                 max_bytes: Optional[int] = None):
+    def __init__(self, root: Union[None, str, Path] = None):
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.max_bytes = max_bytes
         self._caches: dict[str, ArtifactCache] = {}
 
     def namespace_root(self, namespace: str) -> Path:
@@ -91,8 +65,7 @@ class LocalBackend(Backend):
         """The namespace's cache, created lazily."""
         cache = self._caches.get(namespace)
         if cache is None:
-            cache = ArtifactCache(self.namespace_root(namespace),
-                                  max_bytes=self.max_bytes)
+            cache = ArtifactCache(self.namespace_root(namespace))
             self._caches[namespace] = cache
         return cache
 
@@ -125,100 +98,3 @@ class LocalBackend(Backend):
             "entries": sum(s["entries"] for s in spaces.values()),
             "total_bytes": sum(s["total_bytes"] for s in spaces.values()),
         }
-
-
-class RemoteBackend(Backend):
-    """The serve host's cache endpoints as a storage backend.
-
-    Speaks the exact on-disk envelope over the wire — ``{"schema",
-    "key", "payload"}`` — so a remote entry is validated by the same
-    rules as a local file: wrong schema generation or mismatched key is
-    a miss.  Every network or HTTP failure is likewise a miss (get) or a
-    silent drop (put): the cache tier must never take a worker down.
-    """
-
-    def __init__(self, base_url: str, timeout: float = 10.0):
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-
-    def _url(self, namespace: str, key: str) -> str:
-        check_namespace(namespace)
-        return f"{self.base_url}/v1/cache/{namespace}/{key}"
-
-    def get(self, namespace: str, key: str) -> Optional[dict]:
-        """Remote lookup; any failure mode is a miss."""
-        try:
-            with urllib.request.urlopen(self._url(namespace, key),
-                                        timeout=self.timeout) as resp:
-                entry = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError):
-            REGISTRY.inc("serve.remote_cache.misses")
-            return None
-        if (not isinstance(entry, dict)
-                or entry.get("schema") != SCHEMA_VERSION
-                or entry.get("key") != key
-                or "payload" not in entry):
-            REGISTRY.inc("serve.remote_cache.corrupt")
-            return None
-        REGISTRY.inc("serve.remote_cache.hits")
-        return entry["payload"]
-
-    def put(self, namespace: str, key: str, payload: dict) -> None:
-        """Remote store; failures are dropped (the local tier still has
-        the artifact, and the next reader recomputes at worst)."""
-        body = json.dumps({"schema": SCHEMA_VERSION, "key": key,
-                           "payload": payload}).encode("utf-8")
-        req = urllib.request.Request(
-            self._url(namespace, key), data=body, method="PUT",
-            headers={"Content-Type": "application/json"})
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout):
-                pass
-            REGISTRY.inc("serve.remote_cache.puts")
-        except (urllib.error.URLError, OSError):
-            REGISTRY.inc("serve.remote_cache.put_failures")
-
-
-class TieredStore(Backend):
-    """Local tier in front of an optional remote tier.
-
-    Reads go local → remote (a remote hit is written through to the
-    local tier, so the fleet converges on local hits); writes go to
-    both.  With no remote this is a thin pass-through over
-    :class:`LocalBackend`.
-    """
-
-    def __init__(self, local: LocalBackend,
-                 remote: Optional[Backend] = None):
-        self.local = local
-        self.remote = remote
-
-    def get(self, namespace: str, key: str) -> Optional[dict]:
-        """Read-through lookup across the tiers."""
-        payload = self.local.get(namespace, key)
-        if payload is not None:
-            return payload
-        if self.remote is None:
-            return None
-        payload = self.remote.get(namespace, key)
-        if payload is not None:
-            self.local.put(namespace, key, payload)
-        return payload
-
-    def put(self, namespace: str, key: str, payload: dict) -> None:
-        """Write-through store into every tier."""
-        self.local.put(namespace, key, payload)
-        if self.remote is not None:
-            self.remote.put(namespace, key, payload)
-
-    def stats(self) -> dict:
-        """The local tier's breakdown, flagged with the remote's presence."""
-        stats = self.local.stats()
-        stats["remote"] = (getattr(self.remote, "base_url", None)
-                           if self.remote is not None else None)
-        return stats
-
-
-def namespace_stats(root: Union[None, str, Path] = None) -> dict:
-    """Per-namespace stats of an on-disk root (CLI ``cache stats``)."""
-    return LocalBackend(root).stats()

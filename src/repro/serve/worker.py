@@ -2,7 +2,7 @@
 
 Each worker loops claim → execute → store → complete against one
 :class:`~repro.serve.queue.JobQueue` and one
-:class:`~repro.serve.store.TieredStore`.  Execution is the job kind's
+:class:`~repro.serve.store.LocalBackend`.  Execution is the job kind's
 own :class:`~repro.engine.pool.CellKind` code, exactly as a local pool
 worker runs it — :func:`~repro.engine.cells.execute_cell` for
 evaluation cells (retry, bounded by the step budget) and
@@ -28,6 +28,7 @@ utilization for the ``/v1/stats`` endpoint.
 
 from __future__ import annotations
 
+import importlib
 import threading
 import time
 import traceback
@@ -36,7 +37,7 @@ from ..core import serde
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span as obs_span
 from .queue import JobQueue
-from .store import Backend
+from .store import LocalBackend
 from . import protocol
 
 #: Seconds a worker blocks in claim() before re-checking its stop flag.
@@ -71,7 +72,7 @@ def execute_payload(kind: str, spec: dict) -> dict:
 class Worker:
     """One fleet thread (see module docstring)."""
 
-    def __init__(self, name: str, queue: JobQueue, store: Backend,
+    def __init__(self, name: str, queue: JobQueue, store: LocalBackend,
                  subscribers_of) -> None:
         self.name = name
         self.queue = queue
@@ -153,7 +154,7 @@ class Worker:
 class WorkerFleet:
     """A fixed-size set of :class:`Worker` threads over one queue."""
 
-    def __init__(self, queue: JobQueue, store: Backend, workers: int = 2):
+    def __init__(self, queue: JobQueue, store: LocalBackend, workers: int = 2):
         if workers < 1:
             raise ValueError("the fleet needs at least one worker")
         self.queue = queue
@@ -184,7 +185,11 @@ class WorkerFleet:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Launch every worker."""
+        """Launch every worker, after importing the simulator here: two
+        workers' first lazy imports of ``repro.fastsim`` submodules take
+        the package's import locks in opposite orders, and the
+        ``_DeadlockError`` that breaks the cycle fails a cell."""
+        importlib.import_module("repro.fastsim")
         for w in self.workers:
             w.start()
 

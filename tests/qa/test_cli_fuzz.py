@@ -29,6 +29,14 @@ def test_fuzz_rejects_zero_budget(capsys):
     assert "argument --budget: must be >= 1" in err
 
 
+def test_fuzz_rejects_zero_max_steps(capsys):
+    # A zero step budget is a flag error, not a DIVERGENT verdict that
+    # blames the compiler.
+    err = _usage_error(["fuzz", "--budget", "1", "--no-cache",
+                        "--max-steps", "0"], capsys)
+    assert "argument --max-steps: must be >= 1" in err
+
+
 def test_fuzz_rejects_file_as_cache_dir(tmp_path, capsys):
     f = tmp_path / "not-a-dir"
     f.write_text("occupied\n")

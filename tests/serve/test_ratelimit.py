@@ -1,5 +1,8 @@
 """Token-bucket rate limiting under an injectable clock."""
 
+import pytest
+
+from repro.serve import EvalServer, ServeConfig
 from repro.serve.ratelimit import RateLimiter, TokenBucket
 
 
@@ -58,3 +61,17 @@ def test_limiter_snapshot_lists_known_tenants():
     snap = limiter.snapshot()
     assert set(snap) == {"alice"}
     assert 0.0 <= snap["alice"] <= 5.0
+
+
+@pytest.mark.parametrize("rate, burst", [
+    (0.0, 1), (-1.0, 1), (float("nan"), 1), (1.0, 0),
+], ids=["rate=0", "rate=-1", "rate=nan", "burst=0"])
+def test_limiter_refuses_limits_no_bucket_can_run_on(rate, burst):
+    # Refused up front, not at a tenant's first submission.
+    with pytest.raises(ValueError, match="rate must be > 0 and burst >= 1"):
+        RateLimiter(rate=rate, burst=burst)
+
+
+def test_server_with_a_zero_rate_fails_before_it_listens(tmp_path):
+    with pytest.raises(ValueError, match="rate must be > 0"):
+        EvalServer(ServeConfig(port=0, cache_dir=tmp_path, rate=0))

@@ -1,14 +1,13 @@
-"""Namespaced local store, remote backend, and the tiered composition."""
+"""The namespaced store, and that no HTTP route reads or writes it."""
 
 import json
 
 import pytest
 
+from repro.api import Session
 from repro.engine.keys import SCHEMA_VERSION
-from repro.serve import (
-    LocalBackend, RemoteBackend, ServeClient, TieredStore, check_namespace,
-    namespace_stats,
-)
+from repro.serve import LocalBackend, ServeClient, check_namespace
+from repro.workloads import benchmark_programs
 
 KEY_A = "a" * 64
 KEY_B = "b" * 64
@@ -55,54 +54,6 @@ def test_stats_break_down_per_namespace(tmp_path):
     assert stats["namespaces"]["bob"]["entries"] == 1
     assert stats["entries"] == 3
     assert stats["total_bytes"] > 0
-    # The module-level helper the CLI uses sees the same breakdown.
-    assert namespace_stats(tmp_path)["entries"] == 3
-
-
-def test_remote_backend_round_trip_against_live_server(server):
-    remote = RemoteBackend(server.url)
-    assert remote.get("alice", KEY_A) is None          # cold: miss
-    remote.put("alice", KEY_A, {"answer": 42})
-    assert remote.get("alice", KEY_A) == {"answer": 42}
-    assert remote.get("bob", KEY_A) is None            # isolation holds
-
-
-def test_remote_backend_all_failures_are_misses(tmp_path):
-    # Nothing listens on this port: network failure == miss, put == drop.
-    remote = RemoteBackend("http://127.0.0.1:9", timeout=0.2)
-    assert remote.get("alice", KEY_A) is None
-    remote.put("alice", KEY_A, {"x": 1})               # must not raise
-
-
-def test_remote_backend_rejects_wrong_schema(server):
-    # A peer serving a stale schema generation must read as a miss, not
-    # as a wrong-generation payload.
-    remote = RemoteBackend(server.url)
-    client = ServeClient(server.url)
-    status, _ = client._request(
-        "PUT", f"/v1/cache/alice/{KEY_A}",
-        {"schema": SCHEMA_VERSION + 1, "key": KEY_A, "payload": {}})
-    assert status == 400                               # server refuses it
-    assert remote.get("alice", KEY_A) is None
-
-
-def test_tiered_store_read_through_replicates_locally(tmp_path, server):
-    upstream = RemoteBackend(server.url)
-    upstream.put("alice", KEY_A, {"from": "upstream"})
-    local = LocalBackend(tmp_path)
-    store = TieredStore(local, upstream)
-    assert local.get("alice", KEY_A) is None
-    assert store.get("alice", KEY_A) == {"from": "upstream"}
-    # The hit was written through: now served locally.
-    assert local.get("alice", KEY_A) == {"from": "upstream"}
-
-
-def test_tiered_store_write_through_reaches_both(tmp_path, server):
-    upstream = RemoteBackend(server.url)
-    store = TieredStore(LocalBackend(tmp_path), upstream)
-    store.put("alice", KEY_B, {"v": 7})
-    assert store.local.get("alice", KEY_B) == {"v": 7}
-    assert upstream.get("alice", KEY_B) == {"v": 7}
 
 
 def test_corrupted_namespace_entry_reads_as_miss(tmp_path):
@@ -112,3 +63,39 @@ def test_corrupted_namespace_entry_reads_as_miss(tmp_path):
     path.write_text(json.dumps({"schema": -1, "key": KEY_A,
                                 "payload": {}}))
     assert backend.get("alice", KEY_A) is None
+
+
+def test_no_route_writes_a_tenant_namespace(server, tmp_path):
+    """Only the worker fleet writes a tenant namespace: another client
+    can neither read an entry by key nor overwrite it, so a later
+    identical run reports what the first one did."""
+    grep = {"grep": benchmark_programs(0.02)["grep"]}
+
+    def run() -> dict:
+        with Session(remote=server.url, tenant="alice", cache=None) as s:
+            runs = s.run_suite(0.02, benchmarks=grep)
+        return {name: run.to_dict() for name, run in runs.items()}
+
+    first = run()
+    namespace = tmp_path / "cache" / "ns" / "alice"
+    before = {path: path.read_bytes()
+              for path in sorted(namespace.glob("??/*.json"))}
+    assert len(before) == 5                         # one entry per scheme
+
+    mallory = ServeClient(server.url, tenant="mallory")
+    for path, raw in before.items():
+        entry = json.loads(raw)
+        key = entry["key"]
+        status, _ = mallory._request("GET", f"/v1/cache/alice/{key}")
+        assert status == 404
+        forged = entry["payload"]
+        forged["stats"]["cycles"] //= 2             # doubles the IPC
+        status, _ = mallory._request(
+            "PUT", f"/v1/cache/alice/{key}",
+            {"schema": SCHEMA_VERSION, "key": key, "payload": forged})
+        assert not 200 <= status < 300
+
+    after = {path: path.read_bytes()
+             for path in sorted(namespace.glob("??/*.json"))}
+    assert after == before
+    assert run() == first

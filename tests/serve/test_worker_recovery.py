@@ -7,6 +7,8 @@ failures come back as payloads), an outright worker death (``SystemExit``
 kills the thread), and a cell so poisoned it exhausts the attempt budget.
 """
 
+import subprocess
+import sys
 import threading
 import time
 
@@ -149,3 +151,25 @@ def test_engine_retry_runs_inside_the_service_loop(tmp_path, monkeypatch):
     finally:
         queue.close()
         fleet.stop()
+
+
+def test_fleet_imports_the_simulator_before_its_workers_run(tmp_path):
+    """Two workers' first lazy imports of ``repro.fastsim`` submodules
+    could deadlock and fail a cell, so a fresh interpreter's fleet has
+    the package loaded before any worker claims a cell."""
+    import repro
+
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {next(iter(repro.__path__)) + '/..'!r})\n"
+        "from repro.serve import JobQueue, LocalBackend, WorkerFleet\n"
+        "assert 'repro.fastsim' not in sys.modules\n"
+        "queue = JobQueue()\n"
+        f"fleet = WorkerFleet(queue, LocalBackend({str(tmp_path)!r}))\n"
+        "fleet.start()\n"
+        "print('repro.fastsim.functional' in sys.modules)\n"
+        "queue.close()\n"
+        "fleet.stop()\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "True"

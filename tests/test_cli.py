@@ -139,17 +139,24 @@ def test_tables_cache_warm_run(tmp_path, capsys):
     assert warm.out == cold.out
 
 
-@pytest.mark.parametrize("flag", ["--cache-dir", "--jobs"])
+@pytest.mark.parametrize("flag, value", [
+    pytest.param("--cache-dir", None, id="--cache-dir"),
+    pytest.param("--jobs", "0", id="--jobs"),
+    *(pytest.param("--scale", scale, id=f"--scale={scale}")
+      for scale in ("0", "-1", "inf", "nan")),
+])
 def test_tables_rejects_bad_flag_values_before_running(tmp_path, capsys,
-                                                       flag):
-    """A regular file as the cache dir and a zero worker count are usage
-    errors (exit 2), not a traceback after the first benchmark ran or a
-    quietly serial run."""
-    occupied = tmp_path / "occupied"
-    occupied.write_text("not a cache\n")
-    value = {"--cache-dir": str(occupied), "--jobs": "0"}[flag]
+                                                       flag, value):
+    """A regular file as the cache dir, a zero worker count and a scale
+    that is not a finite positive number are usage errors (exit 2), not
+    a traceback after the first benchmark ran, a quietly serial run or
+    full tables of floor-sized workloads."""
+    if value is None:
+        occupied = tmp_path / "occupied"
+        occupied.write_text("not a cache\n")
+        value = str(occupied)
     with pytest.raises(SystemExit) as exit_info:
-        main(["tables", "--scale", "0.02", flag, value])
+        main(["tables", "--scale", "0.02", "--no-cache", flag, value])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:")
@@ -188,6 +195,34 @@ def test_sweep_rejects_unknown_axis():
     with pytest.raises(SystemExit):
         main(["sweep", "--scales", "0.01", "--no-cache",
               "--config", "no_such_field=1,2"])
+
+
+def test_sweep_rejects_a_non_positive_scale(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--scales", "0.01,0", "--no-cache",
+              "--benchmarks", "compress"])
+    assert exit_info.value.code == 2
+    assert "error: argument --scales: must be finite and > 0" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rate", "0"), ("--rate", "-1"), ("--rate", "nan"), ("--burst", "0"),
+], ids=["rate=0", "rate=-1", "rate=nan", "burst=0"])
+def test_serve_rejects_limits_no_bucket_can_run_on(monkeypatch, capsys,
+                                                   flag, value):
+    """A zero rate or burst is a usage error, not a server that starts
+    and then answers every submission ``400 bad_request``."""
+    import repro.serve
+
+    started = []
+    monkeypatch.setattr(repro.serve, "serve_forever",
+                        lambda config: started.append(config) or 0)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--port", "0", flag, value])
+    assert exit_info.value.code == 2
+    assert f"error: argument {flag}:" in capsys.readouterr().err
+    assert not started
 
 
 @pytest.mark.parametrize("flag", [
