@@ -7,12 +7,14 @@ per program before any clock starts:
 * each program's ``(SimStats, ExecStats)`` payloads are identical on
   both backends;
 * a functional run with outcome recording on (the profiling run),
-  min-of-9 per program, is at least 10x faster in total on the fast
+  min-of-15 per program, is at least 10x faster in total on the fast
   backend;
 * a full cell (functional + timing), min-of-3 per program, is at least
   2.5x faster in total.
 
-Each speed-up test prints its totals.  Wall-clock ratios want a quiet
+Each repeat times one reference call and then one fast call, so a busy
+spell of the host slows both sides of a ratio rather than one.  Each
+speed-up test prints its totals.  Wall-clock ratios want a quiet
 host, so this file runs in the CI ``fastsim`` job, not the tier-1 suite:
 
     python -m pytest -q benchmarks/bench_fastsim.py
@@ -31,14 +33,16 @@ SCALE = 0.1
 MAX_STEPS = 50_000_000
 
 
-def _best(fn, repeats: int) -> float:
-    """Minimum wall-clock seconds over *repeats* calls of *fn*."""
-    times = []
+def _best_interleaved(reference, fast, repeats: int) -> list[float]:
+    """Minimum wall-clock seconds of *reference* and of *fast* over
+    *repeats* rounds, each round timing one call of each in turn."""
+    best = [float("inf"), float("inf")]
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times)
+        for side, fn in enumerate((reference, fast)):
+            t0 = time.perf_counter()
+            fn()
+            best[side] = min(best[side], time.perf_counter() - t0)
+    return best
 
 
 @pytest.fixture(scope="module")
@@ -61,13 +65,17 @@ def measured():
                 != [s.to_dict() for s in fast_pair]:
             diverged.append(name)
 
-        totals["functional"][0] += _best(lambda: FunctionalSim(
-            prog, max_steps=MAX_STEPS, record_outcomes=True).run(), 9)
-        totals["functional"][1] += _best(lambda: FastFunctionalSim(
-            prog, max_steps=MAX_STEPS, record_outcomes=True).run(), 9)
-        totals["full cell"][0] += _best(reference_cell, 3)
-        totals["full cell"][1] += _best(lambda: fast_simulate(
+        ref, fast = _best_interleaved(
+            lambda: FunctionalSim(prog, max_steps=MAX_STEPS,
+                                  record_outcomes=True).run(),
+            lambda: FastFunctionalSim(prog, max_steps=MAX_STEPS,
+                                      record_outcomes=True).run(), 15)
+        totals["functional"][0] += ref
+        totals["functional"][1] += fast
+        ref, fast = _best_interleaved(reference_cell, lambda: fast_simulate(
             prog, config, max_steps=MAX_STEPS), 3)
+        totals["full cell"][0] += ref
+        totals["full cell"][1] += fast
     return totals, diverged
 
 

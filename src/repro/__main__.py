@@ -621,16 +621,25 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """Argparse type of a count flag: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1 (got {value})")
-    return value
+def _bounded_int(low: int, high: int | None = None):
+    """Argparse type of an integer flag in ``[low, high]`` (no upper bound
+    when *high* is None)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from None
+        if value < low or high is not None and value > high:
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(
+                f"must be {bound} (got {value})")
+        return value
+    return parse
+
+
+#: Argparse type of a count flag: an integer of at least 1.
+_positive_int = _bounded_int(1)
 
 
 def _positive_float(text: str) -> float:
@@ -727,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the distributed evaluation service (docs/SERVICE.md)")
     p.add_argument("--host", default="127.0.0.1",
                    help="bind address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=8732,
+    p.add_argument("--port", type=_bounded_int(0, 65535), default=8732,
                    help="bind port (default 8732; 0 = ephemeral)")
     p.add_argument("--workers", type=_positive_int, default=2,
                    metavar="N",
@@ -848,7 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the speculative-safety (Spectre-v1) taint "
                         "analysis instead; exit 1 when any gadget is "
                         "flagged")
-    p.add_argument("--sew", type=int, default=16, metavar="N",
+    p.add_argument("--sew", type=_positive_int, default=16, metavar="N",
                    help="speculative-execution window for --spectre "
                         "(instructions, default 16)")
     p.add_argument("--untrusted", metavar="R1,R2",
@@ -941,7 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compile before simulating: raw (none) or the "
                         "compile of a Tables 3/4 column, named as in "
                         "repro.core.schemes (default baseline)")
-    p.add_argument("--sample", type=int, default=0, metavar="N",
+    p.add_argument("--sample", type=_bounded_int(0), default=0, metavar="N",
                    help="sample every N-th retired instruction and print "
                         "a per-basic-block heat report")
     p.set_defaults(func=cmd_run)

@@ -2,15 +2,13 @@
 
 from .basic_block import BasicBlock
 from .graph import CFG, Edge, build_cfg
-from .dominators import Dominators, PostDominators
+from .dominators import Dominators
 from .loops import Loop, LoopBranch, LoopForest
-from .liveness import LivenessInfo, live_after_index, liveness
-from .defuse import DefUse, analyze_block, single_use
+from .liveness import LivenessInfo, liveness
 
 __all__ = [
     "BasicBlock", "CFG", "Edge", "build_cfg",
-    "Dominators", "PostDominators",
+    "Dominators",
     "Loop", "LoopBranch", "LoopForest",
-    "LivenessInfo", "live_after_index", "liveness",
-    "DefUse", "analyze_block", "single_use",
+    "LivenessInfo", "liveness",
 ]

@@ -106,12 +106,6 @@ class CFG:
     def preds(self, bid: int) -> list[int]:
         return [e.src for e in self.pred_edges[bid]]
 
-    def edge(self, src: int, dst: int) -> Edge:
-        for e in self.succ_edges[src]:
-            if e.dst == dst:
-                return e
-        raise KeyError(f"no edge {src}->{dst}")
-
     def taken_edge(self, bid: int) -> Optional[Edge]:
         for e in self.succ_edges[bid]:
             if e.kind == "taken":

@@ -71,22 +71,3 @@ def liveness(cfg: CFG, live_at_exit: set[str] | None = None) -> LivenessInfo:
                 info.live_in[bid] = new_in
                 changed = True
     return info
-
-
-def live_after_index(cfg: CFG, bid: int, index: int,
-                     info: LivenessInfo | None = None,
-                     live_at_exit: set[str] | None = None) -> set[str]:
-    """Registers live immediately *after* instruction ``index`` of block
-    *bid* (i.e. before index+1).
-
-    Walks backward from the block's live-out through the tail of the block.
-    """
-    if info is None:
-        info = liveness(cfg, live_at_exit)
-    bb = cfg.block(bid)
-    live = set(info.live_out[bid])
-    for ins in reversed(bb.instructions[index + 1:]):
-        if not (ins.is_cmov or ins.is_guarded):
-            live -= set(ins.defs())
-        live |= set(ins.uses())
-    return live

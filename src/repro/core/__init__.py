@@ -2,8 +2,8 @@
 Figure 6 decision algorithm, and end-to-end compilation pipelines."""
 
 from .cost_model import (
-    PAPER_FIG2, PAPER_FIG4_PLAN, DiamondRegion, SegmentPlan, diamond_from_cfg,
-    paper_fig4_cost, split_cost, weighted_schedule_cost,
+    PAPER_FIG2, PAPER_FIG4_PLAN, DiamondRegion, SegmentPlan, paper_fig4_cost,
+    split_cost,
 )
 from .heuristics import (
     DEFAULT_HEURISTICS, FeedbackHeuristics, split_benefit_estimate,
@@ -15,8 +15,7 @@ from .pipeline import (
 
 __all__ = [
     "PAPER_FIG2", "PAPER_FIG4_PLAN", "DiamondRegion", "SegmentPlan",
-    "diamond_from_cfg", "paper_fig4_cost", "split_cost",
-    "weighted_schedule_cost",
+    "paper_fig4_cost", "split_cost",
     "DEFAULT_HEURISTICS", "FeedbackHeuristics", "split_benefit_estimate",
     "Decision", "DecisionPlan", "decide",
     "CompileResult", "compile_baseline", "compile_proposed",

@@ -157,8 +157,8 @@ def decide(cfg: CFG, forest: LoopForest, profile: ProfileDB,
                 continue
 
             split_rejected = ""
-            if cls.branch_class == BranchClass.SPLITTABLE \
-                    and cls.pattern.kind == "phased" and heur.enable_split:
+            if cls.wants_split and cls.pattern.kind == "phased" \
+                    and heur.enable_split:
                 gain = split_benefit_estimate(bp.history,
                                               cls.pattern.segments, heur)
                 if gain > heur.min_gain:
@@ -180,8 +180,7 @@ def decide(cfg: CFG, forest: LoopForest, profile: ProfileDB,
             # parallelism" (Section 6).
             misrate = 1.0 - bp.history.prediction_accuracy_2bit()
             wants_guard = cls.wants_ifconvert or bool(split_rejected) or (
-                cls.branch_class == BranchClass.SPLITTABLE
-                and cls.pattern.kind == "periodic") or (
+                cls.wants_split and cls.pattern.kind == "periodic") or (
                 cls.branch_class == BranchClass.IRREGULAR and misrate > 0.10)
             if wants_guard and heur.enable_ifconvert:
                 verdict, gain = _ifconvert_cost_check(

@@ -1,25 +1,16 @@
 """Schedule cost estimation — the paper's Figures 2, 3 and 4.
 
-Two layers:
-
-* :class:`DiamondRegion` — the analytic model of a two-arm (if/else)
-  acyclic region inside a loop, reproducing the paper's worked example
-  exactly: baseline 3100 cycles, speculation 2900, guarded execution 3600
-  (Figure 2) and the 40 %/20 %/40 % segment-split schedule of 2756 cycles
-  (Figures 3/4).
-* :func:`weighted_schedule_cost` — the same weighted-schedule estimate
-  computed on a *real* CFG with profile frequencies and the local list
-  scheduler, used by the Figure 6 algorithm on actual programs.
+:class:`DiamondRegion` is the analytic model of a two-arm (if/else)
+acyclic region inside a loop, reproducing the paper's worked example
+exactly: baseline 3100 cycles, speculation 2900, guarded execution 3600
+(Figure 2) and the 40 %/20 %/40 % segment-split schedule of 2756 cycles
+(Figures 3/4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
-
-from ..cfg.graph import CFG
-from ..sched.list_scheduler import schedule_length
-from ..sched.machine_model import DEFAULT_MODEL, MachineModel
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -184,77 +175,3 @@ PAPER_FIG4_PLAN = (
 def paper_fig4_cost() -> float:
     """The paper's Figure 4 result: 2756 cycles."""
     return split_cost(PAPER_FIG2, PAPER_FIG4_PLAN)
-
-
-# ---------------------------------------------------------------------------
-# Real-CFG cost estimation (used by the Figure 6 algorithm on programs)
-# ---------------------------------------------------------------------------
-
-
-def weighted_schedule_cost(cfg: CFG, model: MachineModel = DEFAULT_MODEL,
-                           blocks: Optional[Sequence[int]] = None) -> float:
-    """Sum over blocks of ``freq(block) * local_schedule_length(block)``.
-
-    Frequencies must already be annotated (e.g. via
-    :meth:`repro.profilefb.ProfileDB.annotate`).  Restrict to *blocks* (ids)
-    to cost one region, e.g. a loop body.
-    """
-    ids = set(blocks) if blocks is not None else None
-    total = 0.0
-    for bb in cfg.blocks:
-        if ids is not None and bb.bid not in ids:
-            continue
-        if not bb.instructions or bb.freq <= 0:
-            continue
-        total += bb.freq * schedule_length(bb.instructions, model)
-    return total
-
-
-def diamond_from_cfg(cfg: CFG, head: int, model: MachineModel = DEFAULT_MODEL,
-                     iterations: Optional[float] = None) -> Optional[DiamondRegion]:
-    """Extract a :class:`DiamondRegion` rooted at block *head* if the CFG
-    has the B1 -> {B2, B3} -> B4 shape there; returns None otherwise.
-
-    Edge frequencies supply ``p_b2``; the head's local schedule supplies
-    the vacant-slot count.
-    """
-    from ..sched.list_scheduler import list_schedule
-
-    succs = cfg.succs(head)
-    if len(succs) != 2:
-        return None
-    a, b = succs
-    join: Optional[int] = None
-    # Full diamond: both arms reach a common join.
-    ja = [s for s in cfg.succs(a) if s != head]
-    jb = [s for s in cfg.succs(b) if s != head]
-    if len(ja) == 1 and len(jb) == 1 and ja == jb:
-        join = ja[0]
-    elif cfg.succs(a) == [b]:
-        join = b     # triangle: arm a, join b
-    elif cfg.succs(b) == [a]:
-        join = a     # triangle: arm b, join a
-    if join is None:
-        return None
-    hb = cfg.block(head)
-    fall = cfg.fall_edge(head)
-    b2_id = fall.dst if fall is not None else a
-    b3_id = b if b2_id == a else a
-
-    def arm_len(bid: int) -> float:
-        if bid == join:
-            return 0.0  # empty triangle arm
-        return float(schedule_length(cfg.block(bid).instructions, model))
-
-    total = sum(e.freq for e in cfg.succ_edges[head])
-    p_b2 = (cfg.edge(head, b2_id).freq / total) if total else 0.5
-    sched = list_schedule(hb.instructions, model)
-    return DiamondRegion(
-        b1=float(sched.length),
-        b2=arm_len(b2_id),
-        b3=arm_len(b3_id),
-        b4=float(schedule_length(cfg.block(join).instructions, model)),
-        p_b2=p_b2,
-        vacant_b1=sched.vacant_slots(model),
-        iterations=float(iterations if iterations is not None else hb.freq),
-    )

@@ -234,8 +234,8 @@ def compile_proposed(prog: Program,
     run across ablation variants).  The IR verifier runs after every pass
     (rolling back passes that break an invariant) and on the emitted
     program (degrading to the baseline on a violation).  *backend* picks the
-    simulator of the profiling run: ``"fast"`` (the engine and the CLI)
-    uses the :mod:`repro.fastsim` generated-step executor, the
+    simulator of the profiling run: ``"fast"`` (the CLI) uses the
+    :mod:`repro.fastsim` generated-step executor, the
     ``"reference"`` default (the qa fuzzer) the interpreter of
     :mod:`repro.sim`; the profile — and therefore the compile output —
     is byte-identical either way.

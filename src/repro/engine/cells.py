@@ -22,7 +22,7 @@ any other, so a program that never halts fails its cells
 deterministically on every executor.
 
 Cells simulate on :mod:`repro.fastsim` (:func:`counted_simulate`) and
-profile on it (:func:`counted_compile`); nothing in a spec or a key
+profile on it (:class:`BenchmarkMemo`); nothing in a spec or a key
 names a simulator.
 
 :data:`COUNTERS` counts every *actual* compile and simulation performed
@@ -156,16 +156,13 @@ def counted_compile(scheme: str, prog: Program, heur: FeedbackHeuristics,
                     max_steps: int,
                     profile: Optional[ProfileDB] = None) -> CompileResult:
     """:func:`~repro.core.schemes.compile_scheme`, incrementing the
-    counter.
-
-    *profile* skips a proposed-pipeline compile's profiling run
-    (:class:`BenchmarkMemo` shares one); a profiling run that happens
-    uses the generated-step executor (byte-identical profiles).
+    counter.  *profile* is a proposed-pipeline compile's profile, which
+    :class:`BenchmarkMemo` takes.
     """
     COUNTERS.compiles += 1
     REGISTRY.inc("engine.compiles")
     return schemes.compile_scheme(prog, scheme, heur, profile=profile,
-                                  max_steps=max_steps, backend="fast")
+                                  max_steps=max_steps)
 
 
 def counted_simulate(prog: Program, config: MachineConfig,
@@ -188,9 +185,10 @@ class BenchmarkMemo:
     """The work the cells of one benchmark share.
 
     * **One profile per (input program, ``classify`` config, step
-      budget).**  The first proposed-pipeline compile profiles the input
-      program inside its own ``pass.profile`` span; the later ones
-      receive that profile through ``compile_proposed(profile=)``.
+      budget).**  The memo profiles the input program on the
+      generated-step executor inside a ``pass.profile`` span, and every
+      proposed-pipeline compile receives that profile through
+      ``compile_proposed(profile=)``.
     * **One compile per (input program, compile, step budget)**: 2bitBP
       and PerfectBP share the baseline's.
     * **One simulation per (compiled-program digest, resolved machine
@@ -203,11 +201,10 @@ class BenchmarkMemo:
     a profile fits only the object it was taken from.  :meth:`program`
     builds each payload once, so cells that arrive as payloads share too.
 
-    Only successes are kept: a compile or simulation that raised runs
-    again for the next cell that needs it, and a failed profile leaves
-    each compile to profile (and fail, with its own ``PassFailure`` and
-    baseline fallback) by itself.  The caller makes one memo per
-    benchmark.
+    Only successes are kept: a profile, compile or simulation that raised
+    runs again for the next cell that needs it, so a profiling fault
+    fails each proposed-pipeline cell by name.  The caller makes one memo
+    per benchmark.
     """
 
     def __init__(self) -> None:
@@ -239,12 +236,19 @@ class BenchmarkMemo:
         ckey = (src, compiled, max_steps)
         hit = self._compiles.get(ckey)
         if hit is None:
-            pkey = (src, compiled.classify if compiled else None, max_steps)
+            profile = None
+            if compiled is not None:
+                pkey = (src, compiled.classify, max_steps)
+                profile = self._profiles.get(pkey)
+                if profile is None:
+                    with obs_span("pass.profile", program=prog.name):
+                        profile = ProfileDB.from_run(
+                            prog, max_steps=max_steps,
+                            config=compiled.classify, backend="fast")
+                    self._profiles[pkey] = profile
             cr = counted_compile(scheme, prog, heur, max_steps,
-                                 profile=self._profiles.get(pkey))
+                                 profile=profile)
             hit = self._compiles[ckey] = (cr, program_digest(cr.program))
-            if cr.profile is not None:
-                self._profiles.setdefault(pkey, cr.profile)
         cr, digest = hit
         skey = (digest, config, max_steps)
         sim = self._sims.get(skey)

@@ -1,6 +1,6 @@
 """The paper's published evaluation numbers, as structured data.
 
-Transcribed from Srinivas & Nicolau (IPPS 1998) Tables 1, 3 and 4 so that
+Transcribed from Srinivas & Nicolau (IPPS 1998) Tables 3 and 4 so that
 benchmarks can print side-by-side comparisons and EXPERIMENTS.md stays
 checkable.  Scheme keys are table column names (:mod:`repro.core.schemes`).
 """
@@ -10,18 +10,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from .runner import BenchmarkRun
-
-#: Table 1 — dynamic instructions (millions), branch %, predicted %.
-PAPER_TABLE1 = {
-    "compress": {"dynamic_millions": 0.41, "branch_pct": 20.81,
-                 "predicted_pct": 91.98},
-    "espresso": {"dynamic_millions": 786.58, "branch_pct": 19.26,
-                 "predicted_pct": 94.57},
-    "xlisp": {"dynamic_millions": 5256.53, "branch_pct": 23.12,
-              "predicted_pct": 89.21},
-    "grep": {"dynamic_millions": 0.31, "branch_pct": 22.28,
-             "predicted_pct": 92.0},
-}
 
 #: Table 3 — % cycles the BR reservation buffer is full, per scheme.
 PAPER_TABLE3_BR = {

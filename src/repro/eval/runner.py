@@ -119,24 +119,10 @@ class BenchmarkRun:
              "results": {s: r.to_dict() for s, r in self.results.items()},
              "improvement": None if imp != imp else imp})
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "BenchmarkRun":
-        """Inverse of :meth:`to_dict` (``improvement`` is recomputed;
-        the schema version is checked)."""
-        serde.check(d, "BenchmarkRun")
-        return cls(name=d["name"],
-                   results={s: SchemeResult.from_dict(r)
-                            for s, r in d["results"].items()})
-
 
 def suite_to_dict(runs: dict[str, BenchmarkRun]) -> dict:
     """Machine-readable form of a suite run (``tables --json``)."""
     return {name: run.to_dict() for name, run in runs.items()}
-
-
-def suite_from_dict(d: dict) -> dict[str, BenchmarkRun]:
-    """Inverse of :func:`suite_to_dict`."""
-    return {name: BenchmarkRun.from_dict(run) for name, run in d.items()}
 
 
 def suite_failures(runs: dict[str, BenchmarkRun]) -> list[SchemeResult]:

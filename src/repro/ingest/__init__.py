@@ -17,7 +17,7 @@ structured :class:`IngestError` subclass (:mod:`repro.ingest.errors`).
 from .errors import (IngestError, LowerError, RegisterPressureError,
                      SourceError, TraceError)
 from .model import Block, Function, Op
-from .source import parse_source, print_source
+from .source import parse_source
 from .trace import parse_trace
 from .lower import (ALLOCATABLE, allocate_registers, import_path,
                     import_source, import_trace, lower_function)
@@ -28,7 +28,7 @@ __all__ = [
     "IngestError", "SourceError", "TraceError", "LowerError",
     "RegisterPressureError",
     "Op", "Block", "Function",
-    "parse_source", "print_source", "parse_trace",
+    "parse_source", "parse_trace",
     "ALLOCATABLE", "allocate_registers", "lower_function",
     "import_source", "import_trace", "import_path",
     "check_fixture", "expand_fixtures", "golden_path", "lowered_text",

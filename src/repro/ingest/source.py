@@ -1,4 +1,4 @@
-"""Parser and printer for the Bril-like import source format.
+"""Parser for the Bril-like import source format.
 
 The format (in the spirit of the cs6120 Bril exercise, SNIPPETS.md §2) is
 a single function of labeled basic blocks::
@@ -30,10 +30,6 @@ value ops are ``dest: type = op args;`` with types ``int``/``bool``
 ``jmp .l;``, ``br cond .then .else;``, ``ret;``, ``print x;``, ``nop;``.
 ``#`` starts a comment.  Violations raise :class:`SourceError` with the
 line number — see docs/INGEST.md.
-
-:func:`print_source` re-emits a :class:`~repro.ingest.model.Function` in
-canonical form; ``parse_source(print_source(fn)) == fn`` is a pinned
-Hypothesis property.
 """
 
 from __future__ import annotations
@@ -200,29 +196,3 @@ def parse_source(text: str) -> Function:
         raise SourceError("missing closing '}'")
     validate_function(fn)
     return fn
-
-
-# -- printing ---------------------------------------------------------------
-
-
-def print_op(op: Op) -> str:
-    """Canonical text of one instruction (no trailing ``;``)."""
-    if op.dest is not None:
-        if op.op == "const":
-            lit = (("true" if op.value else "false")
-                   if op.type == "bool" else str(op.value))
-            return f"{op.dest}: {op.type} = const {lit}"
-        rhs = " ".join((op.op,) + op.args)
-        return f"{op.dest}: {op.type} = {rhs}"
-    return " ".join((op.op,) + op.args + op.labels)
-
-
-def print_source(fn: Function) -> str:
-    """Canonical source text of *fn* (inverse of :func:`parse_source`)."""
-    lines = [f"@{fn.name} {{"]
-    for b in fn.blocks:
-        lines.append(f"{b.label}:")
-        for op in b.ops:
-            lines.append(f"  {print_op(op)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

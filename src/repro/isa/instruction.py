@@ -8,10 +8,9 @@ Guarded execution support
 -------------------------
 Any instruction may carry a *guard*: a ``(cc_register, sense)`` pair.  A
 guarded instruction executes only when the condition-code register holds
-``sense``; otherwise it is a no-op.  This models the paper's "fictional"
-fully-predicated operations (Section 3) that the compiler uses internally and
-expands before final code layout on targets with only conditional-move
-support (see :func:`repro.transform.ifconvert.lower_guards`).
+``sense``; otherwise it is annulled.  This models the paper's "fictional"
+fully-predicated operations (Section 3), which both simulators execute
+natively.
 """
 
 from __future__ import annotations

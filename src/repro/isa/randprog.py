@@ -239,14 +239,3 @@ def random_program(seed: int = 0,
             lines.append(_random_op(rng, cfg))
         lines.append("    jr   r31")
     return parse("\n".join(lines), name=f"rand-{seed}")
-
-
-def observable_state(prog: Program, max_steps: int = 2_000_000):
-    """Run *prog*; return the observable memory words the generator
-    funnels results into (plus halt status)."""
-    from ..sim.functional import FunctionalSim
-
-    sim = FunctionalSim(prog, max_steps=max_steps)
-    sim.run()
-    base = MEM_BASE + 0x1000
-    return tuple(sim.mem.read_word(base + 4 * i) for i in range(10))

@@ -25,7 +25,7 @@ docs/OBSERVABILITY.md.
 
 from .metrics import (
     Counter, Histogram, MetricsRegistry, REGISTRY, metrics_disable,
-    metrics_enable, metrics_enabled, metrics_snapshot,
+    metrics_enable, metrics_snapshot,
 )
 from .pipeline_obs import PipelineObserver, heat_report, maybe_observer
 from .summarize import summarize_trace
@@ -36,8 +36,7 @@ from .trace import (
 
 __all__ = [
     "Counter", "Histogram", "MetricsRegistry", "REGISTRY",
-    "metrics_disable", "metrics_enable", "metrics_enabled",
-    "metrics_snapshot",
+    "metrics_disable", "metrics_enable", "metrics_snapshot",
     "PipelineObserver", "heat_report", "maybe_observer",
     "summarize_trace",
     "NULL_SPAN", "Span", "Tracer", "active_tracer", "install",

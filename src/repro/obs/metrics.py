@@ -173,11 +173,6 @@ def metrics_disable() -> None:
     REGISTRY.disable()
 
 
-def metrics_enabled() -> bool:
-    """Whether the global registry is recording."""
-    return REGISTRY.enabled
-
-
 def metrics_snapshot() -> dict:
     """Snapshot of the global registry."""
     return REGISTRY.snapshot()

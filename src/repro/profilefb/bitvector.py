@@ -134,9 +134,6 @@ class BranchHistory:
             state = min(3, state + 1) if taken else max(0, state - 1)
         return correct / self._v.size if self._v.size else 1.0
 
-    def concat(self, other: "BranchHistory") -> "BranchHistory":
-        return BranchHistory(np.concatenate((self._v, other._v)))
-
     def __repr__(self) -> str:
         s = self.as_string()
         if len(s) > 32:

@@ -72,24 +72,6 @@ class Classification:
         return self.branch_class == BranchClass.SPLITTABLE
 
 
-def is_monotonic(history: BranchHistory,
-                 config: ClassifyConfig = ClassifyConfig()) -> bool:
-    """The paper's ``monotonic(bj)``: toggle factor below the threshold AND
-    no phase structure (behavior stationary over the iteration space).
-
-    A vector like TTTT...FFFF has a near-zero toggle factor yet two sharply
-    different phases; it is *not* monotonic — it is exactly the case the
-    paper splits.
-    """
-    if history.toggle_factor > config.monotonic_toggle:
-        return False
-    pattern = analyze_pattern(
-        history, window=config.window, bias=config.segment_bias,
-        max_segments=config.max_segments, max_period=config.max_period,
-        min_match=config.pattern_match)
-    return pattern.kind == "constant" or len(pattern.segments) <= 1
-
-
 def classify(history: BranchHistory,
              config: ClassifyConfig = ClassifyConfig()) -> Classification:
     """Classify one branch history."""

@@ -84,12 +84,6 @@ class ProfileDB:
 
     # -- queries -------------------------------------------------------------------
 
-    def branch_at(self, pc: int) -> Optional[BranchProfile]:
-        for bp in self.branches.values():
-            if bp.pc == pc:
-                return bp
-        return None
-
     def branch_of(self, ins: Instruction) -> Optional[BranchProfile]:
         bp = self.branches.get(ins.uid)
         if bp is None and "cloned_from_uid" in ins.ann:

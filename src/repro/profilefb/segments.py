@@ -141,32 +141,3 @@ def segment_history(history: BranchHistory, window: int = 8,
         else:
             out.append(seg)
     return out
-
-
-def segment_boundaries(segments: list[Segment]) -> list[int]:
-    """Interior boundary indices of a segmentation.
-
-    >>> from repro.profilefb.bitvector import BranchHistory
-    >>> h = BranchHistory.from_string("T"*40 + "TF"*10 + "F"*40)
-    >>> segs = segment_history(h, window=5)
-    >>> segment_boundaries(segs)
-    [40, 60]
-    """
-    return [s.start for s in segments[1:]]
-
-
-def segmentation_quality(history: BranchHistory,
-                         segments: list[Segment]) -> float:
-    """Weighted within-segment predictability in [0.5, 1].
-
-    For each segment, the best static prediction gets max(freq, 1-freq)
-    right; the weighted average measures how much better per-segment
-    specialization is than whole-run prediction.
-    """
-    n = len(history)
-    if n == 0:
-        return 1.0
-    total = 0.0
-    for s in segments:
-        total += s.length * max(s.freq, 1.0 - s.freq)
-    return total / n

@@ -15,14 +15,13 @@ Four cooperating layers (see ``docs/ROBUSTNESS.md``):
 """
 
 from .verifier import (
-    VerificationError, Violation, assert_valid, verify_cfg, verify_program,
+    VerificationError, Violation, verify_cfg, verify_program,
 )
 from .sandbox import (
-    FAILURE_KINDS, PassFailure, PassSandbox, restore_cfg, snapshot_cfg,
+    PassFailure, PassSandbox, restore_cfg, snapshot_cfg,
 )
 from .diffcheck import (
-    DIVERGENCE_KINDS, DiffReport, EquivalenceError, Reference, certify,
-    check_equivalence, run_reference,
+    DIVERGENCE_KINDS, DiffReport, Reference, check_equivalence, run_reference,
 )
 from .faults import (
     CLOBBER_VALUE, FaultClass, PASS_FAULTS, PROFILE_FAULTS, PROGRAM_FAULTS,
@@ -35,12 +34,10 @@ from .spectre import (
 )
 
 __all__ = [
-    "VerificationError", "Violation", "assert_valid", "verify_cfg",
-    "verify_program",
-    "FAILURE_KINDS", "PassFailure", "PassSandbox", "restore_cfg",
-    "snapshot_cfg",
-    "DIVERGENCE_KINDS", "DiffReport", "EquivalenceError", "Reference",
-    "certify", "check_equivalence", "run_reference",
+    "VerificationError", "Violation", "verify_cfg", "verify_program",
+    "PassFailure", "PassSandbox", "restore_cfg", "snapshot_cfg",
+    "DIVERGENCE_KINDS", "DiffReport", "Reference", "check_equivalence",
+    "run_reference",
     "CLOBBER_VALUE", "FaultClass", "PASS_FAULTS",
     "PROFILE_FAULTS", "PROGRAM_FAULTS", "buggy_pass", "corrupt_profile",
     "inject_program_fault",

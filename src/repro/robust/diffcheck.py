@@ -279,18 +279,3 @@ def _compare_outcomes(ref: FunctionalSim, out: FunctionalSim,
     if not report.equivalent and not report.reason:
         report.reason = (f"{len(report.mismatches)} architectural "
                          f"mismatch(es); first: {report.mismatches[0]}")
-
-
-def certify(original: Program, transformed: Program, **kw) -> None:
-    """Raise :class:`EquivalenceError` unless the programs match."""
-    report = check_equivalence(original, transformed, **kw)
-    if not report:
-        raise EquivalenceError(report)
-
-
-class EquivalenceError(AssertionError):
-    """A differential check failed; ``.report`` holds the full diagnosis."""
-
-    def __init__(self, report: DiffReport):
-        self.report = report
-        super().__init__(str(report))

@@ -25,16 +25,13 @@ from ..cfg.graph import CFG, Edge
 from ..obs.trace import span as obs_span
 from .verifier import verify_cfg
 
-#: Failure kinds, in the order the containment ladder encounters them.
-FAILURE_KINDS = ("exception", "verify", "diffcheck", "skip")
-
 
 @dataclass
 class PassFailure:
     """One contained pass failure (or recorded skip) with its diagnosis."""
 
     stage: str                 # e.g. "split", "ifconvert", "speculate"
-    kind: str                  # one of FAILURE_KINDS
+    kind: str                  # "exception", "verify" or "skip"
     reason: str                # one line: what went wrong
     detail: str = ""           # traceback tail / verifier violations
     rolled_back: bool = True   # False for "skip" records (nothing happened)

@@ -25,8 +25,7 @@ Invariants checked
   re-linearization and the result still validates.
 
 The verifier never raises on bad *input* — it returns a list of
-:class:`Violation` records (empty means clean).  Use :func:`assert_valid`
-to raise :class:`VerificationError` on any violation.
+:class:`Violation` records (empty means clean).
 """
 
 from __future__ import annotations
@@ -58,7 +57,8 @@ class Violation:
 
 
 class VerificationError(Exception):
-    """Raised by :func:`assert_valid` when a program breaks an invariant."""
+    """Raised when a compiled program breaks an invariant; the proposed
+    pipeline's final emission check raises it."""
 
     def __init__(self, violations: list[Violation], name: str = "program"):
         self.violations = violations
@@ -315,10 +315,3 @@ def verify_cfg(cfg: CFG) -> list[Violation]:
         return [Violation("structure", "to_program",
                           f"{type(exc).__name__}: {exc}")]
     return verify_program(prog, roundtrip=False)
-
-
-def assert_valid(prog: Program, name: Optional[str] = None) -> None:
-    """Raise :class:`VerificationError` if *prog* breaks any invariant."""
-    violations = verify_program(prog)
-    if violations:
-        raise VerificationError(violations, name=name or prog.name)

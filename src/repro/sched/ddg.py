@@ -61,10 +61,6 @@ class DDG:
     def successors(self, i: int) -> list[DepEdge]:
         return self.succs.get(i, [])
 
-    def roots(self) -> list[int]:
-        return [i for i in range(len(self.instructions))
-                if not self.preds.get(i)]
-
     def critical_path_heights(self, model: MachineModel) -> list[int]:
         """Longest-path height of each node to any sink, including its own
         latency — the classic list-scheduling priority."""

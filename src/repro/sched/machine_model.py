@@ -9,7 +9,7 @@ exactly such a model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..isa.instruction import Instruction
 from ..isa.opcodes import Unit
@@ -32,12 +32,9 @@ _UNIT_KEY = {
 class MachineModel:
     """Issue resources and latencies as the scheduler sees them."""
 
-    issue_width: int = 4
-    slots: dict[str, int] = field(default_factory=lambda: {
-        "alu": 2, "sft": 1, "mem": 1, "br": 1,
-        "fpadd": 1, "fpmul": 1, "fpdiv": 1,
-    })
-    latencies: Latencies = field(default_factory=Latencies)
+    issue_width: int
+    slots: dict[str, int]
+    latencies: Latencies
 
     @classmethod
     def from_config(cls, cfg: MachineConfig = R10K) -> "MachineModel":
@@ -61,11 +58,6 @@ class MachineModel:
     def slots_for(self, unit_key: str) -> int:
         return self.slots.get(unit_key, 1)
 
-    def total_slots_per_cycle(self) -> int:
-        """Upper bound of operations startable per cycle (min of issue
-        width and summed unit slots)."""
-        return min(self.issue_width, sum(self.slots.values()))
-
 
 #: Default model matching the paper's R10000 description.
-DEFAULT_MODEL = MachineModel()
+DEFAULT_MODEL = MachineModel.from_config(R10K)

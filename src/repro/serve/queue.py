@@ -70,10 +70,6 @@ class Job:
             return "done"
         return "running" if self.results else "queued"
 
-    def ordered_results(self) -> list[dict]:
-        """Results in submission order (requires :attr:`done`)."""
-        return [self.results[k] for k in self.keys]
-
 
 @dataclass
 class _CellEntry:

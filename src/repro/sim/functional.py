@@ -96,15 +96,6 @@ class ExecStats:
     #: static index (PC) of each traced branch uid
     branch_pc: dict[int, int] = field(default_factory=dict)
 
-    @property
-    def dynamic_instructions(self) -> int:
-        return self.steps
-
-    @property
-    def branch_ratio(self) -> float:
-        """Paper Table 1: branches / total dynamic instruction stream."""
-        return self.branches / self.steps if self.steps else 0.0
-
     def to_dict(self) -> dict:
         """JSON-serializable form: exact round-trip via :meth:`from_dict`.
 

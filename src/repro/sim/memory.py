@@ -102,12 +102,3 @@ class Memory:
     def write_bytes(self, addr: int, data: bytes) -> None:
         for i, b in enumerate(data):
             self.write_byte(addr + i, b)
-
-    def read_cstring(self, addr: int, max_len: int = 1 << 16) -> bytes:
-        out = bytearray()
-        for i in range(max_len):
-            b = self.read_byte(addr + i)
-            if b == 0:
-                break
-            out.append(b)
-        return bytes(out)

@@ -9,7 +9,6 @@ from .speculation import (
 )
 from .ifconvert import (
     IfConvertResult, branch_condition_to_cc, find_diamond, if_convert_diamond,
-    lower_guards,
 )
 from .meld import MeldResult, meld_diamond
 from .branch_likely import LikelyReport, apply_branch_likely, negate_branch
@@ -22,7 +21,6 @@ from .hyperblock import (
     HyperblockReport, form_hyperblocks, merge_straightline_blocks,
 )
 from .dce import eliminate_dead_code
-from .copyprop import propagate_copies, propagate_copies_block
 
 __all__ = [
     "RESERVED", "free_registers", "used_registers",
@@ -30,12 +28,12 @@ __all__ = [
     "SpeculationReport", "duplicate_into_predecessors", "is_speculatable",
     "speculate_from_successor",
     "IfConvertResult", "branch_condition_to_cc", "find_diamond",
-    "if_convert_diamond", "lower_guards",
+    "if_convert_diamond",
     "MeldResult", "meld_diamond",
     "LikelyReport", "apply_branch_likely", "negate_branch",
     "SplitNotApplicable", "SplitReport", "ensure_preheader", "insert_counter",
     "split_branch", "split_branch_inline", "split_branch_sectioned",
     "split_from_profile",
     "HyperblockReport", "form_hyperblocks", "merge_straightline_blocks",
-    "eliminate_dead_code", "propagate_copies", "propagate_copies_block",
+    "eliminate_dead_code",
 ]

@@ -16,12 +16,10 @@ falls through to the join.  "The control dependences originally present in
 the form of conditional branches are eliminated and now treated as data
 dependences."
 
-:func:`lower_guards` expands guarded operations into the conditional-move
-subset actually offered by R10000-class hardware ("an issue of providing a
-gamut of extra fictional operations to synthesize the full predicated
-execution support in the compiler.  These fictional operations then need to
-be expanded to their equivalent non-fully predicated versions sometime
-before the final code layout phase", Section 3).
+The guarded operations are the paper's "fictional" fully-predicated
+ops.  Section 3 expands them into conditional moves before final layout;
+here no lowering pass runs: both simulators execute a guarded op natively
+and annul it when its predicate is false.
 """
 
 from __future__ import annotations
@@ -178,58 +176,3 @@ def if_convert_diamond(cfg: CFG, head: int,
         removed.append(-1)
     return IfConvertResult(head=head, removed_blocks=(removed[0], removed[1]),
                            cc=cc, guarded_ops=guarded)
-
-
-# ---------------------------------------------------------------------------
-# Guard lowering (fictional ops -> conditional moves)
-# ---------------------------------------------------------------------------
-
-
-def lower_guards(cfg: CFG, pool: RegisterPool | None = None) -> int:
-    """Expand guarded operations into conditional-move sequences.
-
-    ``(cc) op rd, ...`` becomes ``op rt, ...`` into a scratch register
-    followed by ``cmovt rd, rt, cc`` (``cmovf`` for negative sense).
-    Conditional moves and cc-writing ops that are themselves guarded are
-    left alone only if they are already native (cmovt/cmovf); guarded
-    stores are not lowerable without reintroducing control flow and raise
-    ValueError — the if-converter only produces them when the functional
-    (fully-predicated) model is in use.
-
-    Returns the number of instructions expanded.
-    """
-    if pool is None:
-        pool = free_registers(cfg, "int")
-    lowered = 0
-    for bb in cfg.blocks:
-        out: list[Instruction] = []
-        for ins in bb.instructions:
-            if ins.guard is None:
-                out.append(ins)
-                continue
-            if ins.is_store:
-                raise ValueError(
-                    "guarded store requires full predication support; "
-                    "run with the fully-predicated machine model instead")
-            if ins.dest is None:
-                out.append(ins.clone(guard=None, fresh_uid=True))
-                lowered += 1
-                continue
-            if ins.dest[0] == "c":
-                # Guarded cc write: compute into scratch cc? Simplest
-                # correct lowering: keep as-is (cc ops are ALU-class and
-                # the hardware model executes guards on cc ops natively).
-                out.append(ins)
-                continue
-            if len(pool) == 0:
-                out.append(ins)  # leave guarded; caller may retry
-                continue
-            scratch = pool.take()
-            plain = ins.clone(guard=None, dest=scratch, fresh_uid=True)
-            sel = make("cmovt" if ins.guard.sense else "cmovf",
-                       ins.dest, scratch, ins.guard.reg)
-            out.extend([plain, sel])
-            pool.release(scratch)
-            lowered += 1
-        bb.instructions = out
-    return lowered

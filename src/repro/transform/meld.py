@@ -12,7 +12,7 @@ unconditional straight-line sequence:
 3. the surviving value of each original destination is selected with the
    *native* conditional moves (``cmovt``/``cmovf``) the R10000-class
    hardware actually offers — no fictional guarded ops remain, so the
-   output needs no ``lower_guards`` pass and issues at full width.
+   output runs without predication support.
 
 The trade is the paper's classic one: melding executes both arms' work
 every time (wasted issue slots on the not-taken side) in exchange for zero

@@ -9,7 +9,7 @@ from .compress import compress_program, compress_reference, compress_source
 from .espresso import espresso_program, espresso_reference, espresso_source
 from .xlisp import xlisp_program, xlisp_reference, xlisp_source
 from .grep import grep_program, grep_reference, grep_source
-from .synth import biased_loop_program, phased_loop_program
+from .synth import phased_loop_program
 from .imported import load_imported
 
 #: The paper's benchmark suite, name -> default-scale program factory.
@@ -64,7 +64,7 @@ __all__ = [
     "espresso_program", "espresso_reference", "espresso_source",
     "xlisp_program", "xlisp_reference", "xlisp_source",
     "grep_program", "grep_reference", "grep_source",
-    "biased_loop_program", "phased_loop_program",
+    "phased_loop_program",
     "load_imported",
     "BENCHMARKS", "benchmark_programs",
 ]

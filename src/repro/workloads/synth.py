@@ -1,8 +1,8 @@
 """Synthetic branch-behavior microkernels for ablations.
 
-These generate a single loop whose one forward branch follows a fully
-controlled outcome pattern (phased / periodic / biased / random), letting
-the ablation benchmarks measure each transform against exactly the behavior
+:func:`phased_loop_program` generates a single loop whose one forward
+branch follows a fully controlled, phased outcome pattern, letting the
+ablation benchmarks measure each transform against exactly the behavior
 class it targets.
 """
 
@@ -73,34 +73,3 @@ def phased_loop_program(phases: Sequence[tuple[int, str]],
         "    halt",
     ]
     return parse("\n".join(lines), name="synth-phased")
-
-
-def biased_loop_program(iterations: int = 500, period: int = 8,
-                        body_ops: int = 2) -> Program:
-    """A loop whose branch is taken except once every *period* iterations
-    (bias = 1 - 1/period) — a branch-likely candidate."""
-    lines = [
-        ".text",
-        "main:",
-        "    li   r1, 0",
-        f"    li   r2, {iterations}",
-        "loop:",
-        f"    li   r6, {period}",
-        "    rem  r5, r1, r6",
-        "    bnez r5, arm_taken",
-    ]
-    lines += [f"    addi r11, r11, {i + 1}" for i in range(body_ops)]
-    lines += [
-        "    j    latch",
-        "arm_taken:",
-    ]
-    lines += [f"    addi r10, r10, {i + 1}" for i in range(body_ops)]
-    lines += [
-        "latch:",
-        "    addi r1, r1, 1",
-        "    bne  r1, r2, loop",
-        f"    li   r7, {AUX_BASE}",
-        "    sw   r10, 0(r7)",
-        "    halt",
-    ]
-    return parse("\n".join(lines), name="synth-biased")

@@ -138,10 +138,10 @@ def test_tracer_lifecycle(tmp_path):
 
 
 def test_metrics_lifecycle():
-    assert not _metrics.metrics_enabled()
+    assert not _metrics.REGISTRY.enabled
     with Session(metrics=True):
-        assert _metrics.metrics_enabled()
-    assert not _metrics.metrics_enabled()
+        assert _metrics.REGISTRY.enabled
+    assert not _metrics.REGISTRY.enabled
 
 
 def test_start_close_idempotent(tmp_path):

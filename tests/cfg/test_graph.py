@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cfg import CFG, Dominators, PostDominators, build_cfg
+from repro.cfg import CFG, Dominators, build_cfg
 from repro.isa import parse
 
 # The diamond-in-a-loop shape of the paper's Figure 2:
@@ -85,15 +85,6 @@ def test_dominators(cfg):
     assert not doms.dominates(b3, b4)
     assert doms.idom[b4] == b1
     assert doms.idom[cfg.entry.bid] is None
-
-
-def test_postdominators(cfg):
-    labels = _by_label(cfg)
-    pdoms = PostDominators(cfg)
-    b1, b2, b4 = (labels[x].bid for x in ("B1", "B2", "B4"))
-    assert pdoms.post_dominates(b4, b1)
-    assert pdoms.post_dominates(b4, b2)
-    assert not pdoms.post_dominates(b2, b1)
 
 
 def test_roundtrip_to_program(cfg):

@@ -1,11 +1,8 @@
-"""Loop detection, liveness and def-use chains."""
+"""Loop detection and liveness."""
 
 import pytest
 
-from repro.cfg import (
-    LoopForest, analyze_block, build_cfg, live_after_index, liveness,
-    single_use,
-)
+from repro.cfg import LoopForest, build_cfg, liveness
 
 LOOP = """
 .text
@@ -153,15 +150,6 @@ def test_live_at_exit_seed():
     assert "r7" in info.live_out[labels["join"].bid]
 
 
-def test_live_after_index():
-    cfg = build_cfg(LIVE)
-    labels = {bb.label: bb for bb in cfg.blocks if bb.label}
-    entry = labels["entry"]
-    # After li r1,1 (index 0), r1 is live (used later).
-    live = live_after_index(cfg, entry.bid, 0)
-    assert "r1" in live
-
-
 def test_guarded_def_does_not_kill():
     src = """
 .text
@@ -185,45 +173,3 @@ def test_guarded_def_does_not_kill():
     bb2 = build_cfg(src2).entry
     assert "r1" not in bb2.kills()
     assert "r1" in bb2.uses_before_def()
-
-
-# ---- def-use -------------------------------------------------------------------
-
-
-def test_defuse_chains():
-    cfg = build_cfg("""
-.text
-    li  r1, 5
-    add r2, r1, r1
-    add r3, r2, r1
-    halt
-""")
-    bb = cfg.entry
-    du = analyze_block(bb)
-    assert du.uses_of[0] == [1, 2]
-    assert du.uses_of[1] == [2]
-    assert du.def_of_use[(1, "r1")] == 0
-    assert du.def_of_use[(2, "r2")] == 1
-
-
-def test_defuse_live_in_is_minus_one():
-    cfg = build_cfg(".text\nadd r2, r1, r1\nhalt\n")
-    du = analyze_block(cfg.entry)
-    assert du.def_of_use[(0, "r1")] == -1
-
-
-def test_single_use():
-    cfg = build_cfg("""
-.text
-    li  r1, 5
-    add r2, r1, r1
-    li  r1, 9
-    add r3, r2, r2
-    halt
-""")
-    bb = cfg.entry
-    # r1 def at 0 is used once... twice actually (add uses it twice but one
-    # instruction). uses_of counts instructions.
-    du = analyze_block(bb)
-    assert du.uses_of[0] == [1]
-    assert single_use(bb, 0) == 1  # killed at index 2, single user at 1

@@ -6,7 +6,8 @@ from repro.cfg import LoopForest, build_cfg
 from repro.core import DEFAULT_HEURISTICS, FeedbackHeuristics, decide
 from repro.core.heuristics import split_benefit_estimate
 from repro.profilefb import BranchHistory, ProfileDB, Segment
-from repro.workloads import biased_loop_program, phased_loop_program
+from repro.workloads import phased_loop_program
+from tests.conftest import biased_loop_program
 
 
 def plan_for(prog, heur=DEFAULT_HEURISTICS):

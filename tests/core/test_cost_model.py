@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost_model import (
-    PAPER_FIG2, PAPER_FIG4_PLAN, DiamondRegion, SegmentPlan,
-    diamond_from_cfg, paper_fig4_cost, split_cost, weighted_schedule_cost,
+    PAPER_FIG2, PAPER_FIG4_PLAN, DiamondRegion, SegmentPlan, paper_fig4_cost,
+    split_cost,
 )
 
 
@@ -113,64 +113,3 @@ def test_biased_toward_likely_arm_wins_at_extremes(p):
         assert fav_b2 <= fav_b3
     elif p < 0.1:
         assert fav_b3 <= fav_b2
-
-
-# ---- real-CFG estimation ------------------------------------------------------------
-
-DIAMOND_SRC = """
-.text
-entry:
-    li   r1, 0
-    li   r2, 100
-B1:
-    and  r5, r5, r5
-    beq  r3, r4, B3
-B2:
-    add  r6, r6, r7
-    mul  r6, r6, r6
-    j    B4
-B3:
-    sub  r6, r6, r7
-B4:
-    addi r1, r1, 1
-    bne  r1, r2, B1
-exit:
-    halt
-"""
-
-
-def _annotated_cfg():
-    from repro.cfg import build_cfg
-
-    cfg = build_cfg(DIAMOND_SRC)
-    labels = {bb.label: bb for bb in cfg.blocks if bb.label}
-    freqs = {labels["entry"].bid: 1, labels["B1"].bid: 100,
-             labels["B2"].bid: 50, labels["B3"].bid: 50,
-             labels["B4"].bid: 100, labels["exit"].bid: 1}
-    edges = {(labels["B1"].bid, labels["B2"].bid): 50,
-             (labels["B1"].bid, labels["B3"].bid): 50}
-    cfg.scale_frequencies(freqs, edges)
-    return cfg, labels
-
-
-def test_weighted_schedule_cost():
-    cfg, labels = _annotated_cfg()
-    cost = weighted_schedule_cost(cfg)
-    assert cost > 0
-    region = weighted_schedule_cost(
-        cfg, blocks=[labels["B1"].bid, labels["B2"].bid])
-    assert region < cost
-
-
-def test_diamond_from_cfg():
-    cfg, labels = _annotated_cfg()
-    d = diamond_from_cfg(cfg, labels["B1"].bid)
-    assert d is not None
-    assert d.iterations == 100
-    assert d.p_b2 == pytest.approx(0.5)
-    assert d.b2 >= d.b3  # B2 has the longer arm (mul chain)
-
-
-def test_diamond_from_cfg_rejects_non_diamond():
-    cfg, labels = _annotated_cfg()
-    assert diamond_from_cfg(cfg, labels["B4"].bid) is None

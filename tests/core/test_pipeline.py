@@ -4,9 +4,8 @@ import pytest
 
 from repro import compile_baseline, compile_proposed, compile_variant, simulate, r10k_config
 from repro.sim import final_state
-from repro.workloads import (
-    AUX_BASE, benchmark_programs, biased_loop_program, phased_loop_program,
-)
+from repro.workloads import AUX_BASE, benchmark_programs, phased_loop_program
+from tests.conftest import biased_loop_program
 
 
 def aux_words(prog, k=6):

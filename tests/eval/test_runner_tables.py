@@ -13,7 +13,7 @@ from repro.eval import (
     format_improvements, format_table1, format_table2, format_table3,
     format_table4, table1, table2, table3, table4,
 )
-from repro.workloads import biased_loop_program
+from tests.conftest import biased_loop_program
 
 COLUMNS = [s.name for s in schemes.columns()]
 

@@ -6,9 +6,7 @@ import pytest
 
 from repro.core.pipeline import CompileResult, compile_proposed
 from repro.api import Session
-from repro.eval.runner import (
-    BenchmarkRun, SchemeResult, suite_from_dict, suite_to_dict,
-)
+from repro.eval.runner import BenchmarkRun, SchemeResult
 from repro.sim import FunctionalSim, TimingSim, r10k_config
 from repro.workloads import benchmark_programs
 
@@ -67,13 +65,6 @@ def test_scheme_result_round_trip(run):
         assert restored.to_dict() == cell.to_dict()
 
 
-def test_benchmark_run_round_trip(run):
-    restored = BenchmarkRun.from_dict(_json_round_trip(run.to_dict()))
-    assert restored.ok == run.ok
-    assert restored.improvement == pytest.approx(run.improvement)
-    assert restored.to_dict() == run.to_dict()
-
-
 def test_failed_cell_round_trip():
     cell = SchemeResult("b", "2bitBP", failure="RuntimeError: boom",
                         failure_detail="trace...")
@@ -94,15 +85,11 @@ def test_failed_run_improvement_is_null(run):
     json.dumps(d)  # and the whole record must be serializable
 
 
-def test_suite_round_trip(run):
-    suite = {"compress": run}
-    restored = suite_from_dict(_json_round_trip(suite_to_dict(suite)))
-    assert suite_to_dict(restored) == suite_to_dict(suite)
-
-
 def test_tables_render_from_restored_suite(run):
     from repro.eval import format_table4
 
-    suite = {"compress": run}
-    restored = suite_from_dict(_json_round_trip(suite_to_dict(suite)))
-    assert format_table4(restored) == format_table4(suite)
+    restored = BenchmarkRun(name=run.name, results={
+        s: SchemeResult.from_dict(_json_round_trip(r.to_dict()))
+        for s, r in run.results.items()})
+    assert format_table4({"compress": restored}) == \
+        format_table4({"compress": run})

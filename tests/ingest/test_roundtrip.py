@@ -1,10 +1,11 @@
 """Hypothesis round-trip properties of the ingest front end.
 
-The printer is the parser's inverse on the whole IR space, not just the
-committed fixtures: for every generated function, ``parse_source ∘
-print_source`` is the identity (structurally — line numbers are
-provenance, excluded from equality), printing is idempotent, and the
-generated function lowers to a program the robust verifier accepts.
+The canonical printer defined here is the parser's inverse on the whole
+IR space, not just the committed fixtures: for every generated function,
+``parse_source ∘ print_source`` is the identity (structurally — line
+numbers are provenance, excluded from equality), printing is idempotent,
+and the generated function lowers to a program the robust verifier
+accepts.
 
 ``derandomize=True`` keeps tier-1 deterministic (same policy as
 ``tests/fastsim/test_property.py``).
@@ -13,13 +14,36 @@ generated function lowers to a program the robust verifier accepts.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.ingest import parse_source, print_source
+from repro.ingest import parse_source
 from repro.ingest.lower import ALLOCATABLE
 from repro.ingest.model import VALUE_OPS, Block, Function, Op
-from repro.ingest.source import print_op
 
 _SETTINGS = dict(max_examples=60, deadline=None, derandomize=True,
                  suppress_health_check=[HealthCheck.too_slow])
+
+
+def print_op(op: Op) -> str:
+    """Canonical text of one instruction (no trailing ``;``)."""
+    if op.dest is not None:
+        if op.op == "const":
+            lit = (("true" if op.value else "false")
+                   if op.type == "bool" else str(op.value))
+            return f"{op.dest}: {op.type} = const {lit}"
+        rhs = " ".join((op.op,) + op.args)
+        return f"{op.dest}: {op.type} = {rhs}"
+    return " ".join((op.op,) + op.args + op.labels)
+
+
+def print_source(fn: Function) -> str:
+    """Canonical source text of *fn* (inverse of ``parse_source``)."""
+    lines = [f"@{fn.name} {{"]
+    for b in fn.blocks:
+        lines.append(f"{b.label}:")
+        for op in b.ops:
+            lines.append(f"  {print_op(op)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
 
 _VARS = [f"v{i}" for i in range(8)]
 _PURE_VALUE_OPS = sorted(set(VALUE_OPS) - {"const"})

@@ -2,7 +2,7 @@
 
 from repro.obs.metrics import (
     DEFAULT_BOUNDS, Counter, Histogram, MetricsRegistry, REGISTRY,
-    metrics_disable, metrics_enable, metrics_enabled, metrics_snapshot,
+    metrics_disable, metrics_enable, metrics_snapshot,
 )
 
 
@@ -77,12 +77,12 @@ def test_custom_bounds_via_observe():
 
 
 def test_global_helpers_round_trip():
-    assert not metrics_enabled()
+    assert not REGISTRY.enabled
     metrics_enable()
     try:
-        assert metrics_enabled()
+        assert REGISTRY.enabled
         REGISTRY.inc("global.test")
         assert metrics_snapshot()["counters"]["global.test"] == 1
     finally:
         metrics_disable()
-    assert not metrics_enabled()
+    assert not REGISTRY.enabled

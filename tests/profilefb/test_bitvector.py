@@ -71,10 +71,6 @@ def test_slicing():
     assert h[1:3].as_string() == "TF"
 
 
-def test_concat():
-    assert H("TT").concat(H("FF")).as_string() == "TTFF"
-
-
 def test_equality():
     assert H("TF") == H("TF")
     assert H("TF") != H("FT")

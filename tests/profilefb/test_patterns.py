@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.profilefb import (
     BranchClass, BranchHistory, ClassifyConfig, analyze_pattern,
     boundaries_stable, classify, detect_period, is_instrumentable,
-    is_monotonic, segment_boundaries, segment_history, segmentation_quality,
+    segment_history,
 )
 
 
@@ -25,7 +25,7 @@ PAPER_PATTERN = H("T" * 40 + "TF" * 10 + "F" * 40)
 def test_paper_pattern_segments():
     segs = segment_history(PAPER_PATTERN, window=5)
     assert [s.kind for s in segs] == ["taken", "mixed", "nottaken"]
-    assert segment_boundaries(segs) == [40, 60]
+    assert [s.start for s in segs[1:]] == [40, 60]
     assert segs[0].freq == 1.0
     assert abs(segs[1].freq - 0.5) < 1e-12
     assert segs[2].freq == 0.0
@@ -41,7 +41,7 @@ def test_constant_single_segment():
 def test_two_phase():
     segs = segment_history(H("T" * 32 + "F" * 32), window=8)
     assert [s.kind for s in segs] == ["taken", "nottaken"]
-    assert segment_boundaries(segs) == [32]
+    assert [s.start for s in segs[1:]] == [32]
 
 
 def test_small_sections_absorbed():
@@ -72,16 +72,6 @@ def test_segment_partition_property(outcomes, window):
     for a, b in zip(segs, segs[1:]):
         assert a.end == b.start
         assert a.kind != b.kind  # coalesced
-
-
-def test_segmentation_quality():
-    # Perfectly phased: per-segment prediction is (almost) perfect.
-    q = segmentation_quality(PAPER_PATTERN,
-                             segment_history(PAPER_PATTERN, window=5))
-    assert q >= 0.89  # 0.4*1 + 0.2*0.5 + 0.4*1 = 0.9
-    # One whole-run segment: only max(p, 1-p) = 0.5.
-    whole = segment_history(PAPER_PATTERN, window=len(PAPER_PATTERN))
-    assert segmentation_quality(PAPER_PATTERN, whole) <= 0.6
 
 
 # ---- period detection ----------------------------------------------------------
@@ -199,9 +189,10 @@ def test_classify_irregular():
 
 
 def test_is_monotonic():
-    assert is_monotonic(H("T" * 100))
-    assert not is_monotonic(H("T" * 50 + "F" * 50))  # phased
-    assert not is_monotonic(H("TF" * 50))             # alternating
+    # Figure 6's monotonic(b): a branch with phase structure or a toggling
+    # one is no biased-monotonic if-conversion candidate.
+    assert not classify(H("T" * 50 + "F" * 50)).wants_ifconvert  # phased
+    assert not classify(H("TF" * 50)).wants_ifconvert             # alternating
 
 
 def test_custom_thresholds():

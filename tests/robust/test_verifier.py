@@ -11,7 +11,7 @@ from repro.isa.opcodes import OPCODES
 from repro.isa.program import Program
 from repro.isa.randprog import random_program
 from repro.isa.registers import CC_REGS, FP_REGS, INT_REGS
-from repro.robust import VerificationError, assert_valid, verify_program
+from repro.robust import VerificationError, verify_program
 from repro.robust.verifier import _check_registers, _diagnose_registers
 
 TINY = """.text
@@ -93,11 +93,11 @@ def test_fall_off_end_flagged():
     assert any(v.check == "structure" for v in verify_program(prog))
 
 
-def test_assert_valid_raises_with_diagnosis():
+def test_verification_error_carries_diagnosis():
     prog = _tiny()
     prog.instructions[2].target = ".nowhere"
-    with pytest.raises(VerificationError, match="dangling target"):
-        assert_valid(prog)
+    err = VerificationError(verify_program(prog), name=prog.name)
+    assert "dangling target" in str(err)
 
 
 # -- register check vs the per-operand diagnosis ------------------------------

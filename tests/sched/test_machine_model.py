@@ -38,9 +38,5 @@ def test_unit_and_latency(op, expected_unit, expected_lat):
     assert DEFAULT_MODEL.latency(ins) == expected_lat
 
 
-def test_total_slots_bounded_by_width():
-    assert DEFAULT_MODEL.total_slots_per_cycle() <= DEFAULT_MODEL.issue_width
-
-
 def test_slots_for_unknown_class_defaults():
     assert DEFAULT_MODEL.slots_for("mystery") == 1

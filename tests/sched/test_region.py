@@ -6,7 +6,7 @@ from repro.cfg import build_cfg
 from repro.profilefb import ProfileDB
 from repro.sched import schedule_region
 from repro.sim import final_state
-from repro.workloads import AUX_BASE, biased_loop_program
+from tests.conftest import biased_loop_program
 
 # A diamond inside a hot loop whose branch is biased AND poorly predicted
 # (period-3 pattern: TTF TTF ... defeats the 2-bit counter often enough).

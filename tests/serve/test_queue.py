@@ -16,7 +16,7 @@ def test_submit_claim_complete_lifecycle():
     assert (key, kind, spec) == (KEY_A, "cells", {"spec": 1})
     q.complete(KEY_A, {"result": 9})
     assert job.done and job.state == "done"
-    assert job.ordered_results() == [{"result": 9}]
+    assert job.keys == [KEY_A] and job.results == {KEY_A: {"result": 9}}
 
 
 def test_overlapping_jobs_share_one_execution():
@@ -48,7 +48,7 @@ def test_results_keep_submission_order():
     q.claim(timeout=0.1), q.claim(timeout=0.1)
     q.complete(KEY_A, {"k": "a"})
     q.complete(KEY_B, {"k": "b"})
-    assert job.ordered_results() == [{"k": "b"}, {"k": "a"}]
+    assert [job.results[k] for k in job.keys] == [{"k": "b"}, {"k": "a"}]
 
 
 def test_requeue_bounded_by_attempt_budget():

@@ -57,12 +57,6 @@ def test_load_image():
     assert m.read_bytes(0x10000000, 2) == b"AB"
 
 
-def test_cstring():
-    m = Memory()
-    m.write_bytes(0x300, b"hello\x00world")
-    assert m.read_cstring(0x300) == b"hello"
-
-
 @given(st.integers(min_value=0, max_value=0xFFFFFFFC // 4 * 4),
        st.integers(min_value=0, max_value=0xFFFFFFFF))
 @settings(max_examples=100)

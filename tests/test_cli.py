@@ -208,11 +208,14 @@ def test_sweep_rejects_a_non_positive_scale(capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--rate", "0"), ("--rate", "-1"), ("--rate", "nan"), ("--burst", "0"),
-], ids=["rate=0", "rate=-1", "rate=nan", "burst=0"])
+    ("--port", "70000"), ("--port", "-1"),
+], ids=["rate=0", "rate=-1", "rate=nan", "burst=0", "port=70000",
+        "port=-1"])
 def test_serve_rejects_limits_no_bucket_can_run_on(monkeypatch, capsys,
                                                    flag, value):
     """A zero rate or burst is a usage error, not a server that starts
-    and then answers every submission ``400 bad_request``."""
+    and then answers every submission ``400 bad_request``; a port outside
+    0..65535 is one too, not a ``bind()`` traceback."""
     import repro.serve
 
     started = []
@@ -223,6 +226,21 @@ def test_serve_rejects_limits_no_bucket_can_run_on(monkeypatch, capsys,
     assert exit_info.value.code == 2
     assert f"error: argument {flag}:" in capsys.readouterr().err
     assert not started
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "grep", "--spectre", "--sew", "0"],
+    ["run", "grep", "--sample", "-3"],
+], ids=["sew=0", "sample=-3"])
+def test_window_and_sample_period_out_of_range_are_usage_errors(capsys,
+                                                                argv):
+    """A Spectre window below 1 is a usage error, not a ``ValueError``
+    traceback, and a negative sample period is one too, not a run that
+    samples every third instruction."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--scale", "0.02"])
+    assert exit_info.value.code == 2
+    assert f"error: argument {argv[-2]}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", [

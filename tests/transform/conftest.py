@@ -3,6 +3,7 @@
 import pytest
 
 from repro.isa import parse
+from repro.isa.randprog import MEM_BASE
 from repro.sim import FunctionalSim
 
 
@@ -31,6 +32,14 @@ def assert_equivalent(prog_a, prog_b, regs=None, ignore=(), max_steps=2_000_000)
         pb = b.mem._pages.get(pno, bytearray(4096))
         assert pa == pb, f"memory page {pno:#x} differs"
     return a, b
+
+
+def observable_state(prog, max_steps=2_000_000):
+    """Run a generated program (:mod:`repro.isa.randprog`); return the ten
+    memory words the generator funnels its results into."""
+    sim = run(prog, max_steps)
+    base = MEM_BASE + 0x1000
+    return tuple(sim.mem.read_word(base + 4 * i) for i in range(10))
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""DCE, copy propagation, branch-likely conversion."""
+"""DCE, forward substitution, branch-likely conversion."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.isa import parse
 from repro.profilefb import ProfileDB
 from repro.transform import (
     apply_branch_likely, eliminate_dead_code, forward_substitute_block,
-    negate_branch, propagate_copies,
+    negate_branch,
 )
 from tests.transform.conftest import assert_equivalent
 
@@ -77,39 +77,6 @@ def test_dce_keeps_guarded_writes():
     cfg = build_cfg(src)
     eliminate_dead_code(cfg)
     assert any(i.is_guarded for i in cfg.to_program())
-
-
-# ---- copy propagation ------------------------------------------------------------
-
-def test_copyprop_basic():
-    src = ".text\nli r1, 7\nmov r2, r1\nadd r3, r2, r2\nsw r3, 0(r29)\nhalt\n"
-    cfg = build_cfg(src)
-    n = propagate_copies(cfg)
-    assert n >= 1
-    add = [i for i in cfg.entry.instructions if i.op == "add"][0]
-    assert add.srcs == ("r1", "r1")
-    eliminate_dead_code(cfg)  # the mov is now dead
-    assert "mov" not in [i.op for i in cfg.to_program()]
-    assert_equivalent(parse(src), cfg.to_program(), regs=["r1", "r3"])
-
-
-def test_copyprop_stops_at_redef_of_source():
-    src = (".text\nli r1, 7\nmov r2, r1\nli r1, 9\nadd r3, r2, r2\n"
-           "sw r3, 0(r29)\nsw r1, 4(r29)\nhalt\n")
-    cfg = build_cfg(src)
-    propagate_copies(cfg)
-    add = [i for i in cfg.entry.instructions if i.op == "add"][0]
-    assert add.srcs == ("r2", "r2")  # r1 was clobbered: no propagation
-    assert_equivalent(parse(src), cfg.to_program(), regs=["r1", "r2", "r3"])
-
-
-def test_copyprop_chain():
-    src = (".text\nli r1, 7\nmov r2, r1\nmov r3, r2\nadd r4, r3, r3\n"
-           "sw r4, 0(r29)\nhalt\n")
-    cfg = build_cfg(src)
-    propagate_copies(cfg)
-    add = [i for i in cfg.entry.instructions if i.op == "add"][0]
-    assert add.srcs == ("r1", "r1")
 
 
 def test_forward_subst_block():

@@ -11,12 +11,11 @@ import pytest
 
 from repro.cfg import build_cfg
 from repro.core import compile_baseline, compile_proposed
-from repro.isa.randprog import observable_state, random_program
+from repro.isa.randprog import random_program
 from repro.profilefb import ProfileDB
 from repro.sched import schedule_region, reorder_block
-from repro.transform import (
-    eliminate_dead_code, if_convert_diamond, propagate_copies,
-)
+from repro.transform import eliminate_dead_code, if_convert_diamond
+from tests.transform.conftest import observable_state
 
 SEEDS = list(range(24))
 
@@ -49,7 +48,6 @@ def test_local_scheduling_preserves_behavior(seed):
 def test_cleanup_passes_preserve_behavior(seed):
     prog = random_program(seed)
     cfg = build_cfg(prog)
-    propagate_copies(cfg)
     eliminate_dead_code(cfg)
     assert observable_state(cfg.to_program()) == observable_state(prog)
 

@@ -4,10 +4,10 @@ import pytest
 
 from repro.cfg import build_cfg
 from repro.isa import parse
-from repro.isa.randprog import observable_state, random_program
+from repro.isa.randprog import random_program
 from repro.profilefb import ProfileDB
 from repro.transform import form_hyperblocks, merge_straightline_blocks
-from tests.transform.conftest import assert_equivalent
+from tests.transform.conftest import assert_equivalent, observable_state
 
 CHAIN = """
 .text

@@ -4,9 +4,7 @@ import pytest
 
 from repro.cfg import build_cfg
 from repro.isa import parse
-from repro.transform import (
-    find_diamond, if_convert_diamond, lower_guards,
-)
+from repro.transform import find_diamond, if_convert_diamond
 from tests.transform.conftest import assert_equivalent
 
 DIAMOND = """
@@ -164,43 +162,3 @@ join:
     res = if_convert_diamond(cfg, lab["main"].bid)
     assert res is not None
     assert_equivalent(parse(src), cfg.to_program(), regs=["r1", "r2", "r7"])
-
-
-# ---- guard lowering -----------------------------------------------------------
-
-
-@pytest.mark.parametrize("r1", [5, 6])
-def test_lower_guards_preserves_semantics(r1):
-    src = DIAMOND.format(r1=r1)
-    cfg = build_cfg(src)
-    lab = labels_of(cfg)
-    if_convert_diamond(cfg, lab["main"].bid)
-    n = lower_guards(cfg)
-    assert n == 4
-    prog = cfg.to_program()
-    # All remaining ops are native: no guards on non-cc-writing ops.
-    for ins in prog:
-        if ins.guard is not None:
-            assert ins.dest is None or ins.dest.startswith("cc")
-    assert_equivalent(parse(src), prog,
-                      regs=["r1", "r2", "r3", "r4", "r5", "r7"])
-
-
-def test_lower_guards_rejects_guarded_store():
-    src = """
-.text
-main:
-    li r1, 5
-    beq r1, r0, L1
-    sw r1, 0(r29)
-    j  join
-L1:
-    sw r1, 4(r29)
-join:
-    halt
-"""
-    cfg = build_cfg(src)
-    lab = labels_of(cfg)
-    if_convert_diamond(cfg, lab["main"].bid)
-    with pytest.raises(ValueError):
-        lower_guards(cfg)

@@ -11,7 +11,8 @@ for the stochastic benchmarks.
 from repro.engine import program_digest
 from repro.isa.randprog import random_program
 from repro.workloads import benchmark_programs
-from repro.workloads.synth import biased_loop_program, phased_loop_program
+from repro.workloads.synth import phased_loop_program
+from tests.conftest import biased_loop_program
 
 
 def _digests(scale=0.01, seed=None):

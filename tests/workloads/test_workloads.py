@@ -6,10 +6,11 @@ import pytest
 from repro.profilefb import BranchClass, ProfileDB
 from repro.sim import final_state
 from repro.workloads import (
-    benchmark_programs, biased_loop_program, compress_program,
-    compress_reference, espresso_program, espresso_reference, grep_program,
-    grep_reference, phased_loop_program, xlisp_program, xlisp_reference,
+    benchmark_programs, compress_program, compress_reference,
+    espresso_program, espresso_reference, grep_program, grep_reference,
+    phased_loop_program, xlisp_program, xlisp_reference,
 )
+from tests.conftest import biased_loop_program
 
 
 # ---- bit-exact correctness -------------------------------------------------------

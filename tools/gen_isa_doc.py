@@ -54,8 +54,8 @@ def render() -> str:
         "",
         "Any instruction may carry a guard prefix `(ccN)` / `(!ccN)`: it"
         " executes only when the predicate holds and is *annulled*"
-        " otherwise (the paper's fully-predicated \"fictional\" form;"
-        " lower with `repro.transform.lower_guards`).",
+        " otherwise (the paper's fully-predicated \"fictional\" form,"
+        " which both simulators execute natively).",
         "",
         "| opcode | syntax | unit | latency class | flags |",
         "|---|---|---|---|---|",
