@@ -15,7 +15,7 @@ The contribution      repro.core         (cost model, Figure 6 algorithm,
                                           compile_baseline/compile_proposed)
 Workloads             repro.workloads    (compress/espresso/xlisp/grep kernels)
 Experiments           repro.eval         (scheme results, Tables 1-4)
-Observability         repro.obs          (tracing spans, metrics, profiling)
+Observability         repro.obs          (tracing spans, hot-PC sampling)
 Unified facade        repro.api          (Session: one front door for
                                           benchmark/suite/sweep/fuzz runs)
 

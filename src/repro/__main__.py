@@ -44,11 +44,11 @@ Commands:
 Program arguments (``profile``/``compile``/``run``/``verify``) accept a
 benchmark name, a ``.s`` assembly file, or any ``repro ingest`` input
 file; ``tables --import FILE`` evaluates imported workloads alongside
-the synthetic suite.  Table cells, ``run`` and the profiling runs of
-``profile``/``compile``/``verify`` use the fast simulator
-(:mod:`repro.fastsim`); the reference simulators are the oracle of
-``verify``'s equivalence check and of ``fuzz``, and ``run --sample``
-attaches its observer to the reference cycle loop (docs/FASTSIM.md).
+the synthetic suite.  Table cells, ``run`` (``--sample`` included) and
+the profiling runs of ``profile``/``compile``/``verify`` use the fast
+simulator (:mod:`repro.fastsim`); the reference simulators are the
+oracle of ``verify``'s equivalence check and of ``fuzz``
+(docs/FASTSIM.md).
 
 Every experiment command (``tables``, ``sweep``, ``tune``, ``fuzz``,
 ``trace run``) constructs exactly one :class:`repro.api.Session` from
@@ -77,7 +77,7 @@ from .eval import (
     format_improvements, format_table1, format_table2, format_table3,
     format_table4, suite_failures,
 )
-from .isa import format_program, parse
+from .isa import ParseError, format_program, parse
 from .isa.program import Program
 from .profilefb import ProfileDB
 from .sim import r10k_config
@@ -91,17 +91,17 @@ def _load_program(name: str, scale: float) -> Program:
         return benchmark_programs(scale)[name]
     path = Path(name)
     if path.exists():
-        from .ingest import IngestError
+        from .ingest import IngestError, import_path
         from .ingest.lower import SUFFIXES
 
-        if any(path.name.endswith(s) for s in SUFFIXES):
-            from .ingest import import_path
-
-            try:
+        try:
+            if any(path.name.endswith(s) for s in SUFFIXES):
                 return import_path(path)
-            except IngestError as exc:
-                raise SystemExit(f"cannot import {name}: {exc}")
-        return parse(path.read_text(), name=path.stem)
+            return parse(path.read_text(), name=path.stem)
+        except IngestError as exc:
+            raise SystemExit(f"cannot import {name}: {exc}")
+        except (ParseError, UnicodeDecodeError, OSError) as exc:
+            raise SystemExit(f"cannot parse {name}: {exc}")
     raise SystemExit(
         f"unknown program {name!r}: not a benchmark "
         f"({', '.join(sorted(BENCHMARKS))}) and not a file")
@@ -117,7 +117,6 @@ def _session_from(args: argparse.Namespace) -> Session:
         cache=not args.no_cache and (args.cache_dir or True),
         jobs=args.jobs, trace_path=args.trace,
         strict=getattr(args, "strict", False),
-        metrics=getattr(args, "metrics", False),
         remote=getattr(args, "remote", None),
         tenant=getattr(args, "tenant", "default"))
 
@@ -217,9 +216,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the distributed evaluation service until interrupted."""
     from .serve import ServeConfig, serve_forever
 
-    return serve_forever(ServeConfig(
-        host=args.host, port=args.port, workers=args.workers,
-        cache_dir=args.cache_dir, rate=args.rate, burst=args.burst))
+    try:
+        return serve_forever(ServeConfig(
+            host=args.host, port=args.port, workers=args.workers,
+            cache_dir=args.cache_dir, rate=args.rate, burst=args.burst))
+    except OSError as exc:  # the bind, before any worker starts
+        return _usage_error(f"cannot listen on {args.host}:{args.port}: "
+                            f"{exc}")
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
@@ -600,7 +603,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(summarize_trace(records))
         return 0
 
-    # action == "run": a traced (and optionally metric-counted) suite run.
+    # action == "run": a traced suite run.
     # Spans are process-local, so the traced suite runs with the session's
     # default jobs=1 unless the caller insists on a pool.
     with _session_from(args) as session:
@@ -609,12 +612,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
             progress=lambda b: print(f"running {b} ...", file=sys.stderr))
         emitted = session._tracer.emitted if session._tracer else 0
         print(f"{emitted} spans written to {args.trace}", file=sys.stderr)
-    if args.metrics:
-        import json
-
-        from .obs import metrics_snapshot
-
-        print(json.dumps(metrics_snapshot(), indent=2, sort_keys=True))
     if args.summarize:
         print(summarize_trace(read_trace(args.trace)))
     _report_cache(session.cache)
@@ -667,6 +664,17 @@ def _cache_dir(text: str) -> str:
         raise argparse.ArgumentTypeError(
             f"{text!r} exists and is not a directory")
     return text
+
+
+def _namespace(text: str) -> str:
+    """Argparse type of ``cache clear --namespace``: a tenant namespace
+    name (``[A-Za-z0-9._-]``, 1-64 chars, not ``.`` or ``..``)."""
+    from .serve.store import check_namespace
+
+    try:
+        return check_namespace(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -724,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", type=_cache_dir, metavar="DIR",
                    help="artifact cache directory (default .repro-cache/ "
                         "or $REPRO_CACHE_DIR)")
-    p.add_argument("--namespace", metavar="NAME",
+    p.add_argument("--namespace", type=_namespace, metavar="NAME",
                    help="clear only this tenant namespace (clear only; "
                         "default: every namespace)")
     p.add_argument("--json", action="store_true",
@@ -905,9 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default trace.jsonl)")
     p.add_argument("--summarize", action="store_true",
                    help="after trace run, also print the span summary")
-    p.add_argument("--metrics", action="store_true",
-                   help="enable the metrics registry during trace run and "
-                        "print its JSON snapshot")
     p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                    help="worker processes (spans are process-local: "
                         "workers do not contribute spans, so the default "

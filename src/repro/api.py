@@ -3,7 +3,7 @@
 :class:`Session` is the one supported way to run an experiment
 (``run_suite`` / ``sweep`` / ``fuzz`` / ``tune`` / ``spectre``).  Its
 constructor keywords are the only way to configure a run — artifact
-cache, worker count, step budget, fail-fast, observability sinks and
+cache, worker count, step budget, fail-fast, span trace and
 remote routing — and they are decoded once, into the session's
 artifact cache and cell executor, which every experiment method uses.
 
@@ -29,8 +29,7 @@ workers, or with ``remote="http://host:8732"`` (and ``tenant=``) a
 ``repro serve`` fleet with byte-identical results.
 
 Entering the session installs the JSONL tracer (when ``trace_path`` is
-set) and enables the metrics registry (when ``metrics=True``); exiting
-restores both, so observability state never leaks across sessions.
+set); exiting uninstalls it, so a trace never leaks across sessions.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from typing import Callable, Optional, Union
 from .core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
 from .engine.cache import ArtifactCache
 from .engine.pool import LocalExecutor
-from .obs import metrics as _metrics
 from .obs import trace as _trace
 
 
@@ -49,9 +47,9 @@ class Session:
     """One configured experiment context (see module docstring).
 
     Construction only records configuration; :meth:`start` (or entering
-    the context manager) activates the observability sinks.  Running
-    methods outside the context works too — they just run untraced
-    unless a tracer is already installed.
+    the context manager) installs the tracer.  Running methods outside
+    the context works too — they just run untraced unless a tracer is
+    already installed.
     """
 
     def __init__(self, *,
@@ -60,7 +58,6 @@ class Session:
                  max_steps: int = 50_000_000,
                  strict: bool = False,
                  trace_path: Optional[Union[str, Path]] = None,
-                 metrics: bool = False,
                  remote: Optional[str] = None,
                  tenant: str = "default"):
         # The store and the executor are made once, so the store's
@@ -82,29 +79,24 @@ class Session:
         self.max_steps = max_steps
         self.strict = strict
         self.trace_path = trace_path
-        self.metrics = metrics
         self._tracer: Optional[_trace.Tracer] = None
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "Session":
-        """Activate the observability sinks (idempotent)."""
+        """Install the tracer, when ``trace_path`` is set (idempotent)."""
         if self.trace_path is not None and self._tracer is None:
             self._tracer = _trace.Tracer(self.trace_path)
             _trace.install(self._tracer)
-        if self.metrics:
-            _metrics.metrics_enable()
         return self
 
     def close(self) -> None:
-        """Deactivate and flush the observability sinks (idempotent)."""
+        """Uninstall and flush the tracer (idempotent)."""
         if self._tracer is not None:
             if _trace.active_tracer() is self._tracer:
                 _trace.uninstall()
             self._tracer.close()
             self._tracer = None
-        if self.metrics:
-            _metrics.metrics_disable()
 
     def __enter__(self) -> "Session":
         return self.start()
@@ -202,4 +194,4 @@ class Session:
     def __repr__(self) -> str:
         return (f"Session({self.executor!r}, "
                 f"cache={'on' if self.cache else 'off'}, "
-                f"trace={self.trace_path!r}, metrics={self.metrics})")
+                f"trace={self.trace_path!r})")

@@ -45,9 +45,6 @@ class Loop:
             p = p.parent
         return d
 
-    def contains(self, bid: int) -> bool:
-        return bid in self.body
-
     def __repr__(self) -> str:
         return (f"<Loop header={self.header} blocks={sorted(self.body)} "
                 f"depth={self.depth}>")
@@ -123,9 +120,6 @@ class LoopForest:
                     inner.parent = outer
                     outer.children.append(inner)
                     break
-
-    def innermost(self) -> list[Loop]:
-        return [l for l in self.loops if not l.children]
 
     def loop_of_block(self, bid: int) -> Optional[Loop]:
         """The innermost loop containing *bid*, or None."""

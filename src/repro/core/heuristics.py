@@ -35,14 +35,6 @@ class ParamBound:
         v = min(max(value, self.lo), self.hi)
         return int(round(v)) if self.kind == "int" else float(v)
 
-    def contains(self, value) -> bool:
-        """True when *value* is admissible under this bound."""
-        if self.kind == "choice":
-            return value in self.choices
-        if self.kind == "int" and value != int(value):
-            return False
-        return self.lo <= value <= self.hi
-
 
 @dataclass(frozen=True)
 class FeedbackHeuristics:

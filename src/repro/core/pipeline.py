@@ -34,7 +34,6 @@ from typing import Optional
 from ..cfg.graph import build_cfg
 from ..cfg.loops import LoopForest
 from ..isa.program import Program
-from ..obs.metrics import REGISTRY
 from ..obs.trace import span as obs_span
 from ..profilefb.profiledb import ProfileDB
 from ..robust.sandbox import PassFailure, PassSandbox
@@ -200,9 +199,7 @@ def compile_baseline(prog: Program,
         for bb in cfg.blocks:
             if bb.instructions:
                 reorder_block(bb, model)
-        result = CompileResult(program=cfg.to_program(prog.name + ".base"))
-    REGISTRY.inc("compiler.compiles_baseline")
-    return result
+        return CompileResult(program=cfg.to_program(prog.name + ".base"))
 
 
 def _fallback_result(prog: Program, model: MachineModel,
@@ -245,21 +242,6 @@ def compile_proposed(prog: Program,
                                          max_steps, backend)
         sp.set("fallback", result.fallback)
         sp.set("failures", len(result.failures))
-    if REGISTRY.enabled:
-        REGISTRY.inc("compiler.compiles_proposed")
-        REGISTRY.inc("compiler.splits_applied", result.splits_applied)
-        REGISTRY.inc("compiler.ifconverts_applied",
-                     result.ifconverts_applied)
-        if result.likely_report is not None:
-            REGISTRY.inc("compiler.likelies_converted",
-                         result.likely_report.converted)
-        if result.region_report is not None:
-            REGISTRY.inc("compiler.ops_speculated",
-                         result.region_report.speculated)
-            REGISTRY.inc("compiler.ops_duplicated",
-                         result.region_report.duplicated)
-        REGISTRY.inc("compiler.passes_contained",
-                     sum(1 for f in result.failures if f.kind != "skip"))
     return result
 
 

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ..obs.metrics import REGISTRY
 from .keys import SCHEMA_VERSION
 
 #: Default eviction cap (bytes) unless ``REPRO_CACHE_MAX_MB`` is set.
@@ -121,21 +120,17 @@ class ArtifactCache:
                 raise ValueError("schema/key mismatch")
         except FileNotFoundError:
             self.counters.misses += 1
-            REGISTRY.inc("engine.cache.misses")
             return None
         except (OSError, ValueError):
             self._discard(path)
             self.counters.corrupt += 1
             self.counters.misses += 1
-            REGISTRY.inc("engine.cache.corrupt")
-            REGISTRY.inc("engine.cache.misses")
             return None
         try:
             os.utime(path)  # refresh LRU position
         except OSError:
             pass
         self.counters.hits += 1
-        REGISTRY.inc("engine.cache.hits")
         return entry["payload"]
 
     def put(self, key: str, payload: dict) -> None:
@@ -153,7 +148,6 @@ class ArtifactCache:
             self._discard(Path(tmp))
             return
         self.counters.puts += 1
-        REGISTRY.inc("engine.cache.puts")
         self._evict(keep=path)
 
     def clear(self) -> int:
@@ -200,7 +194,6 @@ class ArtifactCache:
             total -= sizes[p]
             self._discard(p)
             self.counters.evictions += 1
-            REGISTRY.inc("engine.cache.evictions")
 
     # -- reporting ---------------------------------------------------------
 

@@ -41,7 +41,6 @@ from ..core import schemes
 from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
 from ..core.pipeline import CompileResult
 from ..isa.program import Program
-from ..obs.metrics import REGISTRY
 from ..obs.trace import span as obs_span
 from ..profilefb.profiledb import ProfileDB
 from ..sim.config import MachineConfig, r10k_config
@@ -160,7 +159,6 @@ def counted_compile(scheme: str, prog: Program, heur: FeedbackHeuristics,
     :class:`BenchmarkMemo` takes.
     """
     COUNTERS.compiles += 1
-    REGISTRY.inc("engine.compiles")
     return schemes.compile_scheme(prog, scheme, heur, profile=profile,
                                   max_steps=max_steps)
 
@@ -170,14 +168,12 @@ def counted_simulate(prog: Program, config: MachineConfig,
     """Functional + timing simulation, incrementing the counter.
 
     Runs :func:`repro.fastsim.backend.simulate` (decode-once +
-    generated-step functional + event-bucket timing; the reference
-    simulators only for an attached observer, with byte-identical
-    results).  Whatever it raises fails the cell by name.
+    generated-step functional + event-bucket timing).  Whatever it
+    raises fails the cell by name.
     """
     from ..fastsim.backend import simulate
 
     COUNTERS.simulates += 1
-    REGISTRY.inc("engine.simulates")
     return simulate(prog, config, max_steps=max_steps)
 
 

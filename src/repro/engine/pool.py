@@ -38,8 +38,6 @@ from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..obs.metrics import REGISTRY
-
 
 def _identity(payload):
     """A result that already is its JSON payload."""
@@ -101,11 +99,8 @@ def execution_mode(jobs: int, n_items: int) -> PoolDecision:
     if workers <= 1:
         mode = ("serial-oversubscribed"
                 if jobs > 1 and n_items > 1 else "serial")
-        decision = PoolDecision(mode, 1, jobs, n_items, cpus)
-    else:
-        decision = PoolDecision("parallel", workers, jobs, n_items, cpus)
-    REGISTRY.inc(f"engine.pool.{decision.mode}")
-    return decision
+        return PoolDecision(mode, 1, jobs, n_items, cpus)
+    return PoolDecision("parallel", workers, jobs, n_items, cpus)
 
 
 class LocalExecutor:

@@ -2,17 +2,11 @@
 
 Every cell, profile and CLI simulation runs on :mod:`repro.fastsim`:
 the decode-once + generated-step functional executor feeding the
-batched-event timing model.  The readable interpreters of
-:mod:`repro.sim` are the executable spec, and no option selects them.
-They run only where the code picks them:
-
-* the conformance oracle (:mod:`repro.fastsim.check`, ``tests/fastsim``),
-  ``robust.diffcheck`` and the qa fuzzer;
-* an observed run: an attached ``PipelineObserver`` (``repro run
-  --sample``, or the metrics registry enabled) hooks the reference
-  cycle loop, so :func:`simulate` runs the reference pair and records
-  the decision on :func:`fallback_trail` plus the ``fastsim.fallbacks``
-  metric.
+batched-event timing model, observed runs (``repro run --sample``)
+included.  The readable interpreters of :mod:`repro.sim` are the
+executable spec, and no option selects them.  They run only where the
+code picks them: the conformance oracle (:mod:`repro.fastsim.check`,
+``tests/fastsim``), ``robust.diffcheck`` and the qa fuzzer.
 
 Failure contract of :func:`simulate` (the entry point
 ``engine.cells.counted_simulate`` routes through): whatever the fast
@@ -25,54 +19,32 @@ through ``execute_cell``'s containment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..isa.program import Program
-from ..obs.metrics import REGISTRY
-from ..obs.pipeline_obs import PipelineObserver, maybe_observer
+from ..obs.pipeline_obs import PipelineObserver
 from ..sim.config import MachineConfig
-from ..sim.functional import FunctionalSim
-from ..sim.pipeline import TimingSim
 from .decode import decode_program
 from .functional import FastFunctionalSim
 from .timing import FastTimingSim
 
-_TRAIL_CAP = 64
 
-
-@dataclass(frozen=True)
-class FallbackRecord:
-    """One fast→reference fallback decision."""
-
-    stage: str     # "observer"
-    reason: str    # one-line classification
-
-
-_TRAIL: list = []
-
-
-def _fallback(stage: str, reason: str) -> None:
-    if len(_TRAIL) >= _TRAIL_CAP:
-        del _TRAIL[0]
-    _TRAIL.append(FallbackRecord(stage, reason))
-    REGISTRY.inc("fastsim.fallbacks")
-    REGISTRY.inc(f"fastsim.fallbacks.{stage}")
-
+# ``perfbench/run.py`` imports the next three names to record the
+# simulator and the fast->reference fallbacks of its runs.  No run falls
+# back, so the trail is always empty; the names go when the benchmark
+# harness stops importing them.
 
 def fallback_trail() -> tuple:
-    """The recent fast→reference fallback decisions (newest last)."""
-    return tuple(_TRAIL)
+    """The recorded fast->reference fallbacks: always ``()``."""
+    return ()
 
 
 def clear_fallback_trail() -> None:
-    """Forget recorded fallbacks (test isolation)."""
-    _TRAIL.clear()
+    """Forget recorded fallbacks (there are none)."""
 
 
 def resolve_backend() -> str:
-    """The simulator every run uses: always ``"fast"`` (benchmark
-    reports record it)."""
+    """The simulator every run uses: always ``"fast"``."""
     return "fast"
 
 
@@ -81,21 +53,15 @@ def simulate(prog: Program, config: MachineConfig,
              observer: Optional[PipelineObserver] = None) -> tuple:
     """Fast functional + timing simulation of *prog* under *config*.
 
-    Returns ``(SimStats, ExecStats)`` or raises.  With *observer* given
-    (or the one :func:`~repro.obs.pipeline_obs.maybe_observer` makes
-    when metrics are on), the run is the reference pair with the
-    observer attached to its cycle loop.
+    Returns ``(SimStats, ExecStats)`` or raises.  With *observer* given,
+    the functional run's batch stream passes through its sampler on the
+    way to the timing model.
     """
-    if observer is None:
-        observer = maybe_observer()
-    if observer is not None:
-        _fallback("observer", "pipeline observer active")
-        fsim = FunctionalSim(prog, max_steps=max_steps,
-                             record_outcomes=False)
-        stats = TimingSim(config, observer=observer).run(fsim.trace())
-        return stats, fsim.stats
     dec = decode_program(prog)
     fsim = FastFunctionalSim(prog, max_steps=max_steps,
                              record_outcomes=False, decoded=dec)
-    stats = FastTimingSim(config, decoded=dec).run(fsim.batches())
+    batches = fsim.batches()
+    if observer is not None:
+        batches = observer.sample(batches)
+    stats = FastTimingSim(config, decoded=dec).run(batches)
     return stats, fsim.stats

@@ -1,7 +1,7 @@
 """FastTimingSim: batched-event restructuring of the cycle model.
 
 Cycle-for-cycle equivalent to :class:`repro.sim.pipeline.TimingSim`
-(default configuration: ``model_wrong_path=False``, no observer), fed by
+(default configuration: ``model_wrong_path=False``), fed by
 the batch stream of :meth:`FastFunctionalSim.batches` instead of one
 ``TraceEntry`` object per dynamic instruction.
 
@@ -33,10 +33,10 @@ The branch predictor and the I/D cache models are the *real* objects
 from ``repro.sim`` — their stats land in ``SimStats`` byte-identical by
 construction.  (Within one cycle every data-cache access comes from the
 load/store queue, so age ordering preserves the reference's access
-order and therefore LRU state.)  Wrong-path modeling and observer hooks
-are not supported here: the wrong-path ablation drives the reference
-``TimingSim`` itself, and :func:`repro.fastsim.backend.simulate` runs
-the reference pair for an observed run.
+order and therefore LRU state.)  Wrong-path modeling is not supported
+here: the wrong-path ablation drives the reference ``TimingSim`` itself.
+An observed run samples the batch stream on its way in
+(:class:`repro.obs.pipeline_obs.PipelineObserver`).
 """
 
 from __future__ import annotations

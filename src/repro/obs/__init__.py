@@ -1,33 +1,27 @@
-"""Observability layer: tracing spans, metrics, and profiling hooks.
+"""Observability layer: tracing spans and hot-PC sampling.
 
 The paper's claims are about *where cycles go*; this package makes every
-layer of the reproduction account for its time and events without
-perturbing the measurements it observes:
+layer of the reproduction account for its time without perturbing the
+measurements it observes:
 
 * :mod:`~repro.obs.trace` — context-manager **spans** with monotonic
   timing and structured attributes, emitted as JSONL.  A process-global
   tracer is installed with :func:`tracing`/:func:`install`; when none is
   installed, :func:`span` returns a shared no-op span, so instrumented
   code pays one global load and an attribute check per span;
-* :mod:`~repro.obs.metrics` — named **counters and histograms** in a
-  process-global registry with a disabled-by-default no-op fast path;
-* :mod:`~repro.obs.pipeline_obs` — an opt-in **observer** for the cycle
-  simulator deriving fetch/issue/retire rates, mispredict intervals,
-  per-branch outcome entropy, and sampled hot-PC histograms from the
-  existing counters, attached by method rebinding so the simulator's hot
-  loop is untouched when observation is off;
+* :mod:`~repro.obs.pipeline_obs` — a **hot-PC sampler** over the fast
+  simulator's batch stream (``repro run --sample N``), rendered per
+  basic block by :func:`heat_report`;
 * :mod:`~repro.obs.summarize` — aggregation of a JSONL trace into the
   per-pass / per-cell timing table behind ``repro trace summarize``.
 
-Span and metric naming conventions are documented in
-docs/OBSERVABILITY.md.
+Each run's counts live with their owners, not here: the simulator's
+``SimStats`` and the compile's decision counts are in every cell
+payload (docs/OBSERVABILITY.md lists where each count lives).  Span
+naming conventions are documented in docs/OBSERVABILITY.md.
 """
 
-from .metrics import (
-    Counter, Histogram, MetricsRegistry, REGISTRY, metrics_disable,
-    metrics_enable, metrics_snapshot,
-)
-from .pipeline_obs import PipelineObserver, heat_report, maybe_observer
+from .pipeline_obs import PipelineObserver, heat_report
 from .summarize import summarize_trace
 from .trace import (
     NULL_SPAN, Span, Tracer, active_tracer, install, read_trace, span,
@@ -35,9 +29,7 @@ from .trace import (
 )
 
 __all__ = [
-    "Counter", "Histogram", "MetricsRegistry", "REGISTRY",
-    "metrics_disable", "metrics_enable", "metrics_snapshot",
-    "PipelineObserver", "heat_report", "maybe_observer",
+    "PipelineObserver", "heat_report",
     "summarize_trace",
     "NULL_SPAN", "Span", "Tracer", "active_tracer", "install",
     "read_trace", "span", "tracing", "uninstall",

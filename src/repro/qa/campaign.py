@@ -26,7 +26,6 @@ from typing import Callable, Optional, Sequence
 from ..core import serde
 from ..engine.pool import run_cached
 from ..engine.cache import ArtifactCache
-from ..obs.metrics import REGISTRY
 from ..obs.trace import span as obs_span
 from ..isa.printer import format_program
 from ..isa.program import Program
@@ -196,10 +195,6 @@ def run_campaign(cfg: CampaignConfig,
         result = _run_campaign_inner(cfg, progress, executor)
         sp.set("divergences", result.summary.divergences)
         sp.set("cell_errors", result.summary.cell_errors)
-    if REGISTRY.enabled:
-        REGISTRY.inc("fuzz.programs", result.summary.programs)
-        REGISTRY.inc("fuzz.divergences", result.summary.divergences)
-        REGISTRY.inc("fuzz.cell_errors", result.summary.cell_errors)
     return result
 
 

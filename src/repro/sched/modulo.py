@@ -57,13 +57,6 @@ class ModuloSchedule:
             return 0
         return max(self.start.values()) // self.ii + 1
 
-    def kernel(self) -> list[list[int]]:
-        """Instruction indices per kernel slot (t mod II)."""
-        slots: list[list[int]] = [[] for _ in range(self.ii)]
-        for i, t in sorted(self.start.items()):
-            slots[t % self.ii].append(i)
-        return slots
-
 
 class NotPipelinable(Exception):
     """The loop body cannot be modulo-scheduled (control flow inside the

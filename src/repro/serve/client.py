@@ -34,7 +34,6 @@ from typing import Callable, Optional
 
 from ..core.heuristics import FeedbackHeuristics
 from ..engine.cells import CellSpec, cell_grid
-from ..obs.metrics import REGISTRY
 from ..obs.trace import span as obs_span
 from . import protocol
 
@@ -129,7 +128,6 @@ class ServeClient:
                 return resp["job"]
             except Backpressure as exc:
                 last = exc
-                REGISTRY.inc("serve.client.backpressure")
                 self._sleep(min(float(exc.details.get("retry_after_s", 1.0)),
                                 MAX_RETRY_SLEEP_S))
         raise last  # type: ignore[misc]  # loop ran at least once

@@ -32,8 +32,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..obs.metrics import REGISTRY
-
 #: Executions per cell before the queue gives up and records a failure
 #: result for its subscribers (covers repeated worker death on one cell;
 #: Python-level failures are already contained inside the cell).
@@ -124,15 +122,12 @@ class JobQueue:
                 if entry is not None:
                     entry.subscribers.append(job)
                     job.n_deduped += 1
-                    REGISTRY.inc("serve.queue.deduped")
                     continue
                 entry = _CellEntry(key=key, kind=kind, spec=spec,
                                    subscribers=[job])
                 self._cells[key] = entry
                 self._pending.append(key)
-                REGISTRY.inc("serve.queue.enqueued")
             self._jobs[job.job_id] = job
-            REGISTRY.inc("serve.jobs.submitted")
             self._work.notify_all()
             return job
 
@@ -163,7 +158,6 @@ class JobQueue:
                 return  # stale completion after a shutdown/requeue race
             for job in entry.subscribers:
                 job.results[key] = payload
-            REGISTRY.inc("serve.queue.completed")
             self._work.notify_all()
 
     def requeue(self, key: str) -> bool:
@@ -181,7 +175,6 @@ class JobQueue:
                 return False
             entry.claimed = False
             self._pending.appendleft(key)
-            REGISTRY.inc("serve.queue.requeued")
             self._work.notify_all()
             return True
 

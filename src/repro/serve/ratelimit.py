@@ -17,8 +17,6 @@ import threading
 import time
 from typing import Callable
 
-from ..obs.metrics import REGISTRY
-
 #: Default sustained submission rate (requests per second per tenant).
 DEFAULT_RATE = 10.0
 
@@ -98,13 +96,8 @@ class RateLimiter:
             return b
 
     def check(self, tenant: str, cost: float = 1.0) -> tuple[bool, float]:
-        """One admission decision; rejections count into the registry."""
-        ok, retry_after = self.bucket(tenant).try_acquire(cost)
-        if ok:
-            REGISTRY.inc("serve.ratelimit.admitted")
-        else:
-            REGISTRY.inc("serve.ratelimit.rejected")
-        return ok, retry_after
+        """One admission decision: ``(admitted, retry_after_s)``."""
+        return self.bucket(tenant).try_acquire(cost)
 
     def snapshot(self) -> dict[str, float]:
         """Current balance per known tenant (stats endpoint)."""

@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Optional, Union
 from urllib.parse import parse_qs, urlparse
 
-from ..obs.metrics import REGISTRY
 from ..obs.trace import span as obs_span
 from . import protocol
 from .queue import JobQueue
@@ -79,8 +78,8 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
 
-    # BaseHTTPRequestHandler logs to stderr per request; the service logs
-    # through metrics/spans instead.
+    # BaseHTTPRequestHandler logs to stderr per request; the service
+    # reports through spans and /v1/stats instead.
     def log_message(self, fmt: str, *args) -> None:  # noqa: D102
         pass
 
@@ -157,7 +156,6 @@ class _Handler(BaseHTTPRequestHandler):
 
         ok, retry_after = state.limiter.check(tenant)
         if not ok:
-            REGISTRY.inc("serve.http.rate_limited")
             self._send_error_body(
                 429, "rate_limited",
                 f"tenant {tenant!r} exceeded its submission budget",
@@ -182,7 +180,6 @@ class _Handler(BaseHTTPRequestHandler):
                 tenant, kind, [(c["key"], c["spec"]) for c in cells],
                 precomputed=precomputed)
         state.submissions += 1
-        REGISTRY.inc("serve.http.submissions")
         self._send_json(200, protocol.ok_body(
             job=protocol.job_to_dict(job)))
 
@@ -280,7 +277,6 @@ class EvalServer:
             target=self._http.serve_forever, name="serve-http",
             daemon=True)
         self._serve_thread.start()
-        REGISTRY.inc("serve.started")
         return self
 
     def stop(self) -> None:

@@ -34,7 +34,6 @@ import time
 import traceback
 
 from ..core import serde
-from ..obs.metrics import REGISTRY
 from ..obs.trace import span as obs_span
 from .queue import JobQueue
 from .store import LocalBackend
@@ -82,6 +81,10 @@ class Worker:
         self._thread = threading.Thread(target=self._loop, name=name,
                                         daemon=True)
         self.cells_executed = 0
+        #: cells whose execution raised out of the cell's own containment
+        self.escaped = 0
+        #: successful results the store failed to write
+        self.store_failures = 0
         self.busy_ns = 0
         self.started_ns = 0
 
@@ -116,7 +119,7 @@ class Worker:
                               kind=kind, key=key[:12]):
                     payload = execute_payload(kind, spec)
             except BaseException as exc:  # noqa: BLE001 - fleet survival
-                REGISTRY.inc("serve.worker.escaped")
+                self.escaped += 1
                 if not self.queue.requeue(key):
                     # attempt budget exhausted: fail the cell for all
                     # subscribers rather than spinning forever
@@ -127,7 +130,6 @@ class Worker:
             finally:
                 self.busy_ns += time.monotonic_ns() - t0
             self.cells_executed += 1
-            REGISTRY.inc("serve.worker.cells")
             self._publish(key, kind, payload)
 
     def _publish(self, key: str, kind: str, payload: dict) -> None:
@@ -138,7 +140,7 @@ class Worker:
                 try:
                     self.store.put(tenant, key, payload)
                 except Exception:  # noqa: BLE001 - cache write must not kill
-                    REGISTRY.inc("serve.worker.store_failures")
+                    self.store_failures += 1
         self.queue.complete(key, payload)
 
     # -- reporting ---------------------------------------------------------
@@ -201,18 +203,22 @@ class WorkerFleet:
     # -- reporting ---------------------------------------------------------
 
     def stats(self) -> dict:
-        """Fleet snapshot: per-worker and aggregate utilization."""
+        """Fleet snapshot: per-worker and aggregate utilization, cells
+        executed, escaped executions and failed store writes."""
         per_worker = {
             w.name: {
                 "alive": w.alive,
                 "cells_executed": w.cells_executed,
+                "escaped": w.escaped,
+                "store_failures": w.store_failures,
                 "utilization": round(w.utilization(), 4),
             } for w in self.workers}
-        executed = sum(w.cells_executed for w in self.workers)
         return {
             "workers": len(self.workers),
             "alive": sum(1 for w in self.workers if w.alive),
-            "cells_executed": executed,
+            "cells_executed": sum(w.cells_executed for w in self.workers),
+            "escaped": sum(w.escaped for w in self.workers),
+            "store_failures": sum(w.store_failures for w in self.workers),
             "utilization": round(
                 sum(w.utilization() for w in self.workers)
                 / len(self.workers), 4),

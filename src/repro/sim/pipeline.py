@@ -109,15 +109,10 @@ class TimingSim:
 
     def __init__(self, config: MachineConfig = R10K,
                  program: Optional[Program] = None,
-                 model_wrong_path: bool = False,
-                 observer=None):
+                 model_wrong_path: bool = False):
         self.cfg = config
         self.program = program
         self.model_wrong_path = model_wrong_path
-        #: optional :class:`repro.obs.pipeline_obs.PipelineObserver`; when
-        #: set, :meth:`run` lets it rebind the per-cycle stages and wrap
-        #: the trace — with the default None, the cycle loop is untouched
-        self.observer = observer
         self._wrong_path_feed: list[Instruction] = []
         self._squashed = 0
         self.stats = SimStats()
@@ -167,9 +162,6 @@ class TimingSim:
 
     def run(self, trace: Iterable[TraceEntry]) -> SimStats:
         """Replay *trace* to completion and return statistics."""
-        obs = self.observer
-        if obs is not None:
-            trace = obs.attach(self, trace)
         it = iter(trace)
         pending: Optional[TraceEntry] = next(it, None)
         cycle = 0
@@ -210,8 +202,6 @@ class TimingSim:
 
         self.stats.cycles = cycle
         self.stats.dispatched = self.stats.committed + self.stats.annulled
-        if obs is not None:
-            obs.finalize(self.stats)
         return self.stats
 
     def run_program(self, prog: Program,

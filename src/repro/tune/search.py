@@ -39,7 +39,6 @@ from ..core.heuristics import DEFAULT_HEURISTICS
 from ..engine.cells import CELLS
 from ..engine.keys import SCHEMA_VERSION as KEYS_SCHEMA_VERSION, digest
 from ..engine.pool import run_cached
-from ..obs.metrics import REGISTRY
 from ..obs.trace import span as obs_span
 from ..sim.config import r10k_config
 from ..workloads import benchmark_programs
@@ -216,8 +215,6 @@ def _evaluate_round(cands: list, frac: float, spec: TuneSpec, cache,
             programs)
         by_key = {key: result
                   for (_, key, _), result in zip(cells, results)}
-        REGISTRY.inc("tune.cells.hit", hits)
-        REGISTRY.inc("tune.cells.miss", executed)
         best = 0.0
         for cand, cc in grid:
             per_bench = {name: measure(by_key[key], original_len[name])
@@ -229,8 +226,6 @@ def _evaluate_round(cands: list, frac: float, spec: TuneSpec, cache,
         sp.set("best_ipc", best)
         sp.set("cells_hit", hits)
         sp.set("cells_executed", executed)
-    REGISTRY.inc("tune.rounds")
-    REGISTRY.observe("tune.round.best_ipc", best)
     if progress:
         progress(f"round {round_no}: rung {label} x{len(cands)} "
                  f"candidates, best ipc {best:.3f} "
@@ -294,7 +289,6 @@ def run_tune(spec: TuneSpec, cache=None, executor=None,
     if cache is not None:
         stored = cache.get(result_key)
         if stored is not None:
-            REGISTRY.inc("tune.result.hit")
             if progress:
                 progress("identical search found in the artifact cache; "
                          "returning the stored result (0 cells)")

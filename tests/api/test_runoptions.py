@@ -55,8 +55,8 @@ def test_options_from_args_full_namespace(tmp_path):
     assert s.executor.jobs == 3
     assert s.cache.root == tmp_path
     assert (s.trace_path, s.strict) == ("t.jsonl", True)
-    s = _session(["trace", "run", "--out", "o.jsonl", "--metrics"])
-    assert (s.trace_path, s.metrics) == ("o.jsonl", True)
+    assert _session(["trace", "run", "--out", "o.jsonl"]).trace_path \
+        == "o.jsonl"
     client = _session(["tables", "--remote", "http://127.0.0.1:1",
                        "--tenant", "t"]).executor
     assert isinstance(client, ServeClient)
@@ -84,6 +84,5 @@ def test_options_from_args_missing_flags_fall_back():
     for s in (bare, undeclared, plain):
         assert isinstance(s.executor, LocalExecutor)
         assert s.executor.jobs == 1
-        assert (s.max_steps, s.strict, s.metrics) \
-            == (default.max_steps, False, False)
+        assert (s.max_steps, s.strict) == (default.max_steps, False)
     assert (bare.trace_path, plain.trace_path) == (None, None)

@@ -10,7 +10,6 @@ from repro.api import Session
 from repro.core import schemes
 from repro.engine import ArtifactCache, CellSpec, SweepSpec, execute_cell
 from repro.eval import suite_to_dict
-from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.workloads import benchmark_programs
 
@@ -24,7 +23,6 @@ def test_session_defaults():
     assert s.max_steps == 50_000_000
     assert s.strict is False
     assert s.trace_path is None
-    assert s.metrics is False
 
 
 def test_session_keywords_are_the_one_way_to_configure_a_run():
@@ -36,8 +34,10 @@ def test_session_keywords_are_the_one_way_to_configure_a_run():
     assert not hasattr(api, "RunOptions")
     assert not hasattr(api, "options_from_args")
     assert set(inspect.signature(Session).parameters) == {
-        "cache", "jobs", "max_steps", "strict", "trace_path", "metrics",
-        "remote", "tenant"}
+        "cache", "jobs", "max_steps", "strict", "trace_path", "remote",
+        "tenant"}
+    with pytest.raises(TypeError):
+        Session(metrics=True)
     for method in (Session.run_suite, Session.sweep, Session.fuzz,
                    Session.tune):
         params = inspect.signature(method).parameters
@@ -137,13 +137,6 @@ def test_tracer_lifecycle(tmp_path):
     assert [r["name"] for r in records] == ["unit-test"]
 
 
-def test_metrics_lifecycle():
-    assert not _metrics.REGISTRY.enabled
-    with Session(metrics=True):
-        assert _metrics.REGISTRY.enabled
-    assert not _metrics.REGISTRY.enabled
-
-
 def test_start_close_idempotent(tmp_path):
     session = Session(trace_path=tmp_path / "t.jsonl")
     session.start()
@@ -176,5 +169,5 @@ def test_cache_plumbing(tmp_path):
 
 
 def test_repr_mentions_knobs():
-    text = repr(Session(jobs=3, metrics=True))
-    assert "jobs=3" in text and "metrics=True" in text
+    text = repr(Session(jobs=3, trace_path="t.jsonl"))
+    assert "jobs=3" in text and "trace='t.jsonl'" in text

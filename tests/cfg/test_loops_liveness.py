@@ -83,14 +83,6 @@ skip:
     assert exit_flags["bne"] is False  # taken edge stays in loop
 
 
-def test_innermost():
-    cfg = build_cfg(LOOP)
-    forest = LoopForest(cfg)
-    inners = forest.innermost()
-    assert len(inners) == 1
-    assert inners[0].depth == 2
-
-
 def test_loop_of_block():
     cfg = build_cfg(LOOP)
     labels = _by_label(cfg)

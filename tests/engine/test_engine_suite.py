@@ -115,18 +115,3 @@ def test_one_missing_cell_recomputes_only_that_cell(tmp_path, programs):
     assert json.dumps(suite_to_dict(cold), sort_keys=True) == \
         json.dumps(suite_to_dict(warm), sort_keys=True)
 
-
-def test_metrics_count_compiles_and_simulations_at_jobs_1(programs):
-    from repro.api import Session
-    from repro.obs.metrics import REGISTRY
-
-    REGISTRY.reset()
-    COUNTERS.reset()
-    try:
-        with Session(metrics=True, jobs=1, max_steps=MAX_STEPS) as s:
-            s.run_suite(benchmarks={"compress": programs["compress"]})
-        counters = REGISTRY.snapshot()["counters"]
-    finally:
-        REGISTRY.reset()
-    assert counters["engine.compiles"] == COUNTERS.compiles == 4
-    assert counters["engine.simulates"] == COUNTERS.simulates == 4

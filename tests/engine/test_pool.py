@@ -169,22 +169,3 @@ class TestExecutionMode:
         decision = execution_mode(jobs=2, n_items=8)
         assert decision.mode == "parallel"
         assert decision.workers == 2
-
-    def test_oversubscribed_fallback_counted_when_metrics_on(
-            self, monkeypatch):
-        import os
-
-        from repro.engine import execution_mode
-        from repro.obs.metrics import REGISTRY
-
-        monkeypatch.delenv("REPRO_POOL_FORCE", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        REGISTRY.reset()
-        REGISTRY.enable()
-        try:
-            execution_mode(jobs=4, n_items=8)
-            snap = REGISTRY.snapshot()["counters"]
-        finally:
-            REGISTRY.disable()
-            REGISTRY.reset()
-        assert snap["engine.pool.serial-oversubscribed"] == 1

@@ -6,8 +6,7 @@ suite checks it against.  These tests pin that:
 
 * no flag, environment variable, option, spec field or wire field
   selects a simulator, and a cell that names none runs on the fast path
-  (the reference never runs unless an observer or an internal fault
-  sends it there);
+  (the reference never runs, and the fallback trail stays empty);
 * cell keys hash only the program, scheme, heuristics, machine and step
   budget (see ``tests/engine/test_warm_replay.py``), with the meld knobs
   keyed like every other heuristic;

@@ -1,18 +1,13 @@
-"""Shared observability-test hygiene: no global state leaks across tests."""
+"""Shared observability-test hygiene: no tracer leaks across tests."""
 
 import pytest
 
-from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 
 
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
-    """Uninstall any tracer and reset/disable the metrics registry."""
+    """Uninstall any tracer before and after each test."""
     _trace.uninstall()
-    _metrics.REGISTRY.reset()
-    _metrics.metrics_disable()
     yield
     _trace.uninstall()
-    _metrics.REGISTRY.reset()
-    _metrics.metrics_disable()

@@ -1,15 +1,17 @@
-"""Pipeline observer: result parity, sampling, entropy, metric feeds."""
+"""Hot-PC sampler: result parity, sampling, heat report, the reference
+trace as its oracle."""
 
 import json
 
 import pytest
 
+from repro.fastsim.backend import simulate
+from repro.fastsim.functional import FLUSH, FastFunctionalSim
 from repro.isa import parse
-from repro.obs.metrics import MetricsRegistry, metrics_enable
-from repro.obs.pipeline_obs import (
-    PipelineObserver, heat_report, maybe_observer, outcome_entropy,
-)
-from repro.sim import TimingSim, r10k_config
+from repro.obs.pipeline_obs import PipelineObserver, heat_report
+from repro.sim import r10k_config
+from repro.sim.functional import FunctionalSim
+from repro.workloads import benchmark_programs
 
 
 LOOP_SRC = """.text
@@ -30,49 +32,19 @@ def loop_prog():
 
 
 def _run(prog, observer=None):
-    return TimingSim(r10k_config("twobit"), observer=observer)\
-        .run_program(prog)
+    return simulate(prog, r10k_config("twobit"), observer=observer)[0]
 
 
 def test_observed_run_has_identical_stats(loop_prog):
     """The observer must never perturb the simulation it watches."""
     baseline = _run(loop_prog)
-    observed = _run(loop_prog, observer=PipelineObserver(MetricsRegistry()))
+    observed = _run(loop_prog, observer=PipelineObserver(sample_interval=1))
     assert json.dumps(baseline.to_dict(), sort_keys=True) \
         == json.dumps(observed.to_dict(), sort_keys=True)
 
 
-def test_counters_fed_from_run(loop_prog):
-    reg = MetricsRegistry()
-    reg.enable()
-    obs = PipelineObserver(reg)
-    stats = _run(loop_prog, observer=obs)
-    snap = reg.snapshot()
-    assert snap["counters"]["pipeline.cycles"] == stats.cycles
-    assert snap["counters"]["pipeline.committed"] == stats.committed
-    assert snap["counters"]["pipeline.traced_entries"] == obs.trace_entries
-    # Rate histograms saw one observation per cycle-stage call.
-    assert snap["histograms"]["pipeline.retire_per_cycle"]["count"] > 0
-    assert snap["histograms"]["pipeline.issue_per_cycle"]["count"] > 0
-    assert snap["histograms"]["pipeline.fetch_per_cycle"]["count"] > 0
-
-
-def test_branch_entropy_recorded(loop_prog):
-    reg = MetricsRegistry()
-    reg.enable()
-    obs = PipelineObserver(reg)
-    _run(loop_prog, observer=obs)
-    # The loop back-edge is taken 15/16 times: entropy strictly in (0, 1).
-    assert obs.branch_outcomes, "no branch outcomes collected"
-    assert obs.branch_entropy
-    for h in obs.branch_entropy.values():
-        assert 0.0 < h < 1.0
-    assert reg.snapshot()["histograms"]["pipeline.branch_entropy"]["count"] \
-        == len(obs.branch_entropy)
-
-
 def test_sampling_and_heat_report(loop_prog):
-    obs = PipelineObserver(MetricsRegistry(), sample_interval=1)
+    obs = PipelineObserver(sample_interval=1)
     _run(loop_prog, observer=obs)
     assert sum(obs.pc_samples.values()) == obs.trace_entries
     report = heat_report(obs.pc_samples, loop_prog, loop_prog.name)
@@ -87,32 +59,37 @@ def test_heat_report_empty_samples(loop_prog):
 
 
 def test_sample_interval_thins_samples(loop_prog):
-    dense = PipelineObserver(MetricsRegistry(), sample_interval=1)
-    sparse = PipelineObserver(MetricsRegistry(), sample_interval=7)
+    dense = PipelineObserver(sample_interval=1)
+    sparse = PipelineObserver(sample_interval=7)
     _run(loop_prog, observer=dense)
     _run(loop_prog, observer=sparse)
     assert sum(sparse.pc_samples.values()) \
         == dense.trace_entries // 7
 
 
-def test_maybe_observer_gating():
-    assert maybe_observer() is None  # registry disabled (conftest)
-    obs = maybe_observer(sample_interval=5)
-    assert obs is not None and obs.sample_interval == 5
-    metrics_enable()
-    assert isinstance(maybe_observer(), PipelineObserver)
+@pytest.fixture(scope="module")
+def grep_trace():
+    """grep at scale 0.1 and its reference trace's static indices: more
+    than one batch of the fast stream."""
+    prog = benchmark_programs(0.1)["grep"]
+    indices = [entry.index for entry in
+               FunctionalSim(prog, record_outcomes=False).trace()]
+    assert len(indices) > FLUSH
+    return prog, indices
 
 
-@pytest.mark.parametrize("taken,total,expected", [
-    (0, 0, 0.0),      # no outcomes
-    (0, 10, 0.0),     # never taken
-    (10, 10, 0.0),    # always taken
-    (5, 10, 1.0),     # perfectly unbiased
-])
-def test_outcome_entropy_edges(taken, total, expected):
-    assert outcome_entropy(taken, total) == pytest.approx(expected)
-
-
-def test_outcome_entropy_asymmetric():
-    h = outcome_entropy(1, 10)
-    assert 0.0 < h < outcome_entropy(3, 10) < 1.0
+@pytest.mark.parametrize("interval", [1, 7, 1000])
+def test_samples_match_the_reference_trace(grep_trace, interval):
+    """The sampler counts every N-th entry of the fast batch stream
+    across batch boundaries, and passes every batch on: its histogram is
+    that of every N-th entry of the reference trace."""
+    prog, indices = grep_trace
+    expected: dict[int, int] = {}
+    for index in indices[interval - 1::interval]:
+        expected[index] = expected.get(index, 0) + 1
+    obs = PipelineObserver(sample_interval=interval)
+    batches = FastFunctionalSim(prog, record_outcomes=False).batches()
+    passed = [i for idxs, _, _, _ in obs.sample(batches) for i in idxs]
+    assert passed == indices
+    assert obs.trace_entries == len(indices)
+    assert obs.pc_samples == expected

@@ -12,8 +12,8 @@ raises propagates out of :func:`repro.fastsim.backend.simulate`:
    alignment traps) is the reference's own exception, so the engine
    records the same ``FAIL(...)`` cell either simulator would.
 
-Only an attached pipeline observer runs the reference pair, and that
-decision is the one entry the fallback trail records.
+No run takes the reference pair, an observed one included, so the
+fallback trail stays empty.
 """
 
 import traceback
@@ -27,7 +27,7 @@ from repro.fastsim import backend as fb
 from repro.fastsim import codegen
 from repro.fastsim.decode import DecodeError
 from repro.fastsim.timing import FastTimingSim
-from repro.obs.metrics import REGISTRY
+from repro.obs import PipelineObserver
 from repro.serve import ServeClient
 from repro.sim.config import r10k_config
 from repro.sim.functional import FunctionalSim, UnmodeledOpcode
@@ -86,10 +86,6 @@ def _clean_trail():
     fb.clear_fallback_trail()
 
 
-def _count(name):
-    return REGISTRY.snapshot()["counters"].get(name, 0)
-
-
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_fast_path_fault_propagates(fault, prog, monkeypatch):
     exc_type = FAULTS[fault](monkeypatch)
@@ -125,22 +121,21 @@ def test_fast_path_fault_fails_every_cell(fault, where, prog, monkeypatch,
     assert fb.fallback_trail() == ()
 
 
-def test_observer_runs_fall_back_and_are_counted(prog, reference):
-    # Metrics on => pipeline observer active => the fast path must yield
-    # to the reference pipeline (the observer hooks its cycle loop), and
-    # with the registry enabled the fallback metric actually counts.
-    REGISTRY.enable()
-    try:
-        before = _count("fastsim.fallbacks")
-        stats, exec_stats = fb.simulate(prog, r10k_config("twobit"),
-                                        max_steps=MAX_STEPS)
-        assert exec_stats.to_dict() == reference[1]
-        rec = fb.fallback_trail()[-1]
-        assert rec.stage == "observer"
-        assert _count("fastsim.fallbacks") == before + 1
-        assert _count("fastsim.fallbacks.observer") >= 1
-    finally:
-        REGISTRY.disable()
+def test_observed_run_stays_on_the_fast_path(prog, reference,
+                                             monkeypatch):
+    # The sampler reads the fast batch stream: with the reference pair
+    # broken, an observed run still returns the reference's results.
+    def broken(*args, **kwargs):
+        raise AssertionError("reference simulator used")
+
+    monkeypatch.setattr(TimingSim, "run", broken)
+    monkeypatch.setattr(FunctionalSim, "__init__", broken)
+    observer = PipelineObserver(sample_interval=7)
+    stats, exec_stats = fb.simulate(prog, r10k_config("twobit"),
+                                    max_steps=MAX_STEPS, observer=observer)
+    assert (stats.to_dict(), exec_stats.to_dict()) == reference
+    assert sum(observer.pc_samples.values()) == observer.trace_entries // 7
+    assert fb.fallback_trail() == ()
 
 
 def test_clean_run_leaves_no_trail(prog, reference):

@@ -57,6 +57,36 @@ def test_escaped_exception_requeues_and_recovers(tmp_path, monkeypatch):
         assert len(calls) == 2                      # failed once, retried
         # The artifact reached the subscriber's namespace too.
         assert fleet.store.get("alice", KEY) == {"ok": True}
+        stats = fleet.stats()
+        assert (stats["escaped"], stats["cells_executed"]) == (1, 1)
+        assert sum(w["escaped"] for w in stats["per_worker"].values()) == 1
+    finally:
+        queue.close()
+        fleet.stop()
+
+
+def test_failed_store_write_is_counted_and_the_job_completes(
+        tmp_path, monkeypatch):
+    """A result the store cannot write still reaches the job, and the
+    failed write shows in the fleet's stats (``/v1/stats``)."""
+    def broken_put(namespace, key, payload):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(worker_mod, "execute_payload",
+                        lambda kind, spec: {"ok": True})
+    queue, fleet = _fleet(tmp_path)
+    monkeypatch.setattr(fleet.store, "put", broken_put)
+    fleet.subscribe(KEY, "alice")
+    job = queue.submit("alice", "fuzz", [(KEY, {})])
+    fleet.start()
+    try:
+        assert _wait(lambda: job.done)
+        assert job.results[KEY] == {"ok": True}
+        stats = fleet.stats()
+        assert stats["store_failures"] >= 1
+        assert sum(w["store_failures"] for w in stats["per_worker"].values()) \
+            == stats["store_failures"]
+        assert stats["escaped"] == 0
     finally:
         queue.close()
         fleet.stop()

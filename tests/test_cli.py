@@ -28,8 +28,9 @@ def test_run_compile_verify_profile_on_the_fast_path(monkeypatch, capsys,
                                                      scheme, timing_sim):
     """``run --scheme <proposed-pipeline compile>``, ``compile``,
     ``verify`` and ``profile`` take their profiling run on the fast
-    path, also when ``run --sample`` observes the timing run, which
-    then takes the reference simulators (*timing_sim* ``reference``)."""
+    path, and ``run``'s timing run stays there too when ``--sample``
+    observes it (*timing_sim* ``reference``): no run records a
+    fallback."""
     import repro.__main__ as cli
     from repro.fastsim.backend import clear_fallback_trail, fallback_trail
     from repro.profilefb.profiledb import ProfileDB
@@ -52,8 +53,7 @@ def test_run_compile_verify_profile_on_the_fast_path(monkeypatch, capsys,
     clear_fallback_trail()
     assert main(["run", "grep", "--scale", "0.02", "--scheme", scheme,
                  *sample]) == 0
-    stages = [record.stage for record in fallback_trail()]
-    assert stages == (["observer"] if sample else [])
+    assert fallback_trail() == ()
     assert main(["compile", "grep", "--scale", "0.02"]) == 0
     assert main(["verify", "grep", "--scale", "0.02"]) == 0
     monkeypatch.setattr(ProfileDB, "from_run", classmethod(profile_spy))
@@ -276,19 +276,17 @@ def test_trace_run_and_summarize(tmp_path, capsys):
 
 
 def test_trace_run_inline_summary_and_metrics(tmp_path, capsys):
+    """``--summarize`` prints the span table after the run; there is no
+    metrics registry to print, so ``--metrics`` is a usage error."""
     out = tmp_path / "trace.jsonl"
     assert main(["trace", "run", "--scale", "0.01", "--out", str(out),
-                 "--no-cache", "--summarize", "--metrics"]) == 0
-    stdout = capsys.readouterr().out
-    assert "distinct names" in stdout
-    import json
-
-    # stdout is the metrics JSON followed by the span table; the JSON is
-    # everything before the table's "N spans, M distinct names" header.
-    snap = json.loads(stdout[:stdout.index("distinct names")]
-                      .rsplit("\n", 1)[0])
-    assert snap["counters"]["compiler.compiles_proposed"] > 0
-    assert snap["counters"]["pipeline.cycles"] > 0
+                 "--no-cache", "--summarize"]) == 0
+    assert "distinct names" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["trace", "run", "--scale", "0.01", "--out", str(out),
+              "--no-cache", "--metrics"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --metrics" in capsys.readouterr().err
 
 
 def test_trace_summarize_missing_file(capsys):
@@ -314,3 +312,68 @@ def test_run_sample_heat_report(capsys):
     assert "program    : compress\n" in out
     assert re.search(r"^heat report: compress \(\d+ samples, \d+ hot "
                      r"blocks\)$", out, re.MULTILINE), out
+
+
+def test_run_sample_stays_on_the_fast_path(monkeypatch, capsys):
+    """An observed run never touches the reference simulators: with
+    both broken, ``run --sample`` still prints its heat report."""
+    from repro.fastsim.backend import fallback_trail
+    from repro.sim.functional import FunctionalSim
+    from repro.sim.pipeline import TimingSim
+
+    def broken(*args, **kwargs):
+        raise AssertionError("reference simulator used")
+
+    monkeypatch.setattr(TimingSim, "run", broken)
+    monkeypatch.setattr(FunctionalSim, "__init__", broken)
+    assert main(["run", "compress", "--scale", "0.1", "--sample", "7"]) == 0
+    assert "heat report: compress (1869 samples, 22 hot blocks)\n" \
+        in capsys.readouterr().out
+    assert fallback_trail() == ()
+
+
+@pytest.mark.parametrize("text", [b"foo r1\n", b"\xff\xfe li r1, 1\n"],
+                         ids=["unknown-opcode", "not-utf8"])
+@pytest.mark.parametrize("command", ["run", "profile", "compile", "verify"])
+def test_unparsable_program_file_is_a_one_line_error(tmp_path, command,
+                                                     text):
+    """A program file that cannot be decoded or parsed ends the command
+    with one ``cannot parse FILE: ...`` line, not a traceback."""
+    bad = tmp_path / "bad.s"
+    bad.write_bytes(text)
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(bad)])
+    message = str(exit_info.value.code)
+    assert message.startswith(f"cannot parse {bad}: ")
+    assert "\n" not in message
+    if text.startswith(b"foo"):
+        assert "line 1: unknown opcode 'foo'" in message
+
+
+@pytest.mark.parametrize("namespace", ["a b", "../x"])
+def test_cache_clear_rejects_an_invalid_namespace(tmp_path, capsys,
+                                                  namespace):
+    """A namespace that is not a tenant name is a usage error (exit 2),
+    not a ``ValueError`` traceback."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cache", "clear", "--cache-dir", str(tmp_path / "cache"),
+              "--namespace", namespace])
+    assert exit_info.value.code == 2
+    assert "error: argument --namespace: invalid namespace" \
+        in capsys.readouterr().err
+
+
+def test_serve_on_an_address_it_cannot_bind_is_a_usage_error(capsys):
+    """A listen address the server cannot bind ends ``serve`` with one
+    line naming ``host:port`` and exit 2, not a traceback."""
+    import socket
+
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        assert main(["serve", "--host", "127.0.0.1", "--port",
+                     str(port)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+    assert err.count("\n") == 1

@@ -166,11 +166,18 @@ def _code_reads(node: ast.AST, package_init: bool):
 
 def _top_level_names(tree: ast.Module):
     """``(line, name)`` of each public def, class and assignment at the
-    top level of a module."""
+    top level of a module, and of each public method of a public
+    top-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             names = [node.name]
+            if isinstance(node, ast.ClassDef) \
+                    and not node.name.startswith("_"):
+                yield from ((m.lineno, m.name) for m in node.body
+                            if isinstance(m, (ast.FunctionDef,
+                                              ast.AsyncFunctionDef))
+                            and not m.name.startswith("_"))
         elif isinstance(node, ast.Assign):
             names = [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) \
@@ -184,10 +191,11 @@ def _top_level_names(tree: ast.Module):
 
 
 def test_no_unread_public_names_in_src():
-    """Every public top-level name of a module is read by code other than
-    tests (an identifier, not a word in a docstring or comment): a name
-    that only tests or a package ``__init__``'s re-export read is dead
-    code.  Only the :data:`ORACLES` are exempt."""
+    """Every public top-level name of a module, and every public method
+    of a public top-level class, is read by code other than tests (an
+    identifier, not a word in a docstring or comment): a name that only
+    tests or a package ``__init__``'s re-export read is dead code.  Only
+    the :data:`ORACLES` are exempt."""
     repo = Path(repro.__file__).parents[2]
     reads = Counter()
     for pattern in READER_GLOBS:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.engine import CELLS, ArtifactCache, run_cached
 from repro.engine.cells import COUNTERS
-from repro.obs import metrics as _metrics
+from repro.obs import read_trace, tracing
 from repro.tune import (
     DEFAULT_PARAM_NAMES, ParamSpec, TuneResult, TuneSpec, apply_params,
     format_tune_result, run_tune, tune_result_key,
@@ -27,15 +27,6 @@ SPEC = TuneSpec(
             ParamSpec("mispredict_penalty")),
     benchmarks=("compress", "grep"),
     scale=0.01, budget=6, seed=11, fidelities=(0.5, 1.0))
-
-
-@pytest.fixture(autouse=True)
-def _clean_metrics():
-    _metrics.REGISTRY.reset()
-    _metrics.metrics_disable()
-    yield
-    _metrics.REGISTRY.reset()
-    _metrics.metrics_disable()
 
 
 @pytest.fixture(scope="module")
@@ -236,9 +227,14 @@ def test_tune_cells_shared_with_suite_cache(tmp_path):
 
 # -- observability ----------------------------------------------------------
 
-def test_search_emits_round_metrics():
-    _metrics.metrics_enable()
-    run_tune(SPEC, cache=None)
-    counters = _metrics.REGISTRY.snapshot()["counters"]
-    assert counters.get("tune.rounds", 0) >= 2
-    assert counters.get("tune.cells.miss", 0) > 0
+def test_search_emits_round_metrics(tmp_path):
+    """Each round's span carries its cell traffic and best IPC."""
+    path = tmp_path / "tune.jsonl"
+    with tracing(path):
+        run_tune(SPEC, cache=None)
+    rounds = [r["attrs"] for r in read_trace(path)
+              if r["name"] == "tune.round"]
+    assert len(rounds) >= 2
+    assert sum(a["cells_executed"] for a in rounds) > 0
+    assert all(a["cells_hit"] == 0 for a in rounds)
+    assert all(a["best_ipc"] > 0 for a in rounds)
