@@ -373,7 +373,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
         if ":" in rng:
             lo, _, hi = rng.partition(":")
             return ParamSpec(name, lo=float(lo), hi=float(hi))
-        return ParamSpec(name, choices=tuple(rng.split(",")))
+        return ParamSpec(name, choices=tuple(
+            int(c) if c.isdigit() else c for c in rng.split(",")))
 
     names = args.param or list(DEFAULT_PARAM_NAMES)
     spec = TuneSpec(
@@ -435,14 +436,14 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     prog = _load_program(args.program, args.scale)
-    db = ProfileDB.from_run(prog, backend="fast")
+    db = ProfileDB.from_run(prog)
     print(db.summary())
     return 0
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
     prog = _load_program(args.program, args.scale)
-    result = compile_proposed(prog, backend="fast")
+    result = compile_proposed(prog)
     print(result.summary())
     if args.emit:
         print()
@@ -496,7 +497,7 @@ def _verify_in_session(args: argparse.Namespace, session: Session) -> int:
     for name in names:
         prog = _load_program(name, args.scale)
         results = (("baseline", compile_baseline(prog)),
-                   ("proposed", compile_proposed(prog, backend="fast")))
+                   ("proposed", compile_proposed(prog)))
         # Both pipelines are checked against one run of the original.
         reference = run_reference(prog, args.max_steps)
         for tag, result in results:
@@ -531,8 +532,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     prog = source
     if args.scheme != "raw":  # raw: simulate the program untouched
         prog = schemes.compile_scheme(
-            source, schemes.compile_names()[args.scheme],
-            backend="fast").program
+            source, schemes.compile_names()[args.scheme]).program
     observer = None
     if args.sample:
         from .obs import PipelineObserver
@@ -726,18 +726,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("cache", help="inspect or clear the artifact cache")
-    p.add_argument("action", choices=["stats", "clear"],
-                   help="stats: print cache size/contents (with "
-                        "per-namespace breakdown); clear: wipe it")
-    p.add_argument("--cache-dir", type=_cache_dir, metavar="DIR",
-                   help="artifact cache directory (default .repro-cache/ "
-                        "or $REPRO_CACHE_DIR)")
-    p.add_argument("--namespace", type=_namespace, metavar="NAME",
-                   help="clear only this tenant namespace (clear only; "
-                        "default: every namespace)")
-    p.add_argument("--json", action="store_true",
-                   help="print stats as JSON (stats only)")
     p.set_defaults(func=cmd_cache)
+    actions = p.add_subparsers(dest="action", required=True)
+    stats = actions.add_parser(
+        "stats", help="print cache size/contents (with per-namespace "
+                      "breakdown)")
+    stats.add_argument("--json", action="store_true",
+                       help="print stats as JSON")
+    clear = actions.add_parser("clear", help="wipe the cache")
+    clear.add_argument("--namespace", type=_namespace, metavar="NAME",
+                       help="clear only this tenant namespace (default: "
+                            "every namespace)")
+    for action in (stats, clear):
+        action.add_argument("--cache-dir", type=_cache_dir, metavar="DIR",
+                            help="artifact cache directory (default "
+                                 ".repro-cache/ or $REPRO_CACHE_DIR)")
 
     p = sub.add_parser(
         "serve",
@@ -771,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="master seed for the synthetic workload inputs")
     p.add_argument("--max-steps", type=_positive_int, default=50_000_000,
                    help="per-cell functional step budget")
-    p.add_argument("--timeout", type=float, default=600.0,
+    p.add_argument("--timeout", type=_positive_float, default=600.0,
                    help="HTTP timeout per request (default 600s)")
     p.add_argument("--no-wait", action="store_true",
                    help="submit and print the job id instead of waiting "
@@ -797,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated workload scale factors")
     p.add_argument("--config", action="append", metavar="FIELD=V1,V2",
                    help="MachineConfig axis (repeatable), e.g. "
-                        "--config fetch_width=2,4,8")
+                        "--config dispatch_width=2,4,8")
     p.add_argument("--heur", action="append", metavar="FIELD=V1,V2",
                    help="FeedbackHeuristics axis (repeatable), e.g. "
                         "--heur speculation_bias=0.5,0.65,0.8")
@@ -820,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search axis (repeatable): a FeedbackHeuristics "
                         "knob ('speculation_bias', dotted "
                         "'classify.likely_threshold') or machine axis "
-                        "('config.fetch_width'); optional =LO:HI narrows "
+                        "('config.dispatch_width'); optional =LO:HI narrows "
                         "the registered bound, =A,B restricts a choice "
                         "parameter. Default: the paper's four Figure 6 "
                         "thresholds")

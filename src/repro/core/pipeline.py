@@ -223,23 +223,17 @@ def compile_proposed(prog: Program,
                      heur: FeedbackHeuristics = DEFAULT_HEURISTICS,
                      model: MachineModel = DEFAULT_MODEL,
                      profile: Optional[ProfileDB] = None,
-                     max_steps: int = 20_000_000,
-                     backend: str = "reference") -> CompileResult:
+                     max_steps: int = 20_000_000) -> CompileResult:
     """The paper's proposed scheme, end to end, with crash containment.
 
     Pass a pre-built *profile* to skip the profiling run (e.g. to reuse one
     run across ablation variants).  The IR verifier runs after every pass
     (rolling back passes that break an invariant) and on the emitted
-    program (degrading to the baseline on a violation).  *backend* picks the
-    simulator of the profiling run: ``"fast"`` (the CLI) uses the
-    :mod:`repro.fastsim` generated-step executor, the
-    ``"reference"`` default (the qa fuzzer) the interpreter of
-    :mod:`repro.sim`; the profile — and therefore the compile output —
-    is byte-identical either way.
+    program (degrading to the baseline on a violation).
     """
     with obs_span("compile.proposed", program=prog.name) as sp:
         result = _compile_proposed_inner(prog, heur, model, profile,
-                                         max_steps, backend)
+                                         max_steps)
         sp.set("fallback", result.fallback)
         sp.set("failures", len(result.failures))
     return result
@@ -248,8 +242,7 @@ def compile_proposed(prog: Program,
 def _compile_proposed_inner(prog: Program, heur: FeedbackHeuristics,
                             model: MachineModel,
                             profile: Optional[ProfileDB],
-                            max_steps: int,
-                            backend: str = "reference") -> CompileResult:
+                            max_steps: int) -> CompileResult:
     result = CompileResult(program=prog)
 
     # 0. Profiling run.  Without feedback there is nothing to propose:
@@ -258,8 +251,7 @@ def _compile_proposed_inner(prog: Program, heur: FeedbackHeuristics,
         try:
             with obs_span("pass.profile", program=prog.name):
                 profile = ProfileDB.from_run(prog, max_steps=max_steps,
-                                             config=heur.classify,
-                                             backend=backend)
+                                             config=heur.classify)
         except Exception as exc:  # noqa: BLE001
             result.failures.append(PassFailure(
                 stage="profile", kind="exception",

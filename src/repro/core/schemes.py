@@ -97,13 +97,11 @@ def compile_names() -> dict[str, str]:
 def compile_scheme(prog: Program, scheme: str,
                    heur: FeedbackHeuristics = DEFAULT_HEURISTICS, *,
                    profile: Optional[ProfileDB] = None,
-                   max_steps: int = 20_000_000,
-                   backend: str = "reference") -> CompileResult:
-    """Compile *prog* under the scheme named *scheme* (*profile*,
-    *max_steps* and *backend* as for
-    :func:`~repro.core.pipeline.compile_proposed`)."""
+                   max_steps: int = 20_000_000) -> CompileResult:
+    """Compile *prog* under the scheme named *scheme* (*profile* and
+    *max_steps* as for :func:`~repro.core.pipeline.compile_proposed`)."""
     compiled = get(scheme).heuristics(heur)
     if compiled is None:
         return compile_baseline(prog)
     return compile_proposed(prog, heur=compiled, profile=profile,
-                            max_steps=max_steps, backend=backend)
+                            max_steps=max_steps)

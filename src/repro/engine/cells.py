@@ -240,7 +240,7 @@ class BenchmarkMemo:
                     with obs_span("pass.profile", program=prog.name):
                         profile = ProfileDB.from_run(
                             prog, max_steps=max_steps,
-                            config=compiled.classify, backend="fast")
+                            config=compiled.classify)
                     self._profiles[pkey] = profile
             cr = counted_compile(scheme, prog, heur, max_steps,
                                  profile=profile)

@@ -53,7 +53,9 @@ from ..sim.config import MachineConfig
 #: serde stays at v4 and the serve protocol at v3.
 #: (Still v6 after cell keys lost their ``extra`` and ``backend`` fields:
 #: every cell key's hashed text changed with them, so no stale entry can
-#: match, and fuzz keys never carried either.)
+#: match, and fuzz keys never carried either.  Likewise after
+#: MachineConfig lost ``fetch_width`` and ``bht_counter_bits``: every
+#: cell key hashes the whole config.)
 SCHEMA_VERSION = 6
 
 

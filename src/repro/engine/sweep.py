@@ -13,7 +13,7 @@ local or remote — and emits one flat JSON-serializable record per
 Example::
 
     spec = SweepSpec(scales=(0.1, 0.3),
-                     config_grid={"fetch_width": (2, 4, 8)},
+                     config_grid={"dispatch_width": (2, 4, 8)},
                      heur_grid={"speculation_bias": (0.5, 0.65, 0.8)})
     records = run_sweep(spec, executor=LocalExecutor(jobs=4),
                         cache=ArtifactCache())
@@ -52,13 +52,16 @@ class SweepSpec:
     seed: Optional[int] = None
 
     def validate(self) -> None:
-        """Reject unknown or duplicated axis field names early.
+        """Reject unknown or duplicated axis field names, and machines
+        the simulators cannot run, before any cell runs.
 
         Every error names the offending grid (``config_grid`` vs
         ``heur_grid``) *and* field.  Duplicate fields — repeated within
         one grid, or appearing in both grids — are rejected instead of
         silently letting the later axis override the earlier one when
-        :meth:`points` flattens each combination into a dict.
+        :meth:`points` flattens each combination into a dict.  Each
+        point's :class:`MachineConfig` is built, so its own checks
+        refuse, say, ``rob_size=0``.
         """
         config_names = {f.name for f in dc_fields(MachineConfig)}
         heur_names = {f.name for f in dc_fields(FeedbackHeuristics)}
@@ -85,19 +88,18 @@ class SweepSpec:
                         f"(later values would silently override earlier "
                         f"ones)")
                 seen[name] = grid_name
+        for config in _combos(self.config_grid):
+            try:
+                MachineConfig(**config)
+            except TypeError as exc:  # a value of the wrong type
+                raise ValueError(f"config_grid: {exc}") from exc
 
     def points(self) -> Iterator[dict]:
         """Every sweep point: ``{"scale", "config", "heur"}`` dicts."""
-        config_axes = [[(name, v) for v in values]
-                       for name, values in self.config_grid]
-        heur_axes = [[(name, v) for v in values]
-                     for name, values in self.heur_grid]
         for scale in self.scales:
-            for config_combo in itertools.product(*config_axes):
-                for heur_combo in itertools.product(*heur_axes):
-                    yield {"scale": scale,
-                           "config": dict(config_combo),
-                           "heur": dict(heur_combo)}
+            for config in _combos(self.config_grid):
+                for heur in _combos(self.heur_grid):
+                    yield {"scale": scale, "config": config, "heur": heur}
 
     @property
     def num_points(self) -> int:
@@ -108,6 +110,13 @@ class SweepSpec:
         for _, values in self.heur_grid:
             n *= len(values)
         return n
+
+
+def _combos(grid: tuple[tuple[str, tuple], ...]) -> Iterator[dict]:
+    """Every ``{field: value}`` combination of *grid*'s axes."""
+    axes = [[(name, v) for v in values] for name, values in grid]
+    for combo in itertools.product(*axes):
+        yield dict(combo)
 
 
 def grid_from_dict(grid: dict) -> tuple[tuple[str, tuple], ...]:

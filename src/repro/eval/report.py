@@ -54,8 +54,8 @@ def render_report(runs: Mapping[str, BenchmarkRun],
     parts.append("")
     parts.append(_md_table(
         ["parameter", "value"],
-        [["fetch/dispatch/commit width",
-          f"{config.fetch_width}/{config.dispatch_width}/{config.commit_width}"],
+        [["dispatch/commit width",
+          f"{config.dispatch_width}/{config.commit_width}"],
          ["int/addr/fp queues",
           f"{config.int_queue_size}/{config.addr_queue_size}/{config.fp_queue_size}"],
          ["branch buffer", str(config.branch_buffer_size)],

@@ -24,9 +24,9 @@ uses, with the reference simulators kept as its oracle:
   activity (mispredict recovery, fence drains, icache refills, the final
   ROB drain);
 * :mod:`repro.fastsim.backend` — the entry point used by
-  :mod:`repro.engine.cells`: observed runs go to the reference
-  interpreter (recorded on a decision trail), and every exception the
-  fast path raises propagates, to fail its cell by name;
+  :mod:`repro.engine.cells` and the CLI: observed runs
+  (``repro run --sample``) stay on the fast path, and every exception
+  the fast path raises propagates, to fail its cell by name;
 * :mod:`repro.fastsim.check` — fast-vs-reference diffcheck helpers built
   on :mod:`repro.robust.diffcheck`.
 
@@ -35,7 +35,7 @@ path produces ``SimStats``/``ExecStats`` payloads whose serde dicts
 equal the reference simulators' — enforced by ``tests/fastsim``.
 """
 
-from .backend import fallback_trail, simulate
+from .backend import simulate
 from .check import crosscheck, crosscheck_cell
 from .decode import DecodedProgram, decode_program
 from .functional import FastFunctionalSim
@@ -43,6 +43,6 @@ from .timing import FastTimingSim
 
 __all__ = [
     "DecodedProgram", "decode_program", "FastFunctionalSim",
-    "FastTimingSim", "simulate", "fallback_trail",
+    "FastTimingSim", "simulate",
     "crosscheck", "crosscheck_cell",
 ]

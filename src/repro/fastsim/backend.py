@@ -6,7 +6,8 @@ batched-event timing model, observed runs (``repro run --sample``)
 included.  The readable interpreters of :mod:`repro.sim` are the
 executable spec, and no option selects them.  They run only where the
 code picks them: the conformance oracle (:mod:`repro.fastsim.check`,
-``tests/fastsim``), ``robust.diffcheck`` and the qa fuzzer.
+``tests/fastsim``), ``robust.diffcheck``, and the qa fuzzer's one run
+of each program, which is both its reference and its profile.
 
 Failure contract of :func:`simulate` (the entry point
 ``engine.cells.counted_simulate`` routes through): whatever the fast

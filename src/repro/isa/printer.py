@@ -58,7 +58,7 @@ def format_instruction(ins: Instruction) -> str:
     return body
 
 
-def format_program(prog: Program, *, show_uids: bool = False) -> str:
+def format_program(prog: Program) -> str:
     """Render a whole program, labels included, as parseable assembly."""
     lines: list[str] = []
     if prog.data_symbols or prog.data_image:
@@ -74,11 +74,7 @@ def format_program(prog: Program, *, show_uids: bool = False) -> str:
     for i, ins in enumerate(prog.instructions):
         for name in by_index.get(i, ()):
             lines.append(f"{name}:")
-        text = format_instruction(ins)
-        if show_uids:
-            lines.append(f"    {text:<40} # uid={ins.uid}")
-        else:
-            lines.append(f"    {text}")
+        lines.append(f"    {format_instruction(ins)}")
     for name in by_index.get(len(prog.instructions), ()):
         lines.append(f"{name}:")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ from typing import Optional
 from ..cfg.graph import CFG
 from ..isa.instruction import Instruction
 from ..isa.program import Program
-from ..sim.functional import ExecStats, FunctionalSim
+from ..sim.functional import ExecStats
 from .bitvector import BranchHistory
 from .classify import Classification, ClassifyConfig, classify
 
@@ -52,25 +52,31 @@ class ProfileDB:
 
     @classmethod
     def from_run(cls, prog: Program, max_steps: int = 20_000_000,
-                 config: Optional[ClassifyConfig] = None,
-                 backend: str = "reference") -> "ProfileDB":
-        """Profile *prog* with one functional run.
+                 config: Optional[ClassifyConfig] = None) -> "ProfileDB":
+        """Profile *prog* with one functional run on the production
+        simulator (:class:`~repro.fastsim.functional.FastFunctionalSim`);
+        whatever the run raises propagates."""
+        # Imported here: repro.fastsim imports repro.robust, which
+        # imports this module.
+        from ..fastsim.functional import FastFunctionalSim
 
-        ``backend="fast"`` routes the run through the generated-step
-        executor of :mod:`repro.fastsim` (byte-identical counters,
-        outcome vectors and index counts); whatever it raises
-        propagates.
+        sim = FastFunctionalSim(prog, max_steps=max_steps,
+                                record_outcomes=True)
+        sim.run()
+        return cls.from_sim(prog, sim, config)
+
+    @classmethod
+    def from_sim(cls, prog: Program, sim,
+                 config: Optional[ClassifyConfig] = None) -> "ProfileDB":
+        """The profile of *sim*, a finished run of *prog* on either
+        functional simulator, made with ``record_outcomes=True``.
+
+        Reads only ``sim.stats`` and ``sim.index_counts``, so a caller
+        that already runs *prog* (the fuzzer's reference run) takes its
+        profile from that run instead of running *prog* again.
         """
         config = config or ClassifyConfig()
-        if backend == "fast":
-            from ..fastsim.functional import FastFunctionalSim
-
-            sim = FastFunctionalSim(prog, max_steps=max_steps,
-                                    record_outcomes=True)
-        else:
-            sim = FunctionalSim(prog, max_steps=max_steps,
-                                record_outcomes=True)
-        stats = sim.run()
+        stats = sim.stats
         db = cls(program=prog, exec_stats=stats,
                  index_counts=list(sim.index_counts), config=config)
         for uid, outcomes in stats.branch_outcomes.items():

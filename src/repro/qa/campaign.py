@@ -29,7 +29,6 @@ from ..engine.cache import ArtifactCache
 from ..obs.trace import span as obs_span
 from ..isa.printer import format_program
 from ..isa.program import Program
-from ..robust.diffcheck import check_equivalence
 from . import cells as _cells
 from .cells import FUZZ, FUZZ_MAX_STEPS, FuzzCellSpec, fuzz_cell_key
 from .shrink import DEFAULT_ORACLE_BUDGET, shrink_program
@@ -146,15 +145,19 @@ def scheme_oracle(scheme: str, kind: str,
     Pass a *max_steps* scaled to the original failure's dynamic length —
     a deletion that leaves the candidate spinning in an infinite loop
     should cost a bounded (small) simulation, not the full cell budget.
+    As in a fuzz cell, one run of the candidate is both its profile and
+    its reference; a candidate that cannot run raises, which the
+    shrinker counts as not failing.
     """
     def _failing(candidate: Program) -> bool:
+        profile, reference = _cells.profile_and_reference(candidate,
+                                                          max_steps)
         # Attribute lookup at call time, so fault-injection tests that
         # monkeypatch ``repro.qa.cells.compile_scheme`` shrink against
         # the same buggy compiler that produced the divergence.
-        result = _cells.compile_scheme(candidate, scheme,
+        result = _cells.compile_scheme(candidate, scheme, profile=profile,
                                        max_steps=max_steps)
-        report = check_equivalence(candidate, result.program,
-                                   max_steps=max_steps)
+        report = reference.check(result.program)
         return (not report.equivalent) and report.kind == kind
     return _failing
 

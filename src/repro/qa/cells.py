@@ -2,8 +2,9 @@
 
 One cell = one generated program, compiled under every fuzz compile of
 the scheme table (:func:`repro.core.schemes.fuzz_plan`) and
-cross-checked against one functional-simulator run of the original
-(:func:`repro.robust.diffcheck.run_reference`).  The cell result is a
+cross-checked against one reference-simulator run of the original, which
+is also the profile every compile takes its feedback from
+(:func:`profile_and_reference`).  The cell result is a
 plain JSON dict, so it rides the :mod:`repro.engine` machinery
 unchanged: :func:`fuzz_cell_key` derives a content-addressed cache key
 (strategy config + seed + fuzz scheme names + schema version) and
@@ -28,7 +29,8 @@ from ..engine.pool import CellKind
 from ..isa.program import Program
 from ..obs.trace import span as obs_span
 from ..profilefb.profiledb import ProfileDB
-from ..robust.diffcheck import run_reference
+from ..robust.diffcheck import Reference
+from ..sim.functional import FunctionalSim
 from .strategies import BY_NAME, FuzzStrategy
 
 #: Default per-run functional step budget (campaign programs are tiny).
@@ -79,18 +81,30 @@ def _failing_stage(result: CompileResult) -> Optional[str]:
     return "fallback" if result.fallback is not None else None
 
 
+def profile_and_reference(prog: Program, max_steps: int = FUZZ_MAX_STEPS
+                          ) -> tuple[ProfileDB, Reference]:
+    """Run *prog* once on the reference simulator; return the run as
+    *prog*'s profile and as the reference its compiles are checked
+    against.
+
+    Whatever the run raises propagates, as a profiling run's would.  At
+    fuzz size this run is cheaper than a fast-path profile, whose code
+    generation dominates a program this small.
+    """
+    sim = FunctionalSim(prog, max_steps=max_steps, record_outcomes=True)
+    sim.run()
+    return ProfileDB.from_sim(prog, sim), Reference(prog, max_steps, sim)
+
+
 def check_program(prog: Program, max_steps: int = FUZZ_MAX_STEPS) -> dict:
     """Compile *prog* under every fuzz scheme and diff-check each.
 
     Returns ``{"schemes": {scheme: verdict}, "divergent": [scheme, ...]}``
     — the shared core of :func:`execute_fuzz_cell` and corpus replay.
     """
-    # One profiling run feeds every transforming scheme (identical
-    # feedback, and profiling is the slowest part of a cell), and one
-    # reference run of the original is what every scheme is checked
-    # against.
-    profile = ProfileDB.from_run(prog, max_steps=max_steps)
-    reference = run_reference(prog, max_steps)
+    # One run of the original feeds every transforming scheme (identical
+    # feedback) and is what every scheme is checked against.
+    profile, reference = profile_and_reference(prog, max_steps)
     schemes: dict[str, dict] = {}
     divergent: list[str] = []
     for scheme in (s.name for s in fuzz_plan()):

@@ -99,6 +99,10 @@ def restore_cfg(cfg: CFG, snap: dict[str, Any]) -> None:
     cfg.code_refs = dict(snap["code_refs"])
 
 
+#: Failures one :class:`PassSandbox` lists; later ones are contained too.
+MAX_FAILURES = 64
+
+
 class PassSandbox:
     """Run pipeline stages over a CFG with rollback on crash or bad IR.
 
@@ -114,16 +118,15 @@ class PassSandbox:
     that legitimately returned ``None`` from one that was rolled back.
     """
 
-    def __init__(self, cfg: CFG, *, max_failures: int = 64):
+    def __init__(self, cfg: CFG):
         self.cfg = cfg
-        self.max_failures = max_failures
         self.failures: list[PassFailure] = []
         self.last_ok: bool = True
 
     # -- recording -------------------------------------------------------------
 
     def _record(self, failure: PassFailure) -> None:
-        if len(self.failures) < self.max_failures:
+        if len(self.failures) < MAX_FAILURES:
             self.failures.append(failure)
 
     # -- execution -------------------------------------------------------------

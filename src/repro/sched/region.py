@@ -64,7 +64,6 @@ class RegionReport:
 def schedule_region(cfg: CFG, model: MachineModel = DEFAULT_MODEL,
                     bias_threshold: float = 0.65,
                     max_moves_per_block: int = 4,
-                    run_dce: bool = True,
                     profile=None,
                     mispredict_window: float = 3.0,
                     hoist_guard=None) -> RegionReport:
@@ -143,8 +142,7 @@ def schedule_region(cfg: CFG, model: MachineModel = DEFAULT_MODEL,
             report.blocks_touched += 1
             report.per_block[bb.bid] = (moved_here, dup_here)
 
-    if run_dce:
-        eliminate_dead_code(cfg)
+    eliminate_dead_code(cfg)
     for bb in cfg.blocks:
         if bb.instructions:
             reorder_block(bb, model)

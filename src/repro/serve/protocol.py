@@ -55,7 +55,10 @@ from ..profilefb.classify import ClassifyConfig
 #: v6: cell specs carry no ``timeout``: the step budget is a cell's one
 #: bound, so a v5 peer (which may send a wall-clock timeout this side
 #: would silently ignore) is refused.  Keys and payloads are unchanged.
-PROTOCOL_VERSION = 6
+#: v7: MachineConfig has no ``fetch_width`` or ``bht_counter_bits``, so
+#: every cell key changed; a v6 peer is refused with a version mismatch
+#: rather than with a key its specs no longer hash to.
+PROTOCOL_VERSION = 7
 
 #: Accepted ``kind`` values of a submitted job.
 JOB_KINDS = ("cells", "fuzz")

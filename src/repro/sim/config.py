@@ -36,10 +36,17 @@ class Latencies:
 
 @dataclass(frozen=True)
 class MachineConfig:
-    """Full machine description consumed by the timing simulator."""
+    """Full machine description consumed by the timing simulator.
 
-    # Pipeline widths
-    fetch_width: int = 4
+    Construction refuses a configuration the simulators cannot run (a
+    zero-width stage, an empty queue, no free rename register, ...): both
+    timing models would stall on its first instruction until their
+    10**10-cycle guard, and a cell's step budget bounds only its
+    functional run.
+    """
+
+    # Pipeline widths (dispatch_width is the in-order front end's width:
+    # fetch and dispatch move together)
     dispatch_width: int = 4
     commit_width: int = 4
 
@@ -69,7 +76,6 @@ class MachineConfig:
 
     # Branch prediction
     bht_entries: int = 512
-    bht_counter_bits: int = 2
     btb_entries: int = 512
     predictor: str = "twobit"  # twobit | twolevel | perfect | static-taken
     #: cycles to refill the front end after a misprediction or an indirect
@@ -90,6 +96,34 @@ class MachineConfig:
     cache_assoc: int = 1
 
     latencies: Latencies = field(default_factory=Latencies)
+
+    def __post_init__(self) -> None:
+        for name in _AT_LEAST_ONE:
+            if getattr(self, name) < 1:
+                raise ValueError(f"MachineConfig.{name} must be at least 1, "
+                                 f"got {getattr(self, name)!r}")
+        for phys, arch in (("phys_int_regs", "arch_int_regs"),
+                           ("phys_fp_regs", "arch_fp_regs")):
+            if getattr(self, phys) <= getattr(self, arch):
+                raise ValueError(
+                    f"MachineConfig.{phys} must exceed {arch} "
+                    f"({getattr(self, arch)}), got {getattr(self, phys)!r}")
+        for name in ("misprediction_recovery", "fence_stall"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"MachineConfig.{name} must not be "
+                                 f"negative, got {getattr(self, name)!r}")
+
+
+#: Fields below 1 leave the simulators no stage, slot, unit or cache set
+#: to make progress with.
+_AT_LEAST_ONE = (
+    "dispatch_width", "commit_width",
+    "int_queue_size", "addr_queue_size", "fp_queue_size",
+    "branch_buffer_size", "rob_size",
+    "num_alus", "num_shifters", "num_mem_units", "num_branch_units",
+    "num_fpadd", "num_fpmul", "num_fpdiv",
+    "icache_size", "dcache_size", "cache_line", "cache_assoc",
+)
 
 
 #: The configuration used throughout the paper's evaluation.

@@ -28,11 +28,12 @@ from ..sim.config import MachineConfig
 from ..workloads import BENCHMARKS
 
 #: Bounds of the machine-configuration axes the tuner may sweep
-#: (``config.<field>`` names).  Mirrors the fetch-rate / queue-size axes
-#: of the design-space sweeps in PAPERS.md; the predictor axis is fixed
-#: by the scheme table, exactly as in :class:`repro.engine.sweep.SweepSpec`.
+#: (``config.<field>`` names): widths, queue sizes and unit counts, as in
+#: the design-space sweeps of PAPERS.md.  Every value inside a bound is a
+#: machine both simulators run (the predictor table takes a power of
+#: two); the predictor axis is fixed by the scheme table, exactly as in
+#: :class:`repro.engine.sweep.SweepSpec`.
 CONFIG_PARAMS: dict[str, ParamBound] = {
-    "config.fetch_width": ParamBound(2, 8, "int"),
     "config.dispatch_width": ParamBound(2, 8, "int"),
     "config.commit_width": ParamBound(2, 8, "int"),
     "config.int_queue_size": ParamBound(8, 64, "int"),
@@ -40,7 +41,8 @@ CONFIG_PARAMS: dict[str, ParamBound] = {
     "config.rob_size": ParamBound(16, 128, "int"),
     "config.num_alus": ParamBound(1, 4, "int"),
     "config.num_mem_units": ParamBound(1, 4, "int"),
-    "config.bht_entries": ParamBound(64, 2048, "int"),
+    "config.bht_entries": ParamBound(
+        kind="choice", choices=tuple(2 ** k for k in range(6, 12))),
 }
 
 #: The default search space of ``repro tune`` when no ``--param`` is
@@ -99,6 +101,10 @@ class ParamSpec:
         """Reject unknown names and ranges outside the registered bound."""
         base = known_bound(self.name)
         if base.kind == "choice":
+            if self.lo is not None or self.hi is not None:
+                raise ValueError(
+                    f"param {self.name!r} is a choice axis: restrict it "
+                    f"to values, not to a range")
             bad = [c for c in self.choices if c not in base.choices]
             if bad:
                 raise ValueError(

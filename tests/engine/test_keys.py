@@ -135,7 +135,7 @@ def test_every_spec_field_but_benchmark_strict_is_keyed():
         "program": parse(SRC.replace("li r2, 2", "li r2, 3"),
                          name="tiny").to_dict(),
         "heur": replace(DEFAULT_HEURISTICS, speculation_bias=0.7),
-        "config_overrides": (("fetch_width", 8),),
+        "config_overrides": (("dispatch_width", 8),),
         "max_steps": 1,
     }
     unkeyed = {"benchmark": "other", "strict": True}

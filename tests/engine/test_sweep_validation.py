@@ -11,7 +11,7 @@ def _spec(config=None, heur=None):
 
 
 def test_valid_spec_passes():
-    _spec(config={"fetch_width": (2, 4)},
+    _spec(config={"dispatch_width": (2, 4)},
           heur={"speculation_bias": (0.5, 0.8)}).validate()
 
 
@@ -93,3 +93,13 @@ def test_error_not_raised_deep_in_worker():
 
     with pytest.raises(ValueError, match="heur_grid"):
         run_sweep(_spec(heur={"bogus": (1,)}))
+
+
+def test_a_machine_the_simulators_cannot_run_is_refused():
+    """Each point's machine is built at validation, so a sweep refuses
+    ``rob_size=0`` (which would stall the timing model forever) before
+    running any cell; a value of the wrong type names the grid."""
+    with pytest.raises(ValueError, match="MachineConfig.rob_size"):
+        _spec(config={"rob_size": (32, 0)}).validate()
+    with pytest.raises(ValueError, match="config_grid"):
+        _spec(config={"rob_size": ("big",)}).validate()

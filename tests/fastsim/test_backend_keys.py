@@ -6,7 +6,7 @@ suite checks it against.  These tests pin that:
 
 * no flag, environment variable, option, spec field or wire field
   selects a simulator, and a cell that names none runs on the fast path
-  (the reference never runs, and the fallback trail stays empty);
+  (the reference never runs);
 * cell keys hash only the program, scheme, heuristics, machine and step
   budget (see ``tests/engine/test_warm_replay.py``), with the meld knobs
   keyed like every other heuristic;
@@ -14,8 +14,9 @@ suite checks it against.  These tests pin that:
   payload schema 4 and serve protocol 3 together for the melded scheme;
   the key schema alone to 6 for the speculation fix, which changed
   cached fuzz verdicts but no payload shape or wire field; the protocol
-  alone to 4 when cell specs dropped ``kind`` and ``predictor``, and to
-  5 when they dropped ``backend``).
+  alone to 4 when cell specs dropped ``kind`` and ``predictor``, to 5
+  when they dropped ``backend``, to 6 when they dropped ``timeout``, and
+  to 7 when the machine config dropped two fields).
 """
 
 import json
@@ -28,8 +29,7 @@ from repro.core.heuristics import DEFAULT_HEURISTICS
 from repro.engine import CELLS, LocalExecutor
 from repro.engine.cells import CellSpec, execute_cell
 from repro.engine.keys import SCHEMA_VERSION, cell_key
-from repro.fastsim.backend import (clear_fallback_trail, fallback_trail,
-                                   resolve_backend)
+from repro.fastsim.backend import resolve_backend
 from repro.serve.client import suite_cells
 from repro.serve.protocol import (PROTOCOL_VERSION, cellspec_from_payload,
                                   cellspec_to_payload)
@@ -57,9 +57,13 @@ def test_version_lockstep():
     # protocol alone moved to 6 when cell specs stopped carrying
     # ``timeout``: a v5 peer may send one this side would silently ignore.
     # Keys never hashed it, so keys and payloads stayed byte-identical.
+    # The protocol alone moved to 7 when MachineConfig lost
+    # ``fetch_width`` and ``bht_counter_bits``: every cell key changed
+    # with the config's hashed text, so the key schema did not move, and
+    # a v6 peer is refused by version, not by a key mismatch.
     assert SCHEMA_VERSION == 6      # engine cell-key/envelope schema
     assert serde.SCHEMA_VERSION == 4  # result payload schema
-    assert PROTOCOL_VERSION == 6    # serve wire protocol
+    assert PROTOCOL_VERSION == 7    # serve wire protocol
 
 
 def test_legacy_heuristics_payload_still_decodes():
@@ -129,7 +133,6 @@ def test_unnamed_cells_run_on_the_fast_path(monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", "reference")
     programs = {"grep": benchmark_programs(0.02)["grep"]}
     payload = programs["grep"].to_dict()
-    clear_fallback_trail()
 
     alone = [execute_cell(CellSpec(benchmark="grep", scheme=s.name,
                                    program=payload))
@@ -141,4 +144,3 @@ def test_unnamed_cells_run_on_the_fast_path(monkeypatch):
     for cells in (alone, pooled, list(session.results.values())):
         assert len(cells) == len(schemes.columns())
         assert [c.failure for c in cells] == [None] * len(cells)
-    assert fallback_trail() == ()

@@ -126,15 +126,21 @@ def test_empty_program_fails_identically():
         simulate(empty, r10k_config("twobit"))
 
 
+def _reference_profile(prog):
+    """*prog*'s profile taken from a run on the reference interpreter."""
+    sim = FunctionalSim(prog, max_steps=MAX_STEPS, record_outcomes=True)
+    sim.run()
+    return ProfileDB.from_sim(prog, sim)
+
+
 @pytest.mark.parametrize("name", _zoo_names())
 def test_profile_payloads_identical(name):
     # Profiling on the fast path must produce the same feedback the
     # compiler sees from the reference run — otherwise "identical
     # compiles" silently stops being true for every engine cell.
     prog = _program(name)
-    ref = ProfileDB.from_run(prog, max_steps=MAX_STEPS)
-    fast = ProfileDB.from_run(prog, max_steps=MAX_STEPS, backend="fast")
-    assert ref.to_json() == fast.to_json()
+    fast = ProfileDB.from_run(prog, max_steps=MAX_STEPS)
+    assert _reference_profile(prog).to_json() == fast.to_json()
 
 
 @pytest.mark.parametrize("scheme", [s.name for s in schemes.columns()])
@@ -148,7 +154,8 @@ def test_engine_cell_payloads_byte_identical(scheme):
                     config_overrides=overrides_as_items(None),
                     max_steps=MAX_STEPS, strict=True)
     fast = execute_cell(spec, program=prog).to_dict()
-    cr = compile_scheme(prog, scheme, max_steps=MAX_STEPS)
+    cr = compile_scheme(prog, scheme, profile=_reference_profile(prog),
+                        max_steps=MAX_STEPS)
     fsim = FunctionalSim(cr.program, max_steps=MAX_STEPS,
                          record_outcomes=False)
     stats = TimingSim(spec.resolve_config()).run(fsim.trace())

@@ -8,13 +8,20 @@ from repro.fastsim import backend as fb
 from repro.fastsim.decode import _DECODE_CACHE
 from repro.fastsim.functional import FastFunctionalSim
 from repro.sim.config import r10k_config
+from repro.sim.functional import FunctionalSim
+from repro.sim.pipeline import TimingSim
 from repro.workloads import benchmark_programs
 
 
-def test_dropped_programs_leave_the_decode_cache():
+def test_dropped_programs_leave_the_decode_cache(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("reference simulator used")
+
+    # Every run takes the fast path, so every program is decoded.
+    monkeypatch.setattr(TimingSim, "run", broken)
+    monkeypatch.setattr(FunctionalSim, "__init__", broken)
     gc.collect()
     before = set(_DECODE_CACHE)
-    trail = fb.fallback_trail()
     refs = []
     for seed in range(5):
         for prog in benchmark_programs(0.01, seed=seed).values():
@@ -26,4 +33,3 @@ def test_dropped_programs_leave_the_decode_cache():
     gc.collect()
     assert [r for r in refs if r() is not None] == []
     assert set(_DECODE_CACHE) <= before
-    assert fb.fallback_trail() == trail  # every run took the fast path

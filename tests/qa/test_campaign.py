@@ -6,9 +6,11 @@ import pytest
 
 from repro.engine import ArtifactCache
 from repro.qa import cells
-from repro.qa.campaign import CampaignConfig, run_campaign
+from repro.qa.campaign import CampaignConfig, run_campaign, scheme_oracle
 from repro.qa.corpus import load_reproducer, replay_corpus
+from repro.qa.strategies import BY_NAME
 from repro.robust.faults import inject_program_fault
+from repro.sim.functional import FunctionalSim
 
 FAST_STEPS = 400_000
 
@@ -40,6 +42,23 @@ def test_warm_cache_skips_execution(tmp_path, monkeypatch):
     monkeypatch.setattr(cells, "execute_fuzz_cell", boom)
     warm = run_campaign(_cfg(cache=ArtifactCache(cache_dir)))
     assert warm.summary.to_dict() == cold.summary.to_dict()
+
+
+def test_shrink_oracle_runs_each_candidate_once(monkeypatch):
+    """One run of a candidate is both the profile its compile takes and
+    the reference the compile is checked against."""
+    prog = BY_NAME["loops"].program(3)
+    made = []
+    init = FunctionalSim.__init__
+
+    def counting_init(self, program, *args, **kwargs):
+        made.append(program)
+        init(self, program, *args, **kwargs)
+
+    monkeypatch.setattr(FunctionalSim, "__init__", counting_init)
+    assert not scheme_oracle("combined", "mem-mismatch")(prog)
+    assert sum(p is prog for p in made) == 1
+    assert len(made) == 2  # the candidate, then its compile
 
 
 def _corrupting_compile(real):

@@ -59,9 +59,9 @@ def test_payload_is_json_serializable():
     assert json.loads(json.dumps(payload)) == payload
 
 
-def test_check_program_runs_the_original_twice(monkeypatch):
-    """One profiling run and one reference run of the original, then one
-    compile and one run per scheme: 6 compiles and 8 simulators."""
+def test_check_program_runs_the_original_once(monkeypatch):
+    """One run of the original, both its profile and its reference, then
+    one compile and one run per scheme: 6 compiles and 7 simulators."""
     prog = BY_NAME["loops"].program(3)
     made = []
     init = FunctionalSim.__init__
@@ -81,8 +81,8 @@ def test_check_program_runs_the_original_twice(monkeypatch):
     verdicts = check_program(prog)
     assert verdicts["divergent"] == []
     assert len(compiled) == len(FUZZ_NAMES) == 6
-    assert len(made) == 2 + len(FUZZ_NAMES) == 8
-    assert sum(p is prog for p in made) == 2
+    assert len(made) == 1 + len(FUZZ_NAMES) == 7
+    assert sum(p is prog for p in made) == 1
 
 
 #: Faults written into two schemes' compiled programs, so the shared

@@ -12,8 +12,7 @@ raises propagates out of :func:`repro.fastsim.backend.simulate`:
    alignment traps) is the reference's own exception, so the engine
    records the same ``FAIL(...)`` cell either simulator would.
 
-No run takes the reference pair, an observed one included, so the
-fallback trail stays empty.
+No run takes the reference pair, an observed one included.
 """
 
 import traceback
@@ -79,20 +78,12 @@ def reference(prog):
     return stats.to_dict(), fsim.stats.to_dict()
 
 
-@pytest.fixture(autouse=True)
-def _clean_trail():
-    fb.clear_fallback_trail()
-    yield
-    fb.clear_fallback_trail()
-
-
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_fast_path_fault_propagates(fault, prog, monkeypatch):
     exc_type = FAULTS[fault](monkeypatch)
     # A copy: its decode tables and generated code are built afresh.
     with pytest.raises(exc_type):
         fb.simulate(prog.copy(), r10k_config("twobit"), max_steps=MAX_STEPS)
-    assert fb.fallback_trail() == ()
 
 
 @pytest.mark.parametrize("where", [1, 2, "serve"],
@@ -118,7 +109,6 @@ def test_fast_path_fault_fails_every_cell(fault, where, prog, monkeypatch,
     assert store.stats()["entries"] == 0
     if where == "serve":
         assert executor.stats()["cache"]["entries"] == 0
-    assert fb.fallback_trail() == ()
 
 
 def test_observed_run_stays_on_the_fast_path(prog, reference,
@@ -135,14 +125,17 @@ def test_observed_run_stays_on_the_fast_path(prog, reference,
                                     max_steps=MAX_STEPS, observer=observer)
     assert (stats.to_dict(), exec_stats.to_dict()) == reference
     assert sum(observer.pc_samples.values()) == observer.trace_entries // 7
-    assert fb.fallback_trail() == ()
 
 
-def test_clean_run_leaves_no_trail(prog, reference):
+def test_clean_run_stays_on_the_fast_path(prog, reference, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("reference simulator used")
+
+    monkeypatch.setattr(TimingSim, "run", broken)
+    monkeypatch.setattr(FunctionalSim, "__init__", broken)
     stats, exec_stats = fb.simulate(prog, r10k_config("twobit"),
                                     max_steps=MAX_STEPS)
     assert (stats.to_dict(), exec_stats.to_dict()) == reference
-    assert fb.fallback_trail() == ()
 
 
 def test_unmodeled_opcode_fails_identically(prog):
@@ -154,7 +147,6 @@ def test_unmodeled_opcode_fails_identically(prog):
 
     with pytest.raises(UnmodeledOpcode):
         fb.simulate(bad, r10k_config("twobit"), max_steps=MAX_STEPS)
-    assert fb.fallback_trail() == ()  # a raise is not a fallback
 
     spec = CellSpec(benchmark="grep", scheme="2bitBP", program=bad.to_dict(),
                     max_steps=MAX_STEPS)

@@ -36,7 +36,7 @@ def test_cellspec_round_trip_preserves_cell_key():
     spec = CellSpec(
         benchmark="compress", scheme="Proposed", program=prog.to_dict(),
         heur=DEFAULT_HEURISTICS,
-        config_overrides=overrides_as_items({"fetch_width": 8}),
+        config_overrides=overrides_as_items({"dispatch_width": 8}),
         max_steps=100_000)
     decoded = protocol.cellspec_from_payload(
         protocol.cellspec_to_payload(spec))

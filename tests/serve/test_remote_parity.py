@@ -42,7 +42,7 @@ def _experiments(session) -> dict:
     """Suite, sweep and fuzz results, each as canonical JSON."""
     runs = session.run_suite(benchmarks=_suite_programs())
     sweep = session.sweep(SweepSpec(
-        scales=(0.02,), config_grid=grid_from_dict({"fetch_width": (2, 4)}),
+        scales=(0.02,), config_grid=grid_from_dict({"dispatch_width": (2, 4)}),
         benchmarks=("grep",), max_steps=MAX_STEPS))
     fuzz = session.fuzz(budget=4, seed=0, shrink=False)
     return {"suite": _dump(suite_to_dict(runs)),

@@ -172,6 +172,24 @@ def test_forged_key_cannot_poison_the_honest_cell(server):
     assert payload["failure"] is None
 
 
+def test_unrunnable_machine_is_refused_and_enqueues_nothing(server):
+    """A cell whose machine the simulators cannot run (``rob_size=0``
+    stalls the timing model forever) is a bad request, not a job that
+    holds a worker.  No key can be computed for a machine that cannot be
+    built, so the cell carries another cell's key; the refusal names the
+    field, not the key."""
+    [(key, payload)] = [(k, p) for _, scheme, k, _, p in _grid(seed=18)
+                        if scheme == "2bitBP"]
+    payload = {**payload, "config_overrides": [["rob_size", 0]]}
+    client = ServeClient(server.url, tenant="mallory", timeout=120.0)
+    with pytest.raises(ServeError) as exc_info:
+        client.submit_cells([(key, payload)])
+    assert exc_info.value.status == 400
+    assert exc_info.value.code == "bad_request"
+    assert "MachineConfig.rob_size" in str(exc_info.value)
+    assert server.queue.depth() == 0
+
+
 def test_forged_key_is_refused_before_the_rate_limiter(tmp_path):
     forged, honest = _forged_and_honest(seed=18)
     config = ServeConfig(port=0, workers=1, cache_dir=tmp_path / "c",

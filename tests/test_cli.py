@@ -29,36 +29,33 @@ def test_run_compile_verify_profile_on_the_fast_path(monkeypatch, capsys,
     """``run --scheme <proposed-pipeline compile>``, ``compile``,
     ``verify`` and ``profile`` take their profiling run on the fast
     path, and ``run``'s timing run stays there too when ``--sample``
-    observes it (*timing_sim* ``reference``): no run records a
-    fallback."""
-    import repro.__main__ as cli
-    from repro.fastsim.backend import clear_fallback_trail, fallback_trail
-    from repro.profilefb.profiledb import ProfileDB
+    observes it (*timing_sim* ``reference``).  ``verify`` runs the
+    reference interpreter by design, as its equivalence oracle: once on
+    the original and once per compile, never for a profile."""
+    from repro.sim.functional import FunctionalSim
+    from repro.sim.pipeline import TimingSim
 
+    made = []
+    init = FunctionalSim.__init__
+
+    def counting_init(self, program, *args, **kwargs):
+        made.append(program.name)
+        init(self, program, *args, **kwargs)
+
+    monkeypatch.setattr(FunctionalSim, "__init__", counting_init)
+    assert main(["verify", "grep", "--scale", "0.02"]) == 0
+    assert sorted(made) == ["grep", "grep.base", "grep.proposed"]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("reference simulator used")
+
+    monkeypatch.setattr(TimingSim, "run", broken)
+    monkeypatch.setattr(FunctionalSim, "__init__", broken)
     sample = ["--sample", "50"] if timing_sim == "reference" else []
-    seen = []
-    real = cli.compile_proposed
-    real_profile = ProfileDB.from_run.__func__
-
-    def spy(prog, **kw):
-        seen.append(kw.get("backend"))
-        return real(prog, **kw)
-
-    def profile_spy(cls, prog, **kw):
-        seen.append(("profile", kw.get("backend")))
-        return real_profile(cls, prog, **kw)
-
-    monkeypatch.setattr(cli, "compile_proposed", spy)
-    monkeypatch.setattr(schemes, "compile_proposed", spy)
-    clear_fallback_trail()
     assert main(["run", "grep", "--scale", "0.02", "--scheme", scheme,
                  *sample]) == 0
-    assert fallback_trail() == ()
     assert main(["compile", "grep", "--scale", "0.02"]) == 0
-    assert main(["verify", "grep", "--scale", "0.02"]) == 0
-    monkeypatch.setattr(ProfileDB, "from_run", classmethod(profile_spy))
     assert main(["profile", "grep", "--scale", "0.02"]) == 0
-    assert seen == ["fast", "fast", "fast", ("profile", "fast")]
     capsys.readouterr()
 
 
@@ -181,12 +178,12 @@ def test_sweep(tmp_path, capsys):
 
     out = tmp_path / "sweep.json"
     assert main(["sweep", "--scales", "0.01", "--no-cache",
-                 "--config", "fetch_width=2,4",
+                 "--config", "dispatch_width=2,4",
                  "--benchmarks", "compress",
                  "--out", str(out)]) == 0
     records = json.loads(out.read_text())
     assert len(records) == 10  # 2 widths x 1 benchmark x 5 schemes
-    assert {r["config"]["fetch_width"] for r in records} == {2, 4}
+    assert {r["config"]["dispatch_width"] for r in records} == {2, 4}
     assert all(r["ok"] for r in records)
     assert all(r["ipc"] > 0 for r in records)
 
@@ -317,7 +314,6 @@ def test_run_sample_heat_report(capsys):
 def test_run_sample_stays_on_the_fast_path(monkeypatch, capsys):
     """An observed run never touches the reference simulators: with
     both broken, ``run --sample`` still prints its heat report."""
-    from repro.fastsim.backend import fallback_trail
     from repro.sim.functional import FunctionalSim
     from repro.sim.pipeline import TimingSim
 
@@ -329,7 +325,6 @@ def test_run_sample_stays_on_the_fast_path(monkeypatch, capsys):
     assert main(["run", "compress", "--scale", "0.1", "--sample", "7"]) == 0
     assert "heat report: compress (1869 samples, 22 hot blocks)\n" \
         in capsys.readouterr().out
-    assert fallback_trail() == ()
 
 
 @pytest.mark.parametrize("text", [b"foo r1\n", b"\xff\xfe li r1, 1\n"],
@@ -361,6 +356,47 @@ def test_cache_clear_rejects_an_invalid_namespace(tmp_path, capsys,
     assert exit_info.value.code == 2
     assert "error: argument --namespace: invalid namespace" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["stats", "--namespace", "alice"],
+                                  ["clear", "--json"]],
+                         ids=["stats-namespace", "clear-json"])
+def test_cache_flag_of_the_other_action_is_a_usage_error(tmp_path, capsys,
+                                                        argv):
+    """``--namespace`` belongs to ``cache clear`` and ``--json`` to
+    ``cache stats``; given to the other action, each is refused rather
+    than ignored."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cache", *argv, "--cache-dir", str(tmp_path / "cache")])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("timeout", ["-1", "nan", "inf", "0"])
+def test_submit_timeout_must_be_positive_and_finite(capsys, timeout):
+    """A ``submit --timeout`` no socket takes is a usage error (exit 2),
+    refused before anything is built or sent."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["submit", "--remote", "http://127.0.0.1:9", "--no-wait",
+              "--scale", "0.01", f"--timeout={timeout}"])
+    assert exit_info.value.code == 2
+    assert "argument --timeout: must be finite and > 0" \
+        in capsys.readouterr().err
+
+
+def test_tune_choice_values_take_the_axis_type(tmp_path, capsys):
+    """``--param config.bht_entries=64,128`` searches those two table
+    sizes, read as the integers the axis holds."""
+    import json
+
+    out = tmp_path / "tune.json"
+    assert main(["tune", "--param", "config.bht_entries=64,128",
+                 "--benchmarks", "grep", "--scale", "0.02", "--budget", "2",
+                 "--no-cache", "--out", str(out)]) == 0
+    candidates = json.loads(out.read_text())["candidates"]
+    assert {c["params"]["config.bht_entries"] for c in candidates[1:]} \
+        <= {64, 128}
+    capsys.readouterr()
 
 
 def test_serve_on_an_address_it_cannot_bind_is_a_usage_error(capsys):

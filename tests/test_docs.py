@@ -95,16 +95,27 @@ CLI_CALL = re.compile(r"(?:python -m repro|(?<![\w./-])repro) ([a-z]+)"
 
 
 def _declared_flags() -> dict[str, set[str]]:
-    """Subcommand -> the option strings its parser declares."""
+    """Subcommand, and subcommand plus action for a command with actions
+    of its own (``cache stats``) -> the option strings its parsers
+    declare."""
     import argparse
 
     from repro.__main__ import build_parser
 
-    sub = next(action for action in build_parser()._actions
-               if isinstance(action, argparse._SubParsersAction))
-    return {name: {flag for action in parser._actions
-                   for flag in action.option_strings}
-            for name, parser in sub.choices.items()}
+    def actions(parser) -> dict:
+        return next((action.choices for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction)), {})
+
+    def flags(parser) -> set[str]:
+        return {flag for action in parser._actions
+                for flag in action.option_strings}
+
+    declared = {}
+    for name, parser in actions(build_parser()).items():
+        declared[name] = flags(parser)
+        for verb, sub in actions(parser).items():
+            declared[f"{name} {verb}"] = declared[name] | flags(sub)
+    return declared
 
 
 def test_documented_cli_flags_are_declared():
@@ -121,6 +132,9 @@ def test_documented_cli_flags_are_declared():
                 continue
             # The line may go on to a pipe or another command.
             rest = re.split(r"\||;|&&|\brepro ", rest)[0]
+            verb = f"{command} {(rest.split() or [''])[0]}"
+            if verb in declared:
+                command = verb
             for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", rest):
                 if flag not in declared[command]:
                     undeclared.add(f"{path.relative_to(ROOT)}: "

@@ -218,3 +218,31 @@ def test_no_unread_public_names_in_src():
                 unread.append(f"{path.relative_to(root)}:{line} {name}")
     assert not unread, "\n".join(unread)
     assert set(ORACLES) <= defined, set(ORACLES) - defined
+
+
+#: The modules of each timing model, fast path and reference.
+TIMING_MODELS = {
+    "fast": ("fastsim/timing.py", "fastsim/decode.py"),
+    "reference": ("sim/pipeline.py", "sim/branch_pred.py", "sim/cache.py"),
+}
+
+
+def test_both_timing_models_read_every_machine_config_field():
+    """Each :class:`~repro.sim.config.MachineConfig` field is read, as an
+    attribute of that name, by both timing models: a field that one of
+    them never reads is a setting that changes no result there, yet keys
+    its cells apart."""
+    from dataclasses import fields
+
+    from repro.sim.config import MachineConfig
+
+    root = Path(repro.__file__).parent
+    unread = []
+    for model, paths in TIMING_MODELS.items():
+        reads = {node.attr for path in paths
+                 for node in ast.walk(ast.parse((root / path).read_text()))
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)}
+        unread += [f"{model}: {f.name}" for f in fields(MachineConfig)
+                   if f.name not in reads]
+    assert not unread, unread

@@ -238,3 +238,16 @@ def test_search_emits_round_metrics(tmp_path):
     assert sum(a["cells_executed"] for a in rounds) > 0
     assert all(a["cells_hit"] == 0 for a in rounds)
     assert all(a["best_ipc"] > 0 for a in rounds)
+
+
+def test_bht_entries_search_has_no_failed_candidate():
+    """Every candidate of a search over ``config.bht_entries`` runs: the
+    axis draws only the powers of two the predictor table takes."""
+    spec = TuneSpec(params=(ParamSpec("config.bht_entries"),),
+                    benchmarks=("grep",), scale=0.02, budget=6, seed=0)
+    result = run_tune(spec)
+    failures = [w["failure"] for c in result.candidates
+                for rung in c["rungs"].values()
+                for w in rung["per_workload"].values()]
+    assert len(result.candidates) > 1
+    assert failures == [None] * len(failures)

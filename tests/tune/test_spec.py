@@ -38,7 +38,28 @@ def test_unknown_param_rejected():
 
 
 def test_config_axis_resolves():
-    assert known_bound("config.fetch_width").kind == "int"
+    assert known_bound("config.dispatch_width").kind == "int"
+
+
+def test_every_config_axis_value_builds_a_machine_both_simulators_take():
+    """A spec can never propose a machine the simulators would refuse:
+    every value inside every ``config.*`` bound builds a machine and
+    both timing models for it, predictor table and caches included."""
+    from repro.fastsim import FastTimingSim
+    from repro.sim import TimingSim, r10k_config
+    from repro.tune import CONFIG_PARAMS
+
+    for name, bound in CONFIG_PARAMS.items():
+        values = bound.choices or range(int(bound.lo), int(bound.hi) + 1)
+        for value in values:
+            config = r10k_config(**apply_params({name: value})[1])
+            TimingSim(config)
+            FastTimingSim(config)
+
+
+def test_choice_axis_refuses_a_range():
+    with pytest.raises(ValueError, match="choice axis"):
+        ParamSpec("config.bht_entries", lo=64, hi=256).validate()
 
 
 def test_choice_param_subset():
@@ -94,7 +115,7 @@ def test_tunespec_roundtrip_through_json():
     spec = TuneSpec(
         params=(ParamSpec("speculation_bias", lo=0.6, hi=0.9),
                 ParamSpec("split_style", choices=("inline",)),
-                ParamSpec("config.fetch_width")),
+                ParamSpec("config.dispatch_width")),
         benchmarks=("compress", "grep"), scale=0.25, budget=16, seed=9,
         fidelities=(0.5, 1.0), max_steps=1000, keep=0.25,
         mutation_rate=0.75)
@@ -117,11 +138,11 @@ def test_apply_params_routes_three_namespaces():
     heur, config = apply_params({
         "classify.likely_threshold": 0.9,
         "speculation_bias": 0.7,
-        "config.fetch_width": 8,
+        "config.dispatch_width": 8,
     })
     assert heur.classify.likely_threshold == 0.9
     assert heur.speculation_bias == 0.7
-    assert config == {"fetch_width": 8}
+    assert config == {"dispatch_width": 8}
     # untouched knobs keep their paper values
     assert heur.classify.bias_threshold == \
         DEFAULT_HEURISTICS.classify.bias_threshold
