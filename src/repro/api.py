@@ -29,7 +29,8 @@ workers, or with ``remote="http://host:8732"`` (and ``tenant=``) a
 ``repro serve`` fleet with byte-identical results.
 
 Entering the session installs the JSONL tracer (when ``trace_path`` is
-set); exiting uninstalls it, so a trace never leaks across sessions.
+set) for the calling thread; exiting uninstalls it, so a trace never
+leaks across sessions, concurrent ones on other threads included.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ class Session:
     """One configured experiment context (see module docstring).
 
     Construction only records configuration; :meth:`start` (or entering
-    the context manager) installs the tracer.  Running methods outside
-    the context works too — they just run untraced unless a tracer is
-    already installed.
+    the context manager) installs the tracer for the calling thread.
+    Running methods outside the context works too — they just run
+    untraced unless that thread already has a tracer installed.
     """
 
     def __init__(self, *,
@@ -174,19 +175,21 @@ class Session:
         """Run the speculative-safety analysis on one program.
 
         Returns the (possibly empty) list of
-        :class:`~repro.robust.spectre.SpectreFinding` records.  Knobs
-        default to the ``spectre_sew`` / ``spectre_untrusted`` /
-        ``spectre_fence`` fields of
+        :class:`~repro.robust.spectre.SpectreFinding` records.  *sew*
+        defaults to :class:`~repro.robust.spectre.SpectreConfig`'s window
+        (16); the untrusted registers and the mode default to the
+        ``spectre_untrusted`` / ``spectre_fence`` fields of
         :data:`~repro.core.heuristics.DEFAULT_HEURISTICS`.
         """
-        from .robust.spectre import SpectreConfig, analyze_program
+        from dataclasses import replace
 
-        heur = DEFAULT_HEURISTICS
-        config = SpectreConfig(
-            untrusted=(tuple(untrusted) if untrusted is not None
-                       else tuple(heur.spectre_untrusted)),
-            sew=heur.spectre_sew if sew is None else sew,
-            mode="fence" if heur.spectre_fence else "suppress")
+        from .robust.spectre import analyze_program, config_from_heuristics
+
+        config = config_from_heuristics(DEFAULT_HEURISTICS)
+        if untrusted is not None:
+            config = replace(config, untrusted=tuple(untrusted))
+        if sew is not None:
+            config = replace(config, sew=sew)
         with _trace.span("spectre.analyze", program=prog.name,
                          sew=config.sew):
             return analyze_program(prog, config)

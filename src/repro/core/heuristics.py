@@ -86,8 +86,6 @@ class FeedbackHeuristics:
     # field (repro.engine.keys.canonical).
     #: gate flagged hoists through the spectre analysis
     spectre_safe: bool = False
-    #: speculative-execution window the analysis walks (instructions)
-    spectre_sew: int = 16
     #: True: plant a fence before flagged hoists; False: refuse them
     spectre_fence: bool = True
     #: registers treated as attacker-controlled at program entry

@@ -22,33 +22,26 @@ run, turned into a proper execution engine:
   through the suite runner.
 
 A warm cache makes ``python -m repro tables`` perform **zero** compiles
-and simulations (assert via :data:`~repro.engine.cells.COUNTERS`); a cold
-``--jobs N`` run fans cells out over worker processes.  See
-docs/ENGINE.md for the cache layout and invalidation rules.
+and simulations; a cold ``--jobs N`` run fans cells out over worker
+processes.  See docs/ENGINE.md for the cache layout and invalidation
+rules.
 """
 
 from .cache import ArtifactCache, CacheCounters, default_cache_dir
-from .cells import (
-    CELL_RETRIES, CELLS, COUNTERS, CellSpec, EngineCounters, execute_cell,
-    spec_key,
-)
+from .cells import CELL_RETRIES, CELLS, CellSpec, execute_cell, spec_key
 from .keys import (
     SCHEMA_VERSION, canonical, canonical_json, cell_key, digest,
     program_digest, program_fingerprint,
 )
-from .pool import (
-    CellKind, LocalExecutor, PoolDecision, execution_mode, run_cached,
-)
+from .pool import CellKind, LocalExecutor, run_cached
 from .suite import run_suite
 from .sweep import SweepSpec, grid_from_dict, run_sweep
 
 __all__ = [
     "ArtifactCache", "CacheCounters", "default_cache_dir",
-    "CELL_RETRIES", "CELLS", "COUNTERS", "CellSpec", "EngineCounters",
-    "execute_cell", "spec_key",
+    "CELL_RETRIES", "CELLS", "CellSpec", "execute_cell", "spec_key",
     "SCHEMA_VERSION", "canonical", "canonical_json", "cell_key", "digest",
     "program_digest", "program_fingerprint",
-    "CellKind", "LocalExecutor", "PoolDecision", "execution_mode",
-    "run_cached", "run_suite",
+    "CellKind", "LocalExecutor", "run_cached", "run_suite",
     "SweepSpec", "grid_from_dict", "run_sweep",
 ]

@@ -65,11 +65,6 @@ class CacheCounters:
         total = self.hits + self.misses
         return self.hits / total if total else 1.0
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.hits = self.misses = self.puts = 0
-        self.evictions = self.corrupt = 0
-
 
 class ArtifactCache:
     """Content-addressed JSON artifact store with LRU size capping.

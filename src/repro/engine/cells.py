@@ -21,13 +21,8 @@ both stop there with ``StepBudgetExceeded``, a contained failure like
 any other, so a program that never halts fails its cells
 deterministically on every executor.
 
-Cells simulate on :mod:`repro.fastsim` (:func:`counted_simulate`) and
-profile on it (:class:`BenchmarkMemo`); nothing in a spec or a key
-names a simulator.
-
-:data:`COUNTERS` counts every *actual* compile and simulation performed
-in this process — the engine's warm-cache acceptance test asserts these
-stay at zero when every cell hits the artifact cache.
+Cells simulate and profile on :mod:`repro.fastsim`
+(:class:`BenchmarkMemo`); nothing in a spec or a key names a simulator.
 """
 
 from __future__ import annotations
@@ -39,37 +34,15 @@ from typing import Optional
 
 from ..core import schemes
 from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
-from ..core.pipeline import CompileResult
 from ..isa.program import Program
 from ..obs.trace import span as obs_span
 from ..profilefb.profiledb import ProfileDB
 from ..sim.config import MachineConfig, r10k_config
-from ..sim.functional import ExecStats
-from ..sim.stats import SimStats
 from .keys import KeyMemo, cell_key, program_digest
 from .pool import CellKind
 
 #: Per-cell retry count before a failure is recorded (transient faults).
 CELL_RETRIES = 1
-
-
-@dataclass
-class EngineCounters:
-    """Process-local count of real compile/simulate executions."""
-
-    compiles: int = 0
-    simulates: int = 0
-
-    def reset(self) -> None:
-        """Zero both counters (test isolation)."""
-        self.compiles = 0
-        self.simulates = 0
-
-
-#: Global execution counters of this process.  Worker processes keep their
-#: own instance; the parent's counters therefore measure exactly the work
-#: the parent performed (zero on a fully warm cache).
-COUNTERS = EngineCounters()
 
 
 @dataclass(frozen=True)
@@ -151,32 +124,6 @@ def cell_grid(programs: dict[str, Program], heur: FeedbackHeuristics,
     return grid
 
 
-def counted_compile(scheme: str, prog: Program, heur: FeedbackHeuristics,
-                    max_steps: int,
-                    profile: Optional[ProfileDB] = None) -> CompileResult:
-    """:func:`~repro.core.schemes.compile_scheme`, incrementing the
-    counter.  *profile* is a proposed-pipeline compile's profile, which
-    :class:`BenchmarkMemo` takes.
-    """
-    COUNTERS.compiles += 1
-    return schemes.compile_scheme(prog, scheme, heur, profile=profile,
-                                  max_steps=max_steps)
-
-
-def counted_simulate(prog: Program, config: MachineConfig,
-                     max_steps: int) -> tuple[SimStats, ExecStats]:
-    """Functional + timing simulation, incrementing the counter.
-
-    Runs :func:`repro.fastsim.backend.simulate` (decode-once +
-    generated-step functional + event-bucket timing).  Whatever it
-    raises fails the cell by name.
-    """
-    from ..fastsim.backend import simulate
-
-    COUNTERS.simulates += 1
-    return simulate(prog, config, max_steps=max_steps)
-
-
 class BenchmarkMemo:
     """The work the cells of one benchmark share.
 
@@ -226,7 +173,11 @@ class BenchmarkMemo:
     def cell(self, scheme: str, config: MachineConfig, prog: Program,
              heur: FeedbackHeuristics, max_steps: int) -> tuple:
         """``(CompileResult, SimStats, ExecStats)`` of one cell, through
-        :func:`counted_compile` and :func:`counted_simulate`."""
+        :func:`repro.core.schemes.compile_scheme` and
+        :func:`repro.fastsim.backend.simulate`, each looked up in its
+        module when called."""
+        from ..fastsim.backend import simulate
+
         src = self._id(prog)
         compiled = schemes.get(scheme).heuristics(heur)
         ckey = (src, compiled, max_steps)
@@ -242,15 +193,16 @@ class BenchmarkMemo:
                             prog, max_steps=max_steps,
                             config=compiled.classify)
                     self._profiles[pkey] = profile
-            cr = counted_compile(scheme, prog, heur, max_steps,
-                                 profile=profile)
+            cr = schemes.compile_scheme(prog, scheme, heur,
+                                        profile=profile,
+                                        max_steps=max_steps)
             hit = self._compiles[ckey] = (cr, program_digest(cr.program))
         cr, digest = hit
         skey = (digest, config, max_steps)
         sim = self._sims.get(skey)
         if sim is None:
-            sim = self._sims[skey] = counted_simulate(cr.program, config,
-                                                      max_steps)
+            sim = self._sims[skey] = simulate(cr.program, config,
+                                              max_steps=max_steps)
         return (cr, *sim)
 
 

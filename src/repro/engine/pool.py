@@ -24,10 +24,9 @@ result becomes a JSON payload and back, and which payloads are
 successes; the serve worker reads the same declarations.
 
 Oversubscription guard: more workers than CPUs is a slowdown (process
-startup and imports per worker, time-sliced), so :func:`execution_mode`
-clamps the worker count to ``min(jobs, n_items, cpu_count)`` and runs
-in-process when that leaves one worker.  ``REPRO_POOL_FORCE=1`` bypasses
-the CPU clamp (e.g. for pool testing on small boxes).
+startup and imports per worker, time-sliced), so :func:`pool_workers`
+clamps the worker count to ``min(jobs, n_items, cpu_count)`` and the
+batch runs in-process when that leaves one worker.
 """
 
 from __future__ import annotations
@@ -37,6 +36,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+from ..obs import trace
 
 
 def _identity(payload):
@@ -71,42 +72,16 @@ class CellKind:
         return self.encode(self.run([spec], None)[0])
 
 
-@dataclass(frozen=True)
-class PoolDecision:
-    """How one fan-out request was actually executed and why."""
-
-    mode: str      # "serial" | "serial-oversubscribed" | "parallel"
-    workers: int   # processes actually used (1 for serial modes)
-    jobs: int      # what the caller asked for
-    n_items: int   # size of the work list
-    cpus: int      # os.cpu_count() at decision time
-
-
-def execution_mode(jobs: int, n_items: int) -> PoolDecision:
-    """Decide serial vs. parallel for a *jobs* request over *n_items*.
-
-    Workers are clamped to ``min(jobs, n_items, cpu_count)``; a clamp
-    down to one worker falls back to serial — reported as mode
-    ``"serial-oversubscribed"`` when the caller asked for parallelism
-    (``jobs > 1``) but the machine cannot provide it, so the condition is
-    visible rather than silently absorbed.  ``REPRO_POOL_FORCE=1``
-    disables the CPU clamp (item count still bounds the pool).
-    """
-    cpus = os.cpu_count() or 1
-    workers = min(jobs, n_items)
-    if not os.environ.get("REPRO_POOL_FORCE"):
-        workers = min(workers, cpus)
-    if workers <= 1:
-        mode = ("serial-oversubscribed"
-                if jobs > 1 and n_items > 1 else "serial")
-        return PoolDecision(mode, 1, jobs, n_items, cpus)
-    return PoolDecision("parallel", workers, jobs, n_items, cpus)
+def pool_workers(jobs: int, n_items: int) -> int:
+    """Worker processes for a *jobs* request over *n_items*:
+    ``min(jobs, n_items, cpu_count)``, where 1 means in-process."""
+    return max(1, min(jobs, n_items, os.cpu_count() or 1))
 
 
 class LocalExecutor:
     """Runs batches in this process, or over *jobs* worker processes.
 
-    Worker count follows :func:`execution_mode`: oversubscribed requests
+    Worker count follows :func:`pool_workers`: oversubscribed requests
     (more jobs than CPUs can absorb) run in-process.
     """
 
@@ -117,12 +92,16 @@ class LocalExecutor:
             programs: Optional[dict] = None) -> list:
         """Results of the ``[(key, spec)]`` *cells*, in input order."""
         specs = [spec for _, spec in cells]
-        decision = execution_mode(self.jobs, len(specs))
-        if decision.workers <= 1:
+        workers = pool_workers(self.jobs, len(specs))
+        if workers == 1:
             return kind.run(specs, programs)
         results: list = [None] * len(specs)
         with suppress(Exception):  # pool setup/teardown failure
-            with ProcessPoolExecutor(max_workers=decision.workers) as ex:
+            # A forked worker starts as a copy of this thread, tracer and
+            # buffered sink included: its spans would reach this trace
+            # with clashing span ids, or be lost unflushed.
+            with ProcessPoolExecutor(max_workers=workers,
+                                     initializer=trace.uninstall) as ex:
                 futures = [ex.submit(kind.execute, spec) for spec in specs]
                 for i, fut in enumerate(futures):
                     with suppress(Exception):  # its worker process died

@@ -9,8 +9,8 @@ code picks them: the conformance oracle (:mod:`repro.fastsim.check`,
 ``tests/fastsim``), ``robust.diffcheck``, and the qa fuzzer's one run
 of each program, which is both its reference and its profile.
 
-Failure contract of :func:`simulate` (the entry point
-``engine.cells.counted_simulate`` routes through): whatever the fast
+Failure contract of :func:`simulate` (the entry point every engine
+cell calls, through ``engine.cells.BenchmarkMemo``): whatever the fast
 path raises propagates.  A program-semantic failure (step budget,
 divergence, unmodeled opcode, alignment fault) is the reference's own
 exception with its coordinates, and a fast-path fault (decode, codegen,

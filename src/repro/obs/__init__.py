@@ -5,10 +5,10 @@ layer of the reproduction account for its time without perturbing the
 measurements it observes:
 
 * :mod:`~repro.obs.trace` — context-manager **spans** with monotonic
-  timing and structured attributes, emitted as JSONL.  A process-global
-  tracer is installed with :func:`tracing`/:func:`install`; when none is
-  installed, :func:`span` returns a shared no-op span, so instrumented
-  code pays one global load and an attribute check per span;
+  timing and structured attributes, emitted as JSONL.  A tracer is
+  installed for the calling thread with :func:`tracing`/:func:`install`;
+  when none is installed, :func:`span` returns a shared no-op span, so
+  instrumented code pays one context-variable read and a check per span;
 * :mod:`~repro.obs.pipeline_obs` — a **hot-PC sampler** over the fast
   simulator's batch stream (``repro run --sample N``), rendered per
   basic block by :func:`heat_report`;

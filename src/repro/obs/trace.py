@@ -17,13 +17,17 @@ traces are comparable only within themselves.
 The instrumentation contract is the module-level :func:`span`: when no
 tracer is installed (the default), it returns the shared
 :data:`NULL_SPAN` whose ``__enter__``/``__exit__``/``set`` do nothing —
-disabled tracing costs one global load and a comparison per span, and
-the simulator's per-cycle hot loop contains no spans at all (see
-:mod:`repro.obs.pipeline_obs`).
+disabled tracing costs one context-variable read and a comparison per
+span, and the simulator's per-cycle hot loop contains no spans at all
+(see :mod:`repro.obs.pipeline_obs`).
 
-Worker processes of :mod:`repro.engine.pool` do not inherit the parent's
-tracer (it is process-global state holding an open file); traced runs
-that must capture every cell span should run with ``jobs=1``.
+The installed tracer is a :class:`contextvars.ContextVar`, so it records
+only the thread (context) that installed it: two sessions traced on two
+threads each write their own trace, and a thread that installed none
+emits nothing.  Worker processes of :mod:`repro.engine.pool` start by
+uninstalling the tracer they were forked with, so they contribute no
+spans to the parent's trace; traced runs that must capture every cell
+span should run with ``jobs=1``.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 from typing import Any, Iterator, Optional, TextIO, Union
 
@@ -159,24 +164,23 @@ class Tracer:
             self._fh.close()
 
 
-_ACTIVE: Optional[Tracer] = None
+_ACTIVE: ContextVar[Optional[Tracer]] = ContextVar("repro_tracer",
+                                                   default=None)
 
 
 def install(tracer: Tracer) -> None:
-    """Make *tracer* the process-global tracer :func:`span` emits to."""
-    global _ACTIVE
-    _ACTIVE = tracer
+    """Make *tracer* the tracer :func:`span` emits to in this context."""
+    _ACTIVE.set(tracer)
 
 
 def uninstall() -> None:
-    """Remove the process-global tracer; :func:`span` becomes a no-op."""
-    global _ACTIVE
-    _ACTIVE = None
+    """Remove this context's tracer; :func:`span` becomes a no-op."""
+    _ACTIVE.set(None)
 
 
 def active_tracer() -> Optional[Tracer]:
-    """The installed tracer, or None."""
-    return _ACTIVE
+    """The tracer installed in this context, or None."""
+    return _ACTIVE.get()
 
 
 def span(name: str, **attrs: Any):
@@ -188,7 +192,7 @@ def span(name: str, **attrs: Any):
             ...
             sp.set("moved", report.speculated)
     """
-    t = _ACTIVE
+    t = _ACTIVE.get()
     if t is None:
         return NULL_SPAN
     return t.span(name, **attrs)

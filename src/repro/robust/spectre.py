@@ -398,7 +398,10 @@ class SpectreHoistGuard:
 
 def config_from_heuristics(heur) -> SpectreConfig:
     """Build a :class:`SpectreConfig` from the pipeline's
-    :class:`~repro.core.heuristics.FeedbackHeuristics` spectre knobs."""
+    :class:`~repro.core.heuristics.FeedbackHeuristics` spectre knobs.
+
+    The hoist guard reads only ``untrusted`` and ``mode``; ``sew`` bounds
+    the analysis's window walk, which the guard does not take, so it
+    keeps its default."""
     return SpectreConfig(untrusted=tuple(heur.spectre_untrusted),
-                         sew=heur.spectre_sew,
                          mode="fence" if heur.spectre_fence else "suppress")

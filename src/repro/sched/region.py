@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from ..cfg.graph import CFG
 from ..transform.dce import eliminate_dead_code
-from ..transform.renaming import free_registers
 from ..transform.speculation import (
     duplicate_into_predecessors, speculate_from_successor,
 )
@@ -100,7 +99,6 @@ def schedule_region(cfg: CFG, model: MachineModel = DEFAULT_MODEL,
         total = sum(e.freq for e in edges)
         hot, cold = sorted(edges, key=lambda e: -e.freq)
         p_hot = hot.freq / total if total > 0 else 0.5
-        pool = free_registers(cfg, "int")
 
         accuracy = max(p_hot, 1.0 - p_hot)  # static fallback estimate
         if profile is not None:
@@ -123,7 +121,7 @@ def schedule_region(cfg: CFG, model: MachineModel = DEFAULT_MODEL,
             # with genuinely idle slots, but measurably regresses on the
             # R10000-like model; see EXPERIMENTS.md.
             rep = speculate_from_successor(cfg, bb.bid, hot.dst, budget,
-                                           pool=pool, allow_rename=False,
+                                           allow_rename=False,
                                            hoist_guard=hoist_guard)
             moved_here += rep.count
             report.fenced += len(rep.fenced)

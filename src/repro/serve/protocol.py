@@ -58,7 +58,10 @@ from ..profilefb.classify import ClassifyConfig
 #: v7: MachineConfig has no ``fetch_width`` or ``bht_counter_bits``, so
 #: every cell key changed; a v6 peer is refused with a version mismatch
 #: rather than with a key its specs no longer hash to.
-PROTOCOL_VERSION = 7
+#: v8: heuristics payloads carry no ``spectre_sew``, which no compile
+#: read, so every cell key changed; a v7 peer is refused with a version
+#: mismatch rather than with "unknown heuristics fields".
+PROTOCOL_VERSION = 8
 
 #: Accepted ``kind`` values of a submitted job.
 JOB_KINDS = ("cells", "fuzz")

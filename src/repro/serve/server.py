@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Optional, Union
 from urllib.parse import parse_qs, urlparse
 
-from ..obs.trace import span as obs_span
 from . import protocol
 from .queue import JobQueue
 from .ratelimit import DEFAULT_BURST, DEFAULT_RATE, RateLimiter
@@ -79,7 +78,7 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     # BaseHTTPRequestHandler logs to stderr per request; the service
-    # reports through spans and /v1/stats instead.
+    # reports through /v1/stats instead.
     def log_message(self, fmt: str, *args) -> None:  # noqa: D102
         pass
 
@@ -162,23 +161,21 @@ class _Handler(BaseHTTPRequestHandler):
                 tenant=tenant, retry_after_s=round(retry_after, 3))
             return
 
-        with obs_span("serve.submit", tenant=tenant, kind=kind,
-                      cells=len(cells)):
-            # Tenant-namespace warm hits never enter the queue at all.
-            precomputed: dict[str, dict] = {}
-            for cell in cells:
-                key = cell["key"]
-                if key in precomputed:
-                    continue
-                hit = state.store.get(tenant, key)
-                if hit is not None:
-                    precomputed[key] = hit
-            for cell in cells:
-                if cell["key"] not in precomputed:
-                    state.fleet.subscribe(cell["key"], tenant)
-            job = state.queue.submit(
-                tenant, kind, [(c["key"], c["spec"]) for c in cells],
-                precomputed=precomputed)
+        # Tenant-namespace warm hits never enter the queue at all.
+        precomputed: dict[str, dict] = {}
+        for cell in cells:
+            key = cell["key"]
+            if key in precomputed:
+                continue
+            hit = state.store.get(tenant, key)
+            if hit is not None:
+                precomputed[key] = hit
+        for cell in cells:
+            if cell["key"] not in precomputed:
+                state.fleet.subscribe(cell["key"], tenant)
+        job = state.queue.submit(
+            tenant, kind, [(c["key"], c["spec"]) for c in cells],
+            precomputed=precomputed)
         state.submissions += 1
         self._send_json(200, protocol.ok_body(
             job=protocol.job_to_dict(job)))

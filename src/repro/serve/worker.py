@@ -34,7 +34,6 @@ import time
 import traceback
 
 from ..core import serde
-from ..obs.trace import span as obs_span
 from .queue import JobQueue
 from .store import LocalBackend
 from . import protocol
@@ -115,9 +114,7 @@ class Worker:
             key, kind, spec = claimed
             t0 = time.monotonic_ns()
             try:
-                with obs_span("serve.execute", worker=self.name,
-                              kind=kind, key=key[:12]):
-                    payload = execute_payload(kind, spec)
+                payload = execute_payload(kind, spec)
             except BaseException as exc:  # noqa: BLE001 - fleet survival
                 self.escaped += 1
                 if not self.queue.requeue(key):

@@ -22,6 +22,14 @@ from dataclasses import dataclass
 from ..isa.instruction import Instruction
 
 
+def check_entries(entries: int, name: str = "entries") -> None:
+    """Refuse a table size the predictors cannot index: *entries* (called
+    *name* by the caller) must be a positive power of two."""
+    if entries < 1 or entries & (entries - 1):
+        raise ValueError(
+            f"{name} must be a positive power of two, got {entries!r}")
+
+
 @dataclass
 class PredictorStats:
     """Prediction accounting (feeds Table 1's "correctly predicted" column)."""
@@ -90,8 +98,7 @@ class TwoBitPredictor(BranchPredictor):
     def __init__(self, entries: int = 512, btb_entries: int = 512,
                  initial_state: int = 1):
         super().__init__()
-        if entries <= 0 or entries & (entries - 1):
-            raise ValueError("entries must be a positive power of two")
+        check_entries(entries)
         self.entries = entries
         self.mask = entries - 1
         self.table = [initial_state] * entries
@@ -185,8 +192,7 @@ class TwoLevelPredictor(BranchPredictor):
     def __init__(self, entries: int = 512, btb_entries: int = 512,
                  history_bits: int = 4):
         super().__init__()
-        if entries <= 0 or entries & (entries - 1):
-            raise ValueError("entries must be a positive power of two")
+        check_entries(entries)
         self.entries = entries
         self.mask = entries - 1
         self.history_bits = history_bits

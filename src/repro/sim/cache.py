@@ -29,23 +29,43 @@ class CacheStats:
         return cls(accesses=d["accesses"], misses=d["misses"])
 
 
+def check_geometry(size: int, line: int, assoc: int,
+                   names: tuple[str, str, str] = ("size", "line", "assoc")
+                   ) -> None:
+    """Refuse a geometry :class:`Cache` cannot index, naming the rule's
+    arguments as the caller calls them (*names*).
+
+    The line size is a power of two, the size a positive multiple of
+    line × associativity, and the number of sets a power of two.
+    """
+    size_name, line_name, assoc_name = names
+    if line < 1 or line & (line - 1):
+        raise ValueError(f"{line_name} must be a power of two, got {line!r}")
+    if assoc < 1:
+        raise ValueError(f"{assoc_name} must be at least 1, got {assoc!r}")
+    sets, rem = divmod(size, line * assoc)
+    if rem or sets < 1:
+        raise ValueError(
+            f"{size_name} must be a positive multiple of {line_name} * "
+            f"{assoc_name} ({line * assoc}), got {size!r}")
+    if sets & (sets - 1):
+        raise ValueError(
+            f"{size_name} / ({line_name} * {assoc_name}) sets must be a "
+            f"power of two, got {sets}")
+
+
 class Cache:
     """Tag-only set-associative cache with LRU replacement."""
 
     def __init__(self, size: int = 32 * 1024, line: int = 32, assoc: int = 1,
                  name: str = "cache"):
-        if size % (line * assoc):
-            raise ValueError("size must be a multiple of line*assoc")
+        check_geometry(size, line, assoc)
         self.name = name
         self.line = line
         self.assoc = assoc
         self.num_sets = size // (line * assoc)
-        if self.num_sets & (self.num_sets - 1):
-            raise ValueError("number of sets must be a power of two")
         self._set_mask = self.num_sets - 1
         self._line_shift = line.bit_length() - 1
-        if (1 << self._line_shift) != line:
-            raise ValueError("line size must be a power of two")
         # Each set is a list of tags in LRU order (MRU last).
         self._sets: list[list[int]] = [[] for _ in range(self.num_sets)]
         self.stats = CacheStats()
@@ -66,7 +86,3 @@ class Cache:
         if len(ways) > self.assoc:
             ways.pop(0)
         return False
-
-    def reset(self) -> None:
-        self._sets = [[] for _ in range(self.num_sets)]
-        self.stats = CacheStats()

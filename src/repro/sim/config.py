@@ -17,6 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from .branch_pred import check_entries
+from .cache import check_geometry
+
 
 @dataclass(frozen=True)
 class Latencies:
@@ -42,7 +45,10 @@ class MachineConfig:
     zero-width stage, an empty queue, no free rename register, ...): both
     timing models would stall on its first instruction until their
     10**10-cycle guard, and a cell's step budget bounds only its
-    functional run.
+    functional run.  A predictor table or cache geometry the simulators
+    would refuse when a cell starts is refused here too, by the same
+    rule (:func:`~repro.sim.branch_pred.check_entries`,
+    :func:`~repro.sim.cache.check_geometry`).
     """
 
     # Pipeline widths (dispatch_width is the in-order front end's width:
@@ -112,17 +118,23 @@ class MachineConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"MachineConfig.{name} must not be "
                                  f"negative, got {getattr(self, name)!r}")
+        check_entries(self.bht_entries, "MachineConfig.bht_entries")
+        for size in ("icache_size", "dcache_size"):
+            check_geometry(getattr(self, size), self.cache_line,
+                           self.cache_assoc,
+                           (f"MachineConfig.{size}",
+                            "MachineConfig.cache_line",
+                            "MachineConfig.cache_assoc"))
 
 
-#: Fields below 1 leave the simulators no stage, slot, unit or cache set
-#: to make progress with.
+#: Fields below 1 leave the simulators no stage, slot or unit to make
+#: progress with.
 _AT_LEAST_ONE = (
     "dispatch_width", "commit_width",
     "int_queue_size", "addr_queue_size", "fp_queue_size",
     "branch_buffer_size", "rob_size",
     "num_alus", "num_shifters", "num_mem_units", "num_branch_units",
     "num_fpadd", "num_fpmul", "num_fpdiv",
-    "icache_size", "dcache_size", "cache_line", "cache_assoc",
 )
 
 

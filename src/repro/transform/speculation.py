@@ -95,7 +95,7 @@ def speculate_from_successor(cfg: CFG, pred_bid: int, succ_bid: int,
         return SpeculationReport()
     pred = cfg.block(pred_bid)
     succ = cfg.block(succ_bid)
-    if pool is None:
+    if pool is None and allow_rename:
         pool = free_registers(cfg, "int")
     live = liveness(cfg)
 

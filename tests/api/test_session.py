@@ -158,6 +158,47 @@ def test_traced_suite_covers_passes_and_cells(tmp_path):
         assert required in names, f"missing span {required}"
 
 
+def test_concurrent_sessions_write_their_own_traces(tmp_path):
+    """Two sessions entered on two threads, then run together: each
+    trace parses and holds exactly its own suite's spans."""
+    import threading
+
+    programs = benchmark_programs(SCALE)
+    names = ("grep", "compress")
+    barrier = threading.Barrier(len(names))
+    errors = []
+
+    def run(name):
+        try:
+            with Session(trace_path=tmp_path / f"{name}.jsonl") as s:
+                barrier.wait(timeout=60)
+                s.run_suite(benchmarks={name: programs[name]})
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=run, args=(name,))
+               for name in names]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for name in names:
+        records = _trace.read_trace(tmp_path / f"{name}.jsonl")
+        cells = sorted(r["name"] for r in records
+                       if r["name"].startswith("cell."))
+        assert cells == sorted(f"cell.{s.name}" for s in schemes.columns())
+        assert [r["name"] for r in records if r["depth"] == 0] \
+            == ["suite.run"]
+        assert {r["attrs"].get("benchmark", r["attrs"].get("program", name))
+                for r in records} == {name}
+        ids = {r["span_id"] for r in records}
+        assert all(r["parent_id"] in ids for r in records
+                   if r["parent_id"] is not None)
+
+
 def test_cache_plumbing(tmp_path):
     assert Session().cache is None
     assert Session(cache=False).cache is None

@@ -5,8 +5,12 @@ repository with ``.repro-cache/``), so every test sees a throwaway
 ``REPRO_CACHE_DIR`` unless it overrides the location itself.
 """
 
+import threading
+
 import pytest
 
+import repro.core.schemes as schemes_mod
+import repro.fastsim.backend as backend_mod
 from repro.isa import parse
 from repro.workloads import AUX_BASE
 
@@ -15,6 +19,44 @@ from repro.workloads import AUX_BASE
 def _isolated_cache_dir(tmp_path, monkeypatch):
     """Point the default artifact-cache root at a per-test temp dir."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
+
+
+class EngineWork:
+    """Compiles and simulations run in this process since :meth:`reset`.
+
+    Counts calls of :func:`repro.core.schemes.compile_scheme` and
+    :func:`repro.fastsim.backend.simulate`, the two functions every
+    engine cell runs through.  Pool workers count in their own processes;
+    serve's fleet threads count here.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.compiles = 0
+        self.simulates = 0
+
+    def reset(self) -> None:
+        with self._lock:
+            self.compiles = self.simulates = 0
+
+    def counting(self, field: str, fn):
+        """*fn*, adding one to *field* per call."""
+        def counted(*args, **kwargs):
+            with self._lock:
+                setattr(self, field, getattr(self, field) + 1)
+            return fn(*args, **kwargs)
+        return counted
+
+
+@pytest.fixture()
+def engine_work(monkeypatch):
+    """An :class:`EngineWork` counting from the start of the test."""
+    work = EngineWork()
+    monkeypatch.setattr(schemes_mod, "compile_scheme", work.counting(
+        "compiles", schemes_mod.compile_scheme))
+    monkeypatch.setattr(backend_mod, "simulate", work.counting(
+        "simulates", backend_mod.simulate))
+    return work
 
 
 def biased_loop_program(iterations=500, period=8, body_ops=2):

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import schemes
 from repro.core.heuristics import DEFAULT_HEURISTICS
-from repro.engine.cells import (CELLS, COUNTERS, BenchmarkMemo, CellSpec,
+from repro.engine.cells import (CELLS, BenchmarkMemo, CellSpec,
                                 execute_cell, execute_cells)
 from repro.engine.pool import LocalExecutor
 from repro.engine.suite import run_suite
@@ -61,7 +61,7 @@ def _alone(name, prog, heur):
             for spec in _specs(name, prog, heur)]
 
 
-def _counted(monkeypatch, path, name, prog, heur):
+def _counted(monkeypatch, engine_work, path, name, prog, heur):
     """(payloads by scheme, profiling runs, simulations) on *path*."""
     runs = []
     real = ProfileDB.from_run
@@ -71,9 +71,9 @@ def _counted(monkeypatch, path, name, prog, heur):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ProfileDB, "from_run", counting)
-    COUNTERS.reset()
+    engine_work.reset()
     payloads = PATHS[path](name, prog, heur)
-    profiles, sims = len(runs), COUNTERS.simulates
+    profiles, sims = len(runs), engine_work.simulates
     assert json.dumps(payloads, sort_keys=True) == \
         json.dumps(_alone(name, prog, heur), sort_keys=True)
     return {p["scheme"]: p for p in payloads}, profiles, sims
@@ -81,10 +81,10 @@ def _counted(monkeypatch, path, name, prog, heur):
 
 @pytest.mark.parametrize("path", sorted(PATHS))
 def test_stock_benchmark_profiles_once_and_simulates_four_times(
-        monkeypatch, path):
+        monkeypatch, engine_work, path):
     prog = benchmark_programs(0.01)["compress"]
-    cells, profiles, sims = _counted(monkeypatch, path, "compress", prog,
-                                     DEFAULT_HEURISTICS)
+    cells, profiles, sims = _counted(monkeypatch, engine_work, path,
+                                     "compress", prog, DEFAULT_HEURISTICS)
     assert profiles == 1
     # The guard fences nothing here, so safe-speculative compiles to the
     # Proposed program and replays its simulation: 2bitBP, PerfectBP,
@@ -96,11 +96,12 @@ def test_stock_benchmark_profiles_once_and_simulates_four_times(
 
 
 @pytest.mark.parametrize("path", sorted(PATHS))
-def test_fenced_safe_program_gets_its_own_simulation(monkeypatch, path):
+def test_fenced_safe_program_gets_its_own_simulation(monkeypatch,
+                                                     engine_work, path):
     prog = parse(GADGET_LOOP, name="gadget-loop")
     heur = replace(DEFAULT_HEURISTICS, enable_ifconvert=False)
-    cells, profiles, sims = _counted(monkeypatch, path, "gadget", prog,
-                                     heur)
+    cells, profiles, sims = _counted(monkeypatch, engine_work, path,
+                                     "gadget", prog, heur)
     safe = cells["safe-speculative"]["compile_result"]
     assert safe["region_report"]["fenced"] > 0
     assert safe["program"] != cells["Proposed"]["compile_result"]["program"]

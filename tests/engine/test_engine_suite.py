@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core import schemes
-from repro.engine import ArtifactCache, COUNTERS, LocalExecutor, run_suite
+from repro.engine import ArtifactCache, LocalExecutor, run_suite
 from repro.eval.runner import suite_to_dict
 from repro.workloads import benchmark_programs
 
@@ -19,15 +19,16 @@ def programs():
     return benchmark_programs(SCALE)
 
 
-def test_warm_cache_does_zero_compile_or_simulate(tmp_path, programs):
+def test_warm_cache_does_zero_compile_or_simulate(tmp_path, programs,
+                                                  engine_work):
     """Acceptance: a warm-cache suite run must not compile or simulate."""
-    cache = ArtifactCache(tmp_path)
-    run_suite(benchmarks=programs, max_steps=MAX_STEPS, cache=cache)
-    COUNTERS.reset()
-    cache.counters.reset()
+    run_suite(benchmarks=programs, max_steps=MAX_STEPS,
+              cache=ArtifactCache(tmp_path))
+    engine_work.reset()
+    cache = ArtifactCache(tmp_path)   # fresh counters on the warm store
     runs = run_suite(benchmarks=programs, max_steps=MAX_STEPS, cache=cache)
-    assert COUNTERS.compiles == 0
-    assert COUNTERS.simulates == 0
+    assert engine_work.compiles == 0
+    assert engine_work.simulates == 0
     assert cache.counters.hits == len(programs) * len(schemes.columns())
     assert cache.counters.misses == 0
     assert all(run.ok for run in runs.values())
@@ -96,7 +97,8 @@ def test_seed_changes_cache_keys(tmp_path):
     assert cache.counters.hits > hits_before  # same seed hits again
 
 
-def test_one_missing_cell_recomputes_only_that_cell(tmp_path, programs):
+def test_one_missing_cell_recomputes_only_that_cell(tmp_path, programs,
+                                                    engine_work):
     """A warm benchmark with one cache entry gone runs that cell alone
     (one compile, one simulation) and matches the cold results."""
     from repro.core.heuristics import DEFAULT_HEURISTICS
@@ -109,9 +111,9 @@ def test_one_missing_cell_recomputes_only_that_cell(tmp_path, programs):
     key = cell_key(programs["compress"], "Proposed", DEFAULT_HEURISTICS,
                    r10k_config("twobit"), MAX_STEPS)
     cache._path(key).unlink()
-    COUNTERS.reset()
+    engine_work.reset()
     warm = run_suite(benchmarks=one, max_steps=MAX_STEPS, cache=cache)
-    assert (COUNTERS.compiles, COUNTERS.simulates) == (1, 1)
+    assert (engine_work.compiles, engine_work.simulates) == (1, 1)
     assert json.dumps(suite_to_dict(cold), sort_keys=True) == \
         json.dumps(suite_to_dict(warm), sort_keys=True)
 

@@ -8,6 +8,7 @@ import pytest
 from repro.core import schemes
 from repro.engine import CELLS, CellSpec, LocalExecutor
 from repro.engine import cells as cells_mod
+from repro.engine.pool import pool_workers
 from repro.workloads import benchmark_programs
 
 
@@ -54,6 +55,21 @@ def test_parallel_byte_identical_to_serial(programs):
         json.dumps(parallel, sort_keys=True)
 
 
+def test_pool_workers_add_no_spans_to_the_parent_trace(programs, tmp_path,
+                                                       monkeypatch):
+    """A forked worker starts as a copy of the thread that traces; it
+    must not write into that trace (a line-buffered sink shows every
+    record a worker would write)."""
+    from repro.obs import read_trace, span, tracing
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    path = tmp_path / "t.jsonl"
+    with open(path, "w", buffering=1) as sink, tracing(sink):
+        with span("parent"):
+            _run(_specs(programs), jobs=2)
+    assert [r["name"] for r in read_trace(path)] == ["parent"]
+
+
 def test_fail_cells_propagate_from_workers(programs):
     # A 10-step budget cannot run any benchmark: every cell must come
     # back as a contained FAIL payload, not an exception.
@@ -94,7 +110,7 @@ def _lethal_in_workers(monkeypatch, module, name):
 
 
 def test_dead_workers_cells_rerun_in_the_parent(programs, monkeypatch):
-    monkeypatch.setenv("REPRO_POOL_FORCE", "1")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     specs = _specs(programs)
     serial = _payloads(_run(specs))
     calls = _lethal_in_workers(monkeypatch, cells_mod, "execute_cell")
@@ -108,7 +124,7 @@ def test_dead_workers_fuzz_cells_rerun_in_the_parent(monkeypatch):
     from repro.qa import cells as qa_cells
     from repro.qa.strategies import LATTICE, campaign_plan
 
-    monkeypatch.setenv("REPRO_POOL_FORCE", "1")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     specs = [qa_cells.FuzzCellSpec(s.name, seed)
              for s, seed in campaign_plan(3, 0, LATTICE)]
     serial = _run(specs, kind=qa_cells.FUZZ)
@@ -120,52 +136,21 @@ def test_dead_workers_fuzz_cells_rerun_in_the_parent(monkeypatch):
 
 
 class TestExecutionMode:
-    """The oversubscription guard behind every pool fan-out."""
+    """The oversubscription guard behind every pool fan-out: the worker
+    count is ``min(jobs, n_items, cpus)``, and 1 runs in-process."""
 
     def test_jobs_one_is_plain_serial(self):
-        from repro.engine import execution_mode
-
-        decision = execution_mode(jobs=1, n_items=8)
-        assert decision.mode == "serial"
-        assert decision.workers == 1
+        assert pool_workers(jobs=1, n_items=8) == 1
 
     def test_single_item_is_plain_serial(self):
-        from repro.engine import execution_mode
-
-        decision = execution_mode(jobs=4, n_items=1)
-        assert decision.mode == "serial"
-        assert decision.workers == 1
+        assert pool_workers(jobs=4, n_items=1) == 1
 
     def test_oversubscribed_host_falls_back_to_serial(self, monkeypatch):
-        import os
-
-        from repro.engine import execution_mode
-
-        monkeypatch.delenv("REPRO_POOL_FORCE", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        decision = execution_mode(jobs=4, n_items=8)
-        assert decision.mode == "serial-oversubscribed"
-        assert decision.workers == 1
-        assert decision.cpus == 1
+        assert pool_workers(jobs=4, n_items=8) == 1
 
     def test_workers_capped_by_cpus_and_items(self, monkeypatch):
-        import os
-
-        from repro.engine import execution_mode
-
-        monkeypatch.delenv("REPRO_POOL_FORCE", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        decision = execution_mode(jobs=16, n_items=3)
-        assert decision.mode == "parallel"
-        assert decision.workers == 3  # min(jobs, n_items, cpus)
-
-    def test_force_overrides_the_cpu_cap(self, monkeypatch):
-        import os
-
-        from repro.engine import execution_mode
-
-        monkeypatch.setenv("REPRO_POOL_FORCE", "1")
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        decision = execution_mode(jobs=2, n_items=8)
-        assert decision.mode == "parallel"
-        assert decision.workers == 2
+        assert pool_workers(jobs=16, n_items=3) == 3
+        assert pool_workers(jobs=16, n_items=8) == 4
+        assert pool_workers(jobs=2, n_items=8) == 2

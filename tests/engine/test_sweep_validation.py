@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import SweepSpec, grid_from_dict
+from tests.sim.test_config import UNINDEXABLE
 
 
 def _spec(config=None, heur=None):
@@ -97,9 +98,13 @@ def test_error_not_raised_deep_in_worker():
 
 def test_a_machine_the_simulators_cannot_run_is_refused():
     """Each point's machine is built at validation, so a sweep refuses
-    ``rob_size=0`` (which would stall the timing model forever) before
-    running any cell; a value of the wrong type names the grid."""
+    ``rob_size=0`` (which would stall the timing model forever), and a
+    predictor table or cache that would fail every cell, before running
+    any cell; a value of the wrong type names the grid."""
     with pytest.raises(ValueError, match="MachineConfig.rob_size"):
         _spec(config={"rob_size": (32, 0)}).validate()
+    for field, value in UNINDEXABLE:
+        with pytest.raises(ValueError, match=f"MachineConfig.{field} "):
+            _spec(config={field: (value,)}).validate()
     with pytest.raises(ValueError, match="config_grid"):
         _spec(config={"rob_size": ("big",)}).validate()

@@ -9,6 +9,7 @@ one, and the shared grid must key exactly like :func:`cell_key`.
 
 import dataclasses
 import json
+import os
 import pickle
 
 import pytest
@@ -18,7 +19,7 @@ import repro.isa.printer as printer_mod
 from repro.core import schemes
 from repro.core.heuristics import DEFAULT_HEURISTICS
 from repro.core.pipeline import CompileResult
-from repro.engine import COUNTERS, ArtifactCache, LocalExecutor, run_suite
+from repro.engine import ArtifactCache, LocalExecutor, run_suite
 from repro.engine.cells import cell_grid, spec_key
 from repro.engine.keys import (
     SCHEMA_VERSION, cell_key, digest, program_fingerprint,
@@ -65,23 +66,23 @@ def stock(tmp_path_factory):
     return out
 
 
-def test_warm_replay_parses_nothing(stock, monkeypatch):
+def test_warm_replay_parses_nothing(stock, monkeypatch, engine_work):
     programs, cache, cold = stock[None]
     parses = _count_calls(monkeypatch, parser_mod, "parse")
     prints = _count_calls(monkeypatch, printer_mod, "format_program")
-    COUNTERS.reset()
-    cache.counters.reset()
+    engine_work.reset()
+    cache = ArtifactCache(cache.root)   # fresh counters on the warm store
     warm = run_suite(SCALE, benchmarks=programs, cache=cache)
     assert len(parses) == 0
     assert len(prints) == len(programs)  # one per input program
-    assert (COUNTERS.compiles, COUNTERS.simulates) == (0, 0)
+    assert (engine_work.compiles, engine_work.simulates) == (0, 0)
     assert (cache.counters.hits, cache.counters.misses) == \
         (len(programs) * len(schemes.columns()), 0)
     assert _as_json(suite_to_dict(warm)) == _as_json(suite_to_dict(cold))
 
 
 def test_pool_results_are_not_parsed_in_the_parent(stock, monkeypatch):
-    monkeypatch.setenv("REPRO_POOL_FORCE", "1")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     programs, _, serial = stock[None]
     parses = _count_calls(monkeypatch, parser_mod, "parse")
     pooled = run_suite(SCALE, benchmarks=programs,

@@ -60,10 +60,12 @@ def test_version_lockstep():
     # The protocol alone moved to 7 when MachineConfig lost
     # ``fetch_width`` and ``bht_counter_bits``: every cell key changed
     # with the config's hashed text, so the key schema did not move, and
-    # a v6 peer is refused by version, not by a key mismatch.
+    # a v6 peer is refused by version, not by a key mismatch.  It moved
+    # to 8, again alone, when FeedbackHeuristics lost ``spectre_sew``:
+    # every cell key hashes the whole heuristics.
     assert SCHEMA_VERSION == 6      # engine cell-key/envelope schema
     assert serde.SCHEMA_VERSION == 4  # result payload schema
-    assert PROTOCOL_VERSION == 7    # serve wire protocol
+    assert PROTOCOL_VERSION == 8    # serve wire protocol
 
 
 def test_legacy_heuristics_payload_still_decodes():

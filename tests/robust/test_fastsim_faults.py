@@ -15,6 +15,7 @@ raises propagates out of :func:`repro.fastsim.backend.simulate`:
 No run takes the reference pair, an observed one included.
 """
 
+import os
 import traceback
 
 import pytest
@@ -92,8 +93,8 @@ def test_fast_path_fault_propagates(fault, prog, monkeypatch):
 def test_fast_path_fault_fails_every_cell(fault, where, prog, monkeypatch,
                                           request, tmp_path):
     exc_type = FAULTS[fault](monkeypatch)
-    # Forked pool workers inherit the patch; force the pool on one CPU.
-    monkeypatch.setenv("REPRO_POOL_FORCE", "1")
+    # Forked pool workers inherit the patch; give the pool two CPUs.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     store = ArtifactCache(tmp_path / "local")
     if where == "serve":
         srv = request.getfixturevalue("server")

@@ -1,7 +1,7 @@
 """Shared fixtures: an in-process service on an ephemeral port.
 
 The server's worker fleet runs on threads inside the test process, so
-the engine's process-local :data:`repro.engine.cells.COUNTERS` measure
+the suite's ``engine_work`` fixture (``tests/conftest.py``) counts
 exactly the compiles/simulates the fleet performed — which is how the
 acceptance tests assert "executed exactly once fleet-wide" and "warm
 replay does zero work" directly instead of inferring them from logs.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.cells import COUNTERS
 from repro.serve import EvalServer, ServeClient, ServeConfig
 
 
@@ -29,10 +28,3 @@ def client(server):
     """A ``tenant-a`` client bound to the :func:`server` fixture."""
     return ServeClient(server.url, tenant="tenant-a", timeout=60.0)
 
-
-@pytest.fixture(autouse=True)
-def _reset_counters():
-    """Zero the engine counters around every test in this package."""
-    COUNTERS.reset()
-    yield
-    COUNTERS.reset()

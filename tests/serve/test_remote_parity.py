@@ -12,8 +12,8 @@ import json
 from repro.api import Session
 from repro.core.heuristics import DEFAULT_HEURISTICS
 from repro.engine import SweepSpec, grid_from_dict
-from repro.engine import cells as engine_cells
 from repro.eval import suite_to_dict
+from repro.fastsim import backend
 from repro.serve import ServeClient
 from repro.serve.client import suite_cells
 from repro.workloads import benchmark_programs
@@ -83,7 +83,7 @@ def test_remote_session_matches_local(server, tmp_path):
 
 
 def test_failures_are_delivered_but_never_stored(server, client,
-                                                 monkeypatch):
+                                                 monkeypatch, engine_work):
     """A failure can be transient, so a stored one would answer every
     later submission of the same cells.  The fleet runs on threads in
     this process, so a patched simulator fails its PerfectBP cell once;
@@ -91,7 +91,7 @@ def test_failures_are_delivered_but_never_stored(server, client,
     programs = {"grep": benchmark_programs(0.05)["grep"]}
     cells = [(key, payload) for _, _, key, _, payload in suite_cells(
         programs, DEFAULT_HEURISTICS, None, 50_000_000)]
-    real = engine_cells.counted_simulate
+    real = backend.simulate
 
     def flaky(prog, config, max_steps):
         if config.predictor == "perfect":
@@ -99,18 +99,17 @@ def test_failures_are_delivered_but_never_stored(server, client,
         return real(prog, config, max_steps)
 
     with monkeypatch.context() as patch:
-        patch.setattr(engine_cells, "counted_simulate", flaky)
+        patch.setattr(backend, "simulate", flaky)
         first = client.run_cells(cells)
     assert [(p["scheme"], p["failure"]) for p in first.values()
             if p["failure"]] == [("PerfectBP", "RuntimeError: simulator down")]
     failed = {key for key, p in first.items() if p["failure"]}
 
-    engine_cells.COUNTERS.reset()
+    engine_work.reset()
     job = client.submit_cells(cells)
     second = dict(client.results(job["job_id"]))
     assert job["n_cache_hits"] == len(cells) - len(failed)
-    assert (engine_cells.COUNTERS.compiles,
-            engine_cells.COUNTERS.simulates) == (1, 1)
+    assert (engine_work.compiles, engine_work.simulates) == (1, 1)
     assert all(p["failure"] is None for p in second.values())
     assert all(second[key] == first[key] for key in first
                if key not in failed)

@@ -1,8 +1,8 @@
 """End-to-end acceptance of the evaluation service (the ISSUE contract).
 
 * Two tenants submit overlapping suites → each unique cell executes
-  exactly once fleet-wide (asserted with the engine's process-local
-  execution counters: the fleet runs on threads in this process).
+  exactly once fleet-wide (asserted with the ``engine_work`` fixture's
+  counts: the fleet runs on threads in this process).
 * A warm replay is served entirely from the tenant's cache namespace —
   zero compiles, zero simulations, nothing enqueued.
 * A rate-limited tenant receives structured backpressure (code,
@@ -18,7 +18,6 @@ import pytest
 
 from repro.api import Session
 from repro.core.heuristics import DEFAULT_HEURISTICS
-from repro.engine.cells import COUNTERS
 from repro.serve import (
     Backpressure, EvalServer, ServeClient, ServeConfig, ServeError,
 )
@@ -45,7 +44,8 @@ def _cells(grid):
     return [(key, payload) for _, _, key, _, payload in grid]
 
 
-def _assert_each_unique_cell_runs_once(server, monkeypatch, grid):
+def _assert_each_unique_cell_runs_once(server, monkeypatch, engine_work,
+                                       grid):
     # Hold the fleet at the gate until both tenants have submitted, so
     # the overlap is guaranteed rather than won by racing the workers.
     import threading
@@ -73,45 +73,49 @@ def _assert_each_unique_cell_runs_once(server, monkeypatch, grid):
     results_b = dict(bob.results(job_b["job_id"]))
 
     # Exactly one execution per unique cell, fleet-wide.
-    assert COUNTERS.compiles == len(grid)
-    assert COUNTERS.simulates == len(grid)
+    assert engine_work.compiles == len(grid)
+    assert engine_work.simulates == len(grid)
     # Both tenants hold the same artifacts, byte for byte.
     assert json.dumps(results_a, sort_keys=True) == \
         json.dumps(results_b, sort_keys=True)
     assert all(r["failure"] is None for r in results_a.values())
 
 
-def test_two_tenants_execute_each_unique_cell_once(server, monkeypatch):
-    _assert_each_unique_cell_runs_once(server, monkeypatch, _grid())
+def test_two_tenants_execute_each_unique_cell_once(server, monkeypatch,
+                                                   engine_work):
+    _assert_each_unique_cell_runs_once(server, monkeypatch, engine_work,
+                                       _grid())
 
 
-def test_two_tenants_execute_each_stock_cell_once(server, monkeypatch):
-    _assert_each_unique_cell_runs_once(server, monkeypatch,
+def test_two_tenants_execute_each_stock_cell_once(server, monkeypatch,
+                                                  engine_work):
+    _assert_each_unique_cell_runs_once(server, monkeypatch, engine_work,
                                        _stock_grid(seed=202))
 
 
-def _assert_warm_replay_does_zero_work(server, grid):
+def _assert_warm_replay_does_zero_work(server, engine_work, grid):
     client = ServeClient(server.url, tenant="alice", timeout=120.0)
     client.run_cells(_cells(grid))               # cold fill
 
-    COUNTERS.reset()
+    engine_work.reset()
     job = client.submit_cells(_cells(grid))
     # Every cell answered from the tenant's namespace at submission
     # time: the job arrives already done, nothing was enqueued.
     assert job["state"] == "done"
     assert job["n_cache_hits"] == len(grid)
     assert client.results(job["job_id"])         # results still stream
-    assert COUNTERS.compiles == 0
-    assert COUNTERS.simulates == 0
+    assert engine_work.compiles == 0
+    assert engine_work.simulates == 0
     assert server.queue.depth() == 0
 
 
-def test_warm_replay_does_zero_work(server):
-    _assert_warm_replay_does_zero_work(server, _grid(seed=12))
+def test_warm_replay_does_zero_work(server, engine_work):
+    _assert_warm_replay_does_zero_work(server, engine_work, _grid(seed=12))
 
 
-def test_stock_warm_replay_does_zero_work(server):
-    _assert_warm_replay_does_zero_work(server, _stock_grid(seed=101))
+def test_stock_warm_replay_does_zero_work(server, engine_work):
+    _assert_warm_replay_does_zero_work(server, engine_work,
+                                       _stock_grid(seed=101))
 
 
 def test_tenant_namespaces_stay_isolated(server):

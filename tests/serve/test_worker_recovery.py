@@ -147,23 +147,22 @@ def test_poisoned_cell_fails_after_attempt_budget(tmp_path, monkeypatch):
 
 def test_engine_retry_runs_inside_the_service_loop(tmp_path, monkeypatch):
     # The engine's own cell retry (CELL_RETRIES) must fire when the cell
-    # runs on a fleet thread: fail counted_compile once, succeed on the
+    # runs on a fleet thread: fail compile_scheme once, succeed on the
     # retry, and the worker sees a clean payload — no requeue involved.
-    from repro.engine import cells as engine_cells
+    from repro.core import schemes
     from repro.serve.client import suite_cells
     from repro.workloads import benchmark_programs
 
-    real_compile = engine_cells.counted_compile
+    real_compile = schemes.compile_scheme
     failures = []
 
-    def compile_flaky_once(scheme, prog, heur, max_steps, profile=None):
+    def compile_flaky_once(prog, scheme, *args, **kwargs):
         if not failures:
             failures.append(scheme)
             raise RuntimeError("transient compile fault")
-        return real_compile(scheme, prog, heur, max_steps, profile=profile)
+        return real_compile(prog, scheme, *args, **kwargs)
 
-    monkeypatch.setattr(engine_cells, "counted_compile",
-                        compile_flaky_once)
+    monkeypatch.setattr(schemes, "compile_scheme", compile_flaky_once)
     programs = {"grep": benchmark_programs(0.02, seed=1)["grep"]}
     from repro.core.heuristics import DEFAULT_HEURISTICS
 

@@ -48,14 +48,6 @@ def test_stats():
     assert abs(c.stats.hit_rate - 2 / 3) < 1e-12
 
 
-def test_reset():
-    c = Cache(size=1024, line=32, assoc=1)
-    c.access(0)
-    c.reset()
-    assert c.access(0) is False
-    assert c.stats.accesses == 1
-
-
 def test_validation():
     with pytest.raises(ValueError):
         Cache(size=1000, line=32, assoc=1)

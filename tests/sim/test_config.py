@@ -10,6 +10,12 @@ import pytest
 
 from repro.sim.config import r10k_config
 
+#: Tables and caches the predictor or the cache model cannot index.
+UNINDEXABLE = [
+    ("bht_entries", 100), ("icache_size", 1000), ("dcache_size", 1000),
+    ("cache_line", 24), ("cache_assoc", 3),
+]
+
 UNRUNNABLE = [
     ("dispatch_width", 0), ("commit_width", 0),
     ("int_queue_size", 0), ("addr_queue_size", 0), ("fp_queue_size", 0),
@@ -21,7 +27,7 @@ UNRUNNABLE = [
     ("misprediction_recovery", -1), ("fence_stall", -1),
     ("icache_size", 0), ("dcache_size", 0), ("cache_line", 0),
     ("cache_assoc", 0),
-]
+] + UNINDEXABLE
 
 
 @pytest.mark.parametrize("field,value", UNRUNNABLE,

@@ -194,6 +194,16 @@ def test_sweep_rejects_unknown_axis():
               "--config", "no_such_field=1,2"])
 
 
+def test_sweep_refuses_the_spectre_window_as_a_heuristics_field():
+    """No compile reads a speculative window, so no heuristics field
+    holds one: three values would be three cell keys for one compile."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--scales", "0.01", "--no-cache",
+              "--heur", "spectre_sew=8", "--benchmarks", "compress"])
+    assert "unknown FeedbackHeuristics field 'spectre_sew'" \
+        in str(exit_info.value)
+
+
 def test_sweep_rejects_a_non_positive_scale(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["sweep", "--scales", "0.01,0", "--no-cache",

@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.engine import CELLS, ArtifactCache, run_cached
-from repro.engine.cells import COUNTERS
 from repro.obs import read_trace, tracing
 from repro.tune import (
     DEFAULT_PARAM_NAMES, ParamSpec, TuneResult, TuneSpec, apply_params,
@@ -125,18 +124,19 @@ def test_different_seed_changes_candidates():
         != [c["params"] for c in b.candidates[1:]]
 
 
-def test_warm_rerun_zero_compiles(first_result):
+def test_warm_rerun_zero_compiles(first_result, engine_work):
     """A resumed identical search executes nothing: the result-level
     cache answers before a single cell is keyed."""
     cache, result = first_result
-    COUNTERS.reset()
+    engine_work.reset()
     again = run_tune(SPEC, cache=cache)
-    assert COUNTERS.compiles == 0
-    assert COUNTERS.simulates == 0
+    assert engine_work.compiles == 0
+    assert engine_work.simulates == 0
     assert again.to_dict() == result.to_dict()
 
 
-def test_full_zoo_search_beats_the_defaults_and_resumes_for_free(tmp_path):
+def test_full_zoo_search_beats_the_defaults_and_resumes_for_free(
+        tmp_path, engine_work):
     """The paper's four thresholds over every stock workload: some
     workload's winner has a higher IPC than the default vector within 5%
     more code growth, and a rerun executes nothing and returns the same
@@ -151,9 +151,9 @@ def test_full_zoo_search_beats_the_defaults_and_resumes_for_free(tmp_path):
             w["code_growth"] / w["default_code_growth"] - 1.0) <= 5.0]
     assert improved, result.per_workload
 
-    COUNTERS.reset()
+    engine_work.reset()
     resumed = run_tune(spec, cache=cache)
-    assert (COUNTERS.compiles, COUNTERS.simulates) == (0, 0)
+    assert (engine_work.compiles, engine_work.simulates) == (0, 0)
     assert resumed.to_dict() == result.to_dict()
 
 
@@ -161,14 +161,14 @@ def test_failed_search_is_not_stored(tmp_path, monkeypatch):
     """A search whose cells failed answers no later search: a failure can
     be transient (here a simulator fault that clears), so a stored one
     would poison every rerun."""
-    from repro.engine import cells as engine_cells
+    from repro.fastsim import backend
 
     def broken(*args, **kwargs):
         raise RuntimeError("simulator down")
 
     cache = ArtifactCache(tmp_path / "cache")
     with monkeypatch.context() as patch:
-        patch.setattr(engine_cells, "counted_simulate", broken)
+        patch.setattr(backend, "simulate", broken)
         failed = run_tune(SPEC, cache=cache)
     assert failed.per_workload == {}
 
@@ -185,7 +185,7 @@ def test_result_key_depends_on_spec():
     assert k == tune_result_key(dataclasses.replace(SPEC))
 
 
-def test_cell_level_resume_zero_work(tmp_path):
+def test_cell_level_resume_zero_work(tmp_path, engine_work):
     """Even without the result-level entry, every cell of a repeated
     candidate evaluation is an artifact-cache hit."""
     from repro.workloads import benchmark_programs
@@ -197,14 +197,14 @@ def test_cell_level_resume_zero_work(tmp_path):
     cache = ArtifactCache(tmp_path / "cells")
     batch = [(key, spec) for _, key, spec in cells]
     run_cached(CELLS, batch, store=cache, programs=programs)
-    COUNTERS.reset()
+    engine_work.reset()
     _, hits, executed = run_cached(CELLS, batch, store=cache,
                                    programs=programs)
     assert (hits, executed) == (len(cells), 0)
-    assert COUNTERS.compiles == 0 and COUNTERS.simulates == 0
+    assert engine_work.compiles == 0 and engine_work.simulates == 0
 
 
-def test_tune_cells_shared_with_suite_cache(tmp_path):
+def test_tune_cells_shared_with_suite_cache(tmp_path, engine_work):
     """The default candidate's cell is *the same artifact* the suite
     runner computes: a tables run pre-warms the search."""
     from repro.engine.suite import run_suite
@@ -217,12 +217,12 @@ def test_tune_cells_shared_with_suite_cache(tmp_path):
                 if n == "compress"}
     heur, overrides = apply_params({})  # the default vector
     cells = candidate_cells(heur, overrides, programs, max_steps=50_000_000)
-    COUNTERS.reset()
+    engine_work.reset()
     _, hits, executed = run_cached(
         CELLS, [(key, spec) for _, key, spec in cells], store=cache,
         programs=programs)
     assert (hits, executed) == (len(cells), 0)
-    assert COUNTERS.compiles == 0
+    assert engine_work.compiles == 0
 
 
 # -- observability ----------------------------------------------------------
