@@ -32,9 +32,9 @@ Commands:
 * ``tune``    — run a closed-loop heuristic search (successive halving
   plus mutation) over cached engine cells and print the Pareto front
   and per-workload winning vectors (see docs/TUNE.md);
-* ``trace``   — ``trace run`` executes a traced suite (JSONL spans to
-  ``--out``), ``trace summarize`` renders a per-span timing table from a
-  trace file (see docs/OBSERVABILITY.md);
+* ``trace``   — ``trace summarize FILE`` renders a per-span timing table
+  from a trace that any experiment command wrote with ``--trace FILE``
+  (see docs/OBSERVABILITY.md);
 * ``ingest``  — import external programs (Bril-like ``.bril`` sources or
   JSONL ``.trace.jsonl`` basic-block traces) as first-class workloads:
   lower onto the ISA, verify, and print or ``--emit`` the assembly;
@@ -50,8 +50,8 @@ simulator (:mod:`repro.fastsim`); the reference simulators are the
 oracle of ``verify``'s equivalence check and of ``fuzz``
 (docs/FASTSIM.md).
 
-Every experiment command (``tables``, ``sweep``, ``tune``, ``fuzz``,
-``trace run``) constructs exactly one :class:`repro.api.Session` from
+Every experiment command (``tables``, ``sweep``, ``tune``, ``fuzz``)
+constructs exactly one :class:`repro.api.Session` from
 its engine flags, so ``--jobs``, ``--no-cache``, ``--cache-dir`` and
 ``--trace`` behave identically everywhere: results are cached in
 ``.repro-cache/`` (override with ``--cache-dir`` or
@@ -590,31 +590,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """``trace run`` / ``trace summarize`` — see docs/OBSERVABILITY.md."""
+    """``trace summarize FILE`` — see docs/OBSERVABILITY.md."""
     from .obs import read_trace, summarize_trace
 
-    if args.action == "summarize":
-        if not args.file:
-            return _usage_error("trace summarize requires a trace FILE")
-        try:
-            records = read_trace(args.file)
-        except (OSError, ValueError) as exc:
-            return _usage_error(f"cannot read trace: {exc}")
-        print(summarize_trace(records))
-        return 0
-
-    # action == "run": a traced suite run.
-    # Spans are process-local, so the traced suite runs with the session's
-    # default jobs=1 unless the caller insists on a pool.
-    with _session_from(args) as session:
-        session.run_suite(
-            scale=args.scale,
-            progress=lambda b: print(f"running {b} ...", file=sys.stderr))
-        emitted = session._tracer.emitted if session._tracer else 0
-        print(f"{emitted} spans written to {args.trace}", file=sys.stderr)
-    if args.summarize:
-        print(summarize_trace(read_trace(args.trace)))
-    _report_cache(session.cache)
+    try:
+        records = read_trace(args.file)
+    except (OSError, ValueError) as exc:
+        return _usage_error(f"cannot read trace: {exc}")
+    print(summarize_trace(records))
     return 0
 
 
@@ -901,30 +884,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser(
-        "trace",
-        help="run a traced suite or summarize an existing trace file")
-    p.add_argument("action", choices=["run", "summarize"],
-                   help="run: traced suite to --out; summarize: per-span "
-                        "timing table of FILE")
-    p.add_argument("file", nargs="?",
-                   help="trace file to summarize (summarize only)")
-    p.add_argument("--scale", type=_positive_float, default=0.3,
-                   help="workload scale factor for trace run (default 0.3)")
-    p.add_argument("--out", dest="trace", metavar="FILE",
-                   default="trace.jsonl",
-                   help="trace output path for trace run "
-                        "(default trace.jsonl)")
-    p.add_argument("--summarize", action="store_true",
-                   help="after trace run, also print the span summary")
-    p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                   help="worker processes (spans are process-local: "
-                        "workers do not contribute spans, so the default "
-                        "is serial)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the artifact cache for this run")
-    p.add_argument("--cache-dir", type=_cache_dir, metavar="DIR",
-                   help="artifact cache directory (default .repro-cache/ "
-                        "or $REPRO_CACHE_DIR)")
+        "trace", help="summarize a trace file written with --trace FILE")
+    p.add_argument("action", choices=["summarize"],
+                   help="summarize: per-span timing table of FILE")
+    p.add_argument("file", help="trace file to summarize")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(

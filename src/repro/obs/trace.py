@@ -125,7 +125,6 @@ class Tracer:
         self._origin_ns = time.perf_counter_ns()
         self._next_id = 1
         self._stack: list[Span] = []
-        self.emitted = 0
 
     def span(self, name: str, **attrs: Any) -> Span:
         """Open a new span nested under the currently active one."""
@@ -151,8 +150,7 @@ class Tracer:
         try:
             self._fh.write(json.dumps(record, sort_keys=True) + "\n")
         except ValueError:             # sink already closed; drop the span
-            return
-        self.emitted += 1
+            pass
 
     def close(self) -> None:
         """Flush, and close the sink if this tracer opened it."""

@@ -45,8 +45,6 @@ class ClassifyConfig:
     window: int = 8
     segment_bias: float = 0.9
     max_segments: int = 4
-    max_period: int = 16
-    pattern_match: float = 0.95
 
 
 @dataclass(frozen=True)
@@ -79,8 +77,7 @@ def classify(history: BranchHistory,
     toggle = history.toggle_factor
     pattern = analyze_pattern(
         history, window=config.window, bias=config.segment_bias,
-        max_segments=config.max_segments, max_period=config.max_period,
-        min_match=config.pattern_match)
+        max_segments=config.max_segments)
 
     if freq >= config.likely_threshold:
         cls = BranchClass.HIGHLY_TAKEN

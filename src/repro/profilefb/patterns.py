@@ -20,12 +20,17 @@ Detected pattern kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .bitvector import BranchHistory
 from .segments import Segment, segment_history
+
+#: Longest period :func:`detect_period` tries.
+MAX_PERIOD = 16
+#: Fraction of outcomes a model must explain: a periodic template's
+#: match, or the majority outcome's share for the ``constant`` kind.
+MIN_MATCH = 0.95
 
 
 @dataclass(frozen=True)
@@ -43,34 +48,26 @@ class PatternInfo:
         return self.kind in ("periodic", "phased")
 
 
-def detect_period(history: BranchHistory, max_period: int = 16,
-                  min_match: float = 0.95) -> Optional[tuple[int, float]]:
-    """Find the smallest period p such that ``v[i] == v[i mod p]`` for at
-    least *min_match* of positions.  Returns (period, match) or None.
+def detect_period(history: BranchHistory) -> Optional[tuple[int, float]]:
+    """Find the smallest period p <= :data:`MAX_PERIOD` such that
+    ``v[i] == v[i mod p]`` for at least :data:`MIN_MATCH` of positions.
+    Returns (period, match) or None.
 
     Period 1 (constant) is excluded — that's the ``constant`` kind.
     """
-    v = history.as_array()
-    n = v.size
+    v = history.outcomes
+    n = len(v)
     if n < 4:
         return None
-    best: Optional[tuple[int, float]] = None
-    for p in range(2, min(max_period, n // 2) + 1):
-        template = v[:p]
-        reps = -(-n // p)  # ceil
-        model = np.tile(template, reps)[:n]
-        match = float((model == v).mean())
-        if match >= min_match:
+    for p in range(2, min(MAX_PERIOD, n // 2) + 1):
+        match = sum(a == b for a, b in zip(v, cycle(v[:p]))) / n
+        if match >= MIN_MATCH:
             return (p, match)
-        if best is None or match > best[1]:
-            best = (p, match)
     return None
 
 
 def analyze_pattern(history: BranchHistory, *, window: int = 8,
-                    bias: float = 0.9, max_segments: int = 4,
-                    max_period: int = 16,
-                    min_match: float = 0.95) -> PatternInfo:
+                    bias: float = 0.9, max_segments: int = 4) -> PatternInfo:
     """Classify the structure of a branch outcome vector.
 
     Order of tests: constant, then periodic (cheapest hardware encoding:
@@ -81,11 +78,10 @@ def analyze_pattern(history: BranchHistory, *, window: int = 8,
     if n == 0:
         return PatternInfo(kind="constant", match=1.0)
     freq = history.frequency
-    if freq >= min_match or freq <= 1.0 - min_match:
+    if freq >= MIN_MATCH or freq <= 1.0 - MIN_MATCH:
         return PatternInfo(kind="constant", match=max(freq, 1.0 - freq))
 
-    periodic = detect_period(history, max_period=max_period,
-                             min_match=min_match)
+    periodic = detect_period(history)
     if periodic is not None:
         p, match = periodic
         return PatternInfo(kind="periodic", period=p, match=match)
@@ -132,8 +128,6 @@ def boundaries_stable(histories: Sequence[BranchHistory],
         norm.append(tuple(s.start / n for s in i.segments[1:]))
     if len({len(b) for b in norm}) != 1:
         return False
-    ref = np.asarray(norm[0])
-    for b in norm[1:]:
-        if np.any(np.abs(np.asarray(b) - ref) > tolerance):
-            return False
-    return True
+    ref = norm[0]
+    return all(abs(x - r) <= tolerance
+               for b in norm[1:] for x, r in zip(b, ref))

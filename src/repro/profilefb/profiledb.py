@@ -19,6 +19,19 @@ from .bitvector import BranchHistory
 from .classify import Classification, ClassifyConfig, classify
 
 
+def _field(obj, key: str, kind: type, where: str):
+    """``obj[key]``, which must be a *kind*: a feedback file comes from
+    outside the program, so a missing or mistyped field is a ValueError
+    that names it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where} has no {key!r}")
+    value = obj[key]
+    if type(value) is not kind:
+        raise ValueError(f"{where} {key!r} is {type(value).__name__}, "
+                         f"not {kind.__name__}")
+    return value
+
+
 @dataclass
 class BranchProfile:
     """Profile record of one static branch."""
@@ -197,25 +210,39 @@ class ProfileDB:
         """Rebuild a ProfileDB from :meth:`to_json` output against *prog*.
 
         *prog* must be the same program the profile was taken from (branch
-        pcs are validated against it).
+        pcs are validated against it).  A missing or mistyped field, or a
+        pc that is out of range, not a branch or repeated, raises
+        ``ValueError``.
         """
         import json
 
         config = config or ClassifyConfig()
         data = json.loads(text)
-        if len(data["index_counts"]) != len(prog.instructions):
+        n = len(prog.instructions)
+        counts = _field(data, "index_counts", list, "profile")
+        if len(counts) != n:
             raise ValueError(
-                f"profile is for a {len(data['index_counts'])}-instruction "
-                f"program; got {len(prog.instructions)}")
-        stats = ExecStats(steps=data["steps"])
-        db = cls(program=prog, exec_stats=stats,
-                 index_counts=list(data["index_counts"]), config=config)
-        for rec in data["branches"]:
-            pc = rec["pc"]
+                f"profile is for a {len(counts)}-instruction "
+                f"program; got {n}")
+        if any(type(c) is not int for c in counts):
+            raise ValueError("profile 'index_counts' holds a non-int")
+        stats = ExecStats(steps=_field(data, "steps", int, "profile"))
+        db = cls(program=prog, exec_stats=stats, index_counts=counts,
+                 config=config)
+        for i, rec in enumerate(_field(data, "branches", list, "profile")):
+            where = f"branch record {i}"
+            pc = _field(rec, "pc", int, where)
+            if not 0 <= pc < n:
+                raise ValueError(
+                    f"{where}: pc {pc} is outside this {n}-instruction "
+                    f"program")
             ins = prog.instructions[pc]
             if not ins.is_branch:
                 raise ValueError(f"pc {pc} is not a branch in this program")
-            history = BranchHistory.from_string(rec["outcomes"])
+            if ins.uid in db.branches:
+                raise ValueError(f"{where} repeats pc {pc}")
+            history = BranchHistory.from_string(
+                _field(rec, "outcomes", str, where))
             stats.branch_outcomes[ins.uid] = list(history)
             stats.branch_pc[ins.uid] = pc
             stats.branches += len(history)

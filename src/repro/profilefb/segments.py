@@ -69,17 +69,20 @@ def segment_history(history: BranchHistory, window: int = 8,
     bounds = [min(n, (i + 1) * window) for i in range(len(wf))]
     starts = [i * window for i in range(len(wf))]
 
+    arr = history.outcomes
+
+    def mean(lo: int, hi: int) -> float:
+        return sum(arr[lo:hi]) / (hi - lo)
+
     # Merge adjacent same-class windows.
     raw: list[Segment] = []
-    arr = history.as_array()
     for s, e, f in zip(starts, bounds, wf):
-        kind = _classify_window(float(f), bias)
+        kind = _classify_window(f, bias)
         if raw and raw[-1].kind == kind:
             prev = raw.pop()
-            span = arr[prev.start:e]
-            raw.append(Segment(prev.start, e, kind, float(span.mean())))
+            raw.append(Segment(prev.start, e, kind, mean(prev.start, e)))
         else:
-            raw.append(Segment(s, e, kind, float(f)))
+            raw.append(Segment(s, e, kind, f))
 
     # Absorb sections that are tiny, or whose merge into a biased neighbor
     # preserves that neighbor's classification (a stray outcome inside a
@@ -95,8 +98,8 @@ def segment_history(history: BranchHistory, window: int = 8,
         for j in (i - 1, i + 1):
             if 0 <= j < len(segs) and segs[j].kind != "mixed":
                 lo, hi = min(i, j), max(i, j)
-                span = arr[segs[lo].start:segs[hi].end]
-                if _classify_window(float(span.mean()), bias) == segs[j].kind:
+                f = mean(segs[lo].start, segs[hi].end)
+                if _classify_window(f, bias) == segs[j].kind:
                     return True
         return False
 
@@ -113,9 +116,9 @@ def segment_history(history: BranchHistory, window: int = 8,
 
             def preserves(j: int) -> bool:
                 lo, hi = min(i, j), max(i, j)
-                span = arr[segs[lo].start:segs[hi].end]
                 return (segs[j].kind != "mixed"
-                        and _classify_window(float(span.mean()), bias)
+                        and _classify_window(mean(segs[lo].start,
+                                                  segs[hi].end), bias)
                         == segs[j].kind)
 
             preserving = [j for j in candidates if preserves(j)]
@@ -123,8 +126,7 @@ def segment_history(history: BranchHistory, window: int = 8,
             j = max(pool, key=lambda j: segs[j].length)
             lo, hi = min(i, j), max(i, j)
             a, b = segs[lo], segs[hi]
-            span = arr[a.start:b.end]
-            f = float(span.mean())
+            f = mean(a.start, b.end)
             merged = Segment(a.start, b.end, _classify_window(f, bias), f)
             segs = segs[:lo] + [merged] + segs[hi + 1:]
             changed = True
@@ -135,9 +137,8 @@ def segment_history(history: BranchHistory, window: int = 8,
     for seg in segs:
         if out and out[-1].kind == seg.kind:
             prev = out.pop()
-            span = arr[prev.start:seg.end]
             out.append(Segment(prev.start, seg.end, seg.kind,
-                               float(span.mean())))
+                               mean(prev.start, seg.end)))
         else:
             out.append(seg)
     return out

@@ -61,7 +61,12 @@ from ..profilefb.classify import ClassifyConfig
 #: v8: heuristics payloads carry no ``spectre_sew``, which no compile
 #: read, so every cell key changed; a v7 peer is refused with a version
 #: mismatch rather than with "unknown heuristics fields".
-PROTOCOL_VERSION = 8
+#: v9: the nested ClassifyConfig carries no ``max_period`` or
+#: ``pattern_match``, which nothing set (both are constants of
+#: repro.profilefb.patterns), so every cell key changed; a v8 peer, whose
+#: payloads still carry both, is refused with a version mismatch rather
+#: than with a TypeError from building its ClassifyConfig.
+PROTOCOL_VERSION = 9
 
 #: Accepted ``kind`` values of a submitted job.
 JOB_KINDS = ("cells", "fuzz")

@@ -55,7 +55,7 @@ def test_options_from_args_full_namespace(tmp_path):
     assert s.executor.jobs == 3
     assert s.cache.root == tmp_path
     assert (s.trace_path, s.strict) == ("t.jsonl", True)
-    assert _session(["trace", "run", "--out", "o.jsonl"]).trace_path \
+    assert _session(["fuzz", "--trace", "o.jsonl"]).trace_path \
         == "o.jsonl"
     client = _session(["tables", "--remote", "http://127.0.0.1:1",
                        "--tenant", "t"]).executor
@@ -79,8 +79,8 @@ def test_options_from_args_missing_flags_fall_back():
     default = Session()
     bare = _session_from(argparse.Namespace(
         no_cache=True, cache_dir=None, jobs=1, trace=None))
-    undeclared = _session(["trace", "run", "--no-cache"])   # no --strict,
-    plain = _session(["tables", "--no-cache"])              # --remote ...
+    undeclared = _session(["fuzz", "--no-cache"])   # no --strict,
+    plain = _session(["tables", "--no-cache"])      # --remote ...
     for s in (bare, undeclared, plain):
         assert isinstance(s.executor, LocalExecutor)
         assert s.executor.jobs == 1

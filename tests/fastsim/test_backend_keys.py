@@ -62,10 +62,12 @@ def test_version_lockstep():
     # with the config's hashed text, so the key schema did not move, and
     # a v6 peer is refused by version, not by a key mismatch.  It moved
     # to 8, again alone, when FeedbackHeuristics lost ``spectre_sew``:
-    # every cell key hashes the whole heuristics.
+    # every cell key hashes the whole heuristics.  It moved to 9, alone,
+    # when ClassifyConfig lost ``max_period`` and ``pattern_match``, for
+    # the same reason.
     assert SCHEMA_VERSION == 6      # engine cell-key/envelope schema
     assert serde.SCHEMA_VERSION == 4  # result payload schema
-    assert PROTOCOL_VERSION == 8    # serve wire protocol
+    assert PROTOCOL_VERSION == 9    # serve wire protocol
 
 
 def test_legacy_heuristics_payload_still_decodes():

@@ -73,7 +73,8 @@ def test_exception_recorded_and_propagated():
 
 
 def test_install_uninstall_lifecycle(tmp_path):
-    tracer = Tracer(tmp_path / "t.jsonl")
+    path = tmp_path / "t.jsonl"
+    tracer = Tracer(path)
     install(tracer)
     try:
         assert active_tracer() is tracer
@@ -83,7 +84,7 @@ def test_install_uninstall_lifecycle(tmp_path):
         uninstall()
         tracer.close()
     assert active_tracer() is None
-    assert tracer.emitted == 1
+    assert [r["name"] for r in read_trace(path)] == ["one"]
 
 
 def test_read_trace_rejects_garbage(tmp_path):

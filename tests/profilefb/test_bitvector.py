@@ -1,6 +1,7 @@
 """BranchHistory statistics, including hypothesis property tests."""
 
-import numpy as np
+from itertools import groupby
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ def test_from_string():
     assert len(h) == 5
     assert h.taken_count == 3
     assert h.as_string() == "TTFFT"
+    assert h.outcomes == (True, True, False, False, True)
 
 
 def test_from_string_accepts_digits():
@@ -43,12 +45,6 @@ def test_transitions_and_toggle():
     assert H("TFTF").toggle_factor == 1.0
     assert H("TTFF").transitions == 1
     assert H("T").toggle_factor == 0.0
-
-
-def test_runs():
-    assert H("TTTFFT").runs() == [(True, 3), (False, 2), (True, 1)]
-    assert H("").runs() == []
-    assert H("F").runs() == [(False, 1)]
 
 
 def test_windowed_frequency():
@@ -104,17 +100,6 @@ def test_frequency_bounds(outcomes):
 
 @given(outcome_lists)
 @settings(max_examples=100)
-def test_runs_partition(outcomes):
-    h = BranchHistory(outcomes)
-    runs = h.runs()
-    assert sum(n for _, n in runs) == len(h)
-    # Adjacent runs alternate values.
-    for (a, _), (b, _) in zip(runs, runs[1:]):
-        assert a != b
-
-
-@given(outcome_lists)
-@settings(max_examples=100)
 def test_string_roundtrip(outcomes):
     h = BranchHistory(outcomes)
     assert BranchHistory.from_string(h.as_string()) == h
@@ -124,4 +109,5 @@ def test_string_roundtrip(outcomes):
 @settings(max_examples=100)
 def test_transitions_consistent_with_runs(outcomes):
     h = BranchHistory(outcomes)
-    assert h.transitions == max(0, len(h.runs()) - 1)
+    runs = sum(1 for _ in groupby(h))
+    assert h.transitions == max(0, runs - 1)

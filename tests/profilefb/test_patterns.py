@@ -72,6 +72,10 @@ def test_segment_partition_property(outcomes, window):
     for a, b in zip(segs, segs[1:]):
         assert a.end == b.start
         assert a.kind != b.kind  # coalesced
+    for seg in segs:
+        # Exact, not approximate: a count over a length, as for a whole
+        # history's frequency.
+        assert seg.freq == sum(outcomes[seg.start:seg.end]) / seg.length
 
 
 # ---- period detection ----------------------------------------------------------
@@ -94,8 +98,7 @@ def test_detect_period_none_for_random_phases():
 def test_detect_period_tolerates_noise():
     s = list("TTF" * 30)
     s[10] = "T"  # one flipped outcome
-    result = detect_period(BranchHistory.from_string("".join(s)),
-                           min_match=0.95)
+    result = detect_period(BranchHistory.from_string("".join(s)))
     assert result is not None
     assert result[0] == 3
 

@@ -1,5 +1,7 @@
 """ProfileDB save/load: the paper's multi-run feedback-file workflow."""
 
+import json
+
 import pytest
 
 from repro.core import compile_proposed
@@ -58,11 +60,39 @@ def test_rejects_wrong_program():
 def test_rejects_non_branch_pc():
     prog = parse(LOOP)
     db = ProfileDB.from_run(prog)
-    import json
-
     data = json.loads(db.to_json())
     data["branches"][0]["pc"] = 0  # li, not a branch
     with pytest.raises(ValueError):
+        ProfileDB.from_json(json.dumps(data), prog)
+
+
+#: A malformed feedback file of each kind, and what its error names.
+MALFORMED = {
+    "negative-pc": "outside",
+    "duplicate-record": "repeats pc",
+    "pc-past-the-end": "outside",
+    "string-pc": "'pc' is str",
+    "missing-steps": "'steps'",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_rejects_malformed_feedback_file(case):
+    prog = parse(LOOP)
+    n = len(prog.instructions)
+    data = json.loads(ProfileDB.from_run(prog).to_json())
+    rec = data["branches"][0]
+    if case == "negative-pc":
+        rec["pc"] -= n  # indexes the same branch from the end
+    elif case == "duplicate-record":
+        data["branches"].append(dict(rec))
+    elif case == "pc-past-the-end":
+        rec["pc"] = n
+    elif case == "string-pc":
+        rec["pc"] = str(rec["pc"])
+    else:
+        del data["steps"]
+    with pytest.raises(ValueError, match=MALFORMED[case]):
         ProfileDB.from_json(json.dumps(data), prog)
 
 

@@ -265,10 +265,9 @@ def test_verify_declares_no_engine_flag(capsys, flag):
 
 def test_trace_run_and_summarize(tmp_path, capsys):
     out = tmp_path / "trace.jsonl"
-    assert main(["trace", "run", "--scale", "0.01",
-                 "--out", str(out), "--no-cache"]) == 0
-    captured = capsys.readouterr()
-    assert "spans written to" in captured.err
+    assert main(["tables", "--scale", "0.01", "--no-cache",
+                 "--trace", str(out)]) == 0
+    capsys.readouterr()
     from repro.obs import read_trace
 
     names = {r["name"] for r in read_trace(out)}
@@ -280,20 +279,6 @@ def test_trace_run_and_summarize(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "distinct names" in table
     assert "suite.run" in table
-
-
-def test_trace_run_inline_summary_and_metrics(tmp_path, capsys):
-    """``--summarize`` prints the span table after the run; there is no
-    metrics registry to print, so ``--metrics`` is a usage error."""
-    out = tmp_path / "trace.jsonl"
-    assert main(["trace", "run", "--scale", "0.01", "--out", str(out),
-                 "--no-cache", "--summarize"]) == 0
-    assert "distinct names" in capsys.readouterr().out
-    with pytest.raises(SystemExit) as exit_info:
-        main(["trace", "run", "--scale", "0.01", "--out", str(out),
-              "--no-cache", "--metrics"])
-    assert exit_info.value.code == 2
-    assert "unrecognized arguments: --metrics" in capsys.readouterr().err
 
 
 def test_trace_summarize_missing_file(capsys):

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -103,6 +104,26 @@ def test_no_unused_imports_in_src():
               if path.name != "__init__.py"
               for line, name in _unused_imports(path)]
     assert not unused, "\n".join(unused)
+
+
+def test_src_imports_only_the_standard_library():
+    """Every absolute import in ``src/repro`` names ``repro`` or a module
+    of the standard library: the package has no runtime dependency."""
+    root = Path(repro.__file__).parent
+    allowed = set(sys.stdlib_module_names) | {"repro"}
+    foreign = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.relative_to(root)}:{node.lineno} {name}"
+                        for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not foreign, "\n".join(foreign)
 
 
 #: Where a name of ``src/repro`` may be read: the Python files of the
